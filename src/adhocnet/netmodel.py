@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,12 @@ INIT_POWER_STREAM = 3
 
 RECEIVERS = ("matched", "lmmse")
 POWER_MODES = ("equal", "random")
+
+_INTEGER_FIELDS = ("n_nodes", "spreading_gain", "packet_bits", "pc_max_iter",
+                   "phase_cap", "master_seed")
+_REAL_FIELDS = ("area_side", "target_sir", "noise_power", "path_loss_exp",
+                "initial_power", "chip_bandwidth", "power_cap", "pc_tol",
+                "improvement_tol")
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,13 @@ class Scenario:
     master_seed: int = 1
 
     def __post_init__(self):
+        for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral,
+                                   "an integer"),
+                                  (_REAL_FIELDS, numbers.Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {noun}, got {value!r}")
         if self.n_nodes < 2:
             raise ConfigError("n_nodes must be at least 2")
         if self.spreading_gain < 1:
@@ -104,6 +118,16 @@ class Scenario:
             raise ConfigError("packet_bits must be at least 1")
         if not self.chip_bandwidth > 0:
             raise ConfigError("chip_bandwidth must be positive")
+        if not self.path_loss_exp > 0:
+            raise ConfigError("path_loss_exp must be positive")
+        if not self.pc_tol > 0:
+            raise ConfigError("pc_tol must be positive")
+        if self.pc_max_iter < 1:
+            raise ConfigError("pc_max_iter must be at least 1")
+        if not self.improvement_tol >= 0:
+            raise ConfigError("improvement_tol must be nonnegative")
+        if self.phase_cap < 1:
+            raise ConfigError("phase_cap must be at least 1")
 
     @property
     def bit_rate(self) -> float:

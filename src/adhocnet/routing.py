@@ -3,9 +3,12 @@
 The routing layer sees only the node powers and link gains. From them it
 estimates the achievable SIR of every potential link (active or not), gates
 links below the SIR target out of the graph by giving them infinite cost,
-prices the remaining links at the transmitter's power, and runs Dijkstra
-per session. The estimated SIR of a link coincides exactly with the
-matched-filter SIR, so it does not depend on which routes are in use.
+prices the remaining links at the transmitter's power, and finds all
+distances to the session destinations with one csgraph Dijkstra call. Each
+session then follows per-destination next-hop pointers along the
+lexicographically smallest minimum-cost route. The estimated SIR of a link
+coincides exactly with the matched-filter SIR, so it does not depend on
+which routes are in use.
 
 Initialization differs: before the first power-control run there are no
 optimized powers to price links with, so links are priced by the energy per
@@ -111,7 +114,7 @@ def build_link_costs(p: np.ndarray, table: RoutingTable, target_sir: float,
     return costs
 
 
-def initial_route_costs(scenario: Scenario, gains: LinkGainMatrix,
+def initial_route_costs(scenario: Scenario, sir: np.ndarray,
                         p_init: np.ndarray) -> LinkCostMatrix:
     """Energy-per-bit link costs for the initialization phase (no SIR gate).
 
@@ -120,11 +123,9 @@ def initial_route_costs(scenario: Scenario, gains: LinkGainMatrix,
     required transmit power is P_i * target / estimated_sir, and the packet
     success probability at target operation is a constant factor. The cost
     is finite for every link with nonzero estimated SIR, also below the
-    target, so a starting route assignment always exists.
+    target, so a starting route assignment always exists. ``sir`` is the
+    estimated SIR matrix at ``p_init``.
     """
-    table = build_routing_table(gains, p_init)
-    sir = estimated_sir_matrix(table, scenario.spreading_gain,
-                               scenario.noise_power)
     success = float(efficiency(scenario.target_sir, scenario.packet_bits))
     # the success factor is a link-independent scale; if it underflows for a
     # tiny target, drop it rather than blanking every cost
@@ -164,38 +165,16 @@ class RouteSet:
                 yield (k, hop, node)
 
 
-def _dijkstra_dense(weights: np.ndarray, start: int) -> np.ndarray:
-    """Single-source distances on a dense cost matrix (row = from-node)."""
-    n = weights.shape[0]
-    dist = np.full(n, np.inf)
-    dist[start] = 0.0
-    done = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        candidate = np.where(done, np.inf, dist)
-        u = int(np.argmin(candidate))
-        if not np.isfinite(candidate[u]):
-            break
-        done[u] = True
-        dist = np.minimum(dist, dist[u] + weights[u, :])
-    return dist
-
-
-def _distances_to(costs: np.ndarray, dest: int) -> np.ndarray:
-    """Distance from every node to ``dest`` along the original edges."""
-    return _dijkstra_dense(np.ascontiguousarray(costs.T), dest)
-
-
 def _lex_path(costs: np.ndarray, rdist: np.ndarray, source: int,
               dest: int) -> list[int] | None:
     """Lexicographically smallest min-cost path using distances-to-dest.
 
     A neighbor v continues a shortest path from u exactly when
-    cost(u, v) + rdist(v) == rdist(u); picking the smallest such v at every
-    step yields the lexicographically smallest shortest path. Exact for
-    strictly positive costs; zero-cost graphs fall back to the heap search.
+    cost(u, v) + rdist(v) == rdist(u); picking the smallest unvisited such
+    v at every step yields the lexicographically smallest shortest path.
+    Exact for strictly positive costs; zero-cost graphs fall back to the
+    heap search.
     """
-    if not np.isfinite(rdist[source]):
-        return None
     n = costs.shape[0]
     path = [source]
     visited = np.zeros(n, dtype=bool)
@@ -233,6 +212,40 @@ def _heap_lex_path(costs: np.ndarray, source: int,
     return None
 
 
+def _lex_paths(costs: np.ndarray,
+               pairs: tuple[tuple[int, int], ...]) -> list[list[int] | None]:
+    """Lexicographically smallest min-cost path per (source, dest) pair.
+
+    One csgraph search on the reversed graph, stored as CSR with every
+    finite entry of ``costs.T`` (explicit zeros included), gives the
+    distances to all destinations. Each node's next hop is its smallest
+    neighbor passing ``_lex_path``'s float test, and each pair follows these
+    pointers. A walk that finds no next hop or revisits a node (zero costs,
+    or costs lost to rounding) is redone by ``_lex_path``.
+    """
+    dests = sorted({d for _, d in pairs})
+    finite = np.isfinite(costs.T)
+    indptr = np.concatenate(([0], np.cumsum(finite.sum(axis=1))))
+    graph = sp.csr_matrix((costs.T[finite], np.nonzero(finite)[1], indptr),
+                          shape=costs.shape)
+    rdist = csgraph.dijkstra(graph, directed=True, indices=dests)
+    tight = costs[None, :, :] + rdist[:, None, :] == rdist[:, :, None]
+    next_hop = np.where(tight.any(axis=2), tight.argmax(axis=2), -1).tolist()
+    row_of = {d: r for r, d in enumerate(dests)}
+    paths: list[list[int] | None] = []
+    for source, dest in pairs:
+        r = row_of[dest]
+        path = [source] if np.isfinite(rdist[r, source]) else None
+        while path is not None and path[-1] != dest:
+            u = next_hop[r][path[-1]]
+            if u < 0 or u in path:
+                path = _lex_path(costs, rdist[r], source, dest)
+                break
+            path.append(u)
+        paths.append(path)
+    return paths
+
+
 def shortest_path(costs: LinkCostMatrix, source: int,
                   dest: int) -> list[int] | None:
     """Minimum-total-cost simple path, or None when unreachable.
@@ -246,39 +259,20 @@ def shortest_path(costs: LinkCostMatrix, source: int,
         raise ValueError("cost matrix must be square")
     if not (0 <= source < n and 0 <= dest < n):
         raise ValueError("source or destination outside node range")
-    finite = costs[np.isfinite(costs)]
-    if finite.size and np.any(finite < 0):
+    if np.any(costs < 0):
         raise ValueError("costs must be nonnegative")
-    if source == dest:
-        return [source]
-    if finite.size and np.any(finite == 0.0):
-        return _heap_lex_path(costs, source, dest)
-    rdist = _distances_to(costs, dest)
-    return _lex_path(costs, rdist, source, dest)
+    return _lex_paths(costs, ((source, dest),))[0]
 
 
 def assign_routes(sessions: SessionSet, costs: LinkCostMatrix) -> RouteSet:
     """Minimum-cost route per session; raises when a session is unreachable."""
     costs = np.asarray(costs, dtype=float)
-    n = costs.shape[0]
-    finite = costs[np.isfinite(costs)]
-    zero_costs = finite.size > 0 and bool(np.any(finite == 0.0))
-    by_dest: dict[int, list[int]] = {}
-    for k, (_, d) in enumerate(sessions.sessions):
-        by_dest.setdefault(d, []).append(k)
-    paths: list[tuple[int, ...] | None] = [None] * len(sessions.sessions)
-    for dest, session_ids in sorted(by_dest.items()):
-        rdist = None if zero_costs else _distances_to(costs, dest)
-        for k in session_ids:
-            source, _ = sessions.sessions[k]
-            if zero_costs:
-                path = _heap_lex_path(costs, source, dest)
-            else:
-                path = _lex_path(costs, rdist, source, dest)
-            if path is None:
-                raise UnreachableSessionError(k, source, dest)
-            paths[k] = tuple(path)
-    return RouteSet(paths=tuple(paths), n_nodes=n)
+    paths = _lex_paths(costs, sessions.sessions)
+    for k, path in enumerate(paths):
+        if path is None:
+            source, dest = sessions.sessions[k]
+            raise UnreachableSessionError(k, source, dest)
+    return RouteSet(paths=tuple(map(tuple, paths)), n_nodes=costs.shape[0])
 
 
 def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
@@ -288,38 +282,37 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     incoming link (by estimated SIR); remaining strongly connected
     components are then merged rounds-wise through their best outgoing
     links. Keeping the skeleton sparse matters: each extra outgoing link
-    tightens a node's worst-link power constraint.
+    tightens a node's worst-link power constraint. Ties go to the first
+    link in row-major order.
     """
     n = sir.shape[0]
+    nodes = np.arange(n)
     usable = np.where(forbidden, -1.0, sir)
     allowed = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        j = int(np.argmax(usable[i]))
-        if usable[i, j] > 0:
-            allowed[i, j] = True
-    for j in range(n):
-        i = int(np.argmax(usable[:, j]))
-        if usable[i, j] > 0:
-            allowed[i, j] = True
+    best_out = usable.argmax(axis=1)
+    strong = usable[nodes, best_out] > 0
+    allowed[nodes[strong], best_out[strong]] = True
+    best_in = usable.argmax(axis=0)
+    strong = usable[best_in, nodes] > 0
+    allowed[best_in[strong], nodes[strong]] = True
     while True:
         n_comp, labels = csgraph.connected_components(
             sp.csr_matrix(allowed), directed=True, connection="strong"
         )
         if n_comp == 1:
             break
-        added = False
-        for comp in range(n_comp):
-            members = np.flatnonzero(labels == comp)
-            outside = np.flatnonzero(labels != comp)
-            block = usable[np.ix_(members, outside)]
-            k = int(np.argmax(block))
-            i = int(members[k // outside.size])
-            j = int(outside[k % outside.size])
-            if block.flat[k] > 0 and not allowed[i, j]:
-                allowed[i, j] = True
-                added = True
-        if not added:
+        # each node's best link out of its own component, then each
+        # component's best such node (highest SIR, lowest index first)
+        cross = np.where(labels[:, None] != labels[None, :], usable, -np.inf)
+        out = cross.argmax(axis=1)
+        value = cross[nodes, out]
+        order = np.lexsort((nodes, -value, labels))
+        first = order[np.flatnonzero(np.diff(labels[order], prepend=-1))]
+        i, j = first, out[first]
+        new = (value[first] > 0) & ~allowed[i, j]
+        if not np.any(new):
             break
+        allowed[i[new], j[new]] = True
     return allowed
 
 
@@ -351,7 +344,7 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
     table = build_routing_table(gains, p_init)
     sir = estimated_sir_matrix(table, scenario.spreading_gain,
                                scenario.noise_power)
-    base_costs = initial_route_costs(scenario, gains, p_init)
+    base_costs = initial_route_costs(scenario, sir, p_init)
 
     forbidden = np.zeros_like(sir, dtype=bool)
     routes = None

@@ -3,6 +3,8 @@
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from adhocnet.netmodel import LinkGainMatrix, Topology, compute_link_gains
 from adhocnet.powercontrol import ActiveLinkSet
@@ -109,3 +111,43 @@ def simplex_grid_search(pmat, target, step=1e-3):
     objectives = np.einsum("ij,ij->j", residual, residual)
     k = int(np.argmin(objectives))
     return float(objectives[k]), weights[:, k].copy()
+
+
+def initial_skeleton_loop(sir, forbidden):
+    """Per-node and per-component loop form of ``routing._initial_skeleton``.
+
+    Kept as the reference for the vectorised version: best outgoing and
+    incoming link per node, then component merges through each component's
+    best outgoing link, ties to the first entry in row-major order.
+    """
+    n = sir.shape[0]
+    usable = np.where(forbidden, -1.0, sir)
+    allowed = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        j = int(np.argmax(usable[i]))
+        if usable[i, j] > 0:
+            allowed[i, j] = True
+    for j in range(n):
+        i = int(np.argmax(usable[:, j]))
+        if usable[i, j] > 0:
+            allowed[i, j] = True
+    while True:
+        n_comp, labels = csgraph.connected_components(
+            sp.csr_matrix(allowed), directed=True, connection="strong"
+        )
+        if n_comp == 1:
+            break
+        added = False
+        for comp in range(n_comp):
+            members = np.flatnonzero(labels == comp)
+            outside = np.flatnonzero(labels != comp)
+            block = usable[np.ix_(members, outside)]
+            k = int(np.argmax(block))
+            i = int(members[k // outside.size])
+            j = int(outside[k % outside.size])
+            if block.flat[k] > 0 and not allowed[i, j]:
+                allowed[i, j] = True
+                added = True
+        if not added:
+            break
+    return allowed

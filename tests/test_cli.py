@@ -99,3 +99,18 @@ def test_infeasible_scenario_exits_3(tmp_path):
     save_scenario(hard, path)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+@pytest.mark.parametrize("body, field", [
+    ('{"n_nodes": "5"}', "n_nodes"),
+    ('{"pc_tol": -1}', "pc_tol"),
+])
+def test_bad_scenario_value_exits_2_without_traceback(tmp_path, capsys, body,
+                                                      field):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err

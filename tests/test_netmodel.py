@@ -192,3 +192,16 @@ def test_arrays_are_read_only():
         net.topology.positions[0, 0] = 1.0
     with pytest.raises(ValueError):
         net.gains.gains[0, 1] = 2.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_nodes", "5"), ("n_nodes", 5.0), ("spreading_gain", 2.5),
+    ("packet_bits", "80"), ("pc_max_iter", 10.0), ("phase_cap", None),
+    ("master_seed", "1"), ("pc_tol", "1e-6"), ("pc_tol", 0.0),
+    ("pc_tol", -1.0), ("pc_max_iter", 0), ("phase_cap", 0),
+    ("improvement_tol", -1.0), ("path_loss_exp", 0.0),
+    ("path_loss_exp", -2.0),
+])
+def test_scenario_rejects_bad_field_naming_it(field, value):
+    with pytest.raises(ConfigError, match=field):
+        Scenario(**{field: value})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhocnet.errors import UnreachableSessionError
 from adhocnet.netmodel import Scenario, SessionSet, build_network, \
@@ -7,6 +9,7 @@ from adhocnet.netmodel import Scenario, SessionSet, build_network, \
 from adhocnet.phy import sir_matched
 from adhocnet.routing import (
     RouteSet,
+    _initial_skeleton,
     assign_routes,
     build_link_costs,
     build_routing_table,
@@ -15,8 +18,8 @@ from adhocnet.routing import (
     initial_routes,
     shortest_path,
 )
-from helpers import brute_force_shortest, random_network, \
-    topology_from_positions
+from helpers import brute_force_shortest, initial_skeleton_loop, \
+    random_network, topology_from_positions
 
 GAMMA = 12.5
 NOISE = 1e-13
@@ -288,3 +291,46 @@ def test_gating_soundness_of_assigned_routes():
     routes = assign_routes(net.sessions, costs)
     for i, j in routes.active_links.links:
         assert matrix[i, j] >= scenario.target_sir
+
+
+@st.composite
+def zero_cost_instances(draw):
+    """5-7 nodes, costs from {0, 1, 2, inf}, one session per node."""
+    n = draw(st.integers(5, 7))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf]),
+                           min_size=n * n, max_size=n * n))
+    costs = np.array(values).reshape(n, n)
+    np.fill_diagonal(costs, np.inf)
+    offsets = draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
+    sessions = tuple((i, (i + off) % n) for i, off in enumerate(offsets))
+    return costs, SessionSet(sessions=sessions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_cost_instances())
+def test_routes_match_enumeration_oracle_with_zero_costs(instance):
+    costs, sessions = instance
+    expected = [brute_force_shortest(costs, s, d) for s, d in sessions.sessions]
+    for (s, d), path in zip(sessions.sessions, expected):
+        assert shortest_path(costs, s, d) == path
+    unreachable = [k for k, path in enumerate(expected) if path is None]
+    if unreachable:
+        with pytest.raises(UnreachableSessionError) as err:
+            assign_routes(sessions, costs)
+        assert err.value.session == unreachable[0]
+    else:
+        routes = assign_routes(sessions, costs)
+        assert [list(p) for p in routes.paths] == expected
+
+
+def test_initial_skeleton_matches_loop_oracle():
+    rng = np.random.default_rng(9)
+    for trial in range(200):
+        n = int(rng.integers(4, 16))
+        # few distinct values force ties in every argmax
+        sir = rng.choice([0.0, 0.5, 1.0, 2.0, np.inf],
+                         p=[0.2, 0.3, 0.3, 0.15, 0.05], size=(n, n))
+        np.fill_diagonal(sir, 0.0)
+        forbidden = rng.uniform(size=(n, n)) < 0.2
+        assert np.array_equal(_initial_skeleton(sir, forbidden),
+                              initial_skeleton_loop(sir, forbidden))
