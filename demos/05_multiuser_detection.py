@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """LMMSE multiuser detection versus the matched filter, 30 nodes at L=32.
 
-The two-step iteration alternates filter optimization with the matching
-power update. The LMMSE receiver suppresses interference with the exact
+Each LMMSE power-control step optimizes the receiver filters and then
+applies the matching power update, which collapses to one closed-form
+update per node. The LMMSE receiver suppresses interference with the exact
 sequence cross-correlations, so it sustains loads the matched filter cannot:
 here the full joint loop runs at a load where the matched-filter model
 diverges, and the normalized throughput gain over the 55-user, L=128
@@ -35,7 +36,7 @@ matched = pc_iterate(p0, active, net.gains, scenario.spreading_gain,
 print(f"matched filter (1/L model): {matched.status}")
 mud, filters = pc_mud_iterate(p0, active, net.gains, net.codebook,
                               scenario.noise_power, scenario.target_sir)
-print(f"LMMSE two-step iteration:   {mud.status} after {mud.iterations} "
+print(f"LMMSE power control:        {mud.status} after {mud.iterations} "
       f"iterations, total {mud.powers.sum():.3e} W")
 
 print("\n=== full joint loop with the LMMSE receiver ===")

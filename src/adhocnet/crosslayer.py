@@ -27,11 +27,11 @@ from .netmodel import (
 )
 from .phy import (
     FilterBank,
-    energy_per_bit_link,
-    lmmse_filter,
+    incoming_slots,
+    link_energies,
+    lmmse_kernel,
     lmmse_sir_matrix,
-    sir_lmmse,
-    sir_matched,
+    matched_link_sir,
 )
 from .powercontrol import PcResult, pc_iterate, pc_mud_iterate
 from .errors import UnreachableSessionError
@@ -120,32 +120,34 @@ def initial_powers(scenario: Scenario, rng: np.random.Generator | None = None) -
 
 def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
                            gains: LinkGainMatrix,
-                           codebook: SpreadingCodebook | None = None,
-                           filters: FilterBank | None = None) -> float:
+                           codebook: SpreadingCodebook | None = None) -> float:
     """Total energy per delivered bit, summed over sessions and route links.
 
-    Each link's energy uses the SIR model matching the scenario's receiver;
-    for the LMMSE receiver, links missing from ``filters`` get a fresh
-    filter computed at the current powers.
+    Each link's energy uses the SIR model matching the scenario's receiver.
+    For the LMMSE receiver the SIR is c q / (1 - c q) from one kernel call
+    over the route receivers; a route transmitter at zero power keeps the
+    reference filter's value, SIR inf and energy 0.
     """
-    total = 0.0
-    if scenario.receiver == "lmmse":
+    active = routes.active_links
+    i_idx, j_idx = active.link_arrays
+    if scenario.receiver == "matched":
+        sir = matched_link_sir(i_idx, j_idx, p, gains,
+                               scenario.spreading_gain, scenario.noise_power)
+    else:
         if codebook is None:
             raise ValueError("LMMSE energy needs the spreading codebook")
-        cache = dict(filters.filters) if filters is not None else {}
+        receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+        q = lmmse_kernel(p, gains, codebook, scenario.noise_power,
+                         receivers, senders)[0][rows, cols]
+        c = p[i_idx] * gains.gains[i_idx, j_idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sir = np.where(c == 0.0, np.inf, c * q / (1.0 - c * q))
+    energy = dict(zip(active.links, link_energies(
+        p[i_idx], sir, scenario.bit_rate, scenario.packet_bits).tolist()))
+    total = 0.0
     for path in routes.paths:
         for link in zip(path[:-1], path[1:]):
-            if scenario.receiver == "matched":
-                sir = sir_matched(link, p, gains, scenario.spreading_gain,
-                                  scenario.noise_power)
-            else:
-                if link not in cache:
-                    cache[link] = lmmse_filter(link[0], p, gains, codebook,
-                                               scenario.noise_power, link[1])
-                sir = sir_lmmse(link, p, FilterBank(cache), gains, codebook,
-                                scenario.noise_power)
-            total += energy_per_bit_link(link, p, sir, scenario.bit_rate,
-                                         scenario.packet_bits)
+            total += energy[link]
     return total
 
 
@@ -204,9 +206,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     gate_sir = scenario.target_sir * (1.0 - 10.0 * scenario.pc_tol)
     records: list[PhaseRecord] = []
 
-    def record(phase, p, routes, filters):
-        energy = network_energy_per_bit(routes, p, scenario, gains, codebook,
-                                        filters)
+    def record(phase, p, routes):
+        energy = network_energy_per_bit(routes, p, scenario, gains, codebook)
         records.append(PhaseRecord(phase, float(p.sum()), energy))
 
     pc, filters = _run_power_control(scenario, p_init, routes, gains, codebook)
@@ -220,7 +221,7 @@ def joint_optimize(scenario: Scenario, topology: Topology,
             initial_energy_per_bit=init_energy, pc_diagnostics=pc,
         )
     p = pc.powers
-    record(PHASE_POWER_CONTROL, p, routes, filters)
+    record(PHASE_POWER_CONTROL, p, routes)
     prev_pc_total = records[-1].total_power
     stalled = False
 
@@ -244,12 +245,12 @@ def joint_optimize(scenario: Scenario, topology: Topology,
                 new_routes = routes
         unchanged = new_routes.paths == routes.paths
         if unchanged:
-            record(PHASE_ROUTING, p, routes, filters)
+            record(PHASE_ROUTING, p, routes)
             if not budget_mode:
                 break
             if len(records) >= cap:
                 break
-            record(PHASE_POWER_CONTROL, p, routes, filters)
+            record(PHASE_POWER_CONTROL, p, routes)
             continue
         # tentatively re-optimize powers for the new routes; accept only
         # non-regressing steps so total power descends by construction
@@ -261,13 +262,13 @@ def joint_optimize(scenario: Scenario, topology: Topology,
             if not budget_mode:
                 break
             continue
-        record(PHASE_ROUTING, p, new_routes, filters)
+        record(PHASE_ROUTING, p, new_routes)
         routes = new_routes
         if len(records) >= cap:
             break
         p = new_pc.powers
         filters = new_filters
-        record(PHASE_POWER_CONTROL, p, routes, filters)
+        record(PHASE_POWER_CONTROL, p, routes)
         total = records[-1].total_power
         improvement = (prev_pc_total - total) / prev_pc_total
         prev_pc_total = total

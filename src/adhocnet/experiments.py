@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import platform
 from dataclasses import dataclass
@@ -86,6 +87,17 @@ class ExperimentConfig:
             raise ConfigError("feasibility_target must be in (0, 1]")
         if self.phase_budget is not None and self.phase_budget < 1:
             raise ConfigError("phase_budget must be at least 1")
+        for name in ("n_min", "n_max", "n_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.n_min < 2:
+            raise ConfigError("n_min must be at least 2")
+        if self.n_max < self.n_min:
+            raise ConfigError(f"n_max must be at least n_min ({self.n_min})")
+        if self.n_step < 1:
+            raise ConfigError("n_step must be at least 1")
 
     @property
     def effective_seed(self) -> int:

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -233,6 +234,15 @@ class SpreadingCodebook:
     @property
     def length(self) -> int:
         return self.sequences.shape[1]
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        """U (r, n) of the thin QR factorization S' = Q U, r = min(n, L).
+
+        Column i holds sequence i in the orthonormal basis Q of the
+        sequences' span.
+        """
+        return _readonly(np.linalg.qr(self.sequences.T)[1])
 
 
 def generate_topology(n_nodes: int, area_side: float, seed: int) -> Topology:

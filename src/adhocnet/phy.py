@@ -10,6 +10,18 @@ except the transmitter i and the receiver j. Note the deliberate modeling
 split: the matched-filter SIR replaces squared cross-correlations by their
 expectation 1/L, while the LMMSE expressions use the exact values; on random
 codebooks the two matched-filter numbers therefore differ slightly.
+
+Every batched LMMSE quantity comes from one kernel, ``lmmse_kernel``. All
+sequences lie in an r-dimensional subspace, r = min(n, L), spanned by the
+orthonormal columns of Q in the thin QR factorization S' = Q U. The full
+received covariance at receiver j is B_j = sum_{k != j} P_k h(k,j) s_k s_k'
++ noise I, and for any sequence s_i = Q u_i, B_j^-1 s_i = Q K_j^-1 u_i with
+the r x r matrix K_j = noise I + U diag(P * h(:, j)) U'. The kernel builds
+K_j for every receiver in use and solves them in one batched call, giving
+q = s_i' B_j^-1 s_i per (transmitter, receiver) pair. With c = P_i h(i,j),
+the rank-one downdate that removes the desired signal turns q into the
+LMMSE output SIR c q / (1 - c q). ``lmmse_filter`` and ``sir_lmmse`` stay
+as the per-link reference in the full L-dimensional space.
 """
 
 from __future__ import annotations
@@ -60,12 +72,22 @@ def sir_matched(link, p: np.ndarray, gains: LinkGainMatrix, spreading_gain: int,
     i, j = link
     if i == j:
         raise ValueError("link endpoints must differ")
+    return float(matched_link_sir(np.array([i]), np.array([j]), p, gains,
+                                  spreading_gain, noise)[0])
+
+
+def matched_link_sir(i_idx: np.ndarray, j_idx: np.ndarray, p: np.ndarray,
+                     gains: LinkGainMatrix, spreading_gain: int,
+                     noise: float) -> np.ndarray:
+    """``sir_matched`` of every link (i_idx[l], j_idx[l]); infinite where
+    the denominator is zero."""
     s = received_powers(gains, p)
-    num = gains.gains[i, j] * p[i]
-    denom = (s[j] - num) / spreading_gain + noise
-    if denom == 0.0:
-        return float("inf")
-    return float(num / denom)
+    num = gains.gains[i_idx, j_idx] * p[i_idx]
+    denom = (s[j_idx] - num) / spreading_gain + noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = num / denom
+    sir[denom == 0.0] = np.inf
+    return sir
 
 
 def _interference_covariance(i: int, p: np.ndarray, gains: LinkGainMatrix,
@@ -132,37 +154,80 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
     return float(num / denom)
 
 
+def incoming_slots(i_idx: np.ndarray, j_idx: np.ndarray):
+    """Group links (i_idx[l], j_idx[l]) by receiver for ``lmmse_kernel``.
+
+    Returns (receivers, senders, rows, cols): receivers[a] is a distinct
+    receiver, senders[a] lists its transmitters padded with the first one to
+    the largest in-degree, and link l sits at senders[rows[l], cols[l]].
+    """
+    receivers, rows = np.unique(j_idx, return_inverse=True)
+    counts = np.bincount(rows, minlength=receivers.size)
+    order = np.argsort(rows, kind="stable")
+    starts = np.cumsum(counts) - counts
+    cols = np.empty_like(rows)
+    cols[order] = np.arange(rows.size) - np.repeat(starts, counts)
+    senders = np.repeat(i_idx[order[starts]][:, None],
+                        max(int(counts.max(initial=0)), 1), axis=1)
+    senders[rows, cols] = i_idx
+    return receivers, senders, rows, cols
+
+
+def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
+                 codebook: SpreadingCodebook, noise: float,
+                 receivers: np.ndarray,
+                 senders: np.ndarray | None = None):
+    """q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b].
+
+    Solves the r x r systems K_j x = u_i in the codebook's span (see the
+    module docstring) and returns (q, x), q of shape (m, d) and the
+    solutions x of shape (m, r, d). ``senders=None`` pairs every receiver
+    with every node, d = n. The noise term keeps every K_j positive
+    definite. One warning per call reports a link whose covariance
+    condition bound (sum_{k != i,j} P_k h(k,j) + L noise) / noise exceeds
+    ``CONDITION_WARN_THRESHOLD``.
+    """
+    u = codebook.span
+    r, n = u.shape
+    w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
+    if senders is None:
+        rhs, w_link = u, w
+    else:
+        rhs = np.moveaxis(u[:, senders], 0, 1)  # (m, r, d)
+        w_link = np.take_along_axis(w, senders, axis=1)
+    bound = (w.sum(axis=1, keepdims=True) - w_link
+             + codebook.length * noise) / noise
+    if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"LMMSE covariance condition bound {float(bound.max()):.3e} "
+            f"exceeds {CONDITION_WARN_THRESHOLD:.1e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    k = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(-1, r, r)
+    diag = np.arange(r)
+    k[:, diag, diag] += noise
+    x = np.linalg.solve(k, rhs)
+    return np.einsum("...rd,...rd->...d", rhs, x), x
+
+
 def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
                      codebook: SpreadingCodebook, noise: float) -> np.ndarray:
     """Achievable LMMSE output SIR for every potential link, diagonal zero.
 
     Entry (i, j) is the SIR the optimal filter would reach on link (i, j) at
-    the current powers. Per receiver j the full received covariance
-    B_j = sum_{k != j} P_k h(k,j) s_k s_k' + noise I is factorized once and
-    each transmitter's covariance (which excludes its own term) is obtained
-    by a rank-one downdate: with q_i = s_i' B_j^-1 s_i and c_i = P_i h(i,j),
-    SIR(i, j) = c_i q_i / (1 - c_i q_i).
+    the current powers: c q / (1 - c q) with q = s_i' B_j^-1 s_i from
+    ``lmmse_kernel`` over all receivers and c = P_i h(i,j).
     """
-    n = p.shape[0]
-    seqs = codebook.sequences
-    length = seqs.shape[1]
-    out = np.zeros((n, n))
-    eye = np.eye(length)
-    for j in range(n):
-        weights = p * gains.gains[:, j]
-        weights = weights.copy()
-        weights[j] = 0.0
-        cov = (seqs.T * weights) @ seqs + noise * eye
-        solved = np.linalg.solve(cov, seqs.T)  # (L, n)
-        q = np.einsum("il,li->i", seqs, solved)
-        c = p * gains.gains[:, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir = c * q / (1.0 - c * q)
-        sir[~np.isfinite(sir)] = np.inf
-        sir[c == 0.0] = 0.0
-        sir[j] = 0.0
-        out[:, j] = sir
-    return out
+    nodes = np.arange(p.shape[0])
+    q = lmmse_kernel(p, gains, codebook, noise, nodes)[0].T
+    c = p[:, None] * gains.gains
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = c * q / (1.0 - c * q)
+    sir[~np.isfinite(sir)] = np.inf
+    sir[c == 0.0] = 0.0
+    sir[nodes, nodes] = 0.0
+    return sir
 
 
 def efficiency(sir, packet_bits: int):
@@ -182,10 +247,25 @@ def energy_per_bit_link(link, p: np.ndarray, sir: float, bit_rate: float,
     E_b = P_i / (bit_rate * f(sir)); infinite when the success probability
     is zero (the link cannot deliver).
     """
+    i, _ = link
+    return float(link_energies(np.array([p[i]], dtype=float),
+                               np.array([sir], dtype=float), bit_rate,
+                               packet_bits)[0])
+
+
+def link_energies(p_tx: np.ndarray, sir: np.ndarray, bit_rate: float,
+                  packet_bits: int) -> np.ndarray:
+    """``energy_per_bit_link`` for arrays of transmit powers and SIRs.
+
+    The M-th power of the success probability is taken in scalar float
+    arithmetic: numpy's vectorised power can differ from it in the last
+    digit, and the result must not depend on how many links are evaluated.
+    """
     if bit_rate <= 0:
         raise ValueError("bit_rate must be positive")
-    i, _ = link
-    f = float(efficiency(sir, packet_bits))
-    if f == 0.0:
-        return float("inf")
-    return float(p[i] / (bit_rate * f))
+    base = 1.0 - np.exp(-0.5 * sir)
+    f = np.array([b ** packet_bits for b in base.tolist()], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        energy = p_tx / (bit_rate * f)
+    energy[f == 0.0] = np.inf
+    return energy

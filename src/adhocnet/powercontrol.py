@@ -7,8 +7,14 @@ so iterating p <- T(p) converges to the minimal feasible power vector under
 any update schedule whenever the system is feasible; divergence is detected
 by the power cap or the iteration budget.
 
-The two-step variant alternates LMMSE filter optimization with the matching
-power update, using the exact sequence cross-correlations.
+``pc_mud_iterate`` uses the exact sequence cross-correlations. With the
+LMMSE receiver, optimizing the filter at the current powers and then
+solving for the power that meets the target collapses to the closed form
+of Ulukus and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
+q = s_i' B_j^-1 s_i from the batched kernel ``phy.lmmse_kernel`` and
+c = P_i h(i,j). With fixed matched filters the required power is
+target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j), rho the
+Gram matrix of the sequences.
 """
 
 from __future__ import annotations
@@ -19,12 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
-from .phy import (
-    FilterBank,
-    _interference_covariance,
-    lmmse_filter,
-    received_powers,
-)
+from .phy import FilterBank, incoming_slots, lmmse_kernel, received_powers
 
 STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "infeasible"
@@ -96,13 +97,16 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
     target_sir * ( (1/L) sum_{k != i,j} h(k,j) P_k + noise ) / h(i,j).
     """
     i_idx, j_idx = active.link_arrays
-    targets = np.zeros(active.n_nodes)
-    if i_idx.size == 0:
-        return targets
     s = received_powers(gains, p)
     g = gains.gains[i_idx, j_idx]
     interference = (s[j_idx] - g * p[i_idx]) / spreading_gain + noise
-    required = target_sir * interference / g
+    return _worst_link(active.n_nodes, i_idx, target_sir * interference / g)
+
+
+def _worst_link(n_nodes: int, i_idx: np.ndarray,
+                required: np.ndarray) -> np.ndarray:
+    """Per node, the largest per-link required power; zero without links."""
+    targets = np.zeros(n_nodes)
     np.maximum.at(targets, i_idx, required)
     return targets
 
@@ -115,30 +119,6 @@ def interference_target(i: int, p: np.ndarray, active: ActiveLinkSet,
         raise ValueError(f"node {i} has no outgoing active links")
     return float(power_targets(p, active, gains, spreading_gain, noise,
                                target_sir)[i])
-
-
-def _mud_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
-                 codebook: SpreadingCodebook, noise: float, target_sir: float,
-                 filters: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """Per-node power update for given receiver filters (worst outgoing link).
-
-    Per link: target_sir * ( sum_{k != i,j} P_k h(k,j) (c's_k)^2
-    + noise c'c ) / ( h(i,j) (c's_i)^2 ).
-    """
-    g = gains.gains
-    seqs = codebook.sequences
-    targets = np.zeros(active.n_nodes)
-    for (i, j) in active.links:
-        c = filters[(i, j)]
-        x = seqs @ c
-        weights = p * g[:, j] * x * x
-        weights[i] = 0.0
-        weights[j] = 0.0
-        num = float(np.sum(weights)) + noise * float(c @ c)
-        required = target_sir * num / (g[i, j] * x[i] * x[i])
-        if required > targets[i]:
-            targets[i] = required
-    return targets
 
 
 def _residual(new: np.ndarray, ref: np.ndarray) -> float:
@@ -216,13 +196,14 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
                    tol: float = 1e-6, max_iter: int = 10_000,
                    power_cap: float = 1.0,
                    filter_mode: str = "lmmse") -> tuple[PcResult, FilterBank]:
-    """Alternate receiver-filter and power updates until the powers settle.
+    """Iterate the exact-cross-correlation power update until it settles.
 
-    Step 1 recomputes the per-link filters from the current powers (LMMSE,
-    or the fixed matched filters when ``filter_mode="matched"``, which gives
-    the exact-cross-correlation matched baseline). Step 2 applies the
-    corresponding power update per worst outgoing link. The returned filter
-    bank is the one computed at the returned power vector.
+    With ``filter_mode="lmmse"`` every step is the closed-form LMMSE update
+    (module docstring), equal to recomputing each link's LMMSE filter at the
+    current powers and then applying the power update for those filters.
+    ``filter_mode="matched"`` keeps the matched filters fixed, which gives
+    the exact-cross-correlation matched baseline. The returned filter bank
+    is computed at the returned power vector.
     """
     if np.any(np.asarray(p0) < 0):
         raise ValueError("initial powers must be nonnegative")
@@ -233,54 +214,57 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     mask[list(active.transmitters)] = True
     p[~mask] = 0.0
     totals = [float(p.sum())]
-    if np.any(p > power_cap):
-        frozen = p.copy()
-        frozen.setflags(write=False)
-        return (
-            PcResult(STATUS_INFEASIBLE, frozen, 0, np.asarray(totals)),
-            FilterBank({(i, j): codebook.sequences[i]
-                        for (i, j) in active.links}),
-        )
+    i_idx, j_idx = active.link_arrays
+    g = gains.gains[i_idx, j_idx]
 
-    matched = {(i, j): codebook.sequences[i] for (i, j) in active.links}
+    if filter_mode == "matched":
+        seqs = codebook.sequences
+        rho2 = (seqs @ seqs.T) ** 2
+        np.fill_diagonal(rho2, 0.0)
+        # row l: the interferers' power weights at link l's receiver
+        coupling = rho2[i_idx] * gains.gains[:, j_idx].T
 
-    def filters_at(powers):
-        if filter_mode == "matched":
-            return matched
-        out = {}
-        for (i, j) in active.links:
-            c = lmmse_filter(i, powers, gains, codebook, noise, j)
-            if not np.any(c):
-                # zero power zeroes the MMSE scale; the power update is
-                # scale invariant, so keep the optimal direction instead
-                cov = _interference_covariance(i, powers, gains, codebook,
-                                               noise, j)
-                c = np.linalg.solve(cov, codebook.sequences[i])
-            out[(i, j)] = c
-        return out
+        def required(powers):
+            return target_sir * (coupling @ powers + noise) / g
+    else:
+        receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+        last_solve = []
 
-    filters = filters_at(p)
-    for iteration in range(1, max_iter + 1):
-        t = _mud_targets(p, active, gains, codebook, noise, target_sir, filters)
-        if _residual(t, p) <= tol:
-            powers = p.copy()
-            powers.setflags(write=False)
-            return (
-                PcResult(STATUS_CONVERGED, powers, iteration, np.asarray(totals)),
-                FilterBank(filters),
-            )
-        p = t
-        totals.append(float(p.sum()))
-        if np.any(p > power_cap):
-            break
-        filters = filters_at(p)
-    status = STATUS_INFEASIBLE if np.any(p > power_cap) else STATUS_MAX_ITER
+        def required(powers):
+            q, x = lmmse_kernel(powers, gains, codebook, noise, receivers,
+                                senders)
+            q = q[rows, cols]
+            last_solve[:] = [q, x]
+            return target_sir * (1.0 - powers[i_idx] * g * q) / (g * q)
+
+    status, iteration = STATUS_INFEASIBLE, 0
+    if not np.any(p > power_cap):
+        status = STATUS_MAX_ITER
+        for iteration in range(1, max_iter + 1):
+            t = _worst_link(active.n_nodes, i_idx, required(p))
+            if _residual(t, p) <= tol:
+                status = STATUS_CONVERGED
+                break
+            p = t
+            totals.append(float(p.sum()))
+            if np.any(p > power_cap):
+                status = STATUS_INFEASIBLE
+                break
     powers = p.copy()
     powers.setflags(write=False)
-    return (
-        PcResult(status, powers, min(iteration, max_iter), np.asarray(totals)),
-        FilterBank(filters),
-    )
+    result = PcResult(status, powers, iteration, np.asarray(totals))
+    if filter_mode == "matched":
+        return result, FilterBank.matched(codebook, active.links)
+    if status != STATUS_CONVERGED:
+        required(p)  # the last solve must be at the returned powers
+    q, x = last_solve
+    # lmmse_filter's scale, with A^-1 s_i = B_j^-1 s_i / (1 - c q) for the
+    # covariance A without link i (Sherman-Morrison)
+    downdate = 1.0 - p[i_idx] * g * q
+    scale = np.sqrt(p[i_idx]) / (1.0 + p[i_idx] * q / downdate) / downdate
+    basis = np.linalg.qr(codebook.sequences.T)[0]
+    filters = (x[rows, :, cols] @ basis.T) * scale[:, None]
+    return result, FilterBank(dict(zip(active.links, filters)))
 
 
 def pc_trace_to_csv(result: PcResult, path) -> None:

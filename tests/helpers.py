@@ -1,13 +1,27 @@
 """Shared builders and brute-force oracles for the test suite."""
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from adhocnet.netmodel import LinkGainMatrix, Topology, compute_link_gains
-from adhocnet.powercontrol import ActiveLinkSet
+from adhocnet.netmodel import (
+    LinkGainMatrix,
+    SpreadingCodebook,
+    Topology,
+    compute_link_gains,
+)
+from adhocnet.phy import FilterBank, _interference_covariance, lmmse_filter
+from adhocnet.powercontrol import (
+    STATUS_CONVERGED,
+    STATUS_INFEASIBLE,
+    STATUS_MAX_ITER,
+    ActiveLinkSet,
+    PcResult,
+    _residual,
+)
 
 
 def topology_from_positions(positions, area_side=200.0):
@@ -37,7 +51,41 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
                              area=200.0, rho_max=0.9):
     """Random instance where every node has exactly one outgoing link and
     the linearized system is feasible with margin; returns the exact fixed
-    point from the linear solve as an oracle, or None when infeasible."""
+    point from the linear solve as an oracle, or None when infeasible.
+
+    Draws exactly what ``single_outgoing_instance_loop`` draws and returns
+    the same instances; only the coupling matrix is built with array
+    operations and the link set only for accepted instances.
+    """
+    topology, gains = random_network(rng, n, area)
+    dests = np.array([int(rng.choice(others)) for others in _others(n)])
+    g = gains.gains
+    nodes = np.arange(n)
+    g_link = g[nodes, dests]
+    m = target_sir / spreading_gain * g[:, dests].T / g_link[:, None]
+    m[nodes, nodes] = 0.0
+    m[nodes, dests] = 0.0
+    b = target_sir * noise / g_link
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+    if rho >= rho_max:
+        return None
+    fixed_point = np.linalg.solve(np.eye(n) - m, b)
+    if np.any(fixed_point <= 0):
+        return None
+    active = ActiveLinkSet.from_links(n, [(i, int(dests[i])) for i in range(n)])
+    return topology, gains, active, fixed_point, rho
+
+
+@functools.cache
+def _others(n):
+    """Per node i, the candidate destinations: every node but i."""
+    return tuple(np.delete(np.arange(n), i) for i in range(n))
+
+
+def single_outgoing_instance_loop(rng, n, spreading_gain, target_sir, noise,
+                                  area=200.0, rho_max=0.9):
+    """Per-entry loop form of ``single_outgoing_instance``, kept as its
+    reference."""
     topology, gains = random_network(rng, n, area)
     dests = [int(rng.choice([j for j in range(n) if j != i])) for i in range(n)]
     active = ActiveLinkSet.from_links(n, [(i, dests[i]) for i in range(n)])
@@ -151,3 +199,102 @@ def initial_skeleton_loop(sir, forbidden):
         if not added:
             break
     return allowed
+
+
+def mud_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
+                codebook: SpreadingCodebook, noise: float, target_sir: float,
+                filters: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """Per-node power update for given receiver filters (worst outgoing link).
+
+    Per link: target_sir * ( sum_{k != i,j} P_k h(k,j) (c's_k)^2
+    + noise c'c ) / ( h(i,j) (c's_i)^2 ).
+    """
+    g = gains.gains
+    seqs = codebook.sequences
+    targets = np.zeros(active.n_nodes)
+    for (i, j) in active.links:
+        c = filters[(i, j)]
+        x = seqs @ c
+        weights = p * g[:, j] * x * x
+        weights[i] = 0.0
+        weights[j] = 0.0
+        num = float(np.sum(weights)) + noise * float(c @ c)
+        required = target_sir * num / (g[i, j] * x[i] * x[i])
+        if required > targets[i]:
+            targets[i] = required
+    return targets
+
+
+def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
+                    gains: LinkGainMatrix, codebook: SpreadingCodebook,
+                    noise: float, target_sir: float, *,
+                    tol: float = 1e-6, max_iter: int = 10_000,
+                    power_cap: float = 1.0,
+                    filter_mode: str = "lmmse") -> tuple[PcResult, FilterBank]:
+    """Two-step loop form of ``powercontrol.pc_mud_iterate``, kept as its
+    reference: alternate receiver-filter and power updates until the powers
+    settle.
+
+    Step 1 recomputes the per-link filters from the current powers (LMMSE,
+    or the fixed matched filters when ``filter_mode="matched"``, which gives
+    the exact-cross-correlation matched baseline). Step 2 applies the
+    corresponding power update per worst outgoing link. The returned filter
+    bank is the one computed at the returned power vector.
+    """
+    if np.any(np.asarray(p0) < 0):
+        raise ValueError("initial powers must be nonnegative")
+    if filter_mode not in ("lmmse", "matched"):
+        raise ValueError(f"unknown filter_mode {filter_mode!r}")
+    p = np.array(p0, dtype=float)
+    mask = np.zeros(active.n_nodes, dtype=bool)
+    mask[list(active.transmitters)] = True
+    p[~mask] = 0.0
+    totals = [float(p.sum())]
+    if np.any(p > power_cap):
+        frozen = p.copy()
+        frozen.setflags(write=False)
+        return (
+            PcResult(STATUS_INFEASIBLE, frozen, 0, np.asarray(totals)),
+            FilterBank({(i, j): codebook.sequences[i]
+                        for (i, j) in active.links}),
+        )
+
+    matched = {(i, j): codebook.sequences[i] for (i, j) in active.links}
+
+    def filters_at(powers):
+        if filter_mode == "matched":
+            return matched
+        out = {}
+        for (i, j) in active.links:
+            c = lmmse_filter(i, powers, gains, codebook, noise, j)
+            if not np.any(c):
+                # zero power zeroes the MMSE scale; the power update is
+                # scale invariant, so keep the optimal direction instead
+                cov = _interference_covariance(i, powers, gains, codebook,
+                                               noise, j)
+                c = np.linalg.solve(cov, codebook.sequences[i])
+            out[(i, j)] = c
+        return out
+
+    filters = filters_at(p)
+    for iteration in range(1, max_iter + 1):
+        t = mud_targets(p, active, gains, codebook, noise, target_sir, filters)
+        if _residual(t, p) <= tol:
+            powers = p.copy()
+            powers.setflags(write=False)
+            return (
+                PcResult(STATUS_CONVERGED, powers, iteration, np.asarray(totals)),
+                FilterBank(filters),
+            )
+        p = t
+        totals.append(float(p.sum()))
+        if np.any(p > power_cap):
+            break
+        filters = filters_at(p)
+    status = STATUS_INFEASIBLE if np.any(p > power_cap) else STATUS_MAX_ITER
+    powers = p.copy()
+    powers.setflags(write=False)
+    return (
+        PcResult(status, powers, min(iteration, max_iter), np.asarray(totals)),
+        FilterBank(filters),
+    )

@@ -114,3 +114,18 @@ def test_bad_scenario_value_exits_2_without_traceback(tmp_path, capsys, body,
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--n-min", "10", "--n-max", "6"], "n_max"),
+    (["--n-step", "0"], "n_step"),
+])
+def test_bad_capacity_scan_exits_2_without_traceback(tmp_path, capsys, flags,
+                                                     field):
+    code = main(["capacity", "--config", write_scenario(tmp_path),
+                 "--out", str(tmp_path / "out"), "--trials", "2"] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "capacity.csv").exists()

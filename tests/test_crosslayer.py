@@ -6,10 +6,18 @@ from adhocnet.crosslayer import (
     initial_powers,
     joint_optimize,
     multi_start,
+    network_energy_per_bit,
     network_metrics,
     trace_to_csv,
 )
 from adhocnet.netmodel import Scenario, build_network
+from adhocnet.phy import (
+    FilterBank,
+    energy_per_bit_link,
+    lmmse_filter,
+    sir_lmmse,
+    sir_matched,
+)
 from adhocnet.routing import (
     RouteSet,
     assign_routes,
@@ -178,3 +186,57 @@ def test_trace_csv_columns(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "phase_index,phase_kind,total_power_W,energy_per_bit_J"
     assert len(lines) == len(solution.trace) + 1
+
+
+def reference_energy(routes, p, scenario, net):
+    """Per-link reference sum: a fresh filter and scalar SIR per route link."""
+    total = 0.0
+    per_link = {}
+    for path in routes.paths:
+        for link in zip(path[:-1], path[1:]):
+            i, j = link
+            if scenario.receiver == "matched":
+                sir = sir_matched(link, p, net.gains, scenario.spreading_gain,
+                                  scenario.noise_power)
+            else:
+                c = lmmse_filter(i, p, net.gains, net.codebook,
+                                 scenario.noise_power, j)
+                sir = sir_lmmse(link, p, FilterBank({link: c}), net.gains,
+                                net.codebook, scenario.noise_power)
+            per_link[link] = (sir, energy_per_bit_link(
+                link, p, sir, scenario.bit_rate, scenario.packet_bits))
+            total += per_link[link][1]
+    return total, per_link
+
+
+ROUTES_5 = RouteSet(paths=((0, 1, 2), (3, 4), (2, 0), (4, 3), (1, 2)),
+                    n_nodes=5)
+
+
+@pytest.mark.parametrize("receiver", ["matched", "lmmse"])
+def test_network_energy_matches_per_link_reference(receiver):
+    scenario = Scenario(n_nodes=5, spreading_gain=8, receiver=receiver,
+                        master_seed=3)
+    net = build_network(scenario)
+    p = np.array([4e-7, 2e-7, 5e-7, 1e-7, 3e-7])
+    got = network_energy_per_bit(ROUTES_5, p, scenario, net.gains,
+                                 net.codebook)
+    want, _ = reference_energy(ROUTES_5, p, scenario, net)
+    if receiver == "matched":
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_lmmse_energy_of_silent_transmitter_is_zero():
+    # the reference filter of a zero-power transmitter is the zero vector,
+    # whose SIR evaluates to inf, so the link costs no energy
+    scenario = Scenario(n_nodes=5, spreading_gain=8, receiver="lmmse",
+                        master_seed=3)
+    net = build_network(scenario)
+    p = np.array([0.0, 2e-7, 5e-7, 1e-7, 3e-7])
+    want, per_link = reference_energy(ROUTES_5, p, scenario, net)
+    assert per_link[(0, 1)] == (np.inf, 0.0)
+    got = network_energy_per_bit(ROUTES_5, p, scenario, net.gains,
+                                 net.codebook)
+    assert got == pytest.approx(want, rel=1e-9)

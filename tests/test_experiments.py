@@ -205,6 +205,20 @@ def test_experiment_config_validation():
                                     "bad_key": 1})
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"n_min": 1}, "n_min"),
+    ({"n_min": 6.0}, "n_min"),
+    ({"n_max": "65"}, "n_max"),
+    ({"n_min": 10, "n_max": 6}, "n_max"),
+    ({"n_step": 0}, "n_step"),
+    ({"n_step": True}, "n_step"),
+])
+def test_experiment_config_rejects_bad_capacity_scan(changes, field):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(scenario=FEASIBLE, kind="capacity", out_dir="x",
+                         **changes)
+
+
 def test_infeasible_scenario_reported_in_manifest(tmp_path):
     # spreading gain 1 cannot support a 12-node network at the default target
     hard = Scenario(n_nodes=12, spreading_gain=1, master_seed=2,

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhocnet.netmodel import SpreadingCodebook, generate_spreading_codebook
 from adhocnet.phy import (
     FilterBank,
     efficiency,
     energy_per_bit_link,
+    incoming_slots,
     lmmse_filter,
+    lmmse_kernel,
     lmmse_sir_matrix,
     sir_lmmse,
     sir_matched,
@@ -225,3 +231,70 @@ def test_energy_per_bit_closed_form():
     expected = p[0] / (bit_rate * f)
     assert energy_per_bit_link((0, 1), p, sir, bit_rate, packet_bits) == \
         pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def kernel_instances(draw):
+    """Small random networks, n > L included (span dimension r = L), with
+    some nodes silent, and a random set of links."""
+    n = draw(st.integers(3, 9))
+    length = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, gains = random_network(rng, n)
+    book = generate_spreading_codebook(n, length, seed=int(rng.integers(1e6)))
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    p[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
+    links = sorted({(int(i), int(j)) for i, j in rng.integers(0, n, (2 * n, 2))
+                    if i != j})
+    return p, gains, book, links
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_instances())
+def test_lmmse_kernel_matches_per_link_reference(instance):
+    p, gains, book, links = instance
+    noise = 1e-13
+    i_idx, j_idx = np.array(links).T
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        q = lmmse_kernel(p, gains, book, noise, receivers, senders)[0]
+    q = q[rows, cols]
+    seqs = book.sequences
+    for (i, j), q_link in zip(links, q):
+        weights = p * gains.gains[:, j]
+        cov = (seqs.T * weights) @ seqs + noise * np.eye(book.length)
+        assert q_link == pytest.approx(
+            seqs[i] @ np.linalg.solve(cov, seqs[i]), rel=1e-9)
+        if p[i] == 0.0:
+            continue
+        c = p[i] * gains.gains[i, j]
+        filters = FilterBank({(i, j): lmmse_filter(i, p, gains, book, noise,
+                                                   j)})
+        reference = sir_lmmse((i, j), p, filters, gains, book, noise)
+        assert c * q_link / (1.0 - c * q_link) == pytest.approx(reference,
+                                                                rel=1e-9)
+
+
+def test_incoming_slots_group_links_by_receiver():
+    i_idx = np.array([0, 0, 2, 3, 4])
+    j_idx = np.array([1, 2, 1, 1, 2])
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    assert receivers.tolist() == [1, 2]
+    assert senders.tolist() == [[0, 2, 3], [0, 4, 0]]
+    assert senders[rows, cols].tolist() == i_idx.tolist()
+
+
+def test_lmmse_kernel_warns_once_on_tiny_noise():
+    rng = np.random.default_rng(21)
+    _, gains = random_network(rng, 6)
+    book = generate_spreading_codebook(6, 8, seed=22)
+    p = np.full(6, 1e-3)
+    i_idx, j_idx = np.array([(0, 1), (2, 1), (3, 4), (5, 4)]).T
+    receivers, senders, _, _ = incoming_slots(i_idx, j_idx)
+    with pytest.warns(RuntimeWarning, match="condition bound") as record:
+        lmmse_kernel(p, gains, book, 1e-30, receivers, senders)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lmmse_kernel(p, gains, book, 1e-13, receivers, senders)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from adhocnet.powercontrol import (
     power_targets,
 )
 from helpers import (
+    pc_mud_two_step,
     random_active_links,
     random_network,
     single_outgoing_instance,
+    single_outgoing_instance_loop,
     topology_from_positions,
 )
 
@@ -266,3 +270,93 @@ def test_trace_records_totals(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,total_power_W"
     assert len(lines) == len(result.trace) + 1
+
+
+def mud_instances(seed, count):
+    """Small random networks for the two-step oracle, n > L included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        length = int(rng.choice([2, 4, 8, 16]))
+        _, gains = random_network(rng, n)
+        book = generate_spreading_codebook(n, length,
+                                           seed=int(rng.integers(1e6)))
+        active = random_active_links(rng, n, max_out=2)
+        p0 = np.exp(rng.uniform(np.log(1e-9), np.log(1e-6), n))
+        p0[rng.random(n) < 0.3] = 0.0
+        yield gains, book, active, p0
+
+
+@pytest.mark.parametrize("filter_mode", ["lmmse", "matched"])
+def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
+    statuses = set()
+    for gains, book, active, p0 in mud_instances(31, 30):
+        for max_iter in (3, 300):
+            # the cap stops diverging runs before the covariances become so
+            # ill-conditioned that both solvers lose the ninth digit
+            kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=1e-4,
+                          filter_mode=filter_mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got, _ = pc_mud_iterate(p0, active, gains, book, NOISE,
+                                        GAMMA, **kwargs)
+                want, _ = pc_mud_two_step(p0, active, gains, book, NOISE,
+                                          GAMMA, **kwargs)
+            assert (got.status, got.iterations) == \
+                (want.status, want.iterations)
+            assert np.allclose(got.powers, want.powers, rtol=1e-9, atol=0.0)
+            assert np.allclose(got.trace, want.trace, rtol=1e-9, atol=0.0)
+            statuses.add(got.status)
+    assert statuses == {"converged", "infeasible", "max_iter"}
+
+
+def test_pc_mud_filter_bank_matches_fresh_filters():
+    from adhocnet.phy import FilterBank, lmmse_filter, sir_lmmse
+
+    for gains, book, active, p0 in mud_instances(33, 10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result, bank = pc_mud_iterate(p0, active, gains, book, NOISE,
+                                          GAMMA, tol=1e-8, max_iter=300)
+            assert set(bank.filters) == set(active.links)
+            for (i, j) in active.links:
+                fresh = lmmse_filter(i, result.powers, gains, book, NOISE, j)
+                got = sir_lmmse((i, j), result.powers, bank, gains, book,
+                                NOISE)
+                want = sir_lmmse((i, j), result.powers,
+                                 FilterBank({(i, j): fresh}), gains, book,
+                                 NOISE)
+                assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_pc_mud_warns_on_tiny_noise():
+    rng = np.random.default_rng(35)
+    _, gains = random_network(rng, 5)
+    book = generate_spreading_codebook(5, 4, seed=36)
+    active = random_active_links(rng, 5, max_out=1)
+    with pytest.warns(RuntimeWarning, match="condition bound"):
+        pc_mud_iterate(np.full(5, 1e-3), active, gains, book, 1e-30, GAMMA,
+                       max_iter=1)
+
+
+def test_single_outgoing_instance_draws_match_loop():
+    for spreading_gain in (16, 128):
+        fast_rng = np.random.default_rng(5)
+        loop_rng = np.random.default_rng(5)
+        accepted = 0
+        for _ in range(200):
+            fast = single_outgoing_instance(fast_rng, 6, spreading_gain,
+                                            GAMMA, NOISE)
+            loop = single_outgoing_instance_loop(loop_rng, 6, spreading_gain,
+                                                 GAMMA, NOISE)
+            assert (fast is None) == (loop is None)
+            if fast is not None:
+                accepted += 1
+                assert np.array_equal(fast[0].positions, loop[0].positions)
+                assert np.array_equal(fast[1].gains, loop[1].gains)
+                assert fast[2] == loop[2]
+                assert np.array_equal(fast[3], loop[3])
+                assert fast[4] == loop[4]
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        if spreading_gain == 128:
+            assert accepted > 0
