@@ -15,7 +15,6 @@ from .errors import (
     AdhocnetError,
     ConfigError,
     CoincidentNodesError,
-    InfeasibleScenarioError,
     MissingArtifactError,
     UnreachableSessionError,
 )

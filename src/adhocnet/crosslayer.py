@@ -151,22 +151,39 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
     return total
 
 
-def _run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
-                       gains: LinkGainMatrix,
-                       codebook: SpreadingCodebook) -> tuple[PcResult, FilterBank | None]:
+def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
+                      gains: LinkGainMatrix, codebook: SpreadingCodebook, *,
+                      probe: PcResult | None = None,
+                      ) -> tuple[PcResult, FilterBank | None]:
+    """Power control from ``p`` on ``routes`` with the scenario's receiver.
+
+    ``probe`` is an earlier matched run from the same ``p`` on the same
+    routes with the scenario's tolerance and power cap, such as
+    ``routes.probe`` from ``initial_routes``. The matched run then resumes
+    from the probe's last iterate with the budget it has left and splices
+    the two; the result equals a fresh run bit for bit (powercontrol module
+    docstring). Without budget left it runs fresh. LMMSE ignores the probe.
+    """
     active = routes.active_links
     if scenario.receiver == "lmmse":
-        result, filters = pc_mud_iterate(
+        return pc_mud_iterate(
             p, active, gains, codebook, scenario.noise_power,
             scenario.target_sir, tol=scenario.pc_tol,
             max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
         )
-        return result, filters
+    if probe is not None and len(probe.trace) - 1 < scenario.pc_max_iter:
+        start, done = probe.powers, len(probe.trace) - 1
+    else:
+        start, done, probe = p, 0, None
     result = pc_iterate(
-        p, active, gains, scenario.spreading_gain, scenario.noise_power,
+        start, active, gains, scenario.spreading_gain, scenario.noise_power,
         scenario.target_sir, tol=scenario.pc_tol,
-        max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
+        max_iter=scenario.pc_max_iter - done, power_cap=scenario.power_cap,
     )
+    if probe is not None:
+        result = PcResult(result.status, result.powers,
+                          done + result.iterations,
+                          np.concatenate((probe.trace, result.trace[1:])))
     return result, None
 
 
@@ -210,7 +227,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         energy = network_energy_per_bit(routes, p, scenario, gains, codebook)
         records.append(PhaseRecord(phase, float(p.sum()), energy))
 
-    pc, filters = _run_power_control(scenario, p_init, routes, gains, codebook)
+    pc, filters = run_power_control(scenario, p_init, routes, gains, codebook,
+                                    probe=routes.probe)
     if not pc.converged:
         frozen = np.array(p_init)
         frozen.setflags(write=False)
@@ -254,8 +272,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
             continue
         # tentatively re-optimize powers for the new routes; accept only
         # non-regressing steps so total power descends by construction
-        new_pc, new_filters = _run_power_control(scenario, p, new_routes,
-                                                 gains, codebook)
+        new_pc, new_filters = run_power_control(scenario, p, new_routes,
+                                                gains, codebook)
         if not new_pc.converged \
                 or float(new_pc.powers.sum()) > prev_pc_total * (1.0 + 1e-12):
             stalled = True

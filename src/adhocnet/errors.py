@@ -30,7 +30,3 @@ class UnreachableSessionError(AdhocnetError):
 
 class MissingArtifactError(AdhocnetError):
     """A required experiment artifact file is absent."""
-
-
-class InfeasibleScenarioError(AdhocnetError):
-    """The scenario admits no power solution meeting the SIR targets."""

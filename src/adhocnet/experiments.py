@@ -24,6 +24,7 @@ from .crosslayer import (
     multi_start,
     network_energy_per_bit,
     node_powers_to_csv,
+    run_power_control,
     trace_to_csv,
 )
 from .csvio import read_csv, write_csv
@@ -40,7 +41,6 @@ from .netmodel import (
     sessions_to_csv,
     topology_to_csv,
 )
-from .powercontrol import pc_iterate, pc_mud_iterate
 from .routing import (
     build_routing_table,
     estimated_sir_matrix,
@@ -186,18 +186,8 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
                                   codebook, p_init=p0)
         return solution.converged
     routes = initial_routes(scenario, gains, sessions, p0)
-    if scenario.receiver == "lmmse":
-        result, _ = pc_mud_iterate(
-            p0, routes.active_links, gains, codebook, scenario.noise_power,
-            scenario.target_sir, tol=scenario.pc_tol,
-            max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
-        )
-    else:
-        result = pc_iterate(
-            p0, routes.active_links, gains, scenario.spreading_gain,
-            scenario.noise_power, scenario.target_sir, tol=scenario.pc_tol,
-            max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
-        )
+    result, _ = run_power_control(scenario, p0, routes, gains, codebook,
+                                  probe=routes.probe)
     return result.converged
 
 
@@ -447,16 +437,42 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             artifacts=tuple(sorted(artifacts)), extras=extras)
 
 
-# Plot-data emission: artifact name -> (required columns of the source file).
+# Plot-data emission: source artifact -> plot files, each as (file name,
+# header, row transform of the source rows).
+def _columns(*columns):
+    return lambda rows: [tuple(r[c] for c in columns) for r in rows]
+
+
+def _ranked_totals(rows):
+    return list(enumerate(sorted(float(r[2]) for r in rows)))
+
+
+_TRACE_PLOTS = (
+    ("plot_total_power_vs_phase.csv", ("phase", "total_power_W"),
+     _columns(0, 2)),
+    ("plot_energy_vs_phase.csv", ("phase", "energy_per_bit_J"),
+     _columns(0, 3)),
+)
+_NODE_POWER_PLOTS = (
+    ("plot_power_vs_node.csv", ("node", "power_W"), _columns(0, 3)),
+)
 _PLOT_SOURCES = {
-    "trace.csv": ("plot_total_power_vs_phase.csv", "plot_energy_vs_phase.csv"),
-    "best_trace.csv": ("plot_total_power_vs_phase.csv",
-                       "plot_energy_vs_phase.csv"),
-    "node_powers.csv": ("plot_power_vs_node.csv",),
-    "best_node_powers.csv": ("plot_power_vs_node.csv",),
-    "trials.csv": ("plot_trial_power_spread.csv",),
-    "fairness_powers.csv": ("plot_fairness_before_after.csv",),
-    "capacity.csv": ("plot_feasibility_vs_nodes.csv",),
+    "trace.csv": _TRACE_PLOTS,
+    "best_trace.csv": _TRACE_PLOTS,
+    "node_powers.csv": _NODE_POWER_PLOTS,
+    "best_node_powers.csv": _NODE_POWER_PLOTS,
+    "trials.csv": (
+        ("plot_trial_power_spread.csv", ("rank", "total_power_W"),
+         _ranked_totals),
+    ),
+    "fairness_powers.csv": (
+        ("plot_fairness_before_after.csv",
+         ("node", "power_before_W", "power_after_W"), _columns(0, 1, 2)),
+    ),
+    "capacity.csv": (
+        ("plot_feasibility_vs_nodes.csv", ("n_nodes", "feasibility_rate"),
+         _columns(0, 1)),
+    ),
 }
 
 
@@ -476,45 +492,14 @@ def emit_plot_data(artifact_dir, out_subdir: str = "plots") -> list[str]:
     out_dir = os.path.join(artifact_dir, out_subdir)
     os.makedirs(out_dir, exist_ok=True)
     emitted = []
-
-    def source(name):
-        path = os.path.join(artifact_dir, name)
-        if not os.path.exists(path):
-            raise MissingArtifactError(f"missing artifact: {path}")
-        return read_csv(path)
-
     for name in listed:
         if name not in _PLOT_SOURCES:
             continue
-        header, rows = source(name)
-        if name in ("trace.csv", "best_trace.csv"):
-            write_csv(os.path.join(out_dir, "plot_total_power_vs_phase.csv"),
-                      ("phase", "total_power_W"),
-                      [(r[0], r[2]) for r in rows])
-            write_csv(os.path.join(out_dir, "plot_energy_vs_phase.csv"),
-                      ("phase", "energy_per_bit_J"),
-                      [(r[0], r[3]) for r in rows])
-            emitted += ["plot_total_power_vs_phase.csv",
-                        "plot_energy_vs_phase.csv"]
-        elif name in ("node_powers.csv", "best_node_powers.csv"):
-            write_csv(os.path.join(out_dir, "plot_power_vs_node.csv"),
-                      ("node", "power_W"),
-                      [(r[0], r[3]) for r in rows])
-            emitted.append("plot_power_vs_node.csv")
-        elif name == "trials.csv":
-            totals = sorted(float(r[2]) for r in rows)
-            write_csv(os.path.join(out_dir, "plot_trial_power_spread.csv"),
-                      ("rank", "total_power_W"),
-                      [(k, v) for k, v in enumerate(totals)])
-            emitted.append("plot_trial_power_spread.csv")
-        elif name == "fairness_powers.csv":
-            write_csv(os.path.join(out_dir, "plot_fairness_before_after.csv"),
-                      ("node", "power_before_W", "power_after_W"),
-                      [(r[0], r[1], r[2]) for r in rows])
-            emitted.append("plot_fairness_before_after.csv")
-        elif name == "capacity.csv":
-            write_csv(os.path.join(out_dir, "plot_feasibility_vs_nodes.csv"),
-                      ("n_nodes", "feasibility_rate"),
-                      [(r[0], r[1]) for r in rows])
-            emitted.append("plot_feasibility_vs_nodes.csv")
+        path = os.path.join(artifact_dir, name)
+        if not os.path.exists(path):
+            raise MissingArtifactError(f"missing artifact: {path}")
+        _, rows = read_csv(path)
+        for plot, header, transform in _PLOT_SOURCES[name]:
+            write_csv(os.path.join(out_dir, plot), header, transform(rows))
+            emitted.append(plot)
     return sorted(set(emitted))

@@ -7,6 +7,13 @@ so iterating p <- T(p) converges to the minimal feasible power vector under
 any update schedule whenever the system is feasible; divergence is detected
 by the power cap or the iteration budget.
 
+Each synchronous step and each stopping test reads only the current
+iterate, so a run restarted from the k-th iterate of an earlier run on the
+same inputs, with the iteration budget less k, repeats that run's remaining
+steps float for float. ``crosslayer.run_power_control`` relies on this to
+resume the matched first run from the probe that ``routing.initial_routes``
+has already run, rather than replaying it.
+
 ``pc_mud_iterate`` uses the exact sequence cross-correlations. With the
 LMMSE receiver, optimizing the filter at the current powers and then
 solving for the power that meets the target collapses to the closed form
@@ -36,19 +43,30 @@ _RESIDUAL_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class ActiveLinkSet:
-    """Directed links used by the current routes, with per-node outgoing sets."""
+    """Directed links used by the current routes, with per-node outgoing sets.
+
+    ``links`` is sorted by (i, j) and free of duplicates, as ``from_links``
+    builds it.
+    """
 
     n_nodes: int
     links: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_links(cls, n_nodes: int, links) -> "ActiveLinkSet":
-        unique = sorted(set((int(i), int(j)) for i, j in links))
-        for i, j in unique:
+        links = list(links)
+        pairs = np.array(links, dtype=np.int64).reshape(len(links), 2)
+        i, j = pairs.T
+        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_nodes)
+        if bad.any():
+            # report the first offending link in sorted order
+            first = np.lexsort((j[bad], i[bad]))[0]
+            i, j = int(i[bad][first]), int(j[bad][first])
             if i == j:
                 raise ValueError(f"self loop ({i}, {j}) in active link set")
-            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-                raise ValueError(f"link ({i}, {j}) outside node range")
+            raise ValueError(f"link ({i}, {j}) outside node range")
+        codes = np.unique(i * n_nodes + j)
+        unique = zip((codes // n_nodes).tolist(), (codes % n_nodes).tolist())
         return cls(n_nodes=n_nodes, links=tuple(unique))
 
     @cached_property
@@ -145,9 +163,13 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
     if schedule not in ("synchronous", "async-sweep"):
         raise ValueError(f"unknown schedule {schedule!r}")
     p = np.array(p0, dtype=float)
+    # the links are sorted by transmitter, so each transmitter's outgoing
+    # links form one run starting at its first index
+    i_idx, j_idx = active.link_arrays
+    senders, starts = np.unique(i_idx, return_index=True)
     # nodes outside the transmitter set hold zero power throughout
     mask = np.zeros(active.n_nodes, dtype=bool)
-    mask[list(active.transmitters)] = True
+    mask[senders] = True
     p[~mask] = 0.0
     totals = [float(p.sum())]
 
@@ -156,13 +178,22 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
         powers.setflags(write=False)
         return PcResult(status, powers, iterations, np.asarray(totals))
 
-    if np.any(p > power_cap):
+    if (p > power_cap).any():
         return finish(STATUS_INFEASIBLE, p, 0)
     g = gains.gains
+    g_t = g.T
+    g_link = g[i_idx, j_idx]
     for iteration in range(1, max_iter + 1):
         if schedule == "synchronous":
-            t = power_targets(p, active, gains, spreading_gain, noise, target_sir)
-            if _residual(t, p) <= tol:
+            # power_targets and _residual with the per-link gathers hoisted:
+            # the same float operations in the same order
+            s = g_t @ p
+            interference = (s[j_idx] - g_link * p[i_idx]) / spreading_gain + noise
+            worst = np.maximum.reduceat(target_sir * interference / g_link,
+                                        starts)
+            t = np.zeros(active.n_nodes)
+            t[senders] = np.maximum(0.0, worst)
+            if (np.abs(t - p) / np.maximum(p, _RESIDUAL_FLOOR)).max() <= tol:
                 return finish(STATUS_CONVERGED, p, iteration)
             p = t
         else:
@@ -185,7 +216,7 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
                 if _residual(t, p) <= tol:
                     return finish(STATUS_CONVERGED, p, iteration)
         totals.append(float(p.sum()))
-        if np.any(p > power_cap):
+        if (p > power_cap).any():
             return finish(STATUS_INFEASIBLE, p, iteration)
     return finish(STATUS_MAX_ITER, p, max_iter)
 

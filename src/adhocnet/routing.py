@@ -15,13 +15,17 @@ optimized powers to price links with, so links are priced by the energy per
 bit they would consume if operated at the SIR target given the initial
 interference, every link stays finite, and the route assignment is built on
 a sparse strongly-connected skeleton of locally strong links and verified
-(and repaired if needed) to admit a convergent power-control run.
+(and repaired if needed) to admit a convergent power-control run. That
+verification is a matched power-control run from the initial powers with
+the scenario's tolerance and power cap; the returned routes carry the last
+one as ``RouteSet.probe``, so the first full run can resume from it instead
+of solving the same fixed point again (see ``crosslayer.run_power_control``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +35,7 @@ import scipy.sparse.csgraph as csgraph
 from .errors import UnreachableSessionError
 from .netmodel import LinkGainMatrix, Scenario, SessionSet
 from .phy import efficiency, received_powers
-from .powercontrol import ActiveLinkSet, pc_iterate
+from .powercontrol import ActiveLinkSet, PcResult, pc_iterate
 
 # Cost matrices are plain (n, n) float arrays with +inf for unusable links.
 LinkCostMatrix = np.ndarray
@@ -140,10 +144,16 @@ def initial_route_costs(scenario: Scenario, sir: np.ndarray,
 
 @dataclass(frozen=True)
 class RouteSet:
-    """One node path per session plus the derived active link set."""
+    """One node path per session plus the derived active link set.
+
+    ``probe`` is the matched power-control run ``initial_routes`` made on
+    these routes from its initial powers, or None; it takes no part in
+    equality or repr.
+    """
 
     paths: tuple[tuple[int, ...], ...]
     n_nodes: int
+    probe: PcResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for path in self.paths:
@@ -212,6 +222,14 @@ def _heap_lex_path(costs: np.ndarray, source: int,
     return None
 
 
+def _csr_graph(mask: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix holding ``values`` at the True entries of ``mask`` in
+    row-major order, explicit zeros included."""
+    rows, cols = np.nonzero(mask)
+    indptr = np.searchsorted(rows, np.arange(mask.shape[0] + 1))
+    return sp.csr_matrix((values, cols, indptr), shape=mask.shape)
+
+
 def _lex_paths(costs: np.ndarray,
                pairs: tuple[tuple[int, int], ...]) -> list[list[int] | None]:
     """Lexicographically smallest min-cost path per (source, dest) pair.
@@ -225,10 +243,8 @@ def _lex_paths(costs: np.ndarray,
     """
     dests = sorted({d for _, d in pairs})
     finite = np.isfinite(costs.T)
-    indptr = np.concatenate(([0], np.cumsum(finite.sum(axis=1))))
-    graph = sp.csr_matrix((costs.T[finite], np.nonzero(finite)[1], indptr),
-                          shape=costs.shape)
-    rdist = csgraph.dijkstra(graph, directed=True, indices=dests)
+    rdist = csgraph.dijkstra(_csr_graph(finite, costs.T[finite]),
+                             directed=True, indices=dests)
     tight = costs[None, :, :] + rdist[:, None, :] == rdist[:, :, None]
     next_hop = np.where(tight.any(axis=2), tight.argmax(axis=2), -1).tolist()
     row_of = {d: r for r, d in enumerate(dests)}
@@ -297,7 +313,8 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     allowed[best_in[strong], nodes[strong]] = True
     while True:
         n_comp, labels = csgraph.connected_components(
-            sp.csr_matrix(allowed), directed=True, connection="strong"
+            _csr_graph(allowed, np.ones(np.count_nonzero(allowed))),
+            directed=True, connection="strong",
         )
         if n_comp == 1:
             break
@@ -339,6 +356,12 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
     the sessions rerouted, up to ``repair_rounds`` times. The last candidate
     is returned even if no repair succeeded; the subsequent full
     power-control run then reports infeasibility honestly.
+
+    The returned routes carry their own probe as ``RouteSet.probe``: a
+    synchronous ``pc_iterate`` run from ``p_init`` with the scenario's
+    ``pc_tol`` and ``power_cap`` and at most ``probe_iterations`` steps.
+    When a repair round ends in an unreachable session, the previous
+    candidate is returned with the probe made on it.
     """
     p_init = np.asarray(p_init, dtype=float)
     table = build_routing_table(gains, p_init)
@@ -364,6 +387,9 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
             scenario.noise_power, scenario.target_sir, tol=scenario.pc_tol,
             max_iter=probe_iterations, power_cap=scenario.power_cap,
         )
+        # attach in place: the candidate is not shared yet, and a copy
+        # would drop its cached active link set
+        object.__setattr__(routes, "probe", probe)
         if not _probe_diverging(probe):
             break
         # ban the weakest link among the fastest-growing transmitters

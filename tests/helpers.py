@@ -21,6 +21,7 @@ from adhocnet.powercontrol import (
     ActiveLinkSet,
     PcResult,
     _residual,
+    power_targets,
 )
 
 
@@ -36,11 +37,12 @@ def random_network(rng, n, area=200.0, path_loss_exp=2.0):
     return topology, compute_link_gains(topology, path_loss_exp)
 
 
-def random_active_links(rng, n, max_out=2):
-    """Random active link set; each node gets 1..max_out outgoing links."""
+def random_active_links(rng, n, max_out=2, min_out=1):
+    """Random active link set; each node gets min_out..max_out outgoing
+    links."""
     links = []
     for i in range(n):
-        n_out = int(rng.integers(1, max_out + 1))
+        n_out = int(rng.integers(min_out, max_out + 1))
         targets = rng.choice([j for j in range(n) if j != i],
                              size=min(n_out, n - 1), replace=False)
         links.extend((i, int(j)) for j in targets)
@@ -298,3 +300,55 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
         PcResult(status, powers, min(iteration, max_iter), np.asarray(totals)),
         FilterBank(filters),
     )
+
+
+def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,
+                    gains: LinkGainMatrix, spreading_gain: int, noise: float,
+                    target_sir: float, *, tol: float = 1e-6,
+                    max_iter: int = 10_000,
+                    power_cap: float = 1.0) -> PcResult:
+    """Synchronous ``powercontrol.pc_iterate`` in its ``power_targets`` form,
+    kept as the reference for the loop with the per-link gathers hoisted."""
+    if np.any(np.asarray(p0) < 0):
+        raise ValueError("initial powers must be nonnegative")
+    p = np.array(p0, dtype=float)
+    # nodes outside the transmitter set hold zero power throughout
+    mask = np.zeros(active.n_nodes, dtype=bool)
+    mask[list(active.transmitters)] = True
+    p[~mask] = 0.0
+    totals = [float(p.sum())]
+
+    def finish(status, powers, iterations):
+        powers = powers.copy()
+        powers.setflags(write=False)
+        return PcResult(status, powers, iterations, np.asarray(totals))
+
+    if np.any(p > power_cap):
+        return finish(STATUS_INFEASIBLE, p, 0)
+    for iteration in range(1, max_iter + 1):
+        t = power_targets(p, active, gains, spreading_gain, noise, target_sir)
+        if _residual(t, p) <= tol:
+            return finish(STATUS_CONVERGED, p, iteration)
+        p = t
+        totals.append(float(p.sum()))
+        if np.any(p > power_cap):
+            return finish(STATUS_INFEASIBLE, p, iteration)
+    return finish(STATUS_MAX_ITER, p, max_iter)
+
+
+def same_pc_result(a: PcResult, b: PcResult) -> bool:
+    """Bit-for-bit equality of two power-control results."""
+    return (a.status, a.iterations, a.powers.tobytes(), a.trace.tobytes()) \
+        == (b.status, b.iterations, b.powers.tobytes(), b.trace.tobytes())
+
+
+def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
+    """Per-link form of ``ActiveLinkSet.from_links``, kept as its reference:
+    the sorted unique links, or the ValueError of the first bad one."""
+    unique = sorted(set((int(i), int(j)) for i, j in links))
+    for i, j in unique:
+        if i == j:
+            raise ValueError(f"self loop ({i}, {j}) in active link set")
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise ValueError(f"link ({i}, {j}) outside node range")
+    return tuple(unique)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from adhocnet.crosslayer import (
     JointSolution,
@@ -8,8 +10,10 @@ from adhocnet.crosslayer import (
     multi_start,
     network_energy_per_bit,
     network_metrics,
+    run_power_control,
     trace_to_csv,
 )
+from adhocnet.errors import UnreachableSessionError
 from adhocnet.netmodel import Scenario, build_network
 from adhocnet.phy import (
     FilterBank,
@@ -18,13 +22,21 @@ from adhocnet.phy import (
     sir_lmmse,
     sir_matched,
 )
+from adhocnet import routing
+from adhocnet.powercontrol import pc_iterate
 from adhocnet.routing import (
     RouteSet,
     assign_routes,
     build_link_costs,
     build_routing_table,
+    initial_routes,
 )
 from adhocnet.seeds import derive_seed
+
+from helpers import random_active_links, random_network, same_pc_result
+
+GAMMA = 12.5
+NOISE = 1e-13
 
 
 def run_joint(scenario, **kwargs):
@@ -240,3 +252,87 @@ def test_lmmse_energy_of_silent_transmitter_is_zero():
     got = network_energy_per_bit(ROUTES_5, p, scenario, net.gains,
                                  net.codebook)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def resume_matches_fresh_run(seed, n, spreading, power_cap, probe_iter,
+                             max_iter) -> str:
+    """Resume a matched run from a probe and compare it with a fresh run;
+    returns which path the resume took ('fresh' when no budget was left,
+    else the probe's status)."""
+    rng = np.random.default_rng(seed)
+    _, gains = random_network(rng, n)
+    active = random_active_links(rng, n, max_out=2, min_out=0)
+    routes = RouteSet(paths=active.links, n_nodes=n)
+    p0 = np.exp(rng.uniform(np.log(1e-10), np.log(1e-6), n))
+    p0[rng.random(n) < 0.3] = 0.0
+    scenario = Scenario(n_nodes=n, spreading_gain=spreading,
+                        receiver="matched", target_sir=GAMMA,
+                        noise_power=NOISE, pc_tol=1e-8, pc_max_iter=max_iter,
+                        power_cap=power_cap)
+    kwargs = dict(tol=scenario.pc_tol, power_cap=power_cap)
+    probe = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
+                       max_iter=probe_iter, **kwargs)
+    resumed, filters = run_power_control(scenario, p0, routes, gains, None,
+                                         probe=probe)
+    fresh = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
+                       max_iter=max_iter, **kwargs)
+    assert filters is None
+    assert same_pc_result(resumed, fresh)
+    return "fresh" if max_iter <= len(probe.trace) - 1 else probe.status
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+       spreading=st.sampled_from([2, 8, 128]),
+       power_cap=st.sampled_from([1e-7, 1.0]),
+       probe_iter=st.integers(1, 60), max_iter=st.integers(1, 120))
+def test_resumed_power_control_equals_fresh_run(seed, n, spreading,
+                                                power_cap, probe_iter,
+                                                max_iter):
+    event(resume_matches_fresh_run(seed, n, spreading, power_cap, probe_iter,
+                                   max_iter))
+
+
+def test_resume_cases_reach_every_probe_outcome():
+    reached = set()
+    for seed in range(12):
+        for spreading, power_cap in ((2, 1e-7), (128, 1.0)):
+            for probe_iter, max_iter in ((3, 2), (3, 200), (200, 300)):
+                reached.add(resume_matches_fresh_run(
+                    seed, 5, spreading, power_cap, probe_iter, max_iter))
+    assert reached == {"fresh", "converged", "max_iter", "infeasible"}
+
+
+@pytest.mark.parametrize("n_nodes, spreading_gain, seed, unreachable", [
+    (8, 32, 27, False),  # one repair round, then a converging probe
+    (8, 16, 0, True),    # repairs end when a rebuilt skeleton strands a session
+])
+def test_initial_routes_carry_the_probe_of_the_returned_routes(
+        monkeypatch, n_nodes, spreading_gain, seed, unreachable):
+    scenario = Scenario(n_nodes=n_nodes, spreading_gain=spreading_gain,
+                        master_seed=seed)
+    net = build_network(scenario)
+    p0 = initial_powers(scenario)
+    seen = {"probes": 0, "unreachable": 0}
+
+    def probe(*args, **kwargs):
+        seen["probes"] += 1
+        return pc_iterate(*args, **kwargs)
+
+    def assign(*args, **kwargs):
+        try:
+            return assign_routes(*args, **kwargs)
+        except UnreachableSessionError:
+            seen["unreachable"] += 1
+            raise
+
+    monkeypatch.setattr(routing, "pc_iterate", probe)
+    monkeypatch.setattr(routing, "assign_routes", assign)
+    routes = initial_routes(scenario, net.gains, net.sessions, p0)
+    assert seen["probes"] > 1
+    assert bool(seen["unreachable"]) == unreachable
+    fresh = pc_iterate(p0, routes.active_links, net.gains, spreading_gain,
+                       scenario.noise_power, scenario.target_sir,
+                       tol=scenario.pc_tol, max_iter=1500,
+                       power_cap=scenario.power_cap)
+    assert same_pc_result(routes.probe, fresh)

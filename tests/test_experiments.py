@@ -180,6 +180,56 @@ def test_emit_plot_data_multistart_sorted(tmp_path):
     assert values == sorted(values)
 
 
+# plot file -> (source artifact, plot header, source columns)
+_PLOT_PROJECTIONS = {
+    "plot_total_power_vs_phase.csv": ("best_trace.csv",
+                                      "phase,total_power_W", (0, 2)),
+    "plot_energy_vs_phase.csv": ("best_trace.csv", "phase,energy_per_bit_J",
+                                 (0, 3)),
+    "plot_power_vs_node.csv": ("best_node_powers.csv", "node,power_W",
+                               (0, 3)),
+    "plot_fairness_before_after.csv": (
+        "fairness_powers.csv", "node,power_before_W,power_after_W",
+        (0, 1, 2)),
+    "plot_feasibility_vs_nodes.csv": ("capacity.csv",
+                                      "n_nodes,feasibility_rate", (0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind, plots", [
+    ("capacity", {"plot_feasibility_vs_nodes.csv"}),
+    ("fairness", {"plot_fairness_before_after.csv"}),
+    ("multistart", {"plot_total_power_vs_phase.csv",
+                    "plot_energy_vs_phase.csv", "plot_power_vs_node.csv",
+                    "plot_trial_power_spread.csv"}),
+])
+def test_emit_plot_data_projects_each_source(tmp_path, kind, plots):
+    config = ExperimentConfig(scenario=FEASIBLE, kind=kind,
+                              out_dir=str(tmp_path), trials=6,
+                              feasibility_target=0.5, n_min=6, n_max=10,
+                              n_step=4)
+    run_experiment(config)
+    assert set(emit_plot_data(str(tmp_path))) == plots
+
+    def lines(path):
+        return path.read_text().strip().splitlines()
+
+    for plot in plots:
+        got = lines(tmp_path / "plots" / plot)
+        if plot == "plot_trial_power_spread.csv":
+            totals = sorted(float(row.split(",")[2])
+                            for row in lines(tmp_path / "trials.csv")[1:])
+            assert got[0] == "rank,total_power_W"
+            assert [row.split(",") for row in got[1:]] == \
+                [[str(k), f"{v:.15e}"] for k, v in enumerate(totals)]
+            continue
+        name, header, columns = _PLOT_PROJECTIONS[plot]
+        source = [row.split(",") for row in lines(tmp_path / name)[1:]]
+        assert got[0] == header
+        assert got[1:] == [",".join(row[c] for c in columns)
+                           for row in source]
+
+
 def test_emit_plot_data_missing_artifact_is_named(tmp_path):
     config = ExperimentConfig(scenario=FEASIBLE, kind="run",
                               out_dir=str(tmp_path))

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhocnet.netmodel import SpreadingCodebook, compute_link_gains, \
     generate_spreading_codebook
@@ -13,9 +15,12 @@ from adhocnet.powercontrol import (
     power_targets,
 )
 from helpers import (
+    from_links_loop,
+    pc_iterate_loop,
     pc_mud_two_step,
     random_active_links,
     random_network,
+    same_pc_result,
     single_outgoing_instance,
     single_outgoing_instance_loop,
     topology_from_positions,
@@ -360,3 +365,60 @@ def test_single_outgoing_instance_draws_match_loop():
         assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
         if spreading_gain == 128:
             assert accepted > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+       spreading=st.sampled_from([2, 8, 128]),
+       zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+       power_cap=st.sampled_from([1e-7, 1.0]),
+       max_iter=st.sampled_from([1, 5, 300]))
+def test_pc_iterate_matches_loop_oracle(seed, n, spreading, zero_frac,
+                                        power_cap, max_iter):
+    """The hoisted synchronous loop repeats the power_targets loop bit for
+    bit, with silent nodes (no outgoing link) and zero initial powers."""
+    rng = np.random.default_rng(seed)
+    _, gains = random_network(rng, n)
+    active = random_active_links(rng, n, max_out=2, min_out=0)
+    p0 = np.exp(rng.uniform(np.log(1e-10), np.log(1e-6), n))
+    p0[rng.random(n) < zero_frac] = 0.0
+    kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=power_cap)
+    got = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA, **kwargs)
+    want = pc_iterate_loop(p0, active, gains, spreading, NOISE, GAMMA,
+                           **kwargs)
+    assert same_pc_result(got, want)
+
+
+def test_pc_iterate_oracle_cases_cover_all_statuses():
+    statuses = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        _, gains = random_network(rng, n)
+        active = random_active_links(rng, n, max_out=2, min_out=0)
+        p0 = np.zeros(n) if seed % 4 == 0 else \
+            np.exp(rng.uniform(np.log(1e-10), np.log(1e-6), n))
+        for spreading, cap in ((2, 1e-7), (128, 1.0)):
+            for max_iter in (5, 300):
+                kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=cap)
+                got = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
+                                 **kwargs)
+                assert same_pc_result(got, pc_iterate_loop(
+                    p0, active, gains, spreading, NOISE, GAMMA, **kwargs))
+                statuses.add(got.status)
+    assert statuses == {"converged", "infeasible", "max_iter"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6),
+       links=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
+                      max_size=12))
+def test_from_links_matches_loop_oracle(n, links):
+    try:
+        want = from_links_loop(n, links)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            ActiveLinkSet.from_links(n, links)
+        assert str(err.value) == str(exc)
+    else:
+        assert ActiveLinkSet.from_links(n, iter(links)).links == want
