@@ -45,19 +45,14 @@ from .phy import (
 from .powercontrol import (
     ActiveLinkSet,
     PcResult,
-    interference_target,
     pc_iterate,
     pc_mud_iterate,
     power_targets,
 )
 from .routing import (
     RouteSet,
-    RoutingTable,
     assign_routes,
     build_link_costs,
-    build_routing_table,
-    estimated_sir,
-    estimated_sir_matrix,
     initial_routes,
     shortest_path,
 )
@@ -70,7 +65,6 @@ from .crosslayer import (
     joint_optimize,
     multi_start,
     network_energy_per_bit,
-    network_metrics,
 )
 from .fairness import (
     MixtureWeights,

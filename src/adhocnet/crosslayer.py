@@ -26,22 +26,16 @@ from .netmodel import (
     Topology,
 )
 from .phy import (
-    FilterBank,
     incoming_slots,
     link_energies,
     lmmse_kernel,
     lmmse_sir_matrix,
     matched_link_sir,
+    matched_sir_matrix,
 )
 from .powercontrol import PcResult, pc_iterate, pc_mud_iterate
 from .errors import UnreachableSessionError
-from .routing import (
-    RouteSet,
-    assign_routes,
-    build_link_costs,
-    build_routing_table,
-    initial_routes,
-)
+from .routing import RouteSet, assign_routes, build_link_costs, initial_routes
 from .seeds import derive_seed
 
 PHASE_POWER_CONTROL = "power_control"
@@ -63,12 +57,11 @@ class PhaseRecord:
 
 @dataclass(frozen=True)
 class JointSolution:
-    """Converged powers, routes and filters with the full phase trace."""
+    """Converged powers and routes with the full phase trace."""
 
     status: str
     powers: np.ndarray
     routes: RouteSet
-    filters: FilterBank | None
     trace: tuple[PhaseRecord, ...]
     total_power: float
     energy_per_bit: float
@@ -153,8 +146,7 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
 
 def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
                       gains: LinkGainMatrix, codebook: SpreadingCodebook, *,
-                      probe: PcResult | None = None,
-                      ) -> tuple[PcResult, FilterBank | None]:
+                      probe: PcResult | None = None) -> PcResult:
     """Power control from ``p`` on ``routes`` with the scenario's receiver.
 
     ``probe`` is an earlier matched run from the same ``p`` on the same
@@ -170,7 +162,7 @@ def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
             p, active, gains, codebook, scenario.noise_power,
             scenario.target_sir, tol=scenario.pc_tol,
             max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
-        )
+        )[0]
     if probe is not None and len(probe.trace) - 1 < scenario.pc_max_iter:
         start, done = probe.powers, len(probe.trace) - 1
     else:
@@ -184,7 +176,7 @@ def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
         result = PcResult(result.status, result.powers,
                           done + result.iterations,
                           np.concatenate((probe.trace, result.trace[1:])))
-    return result, None
+    return result
 
 
 def joint_optimize(scenario: Scenario, topology: Topology,
@@ -194,7 +186,7 @@ def joint_optimize(scenario: Scenario, topology: Topology,
                    phase_budget: int | None = None) -> JointSolution:
     """Alternate converged power control with route reassignment.
 
-    The route gate admits links whose estimated SIR reaches the target up to
+    The route gate admits links whose receiver SIR reaches the target up to
     the power-control tolerance jitter, and a rerouting step is accepted
     only when the re-optimized powers do not regress the total, so the
     recorded trace is non-increasing by construction. Natural termination:
@@ -227,14 +219,14 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         energy = network_energy_per_bit(routes, p, scenario, gains, codebook)
         records.append(PhaseRecord(phase, float(p.sum()), energy))
 
-    pc, filters = run_power_control(scenario, p_init, routes, gains, codebook,
-                                    probe=routes.probe)
+    pc = run_power_control(scenario, p_init, routes, gains, codebook,
+                           probe=routes.probe)
     if not pc.converged:
         frozen = np.array(p_init)
         frozen.setflags(write=False)
         return JointSolution(
             status=STATUS_INFEASIBLE_INIT, powers=frozen, routes=routes,
-            filters=None, trace=(), total_power=init_total,
+            trace=(), total_power=init_total,
             energy_per_bit=init_energy, initial_total_power=init_total,
             initial_energy_per_bit=init_energy, pc_diagnostics=pc,
         )
@@ -246,16 +238,14 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     while len(records) < cap:
         new_routes = routes
         if not stalled:
-            table = build_routing_table(gains, p)
             # gate with the SIR the receiver in use actually achieves
-            sir_matrix = None
             if scenario.receiver == "lmmse":
-                sir_matrix = lmmse_sir_matrix(p, gains, codebook,
-                                              scenario.noise_power)
-            costs = build_link_costs(p, table, gate_sir,
-                                     scenario.spreading_gain,
-                                     scenario.noise_power,
-                                     sir_matrix=sir_matrix)
+                sir = lmmse_sir_matrix(p, gains, codebook,
+                                       scenario.noise_power)
+            else:
+                sir = matched_sir_matrix(p, gains, scenario.spreading_gain,
+                                         scenario.noise_power)
+            costs = build_link_costs(p, sir, gate_sir)
             try:
                 new_routes = assign_routes(sessions, costs)
             except UnreachableSessionError:
@@ -272,8 +262,7 @@ def joint_optimize(scenario: Scenario, topology: Topology,
             continue
         # tentatively re-optimize powers for the new routes; accept only
         # non-regressing steps so total power descends by construction
-        new_pc, new_filters = run_power_control(scenario, p, new_routes,
-                                                gains, codebook)
+        new_pc = run_power_control(scenario, p, new_routes, gains, codebook)
         if not new_pc.converged \
                 or float(new_pc.powers.sum()) > prev_pc_total * (1.0 + 1e-12):
             stalled = True
@@ -285,7 +274,6 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         if len(records) >= cap:
             break
         p = new_pc.powers
-        filters = new_filters
         record(PHASE_POWER_CONTROL, p, routes)
         total = records[-1].total_power
         improvement = (prev_pc_total - total) / prev_pc_total
@@ -294,7 +282,7 @@ def joint_optimize(scenario: Scenario, topology: Topology,
             break
 
     return JointSolution(
-        status=STATUS_LOCAL_MIN, powers=p, routes=routes, filters=filters,
+        status=STATUS_LOCAL_MIN, powers=p, routes=routes,
         trace=tuple(records), total_power=records[-1].total_power,
         energy_per_bit=records[-1].energy_per_bit,
         initial_total_power=init_total, initial_energy_per_bit=init_energy,
@@ -335,13 +323,6 @@ def multi_start(scenario: Scenario, trials: int,
                                    or solution.total_power < best.total_power):
             best = solution
     return MultiStartResult(best=best, trials=tuple(summaries))
-
-
-def network_metrics(solution: JointSolution,
-                    scenario: Scenario) -> tuple[float, float, np.ndarray]:
-    """(total transmitted power, network energy per bit, per-node powers)."""
-    total = float(np.sum(solution.powers))
-    return total, solution.energy_per_bit, solution.powers
 
 
 def trace_to_csv(solution: JointSolution, path) -> None:

@@ -41,12 +41,8 @@ from .netmodel import (
     sessions_to_csv,
     topology_to_csv,
 )
-from .routing import (
-    build_routing_table,
-    estimated_sir_matrix,
-    initial_routes,
-    routes_to_csv,
-)
+from .phy import matched_sir_matrix
+from .routing import initial_routes, routes_to_csv
 from .seeds import derive_seed
 
 EXPERIMENT_KINDS = ("run", "multistart", "fairness", "capacity", "sweep")
@@ -186,9 +182,8 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
                                   codebook, p_init=p0)
         return solution.converged
     routes = initial_routes(scenario, gains, sessions, p0)
-    result, _ = run_power_control(scenario, p0, routes, gains, codebook,
-                                  probe=routes.probe)
-    return result.converged
+    return run_power_control(scenario, p0, routes, gains, codebook,
+                             probe=routes.probe).converged
 
 
 def capacity_search(scenario_template: Scenario, spreading_gain: int,
@@ -292,9 +287,8 @@ def _export_solution(net: Network, solution, out_dir: str,
     trace_to_csv(solution, path_of("trace.csv"))
     node_powers_to_csv(solution, net.topology, path_of("node_powers.csv"))
     routes_to_csv(solution.routes, path_of("routes.csv"))
-    table = build_routing_table(net.gains, solution.powers)
-    sir = estimated_sir_matrix(table, scenario.spreading_gain,
-                               scenario.noise_power)
+    sir = matched_sir_matrix(solution.powers, net.gains,
+                             scenario.spreading_gain, scenario.noise_power)
     header = ("node",) + tuple(f"to_{j}" for j in range(scenario.n_nodes))
     rows = [(i,) + tuple(float(v) for v in sir[i]) for i in range(scenario.n_nodes)]
     write_csv(os.path.join(out_dir, prefix + "sir_matrix.csv"), header, rows)

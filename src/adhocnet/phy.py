@@ -1,7 +1,8 @@
 """Physical-layer models.
 
-Matched-filter SIR under the random-sequence 1/L cross-correlation model,
-LMMSE receiver filters and their output SIR with the actual sequence
+Matched-filter SIR under the random-sequence 1/L cross-correlation model
+(per link, and for all pairs as the matrix the routing gate reads), LMMSE
+receiver filters and their output SIR with the actual sequence
 cross-correlations, and the retransmission-based link energy model.
 
 The interference sums follow the worst-case assumption that every node
@@ -57,8 +58,8 @@ def received_powers(gains: LinkGainMatrix, p: np.ndarray) -> np.ndarray:
 
     Entry j equals sum_k h(k, j) P_k over k != j; the zero diagonal of the
     gain matrix excludes each node's own transmission. This is the quantity
-    a node can measure locally, and it equals the extended estimated
-    interference of the routing layer for any incoming link.
+    a node can measure locally; the matched-filter SIR subtracts the desired
+    term from it.
     """
     return gains.gains.T @ p
 
@@ -87,6 +88,20 @@ def matched_link_sir(i_idx: np.ndarray, j_idx: np.ndarray, p: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = num / denom
     sir[denom == 0.0] = np.inf
+    return sir
+
+
+def matched_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
+                       spreading_gain: int, noise: float) -> np.ndarray:
+    """``matched_link_sir`` of every ordered pair (i, j), the SIR the
+    routing gate reads: zero on the diagonal and wherever the desired term
+    h(i,j) P_i is zero, 0/0 included; infinite where only the denominator
+    is zero."""
+    nodes = np.arange(p.shape[0])
+    sir = matched_link_sir(nodes[:, None], nodes, p, gains, spreading_gain,
+                           noise)
+    sir[gains.gains * p[:, None] == 0.0] = 0.0
+    np.fill_diagonal(sir, 0.0)
     return sir
 
 

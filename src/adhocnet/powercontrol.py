@@ -7,6 +7,15 @@ so iterating p <- T(p) converges to the minimal feasible power vector under
 any update schedule whenever the system is feasible; divergence is detected
 by the power cap or the iteration budget.
 
+Every receiver runs the same synchronous loop, ``_fixed_point``. A receiver
+supplies only the power each active link requires at the current iterate;
+the loop takes each node's worst outgoing link, applies the residual test,
+the power cap and the iteration budget, and records the total power of
+every iterate. ``pc_iterate`` requires
+target * ((1/L) sum_{k != i,j} h(k,j) P_k + noise) / h(i,j), the 1/L
+matched-filter model; ``pc_mud_iterate`` uses the exact sequence
+cross-correlations, with the LMMSE filter or fixed matched filters.
+
 Each synchronous step and each stopping test reads only the current
 iterate, so a run restarted from the k-th iterate of an earlier run on the
 same inputs, with the iteration budget less k, repeats that run's remaining
@@ -14,10 +23,9 @@ steps float for float. ``crosslayer.run_power_control`` relies on this to
 resume the matched first run from the probe that ``routing.initial_routes``
 has already run, rather than replaying it.
 
-``pc_mud_iterate`` uses the exact sequence cross-correlations. With the
-LMMSE receiver, optimizing the filter at the current powers and then
-solving for the power that meets the target collapses to the closed form
-of Ulukus and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
+With the LMMSE receiver, optimizing the filter at the current powers and
+then solving for the power that meets the target collapses to the closed
+form of Ulukus and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
 q = s_i' B_j^-1 s_i from the batched kernel ``phy.lmmse_kernel`` and
 c = P_i h(i,j). With fixed matched filters the required power is
 target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j), rho the
@@ -26,6 +34,7 @@ Gram matrix of the sequences.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,107 +127,76 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
     s = received_powers(gains, p)
     g = gains.gains[i_idx, j_idx]
     interference = (s[j_idx] - g * p[i_idx]) / spreading_gain + noise
-    return _worst_link(active.n_nodes, i_idx, target_sir * interference / g)
-
-
-def _worst_link(n_nodes: int, i_idx: np.ndarray,
-                required: np.ndarray) -> np.ndarray:
-    """Per node, the largest per-link required power; zero without links."""
-    targets = np.zeros(n_nodes)
-    np.maximum.at(targets, i_idx, required)
+    targets = np.zeros(active.n_nodes)
+    np.maximum.at(targets, i_idx, target_sir * interference / g)
     return targets
 
 
-def interference_target(i: int, p: np.ndarray, active: ActiveLinkSet,
-                        gains: LinkGainMatrix, spreading_gain: int,
-                        noise: float, target_sir: float) -> float:
-    """T_i(p) for one node; the node must have outgoing active links."""
-    if i not in active.outgoing:
-        raise ValueError(f"node {i} has no outgoing active links")
-    return float(power_targets(p, active, gains, spreading_gain, noise,
-                               target_sir)[i])
+def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
+                 required: Callable[[np.ndarray], np.ndarray], *,
+                 tol: float, max_iter: int, power_cap: float) -> PcResult:
+    """Synchronous iteration p <- T(p) shared by every receiver.
 
-
-def _residual(new: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.max(np.abs(new - ref) / np.maximum(ref, _RESIDUAL_FLOOR)))
+    ``required(p)`` gives the power each link of ``active.links`` needs at
+    the iterate p; T_i(p) is the largest over node i's outgoing links, and
+    zero for a node without one. The stopping rules are ``pc_iterate``'s.
+    """
+    if np.any(np.asarray(p0) < 0):
+        raise ValueError("initial powers must be nonnegative")
+    p = np.array(p0, dtype=float)
+    # the links are sorted by transmitter, so each transmitter's outgoing
+    # links form one run starting at its first index
+    senders, starts = np.unique(active.link_arrays[0], return_index=True)
+    # nodes outside the transmitter set hold zero power throughout
+    silent = np.ones(active.n_nodes, dtype=bool)
+    silent[senders] = False
+    p[silent] = 0.0
+    totals = [float(p.sum())]
+    status, iteration = STATUS_INFEASIBLE, 0
+    if not (p > power_cap).any():
+        status = STATUS_MAX_ITER
+        # bound once: this loop runs up to thousands of short steps per call
+        worst = np.maximum.reduceat
+        for iteration in range(1, max_iter + 1):
+            t = np.zeros(active.n_nodes)
+            t[senders] = np.maximum(0.0, worst(required(p), starts))
+            if (np.abs(t - p) / np.maximum(p, _RESIDUAL_FLOOR)).max() <= tol:
+                status = STATUS_CONVERGED
+                break
+            p = t
+            totals.append(float(p.sum()))
+            if (p > power_cap).any():
+                status = STATUS_INFEASIBLE
+                break
+    p.setflags(write=False)
+    return PcResult(status, p, iteration, np.asarray(totals))
 
 
 def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
                spreading_gain: int, noise: float, target_sir: float, *,
                tol: float = 1e-6, max_iter: int = 10_000,
-               power_cap: float = 1.0,
-               schedule: str = "synchronous") -> PcResult:
+               power_cap: float = 1.0) -> PcResult:
     """Iterate the matched-filter power update until the residual test.
 
     Converged means every node's update residual |P_i - T_i(p)| / max(P_i, eps)
     is at most ``tol`` at the returned vector. Any power exceeding
     ``power_cap`` stops the run as infeasible; running out of iterations
     yields status "max_iter". The powers are returned either way for
-    diagnosis. ``schedule`` is "synchronous" (all nodes update from the
-    previous iterate) or "async-sweep" (in-place Gauss-Seidel sweep in node
-    order); both terminate only once the synchronous residual passes.
+    diagnosis. All nodes update from the previous iterate.
     """
-    if np.any(np.asarray(p0) < 0):
-        raise ValueError("initial powers must be nonnegative")
-    if schedule not in ("synchronous", "async-sweep"):
-        raise ValueError(f"unknown schedule {schedule!r}")
-    p = np.array(p0, dtype=float)
-    # the links are sorted by transmitter, so each transmitter's outgoing
-    # links form one run starting at its first index
     i_idx, j_idx = active.link_arrays
-    senders, starts = np.unique(i_idx, return_index=True)
-    # nodes outside the transmitter set hold zero power throughout
-    mask = np.zeros(active.n_nodes, dtype=bool)
-    mask[senders] = True
-    p[~mask] = 0.0
-    totals = [float(p.sum())]
+    g_t = gains.gains.T
+    g_link = gains.gains[i_idx, j_idx]
 
-    def finish(status, powers, iterations):
-        powers = powers.copy()
-        powers.setflags(write=False)
-        return PcResult(status, powers, iterations, np.asarray(totals))
+    def required(p):
+        # power_targets' per-link expression with the gathers hoisted: the
+        # same float operations in the same order
+        s = g_t @ p
+        interference = (s[j_idx] - g_link * p[i_idx]) / spreading_gain + noise
+        return target_sir * interference / g_link
 
-    if (p > power_cap).any():
-        return finish(STATUS_INFEASIBLE, p, 0)
-    g = gains.gains
-    g_t = g.T
-    g_link = g[i_idx, j_idx]
-    for iteration in range(1, max_iter + 1):
-        if schedule == "synchronous":
-            # power_targets and _residual with the per-link gathers hoisted:
-            # the same float operations in the same order
-            s = g_t @ p
-            interference = (s[j_idx] - g_link * p[i_idx]) / spreading_gain + noise
-            worst = np.maximum.reduceat(target_sir * interference / g_link,
-                                        starts)
-            t = np.zeros(active.n_nodes)
-            t[senders] = np.maximum(0.0, worst)
-            if (np.abs(t - p) / np.maximum(p, _RESIDUAL_FLOOR)).max() <= tol:
-                return finish(STATUS_CONVERGED, p, iteration)
-            p = t
-        else:
-            p_prev = p.copy()
-            s = received_powers(gains, p)
-            for i in active.transmitters:
-                best = 0.0
-                for j in active.outgoing[i]:
-                    interference = (s[j] - g[i, j] * p[i]) / spreading_gain + noise
-                    required = target_sir * interference / g[i, j]
-                    if required > best:
-                        best = required
-                delta = best - p[i]
-                if delta != 0.0:
-                    s = s + g[i, :] * delta
-                    p[i] = best
-            if _residual(p, p_prev) <= tol:
-                t = power_targets(p, active, gains, spreading_gain, noise,
-                                  target_sir)
-                if _residual(t, p) <= tol:
-                    return finish(STATUS_CONVERGED, p, iteration)
-        totals.append(float(p.sum()))
-        if (p > power_cap).any():
-            return finish(STATUS_INFEASIBLE, p, iteration)
-    return finish(STATUS_MAX_ITER, p, max_iter)
+    return _fixed_point(p0, active, required, tol=tol, max_iter=max_iter,
+                        power_cap=power_cap)
 
 
 def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
@@ -233,20 +211,15 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     (module docstring), equal to recomputing each link's LMMSE filter at the
     current powers and then applying the power update for those filters.
     ``filter_mode="matched"`` keeps the matched filters fixed, which gives
-    the exact-cross-correlation matched baseline. The returned filter bank
-    is computed at the returned power vector.
+    the exact-cross-correlation matched baseline. The stopping rules are
+    ``pc_iterate``'s. The returned filter bank is computed at the returned
+    power vector.
     """
-    if np.any(np.asarray(p0) < 0):
-        raise ValueError("initial powers must be nonnegative")
     if filter_mode not in ("lmmse", "matched"):
         raise ValueError(f"unknown filter_mode {filter_mode!r}")
-    p = np.array(p0, dtype=float)
-    mask = np.zeros(active.n_nodes, dtype=bool)
-    mask[list(active.transmitters)] = True
-    p[~mask] = 0.0
-    totals = [float(p.sum())]
     i_idx, j_idx = active.link_arrays
     g = gains.gains[i_idx, j_idx]
+    stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
 
     if filter_mode == "matched":
         seqs = codebook.sequences
@@ -254,39 +227,23 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
         np.fill_diagonal(rho2, 0.0)
         # row l: the interferers' power weights at link l's receiver
         coupling = rho2[i_idx] * gains.gains[:, j_idx].T
-
-        def required(powers):
-            return target_sir * (coupling @ powers + noise) / g
-    else:
-        receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-        last_solve = []
-
-        def required(powers):
-            q, x = lmmse_kernel(powers, gains, codebook, noise, receivers,
-                                senders)
-            q = q[rows, cols]
-            last_solve[:] = [q, x]
-            return target_sir * (1.0 - powers[i_idx] * g * q) / (g * q)
-
-    status, iteration = STATUS_INFEASIBLE, 0
-    if not np.any(p > power_cap):
-        status = STATUS_MAX_ITER
-        for iteration in range(1, max_iter + 1):
-            t = _worst_link(active.n_nodes, i_idx, required(p))
-            if _residual(t, p) <= tol:
-                status = STATUS_CONVERGED
-                break
-            p = t
-            totals.append(float(p.sum()))
-            if np.any(p > power_cap):
-                status = STATUS_INFEASIBLE
-                break
-    powers = p.copy()
-    powers.setflags(write=False)
-    result = PcResult(status, powers, iteration, np.asarray(totals))
-    if filter_mode == "matched":
+        result = _fixed_point(
+            p0, active, lambda p: target_sir * (coupling @ p + noise) / g,
+            **stop)
         return result, FilterBank.matched(codebook, active.links)
-    if status != STATUS_CONVERGED:
+
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    last_solve = []
+
+    def required(powers):
+        q, x = lmmse_kernel(powers, gains, codebook, noise, receivers, senders)
+        q = q[rows, cols]
+        last_solve[:] = [q, x]
+        return target_sir * (1.0 - powers[i_idx] * g * q) / (g * q)
+
+    result = _fixed_point(p0, active, required, **stop)
+    p = result.powers
+    if not result.converged:
         required(p)  # the last solve must be at the returned powers
     q, x = last_solve
     # lmmse_filter's scale, with A^-1 s_i = B_j^-1 s_i / (1 - c q) for the

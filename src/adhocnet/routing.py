@@ -1,14 +1,15 @@
 """Power-aware route computation.
 
-The routing layer sees only the node powers and link gains. From them it
-estimates the achievable SIR of every potential link (active or not), gates
-links below the SIR target out of the graph by giving them infinite cost,
-prices the remaining links at the transmitter's power, and finds all
-distances to the session destinations with one csgraph Dijkstra call. Each
-session then follows per-destination next-hop pointers along the
-lexicographically smallest minimum-cost route. The estimated SIR of a link
-coincides exactly with the matched-filter SIR, so it does not depend on
-which routes are in use.
+The routing layer sees only the node powers and link gains. From them the
+receiver's SIR of every potential link (active or not) is computed in phy:
+``phy.matched_sir_matrix`` for the matched filter, the one place the
+matched SIR is computed, or ``phy.lmmse_sir_matrix``. The gate gives links
+below the SIR target infinite cost, prices the remaining links at the
+transmitter's power, and finds all distances to the session destinations
+with one csgraph Dijkstra call. Each session then follows per-destination
+next-hop pointers along the lexicographically smallest minimum-cost route.
+The SIR matrices read only powers and gains, so they do not depend on which
+routes are in use.
 
 Initialization differs: before the first power-control run there are no
 optimized powers to price links with, so links are priced by the energy per
@@ -34,84 +35,21 @@ import scipy.sparse.csgraph as csgraph
 
 from .errors import UnreachableSessionError
 from .netmodel import LinkGainMatrix, Scenario, SessionSet
-from .phy import efficiency, received_powers
+from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate
 
 # Cost matrices are plain (n, n) float arrays with +inf for unusable links.
 LinkCostMatrix = np.ndarray
 
 
-@dataclass(frozen=True)
-class RoutingTable:
-    """Per-node view used to price links: gains, powers, and the extended
-    estimated interference at every other node.
+def build_link_costs(p: np.ndarray, sir: np.ndarray,
+                     target_sir: float) -> LinkCostMatrix:
+    """SIR-gated link costs: the transmitter's power when the link's SIR in
+    ``sir`` reaches the target (boundary included), +inf otherwise.
 
-    The extended interference for link (i, j) is the total received power at
-    j from all transmitters other than j itself; it includes i's own
-    contribution, which the SIR estimate subtracts back out.
+    ``sir`` is the all-pairs SIR matrix of the receiver in use at ``p``:
+    ``phy.matched_sir_matrix`` or ``phy.lmmse_sir_matrix``.
     """
-
-    gains: LinkGainMatrix
-    powers: np.ndarray
-    ext_interference: np.ndarray  # (n, n); entry [i, j] applies to link (i, j)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.powers.shape[0]
-
-
-def build_routing_table(gains: LinkGainMatrix, p: np.ndarray) -> RoutingTable:
-    received = received_powers(gains, p)
-    n = p.shape[0]
-    ext = np.broadcast_to(received, (n, n)).copy()
-    ext.setflags(write=False)
-    powers = np.array(p, dtype=float)
-    powers.setflags(write=False)
-    return RoutingTable(gains=gains, powers=powers, ext_interference=ext)
-
-
-def estimated_sir(i: int, j: int, table: RoutingTable, spreading_gain: int,
-                  noise: float) -> float:
-    """Estimated SIR of potential link (i, j) from the routing table.
-
-    h(i,j) P_i / ( (1/L)(ext(i,j) - h(i,j) P_i) + noise ); identical to the
-    matched-filter SIR because ext(i,j) minus the desired term is exactly
-    the interference sum.
-    """
-    if i == j:
-        raise ValueError("link endpoints must differ")
-    num = table.gains.gains[i, j] * table.powers[i]
-    denom = (table.ext_interference[i, j] - num) / spreading_gain + noise
-    if denom == 0.0:
-        return float("inf")
-    return float(num / denom)
-
-
-def estimated_sir_matrix(table: RoutingTable, spreading_gain: int,
-                         noise: float) -> np.ndarray:
-    """Estimated SIR for all ordered pairs; diagonal set to zero."""
-    num = table.gains.gains * table.powers[:, None]
-    denom = (table.ext_interference - num) / spreading_gain + noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sir = num / denom
-    bad = ~np.isfinite(sir)
-    if np.any(bad):
-        sir[bad] = np.where(num[bad] > 0, np.inf, 0.0)
-    np.fill_diagonal(sir, 0.0)
-    return sir
-
-
-def build_link_costs(p: np.ndarray, table: RoutingTable, target_sir: float,
-                     spreading_gain: int, noise: float,
-                     sir_matrix: np.ndarray | None = None) -> LinkCostMatrix:
-    """SIR-gated link costs: the transmitter's power when the estimated SIR
-    reaches the target (boundary included), +inf otherwise.
-
-    ``sir_matrix`` overrides the matched-filter estimate, e.g. with the
-    achievable LMMSE SIR when that receiver is in use.
-    """
-    sir = sir_matrix if sir_matrix is not None \
-        else estimated_sir_matrix(table, spreading_gain, noise)
     costs = np.where(sir >= target_sir, np.broadcast_to(p[:, None], sir.shape),
                      np.inf)
     np.fill_diagonal(costs, np.inf)
@@ -124,11 +62,11 @@ def initial_route_costs(scenario: Scenario, sir: np.ndarray,
 
     A link is priced by the energy per bit it would consume when operated at
     the SIR target under the interference seen at the initial powers: the
-    required transmit power is P_i * target / estimated_sir, and the packet
+    required transmit power is P_i * target / sir, and the packet
     success probability at target operation is a constant factor. The cost
-    is finite for every link with nonzero estimated SIR, also below the
-    target, so a starting route assignment always exists. ``sir`` is the
-    estimated SIR matrix at ``p_init``.
+    is finite for every link with nonzero SIR, also below the
+    target, so a starting route assignment always exists. ``sir`` is
+    ``phy.matched_sir_matrix`` at ``p_init``.
     """
     success = float(efficiency(scenario.target_sir, scenario.packet_bits))
     # the success factor is a link-independent scale; if it underflows for a
@@ -295,7 +233,7 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     """Sparse strongly-connected digraph of locally strong links.
 
     Every node contributes its best outgoing link and receives its best
-    incoming link (by estimated SIR); remaining strongly connected
+    incoming link (by matched SIR); remaining strongly connected
     components are then merged rounds-wise through their best outgoing
     links. Keeping the skeleton sparse matters: each extra outgoing link
     tightens a node's worst-link power constraint. Ties go to the first
@@ -364,9 +302,8 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
     candidate is returned with the probe made on it.
     """
     p_init = np.asarray(p_init, dtype=float)
-    table = build_routing_table(gains, p_init)
-    sir = estimated_sir_matrix(table, scenario.spreading_gain,
-                               scenario.noise_power)
+    sir = matched_sir_matrix(p_init, gains, scenario.spreading_gain,
+                             scenario.noise_power)
     base_costs = initial_route_costs(scenario, sir, p_init)
 
     forbidden = np.zeros_like(sir, dtype=bool)

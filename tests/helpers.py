@@ -20,9 +20,14 @@ from adhocnet.powercontrol import (
     STATUS_MAX_ITER,
     ActiveLinkSet,
     PcResult,
-    _residual,
     power_targets,
 )
+
+
+def _residual(new: np.ndarray, ref: np.ndarray) -> float:
+    """Largest relative update |new - ref| / max(ref, eps), the power
+    solvers' stopping test."""
+    return float(np.max(np.abs(new - ref) / np.maximum(ref, 1e-30)))
 
 
 def topology_from_positions(positions, area_side=200.0):
@@ -334,6 +339,35 @@ def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,
         if np.any(p > power_cap):
             return finish(STATUS_INFEASIBLE, p, iteration)
     return finish(STATUS_MAX_ITER, p, max_iter)
+
+
+def gauss_seidel_sweep(p0: np.ndarray, active: ActiveLinkSet,
+                       gains: LinkGainMatrix, spreading_gain: int,
+                       noise: float, target_sir: float, *, tol: float,
+                       max_sweeps: int) -> np.ndarray | None:
+    """Matched power iteration under an asynchronous schedule, kept as the
+    reference that the fixed point does not depend on the update order.
+
+    Each sweep updates the transmitters in node order and in place, each to
+    its ``power_targets`` entry at the latest powers (Gauss-Seidel). Stops
+    once a sweep moves no power by more than ``tol`` (relative) and the
+    synchronous residual passes as well; returns None when that takes more
+    than ``max_sweeps`` sweeps.
+    """
+    p = np.zeros(active.n_nodes)
+    senders = list(active.transmitters)
+    p[senders] = np.asarray(p0, dtype=float)[senders]
+    for _ in range(max_sweeps):
+        previous = p.copy()
+        for i in senders:
+            p[i] = power_targets(p, active, gains, spreading_gain, noise,
+                                 target_sir)[i]
+        if _residual(p, previous) <= tol:
+            t = power_targets(p, active, gains, spreading_gain, noise,
+                              target_sir)
+            if _residual(t, p) <= tol:
+                return p
+    return None
 
 
 def same_pc_result(a: PcResult, b: PcResult) -> bool:

@@ -19,15 +19,12 @@ from adhocnet.phy import (
     FilterBank,
     efficiency,
     lmmse_filter,
+    matched_sir_matrix,
     sir_lmmse,
     sir_matched,
 )
 from adhocnet.powercontrol import pc_iterate, pc_mud_iterate, power_targets
-from adhocnet.routing import (
-    build_routing_table,
-    estimated_sir_matrix,
-    initial_routes,
-)
+from adhocnet.routing import initial_routes
 from helpers import (
     random_active_links,
     random_network,
@@ -161,14 +158,12 @@ def test_criterion_06_route_invariance_of_link_sir():
                             GAMMA)
         if not result.converged:
             continue
-        table_a = build_routing_table(net.gains, result.powers)
-        matrix_a = estimated_sir_matrix(table_a, 64, NOISE)
+        matrix_a = matched_sir_matrix(result.powers, net.gains, 64, NOISE)
         # a completely different route assignment: shifted ring sessions
         from adhocnet.routing import RouteSet
 
         RouteSet(paths=tuple((i, (i + 1) % n) for i in range(n)), n_nodes=n)
-        table_b = build_routing_table(net.gains, result.powers)
-        matrix_b = estimated_sir_matrix(table_b, 64, NOISE)
+        matrix_b = matched_sir_matrix(result.powers, net.gains, 64, NOISE)
         finite = np.isfinite(matrix_a)
         assert np.array_equal(matrix_a, matrix_b)
         assert np.all(np.abs(matrix_a[finite] - matrix_b[finite]) <= 1e-12)

@@ -4,12 +4,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from adhocnet.crosslayer import (
-    JointSolution,
     initial_powers,
     joint_optimize,
     multi_start,
     network_energy_per_bit,
-    network_metrics,
     run_power_control,
     trace_to_csv,
 )
@@ -19,6 +17,7 @@ from adhocnet.phy import (
     FilterBank,
     energy_per_bit_link,
     lmmse_filter,
+    matched_sir_matrix,
     sir_lmmse,
     sir_matched,
 )
@@ -28,7 +27,6 @@ from adhocnet.routing import (
     RouteSet,
     assign_routes,
     build_link_costs,
-    build_routing_table,
     initial_routes,
 )
 from adhocnet.seeds import derive_seed
@@ -64,10 +62,10 @@ def test_trace_descends_and_final_routes_are_locally_optimal():
     for before, after in zip(totals[:-1], totals[1:]):
         assert after <= before * (1 + 1e-12)
     # one extra routing pass cannot find a cheaper assignment
-    table = build_routing_table(net.gains, solution.powers)
-    gate = scenario.target_sir * (1.0 - 10.0 * scenario.pc_tol)
-    costs = build_link_costs(solution.powers, table, gate,
+    sir = matched_sir_matrix(solution.powers, net.gains,
                              scenario.spreading_gain, scenario.noise_power)
+    gate = scenario.target_sir * (1.0 - 10.0 * scenario.pc_tol)
+    costs = build_link_costs(solution.powers, sir, gate)
     extra = assign_routes(net.sessions, costs)
 
     def route_cost(routes):
@@ -157,16 +155,10 @@ def test_initial_powers_modes():
 
 def test_network_metrics_degenerate_zero_powers():
     scenario = Scenario(n_nodes=4, spreading_gain=8)
-    powers = np.zeros(4)
-    solution = JointSolution(
-        status="local_min", powers=powers, routes=RouteSet(paths=(), n_nodes=4),
-        filters=None, trace=(), total_power=0.0, energy_per_bit=0.0,
-        initial_total_power=0.0, initial_energy_per_bit=0.0,
-    )
-    total, energy, per_node = network_metrics(solution, scenario)
-    assert total == 0.0
+    _, gains = random_network(np.random.default_rng(4), 4)
+    routes = RouteSet(paths=(), n_nodes=4)
+    energy = network_energy_per_bit(routes, np.zeros(4), scenario, gains)
     assert energy == 0.0
-    assert np.array_equal(per_node, powers)
 
 
 def test_network_metrics_single_link_fixed_point():
@@ -272,11 +264,10 @@ def resume_matches_fresh_run(seed, n, spreading, power_cap, probe_iter,
     kwargs = dict(tol=scenario.pc_tol, power_cap=power_cap)
     probe = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
                        max_iter=probe_iter, **kwargs)
-    resumed, filters = run_power_control(scenario, p0, routes, gains, None,
-                                         probe=probe)
+    resumed = run_power_control(scenario, p0, routes, gains, None,
+                                probe=probe)
     fresh = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
                        max_iter=max_iter, **kwargs)
-    assert filters is None
     assert same_pc_result(resumed, fresh)
     return "fresh" if max_iter <= len(probe.trace) - 1 else probe.status
 

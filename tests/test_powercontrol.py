@@ -9,13 +9,13 @@ from adhocnet.netmodel import SpreadingCodebook, compute_link_gains, \
     generate_spreading_codebook
 from adhocnet.powercontrol import (
     ActiveLinkSet,
-    interference_target,
     pc_iterate,
     pc_mud_iterate,
     power_targets,
 )
 from helpers import (
     from_links_loop,
+    gauss_seidel_sweep,
     pc_iterate_loop,
     pc_mud_two_step,
     random_active_links,
@@ -34,8 +34,9 @@ def test_interference_target_single_isolated_link():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
     active = ActiveLinkSet.from_links(2, [(0, 1)])
-    t = interference_target(0, np.zeros(2), active, gains, 128, NOISE, GAMMA)
-    assert t == pytest.approx(1.25e-8, rel=1e-12)
+    t = power_targets(np.zeros(2), active, gains, 128, NOISE, GAMMA)
+    assert t[0] == pytest.approx(1.25e-8, rel=1e-12)
+    assert t[1] == 0.0  # no outgoing link
 
 
 def test_interference_target_takes_worst_outgoing_link():
@@ -45,7 +46,7 @@ def test_interference_target_takes_worst_outgoing_link():
     active = ActiveLinkSet.from_links(4, [(0, 1), (0, 2), (3, 1)])
     rng = np.random.default_rng(0)
     p = rng.uniform(1e-8, 1e-6, 4)
-    got = interference_target(0, p, active, gains, 16, NOISE, GAMMA)
+    got = power_targets(p, active, gains, 16, NOISE, GAMMA)[0]
     g = gains.gains
     per_link = []
     for j in (1, 2):
@@ -59,18 +60,10 @@ def test_interference_target_zero_powers_noise_floor():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0], [40.0, 70.0]])
     gains = compute_link_gains(topo, 2.0)
     active = ActiveLinkSet.from_links(3, [(0, 1), (0, 2)])
-    t = interference_target(0, np.zeros(3), active, gains, 16, NOISE, GAMMA)
+    t = power_targets(np.zeros(3), active, gains, 16, NOISE, GAMMA)[0]
     g = gains.gains
     assert t == pytest.approx(max(GAMMA * NOISE / g[0, 1],
                                   GAMMA * NOISE / g[0, 2]), rel=1e-12)
-
-
-def test_interference_target_requires_outgoing_links():
-    topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
-    gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        interference_target(1, np.zeros(2), active, gains, 16, NOISE, GAMMA)
 
 
 def test_pc_single_link_converges_in_two_iterations():
@@ -162,11 +155,11 @@ def test_pc_schedules_agree():
         _, gains, active, oracle, _ = inst
         tol = 1e-9
         sync = pc_iterate(np.zeros(8), active, gains, 32, NOISE, GAMMA,
-                          tol=tol, max_iter=100_000, schedule="synchronous")
-        askew = pc_iterate(np.zeros(8), active, gains, 32, NOISE, GAMMA,
-                           tol=tol, max_iter=100_000, schedule="async-sweep")
-        assert sync.converged and askew.converged
-        assert np.allclose(sync.powers, askew.powers, rtol=10 * tol)
+                          tol=tol, max_iter=100_000)
+        askew = gauss_seidel_sweep(np.zeros(8), active, gains, 32, NOISE,
+                                   GAMMA, tol=tol, max_sweeps=100_000)
+        assert sync.converged and askew is not None
+        assert np.allclose(sync.powers, askew, rtol=10 * tol)
         assert np.allclose(sync.powers, oracle, rtol=1e-6)
         found += 1
 

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from adhocnet.errors import UnreachableSessionError
 from adhocnet.netmodel import Scenario, SessionSet, build_network, \
     compute_link_gains
-from adhocnet.phy import sir_matched
+from adhocnet.phy import matched_link_sir, matched_sir_matrix, sir_matched
 from adhocnet.routing import (
     RouteSet,
     _initial_skeleton,
     assign_routes,
     build_link_costs,
-    build_routing_table,
-    estimated_sir,
-    estimated_sir_matrix,
     initial_routes,
     shortest_path,
 )
@@ -25,12 +22,14 @@ GAMMA = 12.5
 NOISE = 1e-13
 
 
+# The routing gate's estimated SIR is phy.matched_sir_matrix.
+
+
 def test_estimated_sir_no_other_transmitters():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0], [50.0, 80.0]])
     gains = compute_link_gains(topo, 2.0)
     p = np.array([1e-6, 0.0, 0.0])
-    table = build_routing_table(gains, p)
-    got = estimated_sir(0, 1, table, 16, NOISE)
+    got = matched_sir_matrix(p, gains, 16, NOISE)[0, 1]
     assert got == pytest.approx(gains.gains[0, 1] * p[0] / NOISE, rel=1e-12)
 
 
@@ -38,14 +37,10 @@ def test_estimated_sir_equals_matched_sir_exactly():
     rng = np.random.default_rng(0)
     _, gains = random_network(rng, 9)
     p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), 9))
-    table = build_routing_table(gains, p)
-    for i in range(9):
-        for j in range(9):
-            if i == j:
-                continue
-            est = estimated_sir(i, j, table, 32, NOISE)
-            direct = sir_matched((i, j), p, gains, 32, NOISE)
-            assert est == direct  # bit-identical by construction
+    matrix = matched_sir_matrix(p, gains, 32, NOISE)
+    i_idx, j_idx = np.nonzero(~np.eye(9, dtype=bool))
+    links = matched_link_sir(i_idx, j_idx, p, gains, 32, NOISE)
+    assert matrix[i_idx, j_idx].tobytes() == links.tobytes()
 
 
 def test_estimated_sir_matrix_matches_scalar_path():
@@ -53,27 +48,30 @@ def test_estimated_sir_matrix_matches_scalar_path():
     _, gains = random_network(rng, 7)
     p = rng.uniform(0.0, 1e-6, 7)
     p[3] = 0.0
-    table = build_routing_table(gains, p)
-    matrix = estimated_sir_matrix(table, 16, NOISE)
+    matrix = matched_sir_matrix(p, gains, 16, NOISE)
     for i in range(7):
         for j in range(7):
             if i == j:
                 assert matrix[i, j] == 0.0
             else:
-                assert matrix[i, j] == estimated_sir(i, j, table, 16, NOISE)
+                assert matrix[i, j] == sir_matched((i, j), p, gains, 16, NOISE)
     assert np.all(matrix[3, :] == 0.0)  # zero power cannot reach anyone
 
 
-def test_extended_interference_bounds():
-    rng = np.random.default_rng(2)
-    _, gains = random_network(rng, 6)
-    p = rng.uniform(1e-8, 1e-6, 6)
-    table = build_routing_table(gains, p)
-    for i in range(6):
-        for j in range(6):
-            if i != j:
-                assert table.ext_interference[i, j] >= \
-                    gains.gains[i, j] * p[i] - 1e-30
+def test_estimated_sir_zero_over_zero_is_zero():
+    # without noise and interference a silent transmitter reads 0/0 and is
+    # gated out, while a sending one reads x/0 and is admitted
+    gains_matrix = np.array([[0.0, 2.0 ** -10, 0.0],
+                             [2.0 ** -10, 0.0, 0.0],
+                             [0.0, 0.0, 0.0]])
+    gains_matrix.setflags(write=False)
+    from adhocnet.netmodel import LinkGainMatrix
+
+    gains = LinkGainMatrix(gains=gains_matrix)
+    matrix = matched_sir_matrix(np.array([1.0, 0.0, 0.0]), gains, 4, 0.0)
+    assert matrix[0, 1] == np.inf
+    assert matrix[1, 0] == 0.0
+    assert np.all(np.diag(matrix) == 0.0)
 
 
 def test_link_costs_boundary_sir_is_admitted():
@@ -88,14 +86,14 @@ def test_link_costs_boundary_sir_is_admitted():
     target = 12.5
     p_exact = target * noise / 2.0 ** -10  # receiver sees exactly target
     p = np.array([p_exact, 0.0])
-    table = build_routing_table(gains, p)
-    assert estimated_sir(0, 1, table, 1, noise) == target
-    costs = build_link_costs(p, table, target, 1, noise)
+    sir = matched_sir_matrix(p, gains, 1, noise)
+    assert sir[0, 1] == target
+    costs = build_link_costs(p, sir, target)
     assert costs[0, 1] == p_exact
     # strictly below target gates out
     p_low = np.array([p_exact * 0.999, 0.0])
-    table_low = build_routing_table(gains, p_low)
-    costs_low = build_link_costs(p_low, table_low, target, 1, noise)
+    costs_low = build_link_costs(p_low, matched_sir_matrix(p_low, gains, 1,
+                                                           noise), target)
     assert costs_low[0, 1] == np.inf
 
 
@@ -103,8 +101,8 @@ def test_link_costs_zero_power_is_gated():
     rng = np.random.default_rng(3)
     _, gains = random_network(rng, 4)
     p = np.array([0.0, 1e-6, 1e-6, 1e-6])
-    table = build_routing_table(gains, p)
-    costs = build_link_costs(p, table, GAMMA, 16, NOISE)
+    costs = build_link_costs(p, matched_sir_matrix(p, gains, 16, NOISE),
+                             GAMMA)
     assert np.all(costs[0, :] == np.inf)
 
 
@@ -225,11 +223,10 @@ def test_initial_routes_collinear_multihop_beats_direct():
     routes = initial_routes(scenario, gains, sessions, p0)
     assert routes.paths[0] == (0, 1, 2, 3)
     # oracle: energy per bit of the hop path beats the direct link
-    table = build_routing_table(gains, p0)
 
     def link_energy(link):
-        sir = estimated_sir(link[0], link[1], table, scenario.spreading_gain,
-                            scenario.noise_power)
+        sir = sir_matched(link, p0, gains, scenario.spreading_gain,
+                          scenario.noise_power)
         return energy_per_bit_link(link, p0, sir, scenario.bit_rate,
                                    scenario.packet_bits)
 
@@ -264,13 +261,13 @@ def test_route_invariance_of_estimated_sir():
     res = pc_iterate(p0, routes_a.active_links, net.gains, 64,
                      scenario.noise_power, scenario.target_sir)
     assert res.converged
-    table_a = build_routing_table(net.gains, res.powers)
-    matrix_a = estimated_sir_matrix(table_a, 64, scenario.noise_power)
+    matrix_a = matched_sir_matrix(res.powers, net.gains, 64,
+                                  scenario.noise_power)
     # a different (arbitrary) route set
     paths = tuple((i, int((i + 3) % 10)) for i in range(10))
     RouteSet(paths=paths, n_nodes=10)
-    table_b = build_routing_table(net.gains, res.powers)
-    matrix_b = estimated_sir_matrix(table_b, 64, scenario.noise_power)
+    matrix_b = matched_sir_matrix(res.powers, net.gains, 64,
+                                  scenario.noise_power)
     assert np.array_equal(matrix_a, matrix_b)
 
 
@@ -284,10 +281,9 @@ def test_gating_soundness_of_assigned_routes():
     res = pc_iterate(p0, routes0.active_links, net.gains, 64,
                      scenario.noise_power, scenario.target_sir)
     assert res.converged
-    table = build_routing_table(net.gains, res.powers)
-    matrix = estimated_sir_matrix(table, 64, scenario.noise_power)
-    costs = build_link_costs(res.powers, table, scenario.target_sir, 64,
-                             scenario.noise_power)
+    matrix = matched_sir_matrix(res.powers, net.gains, 64,
+                                scenario.noise_power)
+    costs = build_link_costs(res.powers, matrix, scenario.target_sir)
     routes = assign_routes(net.sessions, costs)
     for i, j in routes.active_links.links:
         assert matrix[i, j] >= scenario.target_sir
