@@ -13,7 +13,7 @@ rerouting the powers are not yet re-optimized for the new routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .phy import (
     incoming_slots,
     link_energies,
     lmmse_kernel,
+    lmmse_link_sir,
     lmmse_sir_matrix,
     matched_link_sir,
     matched_sir_matrix,
@@ -117,12 +118,11 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
     """Total energy per delivered bit, summed over sessions and route links.
 
     Each link's energy uses the SIR model matching the scenario's receiver.
-    For the LMMSE receiver the SIR is c q / (1 - c q) from one kernel call
-    over the route receivers; a route transmitter at zero power keeps the
-    reference filter's value, SIR inf and energy 0.
+    For the LMMSE receiver the SIR is ``phy.lmmse_link_sir`` of one kernel
+    call over the route receivers; a route transmitter at zero power keeps
+    the reference filter's value, SIR inf and energy 0.
     """
-    active = routes.active_links
-    i_idx, j_idx = active.link_arrays
+    i_idx, j_idx = routes.active_links.link_arrays
     if scenario.receiver == "matched":
         sir = matched_link_sir(i_idx, j_idx, p, gains,
                                scenario.spreading_gain, scenario.noise_power)
@@ -132,11 +132,18 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
         receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
         q = lmmse_kernel(p, gains, codebook, scenario.noise_power,
                          receivers, senders)[0][rows, cols]
-        c = p[i_idx] * gains.gains[i_idx, j_idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir = np.where(c == 0.0, np.inf, c * q / (1.0 - c * q))
+        sir = lmmse_link_sir(p[i_idx] * gains.gains[i_idx, j_idx], q)
+    return _route_energy(routes, p, sir, scenario)
+
+
+def _route_energy(routes: RouteSet, p: np.ndarray, link_sir: np.ndarray,
+                 scenario: Scenario) -> float:
+    """``network_energy_per_bit`` from the SIR of every active link, given
+    in ``routes.active_links.links`` order."""
+    active = routes.active_links
     energy = dict(zip(active.links, link_energies(
-        p[i_idx], sir, scenario.bit_rate, scenario.packet_bits).tolist()))
+        p[active.link_arrays[0]], link_sir, scenario.bit_rate,
+        scenario.packet_bits).tolist()))
     total = 0.0
     for path in routes.paths:
         for link in zip(path[:-1], path[1:]):
@@ -215,9 +222,19 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     gate_sir = scenario.target_sir * (1.0 - 10.0 * scenario.pc_tol)
     records: list[PhaseRecord] = []
 
-    def record(phase, p, routes):
-        energy = network_energy_per_bit(routes, p, scenario, gains, codebook)
+    def record(phase, p, routes, link_sir=None):
+        # a power-control run that reports its link SIRs at p has already
+        # solved what network_energy_per_bit would solve again
+        if link_sir is None:
+            energy = network_energy_per_bit(routes, p, scenario, gains,
+                                            codebook)
+        else:
+            energy = _route_energy(routes, p, link_sir, scenario)
         records.append(PhaseRecord(phase, float(p.sum()), energy))
+
+    def repeat(phase):
+        # only called while p and routes are still the last record's
+        records.append(replace(records[-1], phase=phase))
 
     pc = run_power_control(scenario, p_init, routes, gains, codebook,
                            probe=routes.probe)
@@ -231,7 +248,7 @@ def joint_optimize(scenario: Scenario, topology: Topology,
             initial_energy_per_bit=init_energy, pc_diagnostics=pc,
         )
     p = pc.powers
-    record(PHASE_POWER_CONTROL, p, routes)
+    record(PHASE_POWER_CONTROL, p, routes, pc.link_sir)
     prev_pc_total = records[-1].total_power
     stalled = False
 
@@ -253,12 +270,12 @@ def joint_optimize(scenario: Scenario, topology: Topology,
                 new_routes = routes
         unchanged = new_routes.paths == routes.paths
         if unchanged:
-            record(PHASE_ROUTING, p, routes)
+            repeat(PHASE_ROUTING)
             if not budget_mode:
                 break
             if len(records) >= cap:
                 break
-            record(PHASE_POWER_CONTROL, p, routes)
+            repeat(PHASE_POWER_CONTROL)
             continue
         # tentatively re-optimize powers for the new routes; accept only
         # non-regressing steps so total power descends by construction
@@ -274,7 +291,7 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         if len(records) >= cap:
             break
         p = new_pc.powers
-        record(PHASE_POWER_CONTROL, p, routes)
+        record(PHASE_POWER_CONTROL, p, routes, new_pc.link_sir)
         total = records[-1].total_power
         improvement = (prev_pc_total - total) / prev_pc_total
         prev_pc_total = total

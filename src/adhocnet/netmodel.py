@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,6 +94,10 @@ class Scenario:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_nodes < 2:
             raise ConfigError("n_nodes must be at least 2")
         if self.spreading_gain < 1:
@@ -113,6 +118,9 @@ class Scenario:
             raise ConfigError("initial_power must be positive")
         if self.initial_power_range is not None:
             lo, hi = self.initial_power_range
+            if not all(map(math.isfinite, (lo, hi))):
+                raise ConfigError("initial_power_range must be finite, "
+                                  f"got {self.initial_power_range!r}")
             if not (0 < lo <= hi):
                 raise ConfigError("initial_power_range must satisfy 0 < low <= high")
         if self.packet_bits < 1:
@@ -244,6 +252,11 @@ class SpreadingCodebook:
         """
         return _readonly(np.linalg.qr(self.sequences.T)[1])
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = S S' (n, n): entry (i, k) is the cross-correlation s_i' s_k."""
+        return _readonly(self.sequences @ self.sequences.T)
+
 
 def generate_topology(n_nodes: int, area_side: float, seed: int) -> Topology:
     """Place ``n_nodes`` points i.i.d. uniformly on the square area."""
@@ -347,13 +360,3 @@ def topology_to_csv(topology: Topology, path) -> None:
 def sessions_to_csv(sessions: SessionSet, path) -> None:
     rows = [(k, s, d) for k, (s, d) in enumerate(sessions.sessions)]
     write_csv(path, ("session", "source", "destination"), rows)
-
-
-def codebook_to_csv(codebook: SpreadingCodebook, path) -> None:
-    length = codebook.length
-    header = ("node",) + tuple(f"chip_{c}" for c in range(length))
-    rows = [
-        (i,) + tuple(float(v) for v in seq)
-        for i, seq in enumerate(codebook.sequences)
-    ]
-    write_csv(path, header, rows)

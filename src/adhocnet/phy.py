@@ -12,17 +12,27 @@ split: the matched-filter SIR replaces squared cross-correlations by their
 expectation 1/L, while the LMMSE expressions use the exact values; on random
 codebooks the two matched-filter numbers therefore differ slightly.
 
-Every batched LMMSE quantity comes from one kernel, ``lmmse_kernel``. All
-sequences lie in an r-dimensional subspace, r = min(n, L), spanned by the
-orthonormal columns of Q in the thin QR factorization S' = Q U. The full
-received covariance at receiver j is B_j = sum_{k != j} P_k h(k,j) s_k s_k'
-+ noise I, and for any sequence s_i = Q u_i, B_j^-1 s_i = Q K_j^-1 u_i with
-the r x r matrix K_j = noise I + U diag(P * h(:, j)) U'. The kernel builds
-K_j for every receiver in use and solves them in one batched call, giving
-q = s_i' B_j^-1 s_i per (transmitter, receiver) pair. With c = P_i h(i,j),
-the rank-one downdate that removes the desired signal turns q into the
-LMMSE output SIR c q / (1 - c q). ``lmmse_filter`` and ``sir_lmmse`` stay
-as the per-link reference in the full L-dimensional space.
+Every batched LMMSE quantity comes from one kernel, ``lmmse_kernel``, which
+gives q = s_i' B_j^-1 s_i per (transmitter, receiver) pair, B_j = sum_{k != j}
+P_k h(k,j) s_k s_k' + noise I the received covariance at receiver j. With
+c = P_i h(i,j), the rank-one downdate that removes the desired signal turns
+q into the LMMSE output SIR c q / (1 - c q), ``lmmse_link_sir``. The kernel
+never forms the L x L matrix B_j; it solves a smaller system whose
+coordinates depend on the codebook's shape:
+
+- Sequence space, n <= L (the paper's setting). With S the (n, L) codebook,
+  G = S S' and D_j = diag(P * h(:, j)), the push-through identity
+  B_j^-1 S' = S' A_j^-1 with A_j = noise I + D_j G gives
+  q = G[i] z for z = A_j^-1 e_i. A_j is one broadcast multiply of the
+  cached G, and B_j^-1 s_i = S' z.
+- Span, n > L. G is singular and A_j becomes ill-posed as the noise
+  vanishes, so the kernel solves in the r = L dimensional span of the
+  sequences: with the thin QR factorization S' = Q U (``span``),
+  B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U'.
+
+``kernel_basis`` maps either solution back to chip space. ``lmmse_filter``
+and ``sir_lmmse`` stay as the per-link reference in the full L-dimensional
+space.
 """
 
 from __future__ import annotations
@@ -194,22 +204,20 @@ def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
                  senders: np.ndarray | None = None):
     """q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b].
 
-    Solves the r x r systems K_j x = u_i in the codebook's span (see the
-    module docstring) and returns (q, x), q of shape (m, d) and the
-    solutions x of shape (m, r, d). ``senders=None`` pairs every receiver
-    with every node, d = n. The noise term keeps every K_j positive
-    definite. One warning per call reports a link whose covariance
-    condition bound (sum_{k != i,j} P_k h(k,j) + L noise) / noise exceeds
+    Returns (q, x), q of shape (m, d) and x of shape (m, n, d) in sequence
+    space or (m, L, d) in the span (see the module docstring), where
+    x[a, :, b] holds B_j^-1 s_i in the coordinates of
+    ``kernel_basis(codebook)``.
+    ``senders=None`` pairs every receiver with every node, d = n. The noise
+    term keeps every system nonsingular. One warning per call reports a
+    link whose covariance condition bound
+    (sum_{k != i,j} P_k h(k,j) + L noise) / noise exceeds
     ``CONDITION_WARN_THRESHOLD``.
     """
-    u = codebook.span
-    r, n = u.shape
+    n = p.shape[0]
     w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
-    if senders is None:
-        rhs, w_link = u, w
-    else:
-        rhs = np.moveaxis(u[:, senders], 0, 1)  # (m, r, d)
-        w_link = np.take_along_axis(w, senders, axis=1)
+    w_link = w if senders is None else w[np.arange(w.shape[0])[:, None],
+                                         senders]
     bound = (w.sum(axis=1, keepdims=True) - w_link
              + codebook.length * noise) / noise
     if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
@@ -219,11 +227,44 @@ def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
             RuntimeWarning,
             stacklevel=2,
         )
-    k = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(-1, r, r)
-    diag = np.arange(r)
-    k[:, diag, diag] += noise
-    x = np.linalg.solve(k, rhs)
-    return np.einsum("...rd,...rd->...d", rhs, x), x
+    if n <= codebook.length:
+        # sequence space: A_j = noise I + D_j G, right-hand sides e_i, and
+        # q = G[i] z, G being symmetric
+        gram = codebook.gram
+        a = w[:, :, None] * gram
+        if senders is None:
+            rhs, lhs = np.eye(n), gram
+        else:
+            rhs = np.eye(n)[senders].swapaxes(1, 2)  # (m, n, d)
+            lhs = gram[senders].swapaxes(1, 2)
+    else:
+        # span: K_j = noise I + U D_j U', right-hand sides u_i
+        u = codebook.span
+        r = u.shape[0]
+        a = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(
+            -1, r, r)
+        rhs = lhs = (u if senders is None
+                     else u.T[senders].swapaxes(1, 2))  # (m, r, d)
+    diag = np.arange(a.shape[1])
+    a[:, diag, diag] += noise
+    x = np.linalg.solve(a, rhs)
+    return np.einsum("...rd,...rd->...d", lhs, x), x
+
+
+def kernel_basis(codebook: SpreadingCodebook) -> np.ndarray:
+    """Columns mapping ``lmmse_kernel`` solutions to chip space: S' (L, n)
+    in sequence space (n <= L), else Q (L, L) of S' = Q U."""
+    if codebook.sequences.shape[0] <= codebook.length:
+        return codebook.sequences.T
+    return np.linalg.qr(codebook.sequences.T)[0]
+
+
+def lmmse_link_sir(c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """LMMSE output SIR c q / (1 - c q) of links with desired term
+    c = P_i h(i,j) and q from ``lmmse_kernel``; infinite where c is zero,
+    as the reference filter of a silent transmitter gives."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c == 0.0, np.inf, c * q / (1.0 - c * q))
 
 
 def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
@@ -231,14 +272,14 @@ def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
     """Achievable LMMSE output SIR for every potential link, diagonal zero.
 
     Entry (i, j) is the SIR the optimal filter would reach on link (i, j) at
-    the current powers: c q / (1 - c q) with q = s_i' B_j^-1 s_i from
-    ``lmmse_kernel`` over all receivers and c = P_i h(i,j).
+    the current powers: ``lmmse_link_sir`` of c = P_i h(i,j) and
+    q = s_i' B_j^-1 s_i from ``lmmse_kernel`` over all receivers, with the
+    routing gate's zero where c is zero.
     """
     nodes = np.arange(p.shape[0])
     q = lmmse_kernel(p, gains, codebook, noise, nodes)[0].T
     c = p[:, None] * gains.gains
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sir = c * q / (1.0 - c * q)
+    sir = lmmse_link_sir(c, q)
     sir[~np.isfinite(sir)] = np.inf
     sir[c == 0.0] = 0.0
     sir[nodes, nodes] = 0.0

@@ -27,7 +27,14 @@ With the LMMSE receiver, optimizing the filter at the current powers and
 then solving for the power that meets the target collapses to the closed
 form of Ulukus and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
 q = s_i' B_j^-1 s_i from the batched kernel ``phy.lmmse_kernel`` and
-c = P_i h(i,j). With fixed matched filters the required power is
+c = P_i h(i,j). The kernel works in sequence space (one n x n system per
+receiver, built from the codebook's cached Gram matrix) when n <= L, and in
+the r = L dimensional span of the sequences when n > L; the phy module
+docstring gives both. Each step solves every receiver in use once. The
+solve at the returned powers also gives every link's output SIR
+c q / (1 - c q), which the run returns as ``PcResult.link_sir``, and the
+returned filter bank maps that solve's solutions to chip space with
+``phy.kernel_basis``. With fixed matched filters the required power is
 target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j), rho the
 Gram matrix of the sequences.
 """
@@ -35,13 +42,20 @@ Gram matrix of the sequences.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
-from .phy import FilterBank, incoming_slots, lmmse_kernel, received_powers
+from .phy import (
+    FilterBank,
+    incoming_slots,
+    kernel_basis,
+    lmmse_kernel,
+    lmmse_link_sir,
+    received_powers,
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "infeasible"
@@ -102,13 +116,16 @@ class PcResult:
     """Outcome of a power-control run.
 
     ``trace`` holds the total transmitted power of every iterate, starting
-    from the initial vector.
+    from the initial vector. ``link_sir`` is the SIR of every active link,
+    in ``ActiveLinkSet.links`` order, at the returned powers; the LMMSE
+    solver takes it from its last kernel solve, the others leave it None.
     """
 
     status: str
     powers: np.ndarray
     iterations: int
     trace: np.ndarray
+    link_sir: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -212,8 +229,8 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     current powers and then applying the power update for those filters.
     ``filter_mode="matched"`` keeps the matched filters fixed, which gives
     the exact-cross-correlation matched baseline. The stopping rules are
-    ``pc_iterate``'s. The returned filter bank is computed at the returned
-    power vector.
+    ``pc_iterate``'s. The returned filter bank, and with the LMMSE filter
+    the returned ``link_sir``, are computed at the returned power vector.
     """
     if filter_mode not in ("lmmse", "matched"):
         raise ValueError(f"unknown filter_mode {filter_mode!r}")
@@ -222,8 +239,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
 
     if filter_mode == "matched":
-        seqs = codebook.sequences
-        rho2 = (seqs @ seqs.T) ** 2
+        rho2 = codebook.gram ** 2
         np.fill_diagonal(rho2, 0.0)
         # row l: the interferers' power weights at link l's receiver
         coupling = rho2[i_idx] * gains.gains[:, j_idx].T
@@ -246,17 +262,12 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     if not result.converged:
         required(p)  # the last solve must be at the returned powers
     q, x = last_solve
-    # lmmse_filter's scale, with A^-1 s_i = B_j^-1 s_i / (1 - c q) for the
-    # covariance A without link i (Sherman-Morrison)
+    link_sir = lmmse_link_sir(p[i_idx] * g, q)
+    link_sir.setflags(write=False)
+    result = replace(result, link_sir=link_sir)
+    # lmmse_filter's scale, with C^-1 s_i = B_j^-1 s_i / (1 - c q) for the
+    # covariance C without link i (Sherman-Morrison)
     downdate = 1.0 - p[i_idx] * g * q
     scale = np.sqrt(p[i_idx]) / (1.0 + p[i_idx] * q / downdate) / downdate
-    basis = np.linalg.qr(codebook.sequences.T)[0]
-    filters = (x[rows, :, cols] @ basis.T) * scale[:, None]
+    filters = (x[rows, :, cols] @ kernel_basis(codebook).T) * scale[:, None]
     return result, FilterBank(dict(zip(active.links, filters)))
-
-
-def pc_trace_to_csv(result: PcResult, path) -> None:
-    from .csvio import write_csv
-
-    rows = [(k, float(total)) for k, total in enumerate(result.trace)]
-    write_csv(path, ("iteration", "total_power_W"), rows)

@@ -61,11 +61,14 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
     point from the linear solve as an oracle, or None when infeasible.
 
     Draws exactly what ``single_outgoing_instance_loop`` draws and returns
-    the same instances; only the coupling matrix is built with array
-    operations and the link set only for accepted instances.
+    the same instances; only the destinations are drawn with
+    ``rng.integers`` instead of ``rng.choice``, the coupling matrix is built
+    with array operations and the link set only for accepted instances.
     """
     topology, gains = random_network(rng, n, area)
-    dests = np.array([int(rng.choice(others)) for others in _others(n)])
+    # one bounded integer per node, the draw rng.choice(others) makes
+    dests = np.array([int(others[rng.integers(0, n - 1)])
+                      for others in _others(n)])
     g = gains.gains
     nodes = np.arange(n)
     g_link = g[nodes, dests]

@@ -104,6 +104,7 @@ def test_infeasible_scenario_exits_3(tmp_path):
 @pytest.mark.parametrize("body, field", [
     ('{"n_nodes": "5"}', "n_nodes"),
     ('{"pc_tol": -1}', "pc_tol"),
+    ('{"n_nodes": 8, "noise_power": Infinity}', "noise_power"),
 ])
 def test_bad_scenario_value_exits_2_without_traceback(tmp_path, capsys, body,
                                                       field):

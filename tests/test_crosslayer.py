@@ -327,3 +327,33 @@ def test_initial_routes_carry_the_probe_of_the_returned_routes(
                        tol=scenario.pc_tol, max_iter=1500,
                        power_cap=scenario.power_cap)
     assert same_pc_result(routes.probe, fresh)
+
+
+@pytest.mark.parametrize("receiver", ["lmmse", "matched"])
+def test_recorded_energies_equal_fresh_network_energy(receiver):
+    # power-control records take their energy from the run's own link SIRs
+    # and unchanged-route records repeat the last one; both must equal a
+    # fresh network_energy_per_bit at the record's powers and routes. A run
+    # with phase_budget=k ends at its k-th record's powers and routes, and
+    # its records are the first k of every longer run
+    repeated = 0
+    for seed, n in ((0, 12), (1, 12), (2, 20), (3, 20), (4, 30)):
+        scenario = Scenario(n_nodes=n, spreading_gain=128, receiver=receiver,
+                            master_seed=seed)
+        net, natural = run_joint(scenario)
+        assert natural.converged
+        budget = len(natural.trace) + 2
+        _, full = run_joint(scenario, phase_budget=budget)
+        assert natural.trace == full.trace[:len(natural.trace)]
+        for k in range(1, budget + 1):
+            _, prefix = run_joint(scenario, phase_budget=k)
+            assert prefix.trace == full.trace[:k]
+            fresh = network_energy_per_bit(prefix.routes, prefix.powers,
+                                           scenario, net.gains, net.codebook)
+            assert prefix.trace[-1].energy_per_bit == fresh
+            assert prefix.trace[-1].total_power == float(prefix.powers.sum())
+        repeated += sum(
+            (a.total_power, a.energy_per_bit) == (b.total_power,
+                                                  b.energy_per_bit)
+            for a, b in zip(full.trace[:-1], full.trace[1:]))
+    assert repeated > 0

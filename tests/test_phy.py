@@ -11,6 +11,7 @@ from adhocnet.phy import (
     efficiency,
     energy_per_bit_link,
     incoming_slots,
+    kernel_basis,
     lmmse_filter,
     lmmse_kernel,
     lmmse_sir_matrix,
@@ -298,3 +299,42 @@ def test_lmmse_kernel_warns_once_on_tiny_noise():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         lmmse_kernel(p, gains, book, 1e-13, receivers, senders)
+
+
+def _identical_pair_codebook():
+    book = generate_spreading_codebook(6, 16, seed=41)
+    seqs = np.array(book.sequences)
+    seqs[4] = seqs[1]
+    seqs.setflags(write=False)
+    return SpreadingCodebook(sequences=seqs)
+
+
+@pytest.mark.parametrize("book", [
+    generate_spreading_codebook(6, 128, seed=40),
+    generate_spreading_codebook(6, 7, seed=40),
+    generate_spreading_codebook(6, 6, seed=40),
+    generate_spreading_codebook(6, 5, seed=40),
+    _identical_pair_codebook(),
+], ids=["L128", "L7", "L6", "L5", "L16-identical-pair"])
+def test_lmmse_kernel_both_coordinates_match_dense_reference(book):
+    # n <= L solves in sequence space, n > L in the span of the sequences
+    rng = np.random.default_rng(42)
+    n, noise = 6, 1e-13
+    _, gains = random_network(rng, n)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    p[3] = 0.0
+    seqs = book.sequences
+    links = [(i, j) for i in range(n) for j in range(n) if i != j]
+    i_idx, j_idx = np.array(links).T
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    q, x = lmmse_kernel(p, gains, book, noise, receivers, senders)
+    directions = np.einsum("lc,mcd->mld", kernel_basis(book), x)
+    q_all = lmmse_kernel(p, gains, book, noise, np.arange(n))[0]
+    for (i, j), a, b in zip(links, rows, cols):
+        cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
+            + noise * np.eye(book.length)
+        want = np.linalg.solve(cov, seqs[i])
+        assert q[a, b] == pytest.approx(seqs[i] @ want, rel=1e-9)
+        assert q_all[j, i] == pytest.approx(seqs[i] @ want, rel=1e-9)
+        np.testing.assert_allclose(directions[a, :, b], want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())

@@ -254,20 +254,13 @@ def test_pc_mud_converged_sir_meets_target():
         assert min(sirs) == pytest.approx(GAMMA, rel=1e-6)
 
 
-def test_trace_records_totals(tmp_path):
-    from adhocnet.powercontrol import pc_trace_to_csv
-
+def test_trace_records_totals():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
     active = ActiveLinkSet.from_links(2, [(0, 1)])
     result = pc_iterate(np.zeros(2), active, gains, 128, NOISE, GAMMA)
     assert result.trace[0] == 0.0
     assert result.trace[-1] == pytest.approx(result.powers.sum(), rel=1e-12)
-    path = tmp_path / "pc_trace.csv"
-    pc_trace_to_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,total_power_W"
-    assert len(lines) == len(result.trace) + 1
 
 
 def mud_instances(seed, count):
@@ -325,6 +318,36 @@ def test_pc_mud_filter_bank_matches_fresh_filters():
                                  FilterBank({(i, j): fresh}), gains, book,
                                  NOISE)
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_pc_mud_link_sir_matches_fresh_filters():
+    # every status: the SIRs come from a solve at the returned powers
+    from adhocnet.phy import FilterBank, lmmse_filter, sir_lmmse
+
+    statuses = set()
+    for gains, book, active, p0 in mud_instances(34, 12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for max_iter in (3, 300):
+                result = pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
+                                        tol=1e-8, max_iter=max_iter,
+                                        power_cap=1e-4)[0]
+                statuses.add(result.status)
+                assert result.link_sir.shape == (len(active.links),)
+                for (i, j), got in zip(active.links, result.link_sir):
+                    fresh = lmmse_filter(i, result.powers, gains, book, NOISE,
+                                         j)
+                    want = sir_lmmse((i, j), result.powers,
+                                     FilterBank({(i, j): fresh}), gains, book,
+                                     NOISE)
+                    # compare c q = SIR / (1 + SIR): the SIR itself
+                    # magnifies q's rounding by 1 + SIR, up to 1e7 here
+                    assert got / (1.0 + got) == pytest.approx(
+                        want / (1.0 + want), rel=1e-9)
+            matched = pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
+                                     max_iter=3, filter_mode="matched")[0]
+            assert matched.link_sir is None
+    assert statuses == {"converged", "infeasible", "max_iter"}
 
 
 def test_pc_mud_warns_on_tiny_noise():
