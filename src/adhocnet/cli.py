@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--n-min", type=int, default=40)
     p_cap.add_argument("--n-max", type=int, default=65)
     p_cap.add_argument("--n-step", type=int, default=5)
-    p_cap.add_argument("--joint", action="store_true",
-                       help="judge feasibility on the full joint loop")
 
     p_gain = sub.add_parser("gain", help="normalized throughput gain")
     p_gain.add_argument("n_a", type=int)
@@ -136,7 +134,6 @@ def main(argv=None) -> int:
                 scenario=scenario, kind="capacity", out_dir=args.out,
                 trials=args.trials, feasibility_target=args.target,
                 n_min=args.n_min, n_max=args.n_max, n_step=args.n_step,
-                capacity_use_joint=args.joint,
             )
         result = run_experiment(config)
         print(f"status: {result.status}")

@@ -90,10 +90,6 @@ class MultiStartResult:
     best: JointSolution | None
     trials: tuple[TrialSummary, ...]
 
-    @property
-    def all_infeasible(self) -> bool:
-        return self.best is None
-
 
 def initial_powers(scenario: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
     """Initial transmit powers per the scenario's initialization mode.
@@ -340,25 +336,3 @@ def multi_start(scenario: Scenario, trials: int,
                                    or solution.total_power < best.total_power):
             best = solution
     return MultiStartResult(best=best, trials=tuple(summaries))
-
-
-def trace_to_csv(solution: JointSolution, path) -> None:
-    from .csvio import write_csv
-
-    rows = [
-        (k, rec.phase, rec.total_power, rec.energy_per_bit)
-        for k, rec in enumerate(solution.trace)
-    ]
-    write_csv(path, ("phase_index", "phase_kind", "total_power_W",
-                     "energy_per_bit_J"), rows)
-
-
-def node_powers_to_csv(solution: JointSolution, topology: Topology, path) -> None:
-    from .csvio import write_csv
-
-    rows = [
-        (i, float(x), float(y), float(pw))
-        for i, ((x, y), pw) in enumerate(zip(topology.positions,
-                                             solution.powers))
-    ]
-    write_csv(path, ("node", "x_m", "y_m", "power_W"), rows)

@@ -2,13 +2,16 @@
 
 Every experiment writes CSV artifacts plus a ``manifest.json`` that echoes
 the full configuration, seeds and library versions; re-running from the
-manifest alone reproduces every data file byte for byte.
+manifest alone reproduces every data file byte for byte. This module owns
+every artifact: each file name and CSV header is written here and only
+here, through ``_write``, so the layer modules hold numerics alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 import platform
@@ -18,14 +21,11 @@ import numpy as np
 
 from . import __version__
 from .crosslayer import (
-    STATUS_LOCAL_MIN,
+    JointSolution,
     initial_powers,
     joint_optimize,
     multi_start,
-    network_energy_per_bit,
-    node_powers_to_csv,
     run_power_control,
-    trace_to_csv,
 )
 from .csvio import read_csv, write_csv
 from .errors import ConfigError, MissingArtifactError
@@ -33,19 +33,17 @@ from .fairness import effective_node_powers, optimize_mixture, select_candidates
 from .netmodel import (
     Network,
     Scenario,
+    Topology,
     build_network,
     compute_link_gains,
     generate_sessions,
     generate_spreading_codebook,
-    generate_topology,
-    sessions_to_csv,
-    topology_to_csv,
 )
 from .phy import matched_sir_matrix
-from .routing import initial_routes, routes_to_csv
+from .routing import initial_routes
 from .seeds import derive_seed
 
-EXPERIMENT_KINDS = ("run", "multistart", "fairness", "capacity", "sweep")
+EXPERIMENT_KINDS = ("run", "multistart", "fairness", "capacity")
 
 # Capacity-search seed streams (folded after the experiment seed).
 _CAP_POSITION_STREAM = 1
@@ -56,6 +54,10 @@ _CAP_POWER_STREAM = 4
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 
+_MANIFEST = "manifest.json"
+# emit_plot_data writes into this subdirectory of the artifact directory
+_PLOT_DIR = "plots"
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -63,16 +65,12 @@ class ExperimentConfig:
     kind: str
     out_dir: str
     trials: int = 100
-    seed: int | None = None
     phase_budget: int | None = None
     fairness_threshold: float = 0.10
     feasibility_target: float = 0.95
-    capacity_spreading_gain: int | None = None
     n_min: int = 40
     n_max: int = 65
     n_step: int = 5
-    capacity_use_joint: bool = False
-    sweep_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -83,6 +81,11 @@ class ExperimentConfig:
             raise ConfigError("feasibility_target must be in (0, 1]")
         if self.phase_budget is not None and self.phase_budget < 1:
             raise ConfigError("phase_budget must be at least 1")
+        threshold = self.fairness_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) \
+                or not math.isfinite(threshold) or threshold < 0:
+            raise ConfigError("fairness_threshold must be a finite nonnegative "
+                              f"number, got {threshold!r}")
         for name in ("n_min", "n_max", "n_step"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value,
@@ -95,15 +98,9 @@ class ExperimentConfig:
         if self.n_step < 1:
             raise ConfigError("n_step must be at least 1")
 
-    @property
-    def effective_seed(self) -> int:
-        return self.scenario.master_seed if self.seed is None else self.seed
-
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["scenario"] = self.scenario.to_dict()
-        if d["sweep_nodes"] is not None:
-            d["sweep_nodes"] = list(d["sweep_nodes"])
         return d
 
     @classmethod
@@ -116,8 +113,6 @@ class ExperimentConfig:
         if "scenario" not in data:
             raise ConfigError("experiment config needs a scenario")
         data["scenario"] = Scenario.from_dict(data["scenario"])
-        if data.get("sweep_nodes") is not None:
-            data["sweep_nodes"] = tuple(int(n) for n in data["sweep_nodes"])
         return cls(**data)
 
 
@@ -152,14 +147,11 @@ def throughput_gain(n_a: int, spreading_a: int, n_b: int,
 
 def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
                                 n_nodes: int, positions_all: np.ndarray,
-                                seed: int, trial: int,
-                                use_joint: bool) -> bool:
+                                seed: int, trial: int) -> bool:
     """Judge one Monte Carlo instance: do the initial routes admit a
     converged power-control run at the initial powers?"""
     scenario = template.replace(n_nodes=n_nodes, spreading_gain=spreading_gain)
     positions = positions_all[:n_nodes].copy()
-    from .netmodel import Topology
-
     positions.setflags(write=False)
     topology = Topology(positions=positions, area_side=scenario.area_side)
     gains = compute_link_gains(topology, scenario.path_loss_exp)
@@ -177,10 +169,6 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
         p0 = initial_powers(scenario, rng)
     else:
         p0 = initial_powers(scenario)
-    if use_joint:
-        solution = joint_optimize(scenario, topology, gains, sessions,
-                                  codebook, p_init=p0)
-        return solution.converged
     routes = initial_routes(scenario, gains, sessions, p0)
     return run_power_control(scenario, p0, routes, gains, codebook,
                              probe=routes.probe).converged
@@ -188,8 +176,8 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
 
 def capacity_search(scenario_template: Scenario, spreading_gain: int,
                     trials: int, feasibility_target: float, seed: int, *,
-                    n_min: int = 40, n_max: int = 65, n_step: int = 5,
-                    use_joint: bool = False) -> CapacityResult:
+                    n_min: int = 40, n_max: int = 65,
+                    n_step: int = 5) -> CapacityResult:
     """Scan network sizes upward and find the largest one whose feasibility
     rate still meets the target.
 
@@ -227,7 +215,7 @@ def capacity_search(scenario_template: Scenario, spreading_gain: int,
                 continue
             alive[trial] = _capacity_instance_feasible(
                 scenario_template, spreading_gain, n_nodes, positions[trial],
-                seed, trial, use_joint,
+                seed, trial,
             )
         rate = float(np.mean(alive))
         n_values.append(n_nodes)
@@ -240,6 +228,13 @@ def capacity_search(scenario_template: Scenario, spreading_gain: int,
         spreading_gain=spreading_gain, n_star=n_star,
         n_values=tuple(n_values), rates=tuple(rates), trials=trials,
     )
+
+
+def _write(out_dir: str, artifacts: list[str], name: str, header,
+           rows) -> None:
+    """Write one CSV artifact and list it for the manifest."""
+    write_csv(os.path.join(out_dir, name), header, rows)
+    artifacts.append(name)
 
 
 def _write_manifest(config: ExperimentConfig, status: str, extras: dict,
@@ -255,67 +250,86 @@ def _write_manifest(config: ExperimentConfig, status: str, extras: dict,
             "python": platform.python_version(),
         },
     }
-    path = os.path.join(config.out_dir, "manifest.json")
+    path = os.path.join(config.out_dir, _MANIFEST)
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def config_from_manifest(path) -> ExperimentConfig:
-    """Rebuild the experiment configuration recorded in a manifest."""
+def _read_manifest(path) -> dict:
+    """Parse a manifest and check the parts its readers use; a missing file
+    raises FileNotFoundError for the caller to report."""
     try:
         with open(path) as f:
             manifest = json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"manifest not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest must hold a JSON object: {path}")
+    listed = manifest.get("artifacts", [])
+    if not isinstance(listed, list) \
+            or not all(isinstance(name, str) for name in listed):
+        raise ConfigError("manifest artifacts must be a list of file names, "
+                          f"got {listed!r}")
+    return manifest
+
+
+def config_from_manifest(path) -> ExperimentConfig:
+    """Rebuild the experiment configuration recorded in a manifest."""
+    try:
+        manifest = _read_manifest(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"manifest not found: {path}") from exc
     if "config" not in manifest:
         raise ConfigError("manifest lacks a config section")
     return ExperimentConfig.from_dict(manifest["config"])
 
 
-def _export_solution(net: Network, solution, out_dir: str,
-                     prefix: str = "") -> list[str]:
+def _export_solution(net: Network, solution: JointSolution, out_dir: str,
+                     artifacts: list[str], prefix: str = "") -> None:
     scenario = net.scenario
-    names = []
-
-    def path_of(name):
-        names.append(prefix + name)
-        return os.path.join(out_dir, prefix + name)
-
-    trace_to_csv(solution, path_of("trace.csv"))
-    node_powers_to_csv(solution, net.topology, path_of("node_powers.csv"))
-    routes_to_csv(solution.routes, path_of("routes.csv"))
+    _write(out_dir, artifacts, prefix + "trace.csv",
+           ("phase_index", "phase_kind", "total_power_W", "energy_per_bit_J"),
+           [(k, rec.phase, rec.total_power, rec.energy_per_bit)
+            for k, rec in enumerate(solution.trace)])
+    _write(out_dir, artifacts, prefix + "node_powers.csv",
+           ("node", "x_m", "y_m", "power_W"),
+           [(i, float(x), float(y), float(pw))
+            for i, ((x, y), pw) in enumerate(zip(net.topology.positions,
+                                                 solution.powers))])
+    _write(out_dir, artifacts, prefix + "routes.csv",
+           ("session", "hop", "node"),
+           [(k, hop, node) for k, path in enumerate(solution.routes.paths)
+            for hop, node in enumerate(path)])
     sir = matched_sir_matrix(solution.powers, net.gains,
                              scenario.spreading_gain, scenario.noise_power)
     header = ("node",) + tuple(f"to_{j}" for j in range(scenario.n_nodes))
     rows = [(i,) + tuple(float(v) for v in sir[i]) for i in range(scenario.n_nodes)]
-    write_csv(os.path.join(out_dir, prefix + "sir_matrix.csv"), header, rows)
-    names.append(prefix + "sir_matrix.csv")
-    return names
+    _write(out_dir, artifacts, prefix + "sir_matrix.csv", header, rows)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write its artifacts."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    out_dir = config.out_dir
+    os.makedirs(out_dir, exist_ok=True)
     scenario = config.scenario
-    if config.seed is not None:
-        scenario = scenario.replace(master_seed=config.seed)
     artifacts: list[str] = []
     extras: dict = {}
     status = STATUS_OK
 
     if config.kind == "run":
         net = build_network(scenario)
-        topology_to_csv(net.topology, os.path.join(config.out_dir, "topology.csv"))
-        sessions_to_csv(net.sessions, os.path.join(config.out_dir, "sessions.csv"))
-        artifacts += ["topology.csv", "sessions.csv"]
+        _write(out_dir, artifacts, "topology.csv", ("node", "x_m", "y_m"),
+               [(i, float(x), float(y))
+                for i, (x, y) in enumerate(net.topology.positions)])
+        _write(out_dir, artifacts, "sessions.csv",
+               ("session", "source", "destination"),
+               [(k, s, d) for k, (s, d) in enumerate(net.sessions.sessions)])
         solution = joint_optimize(scenario, net.topology, net.gains,
                                   net.sessions, net.codebook,
                                   phase_budget=config.phase_budget)
         if solution.converged:
-            artifacts += _export_solution(net, solution, config.out_dir)
+            _export_solution(net, solution, out_dir, artifacts)
             extras["total_power_W"] = solution.total_power
             extras["energy_per_bit_J"] = solution.energy_per_bit
             extras["initial_energy_per_bit_J"] = solution.initial_energy_per_bit
@@ -325,27 +339,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             extras["pc_status"] = solution.pc_diagnostics.status
 
     elif config.kind == "multistart":
-        result = multi_start(scenario, config.trials, config.effective_seed)
-        rows = [
-            (t.trial, t.status, t.total_power, t.energy_per_bit)
-            for t in result.trials
-        ]
-        write_csv(os.path.join(config.out_dir, "trials.csv"),
-                  ("trial", "status", "total_power_W", "energy_per_bit_J"),
-                  rows)
-        artifacts.append("trials.csv")
+        result = multi_start(scenario, config.trials)
+        _write(out_dir, artifacts, "trials.csv",
+               ("trial", "status", "total_power_W", "energy_per_bit_J"),
+               [(t.trial, t.status, t.total_power, t.energy_per_bit)
+                for t in result.trials])
         if result.best is None:
             status = STATUS_INFEASIBLE
         else:
             net = build_network(scenario)
-            artifacts += _export_solution(net, result.best, config.out_dir,
-                                          prefix="best_")
+            _export_solution(net, result.best, out_dir, artifacts,
+                             prefix="best_")
             extras["best_total_power_W"] = result.best.total_power
             extras["best_energy_per_bit_J"] = result.best.energy_per_bit
             extras["initial_energy_per_bit_J"] = result.best.initial_energy_per_bit
 
     elif config.kind == "fairness":
-        result = multi_start(scenario, config.trials, config.effective_seed)
+        result = multi_start(scenario, config.trials)
         if result.best is None:
             status = STATUS_INFEASIBLE
         else:
@@ -357,77 +367,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 (c for c in candidates.candidates),
                 key=lambda c: c.total_power,
             )
-            write_csv(
-                os.path.join(config.out_dir, "candidates.csv"),
-                ("candidate", "trial", "total_power_W"),
-                [(k, c.trial, c.total_power)
-                 for k, c in enumerate(candidates.candidates)],
-            )
-            write_csv(
-                os.path.join(config.out_dir, "candidate_powers.csv"),
-                ("candidate", "node", "power_W"),
-                [(k, i, float(pw))
-                 for k, c in enumerate(candidates.candidates)
-                 for i, pw in enumerate(c.powers)],
-            )
-            write_csv(
-                os.path.join(config.out_dir, "weights.csv"),
-                ("candidate", "weight"),
-                [(k, float(w)) for k, w in enumerate(weights.w)],
-            )
-            write_csv(
-                os.path.join(config.out_dir, "fairness_powers.csv"),
-                ("node", "power_min_energy_W", "power_mixture_W"),
-                [(i, float(a), float(b))
-                 for i, (a, b) in enumerate(zip(best.powers, mixed))],
-            )
-            artifacts += ["candidates.csv", "candidate_powers.csv",
-                          "weights.csv", "fairness_powers.csv"]
+            _write(out_dir, artifacts, "candidates.csv",
+                   ("candidate", "trial", "total_power_W"),
+                   [(k, c.trial, c.total_power)
+                    for k, c in enumerate(candidates.candidates)])
+            _write(out_dir, artifacts, "candidate_powers.csv",
+                   ("candidate", "node", "power_W"),
+                   [(k, i, float(pw))
+                    for k, c in enumerate(candidates.candidates)
+                    for i, pw in enumerate(c.powers)])
+            _write(out_dir, artifacts, "weights.csv", ("candidate", "weight"),
+                   [(k, float(w)) for k, w in enumerate(weights.w)])
+            _write(out_dir, artifacts, "fairness_powers.csv",
+                   ("node", "power_min_energy_W", "power_mixture_W"),
+                   [(i, float(a), float(b))
+                    for i, (a, b) in enumerate(zip(best.powers, mixed))])
             extras["n_candidates"] = len(candidates)
             extras["power_target_W"] = candidates.power_target
             extras["variance_min_energy"] = float(np.var(best.powers))
             extras["variance_mixture"] = float(np.var(mixed))
 
     elif config.kind == "capacity":
-        spreading = config.capacity_spreading_gain or scenario.spreading_gain
         result = capacity_search(
-            scenario, spreading, config.trials, config.feasibility_target,
-            config.effective_seed, n_min=config.n_min, n_max=config.n_max,
-            n_step=config.n_step, use_joint=config.capacity_use_joint,
+            scenario, scenario.spreading_gain, config.trials,
+            config.feasibility_target, scenario.master_seed,
+            n_min=config.n_min, n_max=config.n_max, n_step=config.n_step,
         )
-        write_csv(
-            os.path.join(config.out_dir, "capacity.csv"),
-            ("n_nodes", "feasibility_rate", "trials"),
-            [(n, r, config.trials)
-             for n, r in zip(result.n_values, result.rates)],
-        )
-        artifacts.append("capacity.csv")
+        _write(out_dir, artifacts, "capacity.csv",
+               ("n_nodes", "feasibility_rate", "trials"),
+               [(n, r, config.trials)
+                for n, r in zip(result.n_values, result.rates)])
         extras["spreading_gain"] = result.spreading_gain
         extras["n_star"] = result.n_star
         if result.n_star is None:
             status = STATUS_INFEASIBLE
 
-    elif config.kind == "sweep":
-        nodes = config.sweep_nodes or tuple(
-            range(config.n_min, config.n_max + 1, config.n_step)
-        )
-        rows = []
-        for n_nodes in nodes:
-            sc = scenario.replace(n_nodes=n_nodes)
-            net = build_network(sc)
-            solution = joint_optimize(sc, net.topology, net.gains,
-                                      net.sessions, net.codebook,
-                                      phase_budget=config.phase_budget)
-            rows.append((n_nodes, solution.status, solution.total_power,
-                         solution.energy_per_bit))
-        write_csv(os.path.join(config.out_dir, "sweep.csv"),
-                  ("n_nodes", "status", "total_power_W", "energy_per_bit_J"),
-                  rows)
-        artifacts.append("sweep.csv")
-
     _write_manifest(config, status, extras, artifacts)
-    artifacts.append("manifest.json")
-    return ExperimentResult(status=status, out_dir=config.out_dir,
+    artifacts.append(_MANIFEST)
+    return ExperimentResult(status=status, out_dir=out_dir,
                             artifacts=tuple(sorted(artifacts)), extras=extras)
 
 
@@ -470,20 +447,20 @@ _PLOT_SOURCES = {
 }
 
 
-def emit_plot_data(artifact_dir, out_subdir: str = "plots") -> list[str]:
+def emit_plot_data(artifact_dir) -> list[str]:
     """Project experiment artifacts onto plot-ready two/three-column files.
 
     Reads the manifest to learn which artifacts the experiment produced and
-    emits the corresponding plot files into ``artifact_dir/out_subdir``.
-    Raises MissingArtifactError when a manifest-listed artifact is absent.
+    emits the corresponding plot files into ``artifact_dir/plots``.
+    Raises MissingArtifactError when the manifest or a manifest-listed
+    artifact is absent, and ConfigError when the manifest is malformed.
     """
-    manifest_path = os.path.join(artifact_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise MissingArtifactError(f"missing artifact: {manifest_path}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    listed = manifest.get("artifacts", [])
-    out_dir = os.path.join(artifact_dir, out_subdir)
+    manifest_path = os.path.join(artifact_dir, _MANIFEST)
+    try:
+        listed = _read_manifest(manifest_path).get("artifacts", [])
+    except FileNotFoundError as exc:
+        raise MissingArtifactError(f"missing artifact: {manifest_path}") from exc
+    out_dir = os.path.join(artifact_dir, _PLOT_DIR)
     os.makedirs(out_dir, exist_ok=True)
     emitted = []
     for name in listed:

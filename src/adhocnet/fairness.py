@@ -20,6 +20,11 @@ import numpy as np
 from .crosslayer import TrialSummary
 from .routing import RouteSet
 
+# Stopping rule of the projected-gradient solve in optimize_mixture: the
+# gradient-mapping residual bound and the iteration cap.
+_GRAD_TOL = 1e-12
+_MAX_ITER = 200_000
+
 
 @dataclass(frozen=True)
 class RouteCandidate:
@@ -109,9 +114,7 @@ def _polish_on_support(pmat: np.ndarray, target: np.ndarray,
     return w_new / total
 
 
-def optimize_mixture(candidates: RouteCandidateSet, *,
-                     grad_tol: float = 1e-12,
-                     max_iter: int = 200_000) -> MixtureWeights:
+def optimize_mixture(candidates: RouteCandidateSet) -> MixtureWeights:
     """Weights minimizing || P w - target ||^2 over the probability simplex.
 
     The problem is normalized by its largest power entry so the stopping
@@ -146,7 +149,7 @@ def optimize_mixture(candidates: RouteCandidateSet, *,
     y = w.copy()
     t_prev = 1.0
     w_prev = w.copy()
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w_new = project_to_simplex(y - step * grad(y))
         residual = float(np.linalg.norm(
             w_new - project_to_simplex(w_new - step * grad(w_new))
@@ -155,7 +158,7 @@ def optimize_mixture(candidates: RouteCandidateSet, *,
         y = w_new + ((t_prev - 1.0) / t_new) * (w_new - w_prev)
         w_prev = w_new
         t_prev = t_new
-        if residual <= grad_tol:
+        if residual <= _GRAD_TOL:
             break
     w = w_prev
 

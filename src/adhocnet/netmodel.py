@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import CoincidentNodesError, ConfigError
 from .seeds import derive_seed
 
@@ -29,6 +28,9 @@ INIT_POWER_STREAM = 3
 
 RECEIVERS = ("matched", "lmmse")
 POWER_MODES = ("equal", "random")
+
+# build_network redraws a topology with coincident nodes at most this often.
+_MAX_ATTEMPTS = 100
 
 _INTEGER_FIELDS = ("n_nodes", "spreading_gain", "packet_bits", "pc_max_iter",
                    "phase_cap", "master_seed")
@@ -117,7 +119,14 @@ class Scenario:
         if not self.initial_power > 0:
             raise ConfigError("initial_power must be positive")
         if self.initial_power_range is not None:
-            lo, hi = self.initial_power_range
+            rng = self.initial_power_range
+            if not (isinstance(rng, (list, tuple)) and len(rng) == 2 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in rng)):
+                raise ConfigError("initial_power_range must be a list of two "
+                                  f"numbers, got {rng!r}")
+            lo, hi = float(rng[0]), float(rng[1])
+            object.__setattr__(self, "initial_power_range", (lo, hi))
             if not all(map(math.isfinite, (lo, hi))):
                 raise ConfigError("initial_power_range must be finite, "
                                   f"got {self.initial_power_range!r}")
@@ -164,12 +173,6 @@ class Scenario:
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown scenario key: {key!r}")
-        data = dict(data)
-        rng = data.get("initial_power_range")
-        if rng is not None:
-            if len(rng) != 2:
-                raise ConfigError("initial_power_range must hold two values")
-            data["initial_power_range"] = (float(rng[0]), float(rng[1]))
         return cls(**data)
 
 
@@ -319,13 +322,13 @@ class Network:
     codebook: SpreadingCodebook
 
 
-def build_network(scenario: Scenario, max_attempts: int = 100) -> Network:
+def build_network(scenario: Scenario) -> Network:
     """Generate topology, gains, sessions and codebook from the master seed.
 
     Coincident nodes (a measure-zero event) trigger regeneration of the
     topology from the next derived seed.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         seed = derive_seed(scenario.master_seed, TOPOLOGY_STREAM, attempt)
         topology = generate_topology(scenario.n_nodes, scenario.area_side, seed)
         try:
@@ -336,7 +339,7 @@ def build_network(scenario: Scenario, max_attempts: int = 100) -> Network:
     else:
         raise CoincidentNodesError(
             f"could not place {scenario.n_nodes} distinct nodes "
-            f"in {max_attempts} attempts"
+            f"in {_MAX_ATTEMPTS} attempts"
         )
     sessions = generate_sessions(
         scenario.n_nodes, derive_seed(scenario.master_seed, SESSION_STREAM)
@@ -347,16 +350,3 @@ def build_network(scenario: Scenario, max_attempts: int = 100) -> Network:
         derive_seed(scenario.master_seed, CODEBOOK_STREAM),
     )
     return Network(scenario, topology, gains, sessions, codebook)
-
-
-def topology_to_csv(topology: Topology, path) -> None:
-    rows = [
-        (i, float(x), float(y))
-        for i, (x, y) in enumerate(topology.positions)
-    ]
-    write_csv(path, ("node", "x_m", "y_m"), rows)
-
-
-def sessions_to_csv(sessions: SessionSet, path) -> None:
-    rows = [(k, s, d) for k, (s, d) in enumerate(sessions.sessions)]
-    write_csv(path, ("session", "source", "destination"), rows)

@@ -21,6 +21,8 @@ verification is a matched power-control run from the initial powers with
 the scenario's tolerance and power cap; the returned routes carry the last
 one as ``RouteSet.probe``, so the first full run can resume from it instead
 of solving the same fixed point again (see ``crosslayer.run_power_control``).
+The probe runs at most ``_PROBE_ITERATIONS`` steps, and a diverging probe
+triggers at most ``_REPAIR_ROUNDS`` skeleton repairs.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from .powercontrol import ActiveLinkSet, PcResult, pc_iterate
 
 # Cost matrices are plain (n, n) float arrays with +inf for unusable links.
 LinkCostMatrix = np.ndarray
+
+# Skeleton repairs after a diverging probe, and the probe's step budget.
+_REPAIR_ROUNDS = 8
+_PROBE_ITERATIONS = 1500
 
 
 def build_link_costs(p: np.ndarray, sir: np.ndarray,
@@ -107,37 +113,6 @@ class RouteSet:
             links.extend(zip(path[:-1], path[1:]))
         return ActiveLinkSet.from_links(self.n_nodes, links)
 
-    def rows(self):
-        for k, path in enumerate(self.paths):
-            for hop, node in enumerate(path):
-                yield (k, hop, node)
-
-
-def _lex_path(costs: np.ndarray, rdist: np.ndarray, source: int,
-              dest: int) -> list[int] | None:
-    """Lexicographically smallest min-cost path using distances-to-dest.
-
-    A neighbor v continues a shortest path from u exactly when
-    cost(u, v) + rdist(v) == rdist(u); picking the smallest unvisited such
-    v at every step yields the lexicographically smallest shortest path.
-    Exact for strictly positive costs; zero-cost graphs fall back to the
-    heap search.
-    """
-    n = costs.shape[0]
-    path = [source]
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    u = source
-    while u != dest:
-        continues = (costs[u, :] + rdist == rdist[u]) & ~visited
-        candidates = np.flatnonzero(continues)
-        if candidates.size == 0 or len(path) > n:
-            return _heap_lex_path(costs, source, dest)
-        u = int(candidates[0])
-        visited[u] = True
-        path.append(u)
-    return path
-
 
 def _heap_lex_path(costs: np.ndarray, source: int,
                    dest: int) -> list[int] | None:
@@ -174,10 +149,12 @@ def _lex_paths(costs: np.ndarray,
 
     One csgraph search on the reversed graph, stored as CSR with every
     finite entry of ``costs.T`` (explicit zeros included), gives the
-    distances to all destinations. Each node's next hop is its smallest
-    neighbor passing ``_lex_path``'s float test, and each pair follows these
-    pointers. A walk that finds no next hop or revisits a node (zero costs,
-    or costs lost to rounding) is redone by ``_lex_path``.
+    distances to all destinations. A neighbor v continues a shortest path
+    from u exactly when cost(u, v) + rdist(v) == rdist(u); each node's next
+    hop is its smallest such neighbor, which for strictly positive costs
+    gives the lexicographically smallest shortest path, and each pair
+    follows these pointers. A walk that finds no next hop or revisits a node
+    (zero costs, or costs lost to rounding) is redone by ``_heap_lex_path``.
     """
     dests = sorted({d for _, d in pairs})
     finite = np.isfinite(costs.T)
@@ -193,7 +170,7 @@ def _lex_paths(costs: np.ndarray,
         while path is not None and path[-1] != dest:
             u = next_hop[r][path[-1]]
             if u < 0 or u in path:
-                path = _lex_path(costs, rdist[r], source, dest)
+                path = _heap_lex_path(costs, source, dest)
                 break
             path.append(u)
         paths.append(path)
@@ -282,22 +259,20 @@ def _probe_diverging(result) -> bool:
 
 
 def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
-                   sessions: SessionSet, p_init: np.ndarray, *,
-                   repair_rounds: int = 8,
-                   probe_iterations: int = 1500) -> RouteSet:
+                   sessions: SessionSet, p_init: np.ndarray) -> RouteSet:
     """Route assignment for the initialization phase.
 
     Sessions are routed over the skeleton digraph with the target-operated
     energy-per-bit costs, and the resulting active link set is probed with a
     bounded power-control run. When the probe diverges, the weakest link
     among the fastest-growing nodes is banned, the skeleton is rebuilt and
-    the sessions rerouted, up to ``repair_rounds`` times. The last candidate
+    the sessions rerouted, up to ``_REPAIR_ROUNDS`` times. The last candidate
     is returned even if no repair succeeded; the subsequent full
     power-control run then reports infeasibility honestly.
 
     The returned routes carry their own probe as ``RouteSet.probe``: a
     synchronous ``pc_iterate`` run from ``p_init`` with the scenario's
-    ``pc_tol`` and ``power_cap`` and at most ``probe_iterations`` steps.
+    ``pc_tol`` and ``power_cap`` and at most ``_PROBE_ITERATIONS`` steps.
     When a repair round ends in an unreachable session, the previous
     candidate is returned with the probe made on it.
     """
@@ -308,7 +283,7 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
 
     forbidden = np.zeros_like(sir, dtype=bool)
     routes = None
-    for _ in range(repair_rounds + 1):
+    for _ in range(_REPAIR_ROUNDS + 1):
         allowed = _initial_skeleton(sir, forbidden)
         costs = np.where(allowed, base_costs, np.inf)
         np.fill_diagonal(costs, np.inf)
@@ -322,7 +297,7 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
         probe = pc_iterate(
             p_init, routes.active_links, gains, scenario.spreading_gain,
             scenario.noise_power, scenario.target_sir, tol=scenario.pc_tol,
-            max_iter=probe_iterations, power_cap=scenario.power_cap,
+            max_iter=_PROBE_ITERATIONS, power_cap=scenario.power_cap,
         )
         # attach in place: the candidate is not shared yet, and a copy
         # would drop its cached active link set
@@ -340,9 +315,3 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
             break
         forbidden[worst[1], worst[2]] = True
     return routes
-
-
-def routes_to_csv(routes: RouteSet, path) -> None:
-    from .csvio import write_csv
-
-    write_csv(path, ("session", "hop", "node"), routes.rows())

@@ -1,12 +1,16 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from adhocnet.cli import main
+from adhocnet.cli import _build_parser, main
 from adhocnet.netmodel import Scenario, save_scenario
 
 FEASIBLE = Scenario(n_nodes=10, spreading_gain=64, master_seed=6,
                     area_side=150.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_scenario(tmp_path):
@@ -105,6 +109,7 @@ def test_infeasible_scenario_exits_3(tmp_path):
     ('{"n_nodes": "5"}', "n_nodes"),
     ('{"pc_tol": -1}', "pc_tol"),
     ('{"n_nodes": 8, "noise_power": Infinity}', "noise_power"),
+    ('{"n_nodes": 8, "initial_power_range": 5}', "initial_power_range"),
 ])
 def test_bad_scenario_value_exits_2_without_traceback(tmp_path, capsys, body,
                                                       field):
@@ -130,3 +135,49 @@ def test_bad_capacity_scan_exits_2_without_traceback(tmp_path, capsys, flags,
     assert field in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "capacity.csv").exists()
+
+
+def test_bad_fairness_threshold_exits_2_before_any_trial(tmp_path, capsys):
+    code = main(["fairness", "--nodes", "8", "--trials", "3",
+                 "--threshold", "-1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fairness_threshold" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body", ["[]", '{"artifacts": 5}'])
+def test_malformed_manifest_exits_2_without_traceback(tmp_path, capsys, body):
+    (tmp_path / "manifest.json").write_text(body)
+    assert main(["emit-plots", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest" in err
+    assert "Traceback" not in err
+
+
+def test_readme_command_line_matches_parser():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    common = text.split("Common flags:", 1)[1].split("Exit codes", 1)[0]
+    documented = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "adhocnet":
+            command = words[1]
+            documented[command] = set()
+        documented[command] |= set(re.findall(r"--[a-z-]+", line))
+    for flags in documented.values():
+        if "--config" in flags:
+            flags |= set(re.findall(r"`(--[a-z-]+)", common))
+
+    parser = _build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    actual = {
+        command: {option for action in sub._actions
+                  for option in action.option_strings
+                  if option not in ("-h", "--help")}
+        for command, sub in subparsers.choices.items()
+    }
+    assert documented == actual

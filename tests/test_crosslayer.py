@@ -9,7 +9,6 @@ from adhocnet.crosslayer import (
     multi_start,
     network_energy_per_bit,
     run_power_control,
-    trace_to_csv,
 )
 from adhocnet.errors import UnreachableSessionError
 from adhocnet.netmodel import Scenario, build_network
@@ -179,17 +178,6 @@ def test_network_metrics_single_link_fixed_point():
     f = (1.0 - np.exp(-scenario.target_sir / 2.0)) ** scenario.packet_bits
     expected = 1.25e-8 / (scenario.bit_rate * f)
     assert energy == pytest.approx(expected, rel=1e-6)
-
-
-def test_trace_csv_columns(tmp_path):
-    scenario = Scenario(n_nodes=6, spreading_gain=64, master_seed=4,
-                        area_side=100.0)
-    _, solution = run_joint(scenario)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(solution, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "phase_index,phase_kind,total_power_W,energy_per_bit_J"
-    assert len(lines) == len(solution.trace) + 1
 
 
 def reference_energy(routes, p, scenario, net):

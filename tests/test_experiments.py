@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adhocnet.crosslayer import joint_optimize, multi_start
 from adhocnet.errors import ConfigError, MissingArtifactError
 from adhocnet.experiments import (
+    EXPERIMENT_KINDS,
     CapacityResult,
     ExperimentConfig,
     capacity_search,
@@ -15,10 +19,11 @@ from adhocnet.experiments import (
     run_experiment,
     throughput_gain,
 )
-from adhocnet.netmodel import Scenario
+from adhocnet.netmodel import Scenario, build_network
 
 FEASIBLE = Scenario(n_nodes=10, spreading_gain=64, master_seed=6,
                     area_side=150.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read(path):
@@ -105,13 +110,67 @@ def test_fairness_experiment(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sweep_experiment(tmp_path):
-    config = ExperimentConfig(scenario=FEASIBLE, kind="sweep",
-                              out_dir=str(tmp_path), sweep_nodes=(6, 8))
+def readme_artifact_headers():
+    """File name -> CSV header row, from the README tables whose column cell
+    names one backquoted column list per backquoted file."""
+    headers = {}
+    for line in README.read_text().splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) != 2:
+            continue
+        names = re.findall(r"`([\w.]+\.csv)`", cells[0])
+        columns = re.findall(r"`([^`]+)`", cells[1])
+        if names and len(names) == len(columns):
+            headers.update((name, cols.replace(" ", ""))
+                           for name, cols in zip(names, columns))
+    return headers
+
+
+@pytest.mark.parametrize("kind", ["run", "multistart"])
+def test_solution_artifacts_match_readme_table(tmp_path, kind):
+    config = ExperimentConfig(scenario=FEASIBLE, kind=kind,
+                              out_dir=str(tmp_path), trials=5)
+    assert run_experiment(config).status == "ok"
+    if kind == "run":
+        prefix = ""
+        net = build_network(FEASIBLE)
+        solution = joint_optimize(FEASIBLE, net.topology, net.gains,
+                                  net.sessions, net.codebook)
+    else:
+        prefix = "best_"
+        solution = multi_start(FEASIBLE, config.trials).best
+    n = FEASIBLE.n_nodes
+    counts = {"trace.csv": len(solution.trace), "node_powers.csv": n,
+              "routes.csv": sum(len(path) for path in solution.routes.paths)}
+    files = {prefix + name: (name, count) for name, count in counts.items()}
+    if kind == "run":
+        files.update({name: (name, n) for name in ("topology.csv",
+                                                   "sessions.csv")})
+    headers = readme_artifact_headers()
+    for file, (name, count) in files.items():
+        lines = (tmp_path / file).read_text().strip().splitlines()
+        assert lines[0] == headers[name], file
+        assert len(lines) == count + 1, file
+    rows = [line.split(",") for line in
+            (tmp_path / f"{prefix}routes.csv").read_text().splitlines()[1:]]
+    paths = [[] for _ in solution.routes.paths]
+    for session, hop, node in rows:
+        assert int(hop) == len(paths[int(session)])
+        paths[int(session)].append(int(node))
+    assert tuple(map(tuple, paths)) == solution.routes.paths
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_manifest_lists_every_file_written(tmp_path, kind):
+    config = ExperimentConfig(scenario=FEASIBLE, kind=kind,
+                              out_dir=str(tmp_path), trials=4,
+                              feasibility_target=0.5, n_min=6, n_max=10,
+                              n_step=4)
     result = run_experiment(config)
-    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert result.status == "ok"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    written = set(os.listdir(tmp_path))
+    assert set(manifest["artifacts"]) | {"manifest.json"} == written
+    assert set(result.artifacts) == written
 
 
 def test_capacity_trivial_target_reaches_scan_ceiling():
@@ -241,9 +300,23 @@ def test_emit_plot_data_missing_artifact_is_named(tmp_path):
         emit_plot_data(str(tmp_path / "nowhere"))
 
 
+@pytest.mark.parametrize("body", ["[]", '{"artifacts": 5}',
+                                  '{"artifacts": ["trace.csv", 1]}'])
+def test_malformed_manifest_is_a_config_error(tmp_path, body):
+    (tmp_path / "manifest.json").write_text(body)
+    with pytest.raises(ConfigError, match="manifest"):
+        config_from_manifest(tmp_path / "manifest.json")
+    with pytest.raises(ConfigError, match="manifest"):
+        emit_plot_data(str(tmp_path))
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario=FEASIBLE, kind="bogus", out_dir="x")
+    for threshold in (-1.0, float("nan"), float("inf"), "0.1"):
+        with pytest.raises(ConfigError, match="fairness_threshold"):
+            ExperimentConfig(scenario=FEASIBLE, kind="fairness", out_dir="x",
+                             fairness_threshold=threshold)
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario=FEASIBLE, kind="run", out_dir="x", trials=0)
     with pytest.raises(ConfigError):

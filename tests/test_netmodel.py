@@ -12,8 +12,6 @@ from adhocnet.netmodel import (
     generate_topology,
     load_scenario,
     save_scenario,
-    sessions_to_csv,
-    topology_to_csv,
 )
 from helpers import topology_from_positions
 
@@ -166,19 +164,6 @@ def test_scenario_json_roundtrip_and_unknown_key(tmp_path):
         load_scenario(path)
 
 
-def test_csv_exports(tmp_path):
-    scenario = Scenario(n_nodes=5, spreading_gain=8, master_seed=2)
-    net = build_network(scenario)
-    tpath = tmp_path / "topo.csv"
-    topology_to_csv(net.topology, tpath)
-    lines = tpath.read_text().strip().splitlines()
-    assert lines[0] == "node,x_m,y_m"
-    assert len(lines) == 6
-    spath = tmp_path / "sessions.csv"
-    sessions_to_csv(net.sessions, spath)
-    assert len(spath.read_text().strip().splitlines()) == 6
-
-
 def test_arrays_are_read_only():
     net = build_network(Scenario(n_nodes=4, spreading_gain=8, master_seed=3))
     with pytest.raises(ValueError):
@@ -197,6 +182,7 @@ def test_arrays_are_read_only():
     ("target_sir", float("inf")), ("initial_power", float("inf")),
     ("power_cap", float("inf")), ("area_side", float("nan")),
     ("initial_power_range", (1e-9, float("inf"))),
+    ("initial_power_range", 5), ("initial_power_range", ("x", 1)),
 ])
 def test_scenario_rejects_bad_field_naming_it(field, value):
     with pytest.raises(ConfigError, match=field):
