@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible scenario.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigError, MissingArtifactError
@@ -24,28 +25,22 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
-def _add_scenario_flags(parser):
+def _add_experiment_flags(parser):
     parser.add_argument("--config", metavar="PATH",
                         help="JSON scenario file; keys match Scenario fields")
-    parser.add_argument("--seed", type=int, metavar="U64",
+    parser.add_argument("--seed", dest="master_seed", type=int, metavar="U64",
                         help="override the master seed")
     parser.add_argument("--receiver", choices=("matched", "lmmse"))
-    parser.add_argument("--nodes", type=int, metavar="N")
+    parser.add_argument("--nodes", dest="n_nodes", type=int, metavar="N")
     parser.add_argument("--spreading-gain", type=int, metavar="L")
+    parser.add_argument("--out", dest="out_dir", default="out", metavar="DIR")
 
 
-def _build_scenario(args) -> Scenario:
-    scenario = load_scenario(args.config) if args.config else Scenario()
-    changes = {}
-    if args.seed is not None:
-        changes["master_seed"] = args.seed
-    if args.receiver is not None:
-        changes["receiver"] = args.receiver
-    if args.nodes is not None:
-        changes["n_nodes"] = args.nodes
-    if getattr(args, "spreading_gain", None) is not None:
-        changes["spreading_gain"] = args.spreading_gain
-    return scenario.replace(**changes) if changes else scenario
+def _given(args, cls) -> dict:
+    """The flags given whose dests name fields of the dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {name: value for name, value in vars(args).items()
+            if name in names and value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,32 +52,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single joint optimization run")
-    _add_scenario_flags(p_run)
-    p_run.add_argument("--out", default="out", metavar="DIR")
+    _add_experiment_flags(p_run)
     p_run.add_argument("--phase-budget", type=int, metavar="K",
                        help="record exactly K alternating phases")
 
     p_multi = sub.add_parser("multistart",
                              help="repeat the joint loop from random inits")
-    _add_scenario_flags(p_multi)
-    p_multi.add_argument("--out", default="out", metavar="DIR")
+    _add_experiment_flags(p_multi)
     p_multi.add_argument("--trials", type=int, default=100, metavar="N")
 
     p_fair = sub.add_parser("fairness",
                             help="multi-start plus route-mixture balancing")
-    _add_scenario_flags(p_fair)
-    p_fair.add_argument("--out", default="out", metavar="DIR")
+    _add_experiment_flags(p_fair)
     p_fair.add_argument("--trials", type=int, default=100, metavar="N")
-    p_fair.add_argument("--threshold", type=float, default=0.10,
+    p_fair.add_argument("--threshold", dest="fairness_threshold", type=float,
+                        default=0.10, metavar="THRESHOLD",
                         help="admission band above the best total power")
 
     p_cap = sub.add_parser("capacity",
                            help="Monte Carlo search for the largest feasible "
                                 "network size")
-    _add_scenario_flags(p_cap)
-    p_cap.add_argument("--out", default="out", metavar="DIR")
+    _add_experiment_flags(p_cap)
     p_cap.add_argument("--trials", type=int, default=100, metavar="N")
-    p_cap.add_argument("--target", type=float, default=0.95,
+    p_cap.add_argument("--target", dest="feasibility_target", type=float,
+                       default=0.95, metavar="TARGET",
                        help="required feasibility rate")
     p_cap.add_argument("--n-min", type=int, default=40)
     p_cap.add_argument("--n-max", type=int, default=65)
@@ -96,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_emit = sub.add_parser("emit-plots",
                             help="project artifacts onto plot-ready files")
-    p_emit.add_argument("--out", default="out", metavar="DIR",
+    p_emit.add_argument("--out", dest="out_dir", default="out", metavar="DIR",
                         help="artifact directory of a previous experiment")
     return parser
 
@@ -112,29 +105,14 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "emit-plots":
-            emitted = emit_plot_data(args.out)
-            for name in emitted:
+            for name in emit_plot_data(args.out_dir):
                 print(name)
             return EXIT_OK
 
-        scenario = _build_scenario(args)
-        if args.command == "run":
-            config = ExperimentConfig(scenario=scenario, kind="run",
-                                      out_dir=args.out,
-                                      phase_budget=args.phase_budget)
-        elif args.command == "multistart":
-            config = ExperimentConfig(scenario=scenario, kind="multistart",
-                                      out_dir=args.out, trials=args.trials)
-        elif args.command == "fairness":
-            config = ExperimentConfig(scenario=scenario, kind="fairness",
-                                      out_dir=args.out, trials=args.trials,
-                                      fairness_threshold=args.threshold)
-        else:
-            config = ExperimentConfig(
-                scenario=scenario, kind="capacity", out_dir=args.out,
-                trials=args.trials, feasibility_target=args.target,
-                n_min=args.n_min, n_max=args.n_max, n_step=args.n_step,
-            )
+        scenario = load_scenario(args.config) if args.config else Scenario()
+        config = ExperimentConfig(
+            scenario=scenario.replace(**_given(args, Scenario)),
+            kind=args.command, **_given(args, ExperimentConfig))
         result = run_experiment(config)
         print(f"status: {result.status}")
         for key, value in sorted(result.extras.items()):

@@ -20,10 +20,12 @@ import numpy as np
 from .netmodel import (
     INIT_POWER_STREAM,
     LinkGainMatrix,
+    Network,
     Scenario,
     SessionSet,
     SpreadingCodebook,
     Topology,
+    build_network,
 )
 from .phy import (
     incoming_slots,
@@ -89,6 +91,7 @@ class TrialSummary:
 class MultiStartResult:
     best: JointSolution | None
     trials: tuple[TrialSummary, ...]
+    network: Network
 
 
 def initial_powers(scenario: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -308,22 +311,21 @@ def multi_start(scenario: Scenario, trials: int,
 
     Each trial draws a log-uniform initial power vector from its own derived
     stream; the best (lowest total power) converged solution is returned
-    together with per-trial summaries. The network itself (topology,
-    sessions, codebook) is fixed by the scenario.
+    together with per-trial summaries and the network they share, which the
+    scenario fixes (topology, sessions, codebook).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    from .netmodel import build_network
-
     if seed is None:
         seed = scenario.master_seed
     net = build_network(scenario)
-    lo, hi = scenario.power_init_range()
+    # every trial starts from a random draw, whatever the scenario's mode
+    random_init = scenario.replace(initial_power_mode="random")
     summaries = []
     best: JointSolution | None = None
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, TRIAL_STREAM_BASE, trial))
-        p_init = np.exp(rng.uniform(np.log(lo), np.log(hi), size=scenario.n_nodes))
+        p_init = initial_powers(random_init, rng)
         solution = joint_optimize(scenario, net.topology, net.gains,
                                   net.sessions, net.codebook, p_init=p_init)
         summaries.append(TrialSummary(
@@ -335,4 +337,4 @@ def multi_start(scenario: Scenario, trials: int,
         if solution.converged and (best is None
                                    or solution.total_power < best.total_power):
             best = solution
-    return MultiStartResult(best=best, trials=tuple(summaries))
+    return MultiStartResult(best=best, trials=tuple(summaries), network=net)

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that turn bad
+configuration input into a ConfigError naming the field at fault."""
+
+import dataclasses
+import json
+import math
+import numbers
 
 
 class AdhocnetError(Exception):
@@ -30,3 +36,75 @@ class UnreachableSessionError(AdhocnetError):
 
 class MissingArtifactError(AdhocnetError):
     """A required experiment artifact file is absent."""
+
+
+def checked(kind, default=dataclasses.MISSING, *, low=None, above=None,
+            high=None, choices=()):
+    """A dataclass field whose rule check_fields applies: the value must be
+    a ``kind`` (never a bool, and finite if a number) that is at least
+    ``low``, above ``above``, at most ``high`` and one of ``choices`` where
+    these are given. A field whose default is None also accepts None."""
+    return dataclasses.field(default=default, metadata={
+        "kind": kind, "low": low, "above": above, "high": high,
+        "choices": choices})
+
+
+_NOUNS = {numbers.Integral: "an integer", numbers.Real: "a number",
+          str: "a string"}
+
+
+def check_fields(config) -> None:
+    """Check every field of the dataclass ``config`` made by ``checked``
+    against its rule and raise ConfigError naming the first that breaks it."""
+    for f in dataclasses.fields(config):
+        rule, value = f.metadata, getattr(config, f.name)
+        if "kind" not in rule or (value is None and f.default is None):
+            continue
+        kind = rule["kind"]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = _NOUNS.get(kind, f"a {kind.__name__}")
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        low, above, high = rule["low"], rule["above"], rule["high"]
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            problem = "finite"
+        elif low is not None and not value >= low:
+            problem = f"at least {low}"
+        elif above is not None and not value > above:
+            problem = f"above {above}"
+        elif high is not None and not value <= high:
+            problem = f"at most {high}"
+        elif rule["choices"] and value not in rule["choices"]:
+            problem = f"one of {rule['choices']}"
+        else:
+            continue
+        raise ConfigError(f"{f.name} must be {problem}, got {value!r}")
+
+
+def check_keys(data, cls, what: str) -> None:
+    """Raise ConfigError unless ``data`` is a dict that names every field of
+    the dataclass ``cls`` without a default and no key that is not a field;
+    ``what`` names the object in the message."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown {what} key: {key!r}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in data:
+            raise ConfigError(f"{what} lacks the field {f.name!r}")
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse the JSON object in the file at ``path``. A file that cannot be
+    read, is not JSON or holds something else raises ConfigError naming
+    ``what`` the file should hold."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must hold a JSON object: {path}")
+    return data

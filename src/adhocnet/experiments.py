@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import os
 import platform
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,7 +27,14 @@ from .crosslayer import (
     run_power_control,
 )
 from .csvio import read_csv, write_csv
-from .errors import ConfigError, MissingArtifactError
+from .errors import (
+    ConfigError,
+    MissingArtifactError,
+    check_fields,
+    check_keys,
+    checked,
+    read_json_object,
+)
 from .fairness import effective_node_powers, optimize_mixture, select_candidates
 from .netmodel import (
     Network,
@@ -61,42 +67,21 @@ _PLOT_DIR = "plots"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenario: Scenario
-    kind: str
-    out_dir: str
-    trials: int = 100
-    phase_budget: int | None = None
-    fairness_threshold: float = 0.10
-    feasibility_target: float = 0.95
-    n_min: int = 40
-    n_max: int = 65
-    n_step: int = 5
+    scenario: Scenario = checked(Scenario)
+    kind: str = checked(str, choices=EXPERIMENT_KINDS)
+    out_dir: str = checked(str)
+    trials: int = checked(Integral, 100, low=1)
+    phase_budget: int | None = checked(Integral, None, low=1)
+    fairness_threshold: float = checked(Real, 0.10, low=0)
+    feasibility_target: float = checked(Real, 0.95, above=0, high=1)
+    n_min: int = checked(Integral, 40, low=2)
+    n_max: int = checked(Integral, 65)  # __post_init__ checks >= n_min
+    n_step: int = checked(Integral, 5, low=1)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind: {self.kind!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if not (0.0 < self.feasibility_target <= 1.0):
-            raise ConfigError("feasibility_target must be in (0, 1]")
-        if self.phase_budget is not None and self.phase_budget < 1:
-            raise ConfigError("phase_budget must be at least 1")
-        threshold = self.fairness_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) \
-                or not math.isfinite(threshold) or threshold < 0:
-            raise ConfigError("fairness_threshold must be a finite nonnegative "
-                              f"number, got {threshold!r}")
-        for name in ("n_min", "n_max", "n_step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_min < 2:
-            raise ConfigError("n_min must be at least 2")
+        check_fields(self)
         if self.n_max < self.n_min:
             raise ConfigError(f"n_max must be at least n_min ({self.n_min})")
-        if self.n_step < 1:
-            raise ConfigError("n_step must be at least 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -105,15 +90,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown experiment key: {key!r}")
-        data = dict(data)
-        if "scenario" not in data:
-            raise ConfigError("experiment config needs a scenario")
-        data["scenario"] = Scenario.from_dict(data["scenario"])
-        return cls(**data)
+        check_keys(data, cls, "experiment config")
+        scenario = Scenario.from_dict(data["scenario"])
+        return cls(**{**data, "scenario": scenario})
 
 
 @dataclass(frozen=True)
@@ -162,13 +141,8 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
         n_nodes, spreading_gain,
         derive_seed(seed, _CAP_CODEBOOK_STREAM, trial, n_nodes),
     )
-    if scenario.initial_power_mode == "random":
-        rng = np.random.default_rng(
-            derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)
-        )
-        p0 = initial_powers(scenario, rng)
-    else:
-        p0 = initial_powers(scenario)
+    p0 = initial_powers(scenario, np.random.default_rng(
+        derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)))
     routes = initial_routes(scenario, gains, sessions, p0)
     return run_power_control(scenario, p0, routes, gains, codebook,
                              probe=routes.probe).converged
@@ -257,15 +231,8 @@ def _write_manifest(config: ExperimentConfig, status: str, extras: dict,
 
 
 def _read_manifest(path) -> dict:
-    """Parse a manifest and check the parts its readers use; a missing file
-    raises FileNotFoundError for the caller to report."""
-    try:
-        with open(path) as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"manifest must hold a JSON object: {path}")
+    """Parse a manifest and check the parts its readers use."""
+    manifest = read_json_object(path, "manifest")
     listed = manifest.get("artifacts", [])
     if not isinstance(listed, list) \
             or not all(isinstance(name, str) for name in listed):
@@ -276,13 +243,7 @@ def _read_manifest(path) -> dict:
 
 def config_from_manifest(path) -> ExperimentConfig:
     """Rebuild the experiment configuration recorded in a manifest."""
-    try:
-        manifest = _read_manifest(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"manifest not found: {path}") from exc
-    if "config" not in manifest:
-        raise ConfigError("manifest lacks a config section")
-    return ExperimentConfig.from_dict(manifest["config"])
+    return ExperimentConfig.from_dict(_read_manifest(path).get("config"))
 
 
 def _export_solution(net: Network, solution: JointSolution, out_dir: str,
@@ -347,8 +308,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if result.best is None:
             status = STATUS_INFEASIBLE
         else:
-            net = build_network(scenario)
-            _export_solution(net, result.best, out_dir, artifacts,
+            _export_solution(result.network, result.best, out_dir, artifacts,
                              prefix="best_")
             extras["best_total_power_W"] = result.best.total_power
             extras["best_energy_per_bit_J"] = result.best.energy_per_bit
@@ -363,10 +323,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                            config.fairness_threshold)
             weights = optimize_mixture(candidates)
             mixed = effective_node_powers(candidates, weights)
-            best = min(
-                (c for c in candidates.candidates),
-                key=lambda c: c.total_power,
-            )
+            best = min(candidates.candidates, key=lambda c: c.total_power)
             _write(out_dir, artifacts, "candidates.csv",
                    ("candidate", "trial", "total_power_W"),
                    [(k, c.trial, c.total_power)
@@ -456,10 +413,9 @@ def emit_plot_data(artifact_dir) -> list[str]:
     artifact is absent, and ConfigError when the manifest is malformed.
     """
     manifest_path = os.path.join(artifact_dir, _MANIFEST)
-    try:
-        listed = _read_manifest(manifest_path).get("artifacts", [])
-    except FileNotFoundError as exc:
-        raise MissingArtifactError(f"missing artifact: {manifest_path}") from exc
+    if not os.path.exists(manifest_path):
+        raise MissingArtifactError(f"missing artifact: {manifest_path}")
+    listed = _read_manifest(manifest_path).get("artifacts", [])
     out_dir = os.path.join(artifact_dir, _PLOT_DIR)
     os.makedirs(out_dir, exist_ok=True)
     emitted = []

@@ -11,13 +11,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import CoincidentNodesError, ConfigError
+from .errors import (
+    CoincidentNodesError,
+    ConfigError,
+    check_fields,
+    check_keys,
+    checked,
+    read_json_object,
+)
 from .seeds import derive_seed
 
 # Stream indices hung off the master seed, one per generated component.
@@ -31,12 +38,6 @@ POWER_MODES = ("equal", "random")
 
 # build_network redraws a topology with coincident nodes at most this often.
 _MAX_ATTEMPTS = 100
-
-_INTEGER_FIELDS = ("n_nodes", "spreading_gain", "packet_bits", "pc_max_iter",
-                   "phase_cap", "master_seed")
-_REAL_FIELDS = ("area_side", "target_sir", "noise_power", "path_loss_exp",
-                "initial_power", "chip_bandwidth", "power_cap", "pc_tol",
-                "improvement_tol")
 
 
 @dataclass(frozen=True)
@@ -69,83 +70,39 @@ class Scenario:
     master_seed : root of every random stream.
     """
 
-    n_nodes: int = 55
-    area_side: float = 200.0
-    spreading_gain: int = 128
-    target_sir: float = 12.5
-    noise_power: float = 1e-13
-    path_loss_exp: float = 2.0
-    receiver: str = "matched"
-    initial_power_mode: str = "equal"
-    initial_power: float = 1e-6
+    n_nodes: int = checked(Integral, 55, low=2)
+    area_side: float = checked(Real, 200.0, above=0)
+    spreading_gain: int = checked(Integral, 128, low=1)
+    target_sir: float = checked(Real, 12.5, above=0)
+    noise_power: float = checked(Real, 1e-13, above=0)
+    path_loss_exp: float = checked(Real, 2.0, above=0)
+    receiver: str = checked(str, "matched", choices=RECEIVERS)
+    initial_power_mode: str = checked(str, "equal", choices=POWER_MODES)
+    initial_power: float = checked(Real, 1e-6, above=0)
+    # checked and normalised to a tuple of floats in __post_init__
     initial_power_range: tuple[float, float] | None = None
-    packet_bits: int = 80
-    chip_bandwidth: float = 1e6
-    power_cap: float = 1.0
-    pc_tol: float = 1e-6
-    pc_max_iter: int = 10_000
-    improvement_tol: float = 1e-4
-    phase_cap: int = 100
-    master_seed: int = 1
+    packet_bits: int = checked(Integral, 80, low=1)
+    chip_bandwidth: float = checked(Real, 1e6, above=0)
+    power_cap: float = checked(Real, 1.0, above=0)
+    pc_tol: float = checked(Real, 1e-6, above=0)
+    pc_max_iter: int = checked(Integral, 10_000, low=1)
+    improvement_tol: float = checked(Real, 1e-4, low=0)
+    phase_cap: int = checked(Integral, 100, low=1)
+    master_seed: int = checked(Integral, 1)
 
     def __post_init__(self):
-        for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral,
-                                   "an integer"),
-                                  (_REAL_FIELDS, numbers.Real, "a number")):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(f"{name} must be {noun}, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.n_nodes < 2:
-            raise ConfigError("n_nodes must be at least 2")
-        if self.spreading_gain < 1:
-            raise ConfigError("spreading_gain must be at least 1")
-        if not self.target_sir > 0:
-            raise ConfigError("target_sir must be positive")
-        if not self.noise_power > 0:
-            raise ConfigError("noise_power must be positive")
-        if not self.area_side > 0:
-            raise ConfigError("area_side must be positive")
-        if not self.power_cap > 0:
-            raise ConfigError("power_cap must be positive")
-        if self.receiver not in RECEIVERS:
-            raise ConfigError(f"receiver must be one of {RECEIVERS}")
-        if self.initial_power_mode not in POWER_MODES:
-            raise ConfigError(f"initial_power_mode must be one of {POWER_MODES}")
-        if not self.initial_power > 0:
-            raise ConfigError("initial_power must be positive")
-        if self.initial_power_range is not None:
-            rng = self.initial_power_range
-            if not (isinstance(rng, (list, tuple)) and len(rng) == 2 and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in rng)):
-                raise ConfigError("initial_power_range must be a list of two "
-                                  f"numbers, got {rng!r}")
-            lo, hi = float(rng[0]), float(rng[1])
-            object.__setattr__(self, "initial_power_range", (lo, hi))
-            if not all(map(math.isfinite, (lo, hi))):
-                raise ConfigError("initial_power_range must be finite, "
-                                  f"got {self.initial_power_range!r}")
-            if not (0 < lo <= hi):
-                raise ConfigError("initial_power_range must satisfy 0 < low <= high")
-        if self.packet_bits < 1:
-            raise ConfigError("packet_bits must be at least 1")
-        if not self.chip_bandwidth > 0:
-            raise ConfigError("chip_bandwidth must be positive")
-        if not self.path_loss_exp > 0:
-            raise ConfigError("path_loss_exp must be positive")
-        if not self.pc_tol > 0:
-            raise ConfigError("pc_tol must be positive")
-        if self.pc_max_iter < 1:
-            raise ConfigError("pc_max_iter must be at least 1")
-        if not self.improvement_tol >= 0:
-            raise ConfigError("improvement_tol must be nonnegative")
-        if self.phase_cap < 1:
-            raise ConfigError("phase_cap must be at least 1")
+        check_fields(self)
+        rng = self.initial_power_range
+        if rng is None:
+            return
+        if not (isinstance(rng, (list, tuple)) and len(rng) == 2
+                and all(isinstance(v, Real) and not isinstance(v, bool)
+                        for v in rng)
+                and 0 < rng[0] <= rng[1] < math.inf):
+            raise ConfigError("initial_power_range must be two numbers low, "
+                              f"high with 0 < low <= high < inf, got {rng!r}")
+        object.__setattr__(self, "initial_power_range",
+                           (float(rng[0]), float(rng[1])))
 
     @property
     def bit_rate(self) -> float:
@@ -169,25 +126,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown scenario key: {key!r}")
+        check_keys(data, cls, "scenario")
         return cls(**data)
 
 
 def load_scenario(path) -> Scenario:
     """Read a scenario from a JSON file whose keys match the field names."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("scenario file must hold a JSON object")
-    return Scenario.from_dict(data)
+    return Scenario.from_dict(read_json_object(path, "scenario file"))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from adhocnet.cli import _build_parser, main
+from adhocnet.experiments import ExperimentConfig
 from adhocnet.netmodel import Scenario, save_scenario
 
 FEASIBLE = Scenario(n_nodes=10, spreading_gain=64, master_seed=6,
@@ -51,6 +53,39 @@ def test_flag_overrides_reach_the_manifest(tmp_path):
     assert manifest["config"]["scenario"]["n_nodes"] == 8
 
 
+def test_every_experiment_flag_is_named_after_a_config_field():
+    fields = {f.name for cls in (Scenario, ExperimentConfig)
+              for f in dataclasses.fields(cls)}
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command in ("run", "multistart", "fairness", "capacity"):
+        dests = {action.dest
+                 for action in subparsers.choices[command]._actions}
+        assert dests - {"help", "config"} <= fields, command
+
+
+@pytest.mark.parametrize("command, flags, expected", [
+    ("fairness", ["--trials", "2", "--threshold", "0.2"],
+     {"trials": 2, "fairness_threshold": 0.2}),
+    ("capacity", ["--trials", "2", "--target", "0.4", "--n-min", "6",
+                  "--n-max", "10", "--n-step", "4"],
+     {"trials": 2, "feasibility_target": 0.4, "n_min": 6, "n_max": 10,
+      "n_step": 4}),
+])
+def test_experiment_flags_reach_the_manifest(tmp_path, command, flags,
+                                             expected):
+    out = tmp_path / "out"
+    code = main([command, "--config", write_scenario(tmp_path),
+                 "--out", str(out), "--spreading-gain", "32",
+                 "--receiver", "lmmse"] + flags)
+    assert code in (0, 3)
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert {key: config[key] for key in expected} == expected
+    assert (config["kind"], config["out_dir"]) == (command, str(out))
+    assert config["scenario"]["spreading_gain"] == 32
+    assert config["scenario"]["receiver"] == "lmmse"
+
+
 def test_multistart_subcommand(tmp_path):
     code = main(["multistart", "--config", write_scenario(tmp_path),
                  "--out", str(tmp_path / "out"), "--trials", "3"])
@@ -87,6 +122,14 @@ def test_emit_plots_subcommand(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2_without_traceback(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario file" in err
+    assert "Traceback" not in err
 
 
 def test_invalid_scenario_key_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adhocnet import crosslayer, experiments, netmodel
 from adhocnet.crosslayer import joint_optimize, multi_start
 from adhocnet.errors import ConfigError, MissingArtifactError
 from adhocnet.experiments import (
@@ -340,6 +341,66 @@ def test_experiment_config_rejects_bad_capacity_scan(changes, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(scenario=FEASIBLE, kind="capacity", out_dir="x",
                          **changes)
+
+
+def valid_config(**changes):
+    return ExperimentConfig(**{"scenario": FEASIBLE, "kind": "run",
+                               "out_dir": "x", **changes})
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_config_field_rejects_a_wrong_type(field):
+    wrong = 1 if isinstance(getattr(valid_config(), field), str) else "1"
+    with pytest.raises(ConfigError, match=rf"^{field}\b"):
+        dataclasses.replace(valid_config(), **{field: wrong})
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"scenario": 5}, "scenario"),
+    ({"trials": "3"}, "trials"),
+    ({"phase_budget": "3"}, "phase_budget"),
+    ({"feasibility_target": "0.5"}, "feasibility_target"),
+    ({"trials": 2.5}, "trials"),
+    ({"out_dir": 5}, "out_dir"),
+])
+def test_malformed_config_names_the_field(tmp_path, changes, field):
+    with pytest.raises(ConfigError, match=field):
+        valid_config(**changes)
+    config = {"scenario": FEASIBLE.to_dict(), "kind": "run", "out_dir": "x",
+              **changes}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": config}))
+    with pytest.raises(ConfigError, match=field):
+        config_from_manifest(path)
+
+
+@pytest.mark.parametrize("body, field", [
+    ({"config": 5}, "config"),
+    ({"config": {"scenario": FEASIBLE.to_dict(), "kind": "run"}}, "out_dir"),
+])
+def test_manifest_config_that_is_not_a_whole_object_is_named(tmp_path, body,
+                                                             field):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(body))
+    with pytest.raises(ConfigError, match=field):
+        config_from_manifest(path)
+
+
+def test_multistart_builds_its_network_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return build_network(scenario)
+
+    for module in (netmodel, crosslayer, experiments):
+        monkeypatch.setattr(module, "build_network", counting)
+    result = run_experiment(ExperimentConfig(
+        scenario=FEASIBLE, kind="multistart", out_dir=str(tmp_path),
+        trials=2))
+    assert result.status == "ok"
+    assert len(calls) == 1
 
 
 def test_infeasible_scenario_reported_in_manifest(tmp_path):

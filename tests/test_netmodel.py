@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -187,3 +189,10 @@ def test_arrays_are_read_only():
 def test_scenario_rejects_bad_field_naming_it(field, value):
     with pytest.raises(ConfigError, match=field):
         Scenario(**{field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
+def test_every_scenario_field_rejects_a_wrong_type(field):
+    wrong = 1 if isinstance(getattr(Scenario(), field), str) else "1"
+    with pytest.raises(ConfigError, match=rf"^{field}\b"):
+        Scenario(**{field: wrong})
