@@ -14,6 +14,7 @@ rerouting the powers are not yet re-optimized for the new routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .phy import (
     matched_sir_matrix,
 )
 from .powercontrol import PcResult, pc_iterate, pc_mud_iterate
-from .errors import UnreachableSessionError
+from .errors import UnreachableSessionError, check_value
 from .routing import RouteSet, assign_routes, build_link_costs, initial_routes
 from .seeds import derive_seed
 
@@ -314,8 +315,7 @@ def multi_start(scenario: Scenario, trials: int,
     together with per-trial summaries and the network they share, which the
     scenario fixes (topology, sessions, codebook).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_value("trials", trials, Integral, low=1)
     if seed is None:
         seed = scenario.master_seed
     net = build_network(scenario)

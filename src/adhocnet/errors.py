@@ -11,8 +11,8 @@ class AdhocnetError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(AdhocnetError):
-    """A scenario or experiment configuration is invalid."""
+class ConfigError(AdhocnetError, ValueError):
+    """A configuration field or a public function's argument is invalid."""
 
 
 class CoincidentNodesError(AdhocnetError):
@@ -53,31 +53,35 @@ _NOUNS = {numbers.Integral: "an integer", numbers.Real: "a number",
           str: "a string"}
 
 
+def check_value(name: str, value, kind, low=None, above=None, high=None,
+                choices=()) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` meets the rule
+    that ``checked`` describes."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = _NOUNS.get(kind, f"a {kind.__name__}")
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if isinstance(value, numbers.Real) and not math.isfinite(value):
+        problem = "finite"
+    elif low is not None and not value >= low:
+        problem = f"at least {low}"
+    elif above is not None and not value > above:
+        problem = f"above {above}"
+    elif high is not None and not value <= high:
+        problem = f"at most {high}"
+    elif choices and value not in choices:
+        problem = f"one of {choices}"
+    else:
+        return
+    raise ConfigError(f"{name} must be {problem}, got {value!r}")
+
+
 def check_fields(config) -> None:
-    """Check every field of the dataclass ``config`` made by ``checked``
-    against its rule and raise ConfigError naming the first that breaks it."""
+    """Apply ``check_value`` to every field of the dataclass ``config`` made
+    by ``checked``, so the first that breaks its rule is named."""
     for f in dataclasses.fields(config):
-        rule, value = f.metadata, getattr(config, f.name)
-        if "kind" not in rule or (value is None and f.default is None):
-            continue
-        kind = rule["kind"]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = _NOUNS.get(kind, f"a {kind.__name__}")
-            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
-        low, above, high = rule["low"], rule["above"], rule["high"]
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            problem = "finite"
-        elif low is not None and not value >= low:
-            problem = f"at least {low}"
-        elif above is not None and not value > above:
-            problem = f"above {above}"
-        elif high is not None and not value <= high:
-            problem = f"at most {high}"
-        elif rule["choices"] and value not in rule["choices"]:
-            problem = f"one of {rule['choices']}"
-        else:
-            continue
-        raise ConfigError(f"{f.name} must be {problem}, got {value!r}")
+        value = getattr(config, f.name)
+        if "kind" in f.metadata and not (value is None and f.default is None):
+            check_value(f.name, value, **f.metadata)
 
 
 def check_keys(data, cls, what: str) -> None:

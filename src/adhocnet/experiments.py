@@ -32,6 +32,7 @@ from .errors import (
     MissingArtifactError,
     check_fields,
     check_keys,
+    check_value,
     checked,
     read_json_object,
 )
@@ -80,8 +81,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_max < self.n_min:
-            raise ConfigError(f"n_max must be at least n_min ({self.n_min})")
+        check_value("n_max", self.n_max, Integral, low=self.n_min)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -163,12 +163,12 @@ def capacity_search(scenario_template: Scenario, spreading_gain: int,
     the target. Sessions are redrawn per size since each added node also
     adds a traffic session.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (0.0 < feasibility_target <= 1.0):
-        raise ValueError("feasibility_target must be in (0, 1]")
-    if n_min < 2:
-        raise ValueError("n_min must be at least 2")
+    check_value("trials", trials, Integral, low=1)
+    check_value("feasibility_target", feasibility_target, Real, above=0,
+                high=1)
+    check_value("n_min", n_min, Integral, low=2)
+    check_value("n_max", n_max, Integral, low=n_min)
+    check_value("n_step", n_step, Integral, low=1)
 
     positions = []
     for trial in range(trials):

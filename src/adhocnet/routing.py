@@ -7,22 +7,23 @@ matched SIR is computed, or ``phy.lmmse_sir_matrix``. The gate gives links
 below the SIR target infinite cost, prices the remaining links at the
 transmitter's power, and finds all distances to the session destinations
 with one csgraph Dijkstra call. Each session then follows per-destination
-next-hop pointers along the lexicographically smallest minimum-cost route.
-The SIR matrices read only powers and gains, so they do not depend on which
-routes are in use.
+next-hop pointers, found on the finite links alone, along the
+lexicographically smallest minimum-cost route. The SIR matrices read only
+powers and gains, so they do not depend on which routes are in use.
 
 Initialization differs: before the first power-control run there are no
 optimized powers to price links with, so links are priced by the energy per
 bit they would consume if operated at the SIR target given the initial
 interference, every link stays finite, and the route assignment is built on
-a sparse strongly-connected skeleton of locally strong links and verified
-(and repaired if needed) to admit a convergent power-control run. That
-verification is a matched power-control run from the initial powers with
-the scenario's tolerance and power cap; the returned routes carry the last
-one as ``RouteSet.probe``, so the first full run can resume from it instead
-of solving the same fixed point again (see ``crosslayer.run_power_control``).
-The probe runs at most ``_PROBE_ITERATIONS`` steps, and a diverging probe
-triggers at most ``_REPAIR_ROUNDS`` skeleton repairs.
+a sparse strongly-connected skeleton of locally strong links, merged
+without a graph search per round, and verified (and repaired if needed) to
+admit a convergent power-control run. That verification is a matched
+power-control run from the initial powers with the scenario's tolerance and
+power cap; the returned routes carry the last one as ``RouteSet.probe``, so
+the first full run can resume from it instead of solving the same fixed
+point again (see ``crosslayer.run_power_control``). The probe runs at most
+``_PROBE_ITERATIONS`` steps, and a diverging probe triggers at most
+``_REPAIR_ROUNDS`` skeleton repairs.
 """
 
 from __future__ import annotations
@@ -135,44 +136,44 @@ def _heap_lex_path(costs: np.ndarray, source: int,
     return None
 
 
-def _csr_graph(mask: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix holding ``values`` at the True entries of ``mask`` in
-    row-major order, explicit zeros included."""
-    rows, cols = np.nonzero(mask)
-    indptr = np.searchsorted(rows, np.arange(mask.shape[0] + 1))
-    return sp.csr_matrix((values, cols, indptr), shape=mask.shape)
-
-
 def _lex_paths(costs: np.ndarray,
                pairs: tuple[tuple[int, int], ...]) -> list[list[int] | None]:
     """Lexicographically smallest min-cost path per (source, dest) pair.
 
     One csgraph search on the reversed graph, stored as CSR with every
     finite entry of ``costs.T`` (explicit zeros included), gives the
-    distances to all destinations. A neighbor v continues a shortest path
-    from u exactly when cost(u, v) + rdist(v) == rdist(u); each node's next
-    hop is its smallest such neighbor, which for strictly positive costs
-    gives the lexicographically smallest shortest path, and each pair
-    follows these pointers. A walk that finds no next hop or revisits a node
-    (zero costs, or costs lost to rounding) is redone by ``_heap_lex_path``.
+    distances to all destinations. A finite link (u, v) continues a shortest
+    path from u exactly when cost(u, v) + rdist(v) == rdist(u); each node's
+    next hop is its smallest such neighbor, which for strictly positive
+    costs gives the lexicographically smallest shortest path, and each pair
+    follows these pointers. A walk that finds no next hop or reaches n nodes
+    without the destination, so revisits one (zero costs, or costs lost to
+    rounding), is redone by ``_heap_lex_path``.
     """
+    n = costs.shape[0]
     dests = sorted({d for _, d in pairs})
-    finite = np.isfinite(costs.T)
-    rdist = csgraph.dijkstra(_csr_graph(finite, costs.T[finite]),
-                             directed=True, indices=dests)
-    tight = costs[None, :, :] + rdist[:, None, :] == rdist[:, :, None]
-    next_hop = np.where(tight.any(axis=2), tight.argmax(axis=2), -1).tolist()
+    v, u = np.nonzero(np.isfinite(costs.T))
+    indptr = np.searchsorted(v, np.arange(n + 1))
+    reverse = sp.csr_matrix((costs[u, v], u, indptr), shape=(n, n))
+    rdist = csgraph.dijkstra(reverse, directed=True, indices=dests)
+    u, v = np.nonzero(np.isfinite(costs))
+    rows, links = np.nonzero(costs[u, v] + rdist[:, v] == rdist[:, u])
+    # links run in row-major order, so each (row, u)'s first has the lowest v
+    first = np.diff(rows * n + u[links], prepend=-1) > 0
+    next_hop = np.full(rdist.shape, -1)
+    next_hop[rows[first], u[links[first]]] = v[links[first]]
+    next_hop, reached = next_hop.tolist(), np.isfinite(rdist).tolist()
     row_of = {d: r for r, d in enumerate(dests)}
     paths: list[list[int] | None] = []
     for source, dest in pairs:
         r = row_of[dest]
-        path = [source] if np.isfinite(rdist[r, source]) else None
+        path = [source] if reached[r][source] else None
         while path is not None and path[-1] != dest:
-            u = next_hop[r][path[-1]]
-            if u < 0 or u in path:
+            hop = next_hop[r][path[-1]]
+            if hop < 0 or len(path) == n:
                 path = _heap_lex_path(costs, source, dest)
                 break
-            path.append(u)
+            path.append(hop)
         paths.append(path)
     return paths
 
@@ -215,6 +216,13 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     links. Keeping the skeleton sparse matters: each extra outgoing link
     tightens a node's worst-link power constraint. Ties go to the first
     link in row-major order.
+
+    Components are read off a reflexive reachability matrix, closed once
+    by squaring and kept closed with one outer product per added link. As
+    components only grow, a node's best link out of its own component stays
+    best until its target joins it, so only such stale nodes are re-scanned;
+    a component that did not grow re-picks a link already in the skeleton
+    or without positive SIR, so the rounds end when no link is added.
     """
     n = sir.shape[0]
     nodes = np.arange(n)
@@ -226,25 +234,32 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     best_in = usable.argmax(axis=0)
     strong = usable[best_in, nodes] > 0
     allowed[best_in[strong], nodes[strong]] = True
+    # square until closed; float32 counts up to n paths exactly
+    reach, closed = None, allowed | np.eye(n, dtype=bool)
+    while not np.array_equal(reach, closed):
+        reach = closed
+        step = reach.astype(np.float32)
+        closed = step @ step > 0
+    out = nodes.copy()  # every node starts stale
+    value = np.empty(n)
     while True:
-        n_comp, labels = csgraph.connected_components(
-            _csr_graph(allowed, np.ones(np.count_nonzero(allowed))),
-            directed=True, connection="strong",
-        )
-        if n_comp == 1:
-            break
+        same = reach & reach.T
         # each node's best link out of its own component, then each
         # component's best such node (highest SIR, lowest index first)
-        cross = np.where(labels[:, None] != labels[None, :], usable, -np.inf)
-        out = cross.argmax(axis=1)
-        value = cross[nodes, out]
-        order = np.lexsort((nodes, -value, labels))
-        first = order[np.flatnonzero(np.diff(labels[order], prepend=-1))]
-        i, j = first, out[first]
-        new = (value[first] > 0) & ~allowed[i, j]
+        stale = np.flatnonzero(same[nodes, out])
+        cross = usable[stale]
+        cross[same[stale]] = -np.inf
+        out[stale] = cross.argmax(axis=1)
+        value[stale] = cross.max(axis=1)
+        heads = np.flatnonzero(same.argmax(axis=1) == nodes)
+        i = np.where(same[heads], value, -np.inf).argmax(axis=1)
+        j = out[i]
+        new = (value[i] > 0) & ~allowed[i, j]
         if not np.any(new):
             break
-        allowed[i[new], j[new]] = True
+        for a, b in zip(i[new].tolist(), j[new].tolist()):
+            allowed[a, b] = True
+            reach |= reach[:, a, None] & reach[b]
     return allowed
 
 

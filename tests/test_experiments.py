@@ -343,6 +343,32 @@ def test_experiment_config_rejects_bad_capacity_scan(changes, field):
                          **changes)
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"n_min": 10, "n_max": 6}, "n_max"),
+    ({"n_step": 0}, "n_step"),
+    ({"trials": 2.5}, "trials"),
+])
+def test_capacity_search_names_a_bad_argument_before_any_work(monkeypatch,
+                                                              changes, field):
+    def no_work(*args):
+        raise AssertionError("an instance was judged")
+
+    monkeypatch.setattr(experiments, "_capacity_instance_feasible", no_work)
+    arguments = {"trials": 2, "n_min": 4, "n_max": 8, "n_step": 2, **changes}
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        capacity_search(FEASIBLE, 64, feasibility_target=0.5, seed=1,
+                        **arguments)
+
+
+def test_multi_start_names_a_float_trial_count_before_any_work(monkeypatch):
+    def no_work(scenario):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(crosslayer, "build_network", no_work)
+    with pytest.raises(ValueError, match=r"^trials\b"):
+        multi_start(FEASIBLE, trials=2.5)
+
+
 def valid_config(**changes):
     return ExperimentConfig(**{"scenario": FEASIBLE, "kind": "run",
                                "out_dir": "x", **changes})

@@ -9,6 +9,7 @@ from adhocnet.netmodel import Scenario, SessionSet, build_network, \
 from adhocnet.phy import matched_link_sir, matched_sir_matrix, sir_matched
 from adhocnet.routing import (
     RouteSet,
+    _heap_lex_path,
     _initial_skeleton,
     assign_routes,
     build_link_costs,
@@ -330,3 +331,93 @@ def test_initial_skeleton_matches_loop_oracle():
         forbidden = rng.uniform(size=(n, n)) < 0.2
         assert np.array_equal(_initial_skeleton(sir, forbidden),
                               initial_skeleton_loop(sir, forbidden))
+
+
+SIR_LEVELS = [0.0, 0.5, 1.0, 2.0, np.inf]
+
+
+@st.composite
+def skeleton_instances(draw):
+    """4-40 nodes with SIR from SIR_LEVELS and a random forbidden mask.
+
+    Half the instances are chains of clusters: strong inside a cluster, 1.0
+    back to the previous cluster and 0.5 forward to the next, so each merge
+    round joins only one more cluster to the first, in a random node order
+    with at most a few links redrawn.
+    """
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        cluster = np.cumsum(rng.uniform(size=n) < 0.6)
+        step = cluster[None, :] - cluster[:, None]
+        sir = np.select([step == 0, step == -1, step == 1], [2.0, 1.0, 0.5],
+                        0.0)
+        order = rng.permutation(n)
+        sir = sir[np.ix_(order, order)]
+        redraw = rng.uniform(size=(n, n)) < draw(st.sampled_from([0, 0.01]))
+        sir[redraw] = rng.choice(SIR_LEVELS, size=np.count_nonzero(redraw))
+    else:
+        sir = rng.choice(SIR_LEVELS, size=(n, n))
+    np.fill_diagonal(sir, 0.0)
+    share = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    return sir, rng.uniform(size=(n, n)) < share
+
+
+@settings(max_examples=200, deadline=None)
+@given(skeleton_instances())
+def test_initial_skeleton_matches_loop_oracle_on_drawn_instances(instance):
+    sir, forbidden = instance
+    assert np.array_equal(_initial_skeleton(sir, forbidden),
+                          initial_skeleton_loop(sir, forbidden))
+
+
+def test_initial_skeleton_matches_loop_oracle_on_a_65_node_network():
+    scenario = Scenario(n_nodes=65, spreading_gain=128, master_seed=11)
+    net = build_network(scenario)
+    p0 = np.full(65, scenario.initial_power)
+    sir = matched_sir_matrix(p0, net.gains, 128, scenario.noise_power)
+    forbidden = np.zeros_like(sir, dtype=bool)
+    for _ in range(2):
+        skeleton = _initial_skeleton(sir, forbidden)
+        assert np.array_equal(skeleton, initial_skeleton_loop(sir, forbidden))
+        # ban a skeleton link and rebuild, as a repair round does
+        i, j = np.nonzero(skeleton)
+        k = np.argmin(sir[i, j])
+        forbidden[i[k], j[k]] = True
+
+
+@st.composite
+def sparse_cost_instances(draw):
+    """10-40 nodes with 1-3 finite out-links each at tied integer costs, one
+    session per node; the last ``trapped`` nodes link only among themselves,
+    so they cannot reach the others."""
+    n = draw(st.integers(10, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    trapped = draw(st.sampled_from([0, 2, 3]))
+    costs = np.full((n, n), np.inf)
+    for u in range(n):
+        group = range(n - trapped, n) if u >= n - trapped else range(n)
+        others = [v for v in group if v != u]
+        k = int(rng.integers(1, min(3, len(others)) + 1))
+        costs[u, rng.choice(others, size=k, replace=False)] = \
+            rng.integers(1, 4, size=k)
+    offsets = draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
+    sessions = tuple((i, (i + off) % n) for i, off in enumerate(offsets))
+    return costs, SessionSet(sessions=sessions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_cost_instances())
+def test_routes_match_heap_search_on_sparse_graphs(instance):
+    costs, sessions = instance
+    expected = [_heap_lex_path(costs, s, d) for s, d in sessions.sessions]
+    for (s, d), path in zip(sessions.sessions, expected):
+        assert shortest_path(costs, s, d) == path
+    unreachable = [k for k, path in enumerate(expected) if path is None]
+    if unreachable:
+        with pytest.raises(UnreachableSessionError) as err:
+            assign_routes(sessions, costs)
+        assert err.value.session == unreachable[0]
+    else:
+        routes = assign_routes(sessions, costs)
+        assert [list(p) for p in routes.paths] == expected
