@@ -31,9 +31,9 @@ from .netmodel import (
 from .phy import (
     incoming_slots,
     link_energies,
-    lmmse_kernel,
     lmmse_link_sir,
     lmmse_sir_matrix,
+    lmmse_solve,
     matched_link_sir,
     matched_sir_matrix,
 )
@@ -130,8 +130,8 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
         if codebook is None:
             raise ValueError("LMMSE energy needs the spreading codebook")
         receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-        q = lmmse_kernel(p, gains, codebook, scenario.noise_power,
-                         receivers, senders)[0][rows, cols]
+        q = lmmse_solve(p, gains, codebook, scenario.noise_power,
+                        receivers, senders)[0][rows, cols]
         sir = lmmse_link_sir(p[i_idx] * gains.gains[i_idx, j_idx], q)
     return _route_energy(routes, p, sir, scenario)
 

@@ -39,6 +39,10 @@ POWER_MODES = ("equal", "random")
 # build_network redraws a topology with coincident nodes at most this often.
 _MAX_ATTEMPTS = 100
 
+# Largest cond(G) at which the LMMSE kernel uses noise G^-1 (phy docstring):
+# q loses about cond(G) float epsilons to it; above, it uses the span form.
+GRAM_CONDITION_LIMIT = 1e4
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -204,6 +208,14 @@ class SpreadingCodebook:
     def gram(self) -> np.ndarray:
         """G = S S' (n, n): entry (i, k) is the cross-correlation s_i' s_k."""
         return _readonly(self.sequences @ self.sequences.T)
+
+    @cached_property
+    def inverse_gram(self) -> np.ndarray | None:
+        """G^-1, or None when cond(G) > ``GRAM_CONDITION_LIMIT`` or n > L."""
+        eig = np.linalg.eigvalsh(self.gram)  # ascending
+        if eig[0] * GRAM_CONDITION_LIMIT < eig[-1]:
+            return None
+        return _readonly(np.linalg.inv(self.gram))
 
 
 def generate_topology(n_nodes: int, area_side: float, seed: int) -> Topology:

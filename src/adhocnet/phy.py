@@ -12,27 +12,27 @@ split: the matched-filter SIR replaces squared cross-correlations by their
 expectation 1/L, while the LMMSE expressions use the exact values; on random
 codebooks the two matched-filter numbers therefore differ slightly.
 
-Every batched LMMSE quantity comes from one kernel, ``lmmse_kernel``, which
+Every batched LMMSE quantity comes from one kernel, ``lmmse_solve``, which
 gives q = s_i' B_j^-1 s_i per (transmitter, receiver) pair, B_j = sum_{k != j}
 P_k h(k,j) s_k s_k' + noise I the received covariance at receiver j. With
 c = P_i h(i,j), the rank-one downdate that removes the desired signal turns
 q into the LMMSE output SIR c q / (1 - c q), ``lmmse_link_sir``. The kernel
-never forms the L x L matrix B_j; it solves a smaller system whose
-coordinates depend on the codebook's shape:
+never forms B_j. Per receiver it factors one symmetric positive definite
+matrix by Cholesky, in coordinates chosen once per codebook:
 
-- Sequence space, n <= L (the paper's setting). With S the (n, L) codebook,
-  G = S S' and D_j = diag(P * h(:, j)), the push-through identity
-  B_j^-1 S' = S' A_j^-1 with A_j = noise I + D_j G gives
-  q = G[i] z for z = A_j^-1 e_i. A_j is one broadcast multiply of the
-  cached G, and B_j^-1 s_i = S' z.
-- Span, n > L. G is singular and A_j becomes ill-posed as the noise
-  vanishes, so the kernel solves in the r = L dimensional span of the
-  sequences: with the thin QR factorization S' = Q U (``span``),
-  B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U'.
+- Inverse-Gram form (``SpreadingCodebook.inverse_gram``), cond(G) at most
+  ``netmodel.GRAM_CONDITION_LIMIT``. With S the (n, L) codebook, G = S S'
+  and D_j = diag(P * h(:, j)), push-through gives S B_j^-1 S' =
+  G (noise I + D_j G)^-1 = M_j^-1 with M_j = noise G^-1 + D_j, so
+  q = [M_j^-1]_ii = |L_j^-1 e_i|^2 for M_j = L_j L_j'; M_j >= noise G^-1
+  keeps its pivots from vanishing. B_j^-1 s_i = S' G^-1 M_j^-1 e_i.
+- Span form, n > L or an ill-conditioned G. With the thin QR factorization
+  S' = Q U (``span``), B_j^-1 s_i = Q K_j^-1 u_i for
+  K_j = noise I + U D_j U', so q = |L_j^-1 u_i|^2 for K_j = L_j L_j'.
 
-``kernel_basis`` maps either solution back to chip space. ``lmmse_filter``
-and ``sir_lmmse`` stay as the per-link reference in the full L-dimensional
-space.
+``lmmse_directions`` finishes the forward solves where filters are needed;
+``lmmse_filter`` and ``sir_lmmse`` stay as the per-link reference in the
+full L-dimensional space.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 
@@ -180,7 +181,7 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
 
 
 def incoming_slots(i_idx: np.ndarray, j_idx: np.ndarray):
-    """Group links (i_idx[l], j_idx[l]) by receiver for ``lmmse_kernel``.
+    """Group links (i_idx[l], j_idx[l]) by receiver for ``lmmse_solve``.
 
     Returns (receivers, senders, rows, cols): receivers[a] is a distinct
     receiver, senders[a] lists its transmitters padded with the first one to
@@ -198,70 +199,85 @@ def incoming_slots(i_idx: np.ndarray, j_idx: np.ndarray):
     return receivers, senders, rows, cols
 
 
-def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
-                 codebook: SpreadingCodebook, noise: float,
-                 receivers: np.ndarray,
-                 senders: np.ndarray | None = None):
+def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
+                codebook: SpreadingCodebook, noise: float,
+                receivers: np.ndarray, senders: np.ndarray | None = None):
     """q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b].
 
-    Returns (q, x), q of shape (m, d) and x of shape (m, n, d) in sequence
-    space or (m, L, d) in the span (see the module docstring), where
-    x[a, :, b] holds B_j^-1 s_i in the coordinates of
-    ``kernel_basis(codebook)``.
-    ``senders=None`` pairs every receiver with every node, d = n. The noise
-    term keeps every system nonsingular. One warning per call reports a
-    link whose covariance condition bound
-    (sum_{k != i,j} P_k h(k,j) + L noise) / noise exceeds
-    ``CONDITION_WARN_THRESHOLD``.
+    Returns q (m, d) and the solve, the receivers' Cholesky factors and
+    forward solves, which ``lmmse_directions`` finishes. ``senders=None``
+    pairs every receiver with every node, d = n. A system that fails to
+    factor in floating point (only the span form can, at noise below the
+    rounding of the received power) leaves its receiver's q at NaN. One
+    warning per call names such receivers and reports a link whose
+    covariance condition bound (sum_{k != i,j} P_k h(k,j) + L noise) / noise
+    exceeds ``CONDITION_WARN_THRESHOLD``.
     """
     n = p.shape[0]
     w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
-    w_link = w if senders is None else w[np.arange(w.shape[0])[:, None],
-                                         senders]
-    bound = (w.sum(axis=1, keepdims=True) - w_link
-             + codebook.length * noise) / noise
-    if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"LMMSE covariance condition bound {float(bound.max()):.3e} "
-            f"exceeds {CONDITION_WARN_THRESHOLD:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if n <= codebook.length:
-        # sequence space: A_j = noise I + D_j G, right-hand sides e_i, and
-        # q = G[i] z, G being symmetric
-        gram = codebook.gram
-        a = w[:, :, None] * gram
-        if senders is None:
-            rhs, lhs = np.eye(n), gram
-        else:
-            rhs = np.eye(n)[senders].swapaxes(1, 2)  # (m, n, d)
-            lhs = gram[senders].swapaxes(1, 2)
+    if codebook.inverse_gram is not None:
+        # M_j = noise G^-1 + D_j, right-hand sides e_i
+        a = np.repeat(noise * codebook.inverse_gram[None], len(w), axis=0)
+        a.reshape(-1, n * n)[:, ::n + 1] += w
+        e = np.eye(n)
     else:
-        # span: K_j = noise I + U D_j U', right-hand sides u_i
-        u = codebook.span
-        r = u.shape[0]
-        a = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(
+        # K_j = noise I + U D_j U', right-hand sides u_i
+        e = codebook.span.T  # (n, r)
+        r = e.shape[1]
+        a = (w @ np.einsum("kr,ks->krs", e, e).reshape(n, r * r)).reshape(
             -1, r, r)
-        rhs = lhs = (u if senders is None
-                     else u.T[senders].swapaxes(1, 2))  # (m, r, d)
-    diag = np.arange(a.shape[1])
-    a[:, diag, diag] += noise
-    x = np.linalg.solve(a, rhs)
-    return np.einsum("...rd,...rd->...d", lhs, x), x
+        a.reshape(-1, r * r)[:, ::r + 1] += noise
+    rhs = e[senders] if senders is not None else np.broadcast_to(
+        e, (len(w),) + e.shape)  # (m, d, r)
+    invert = senders is None and codebook.inverse_gram is not None
+    y = np.empty(a.shape[:2] + rhs.shape[1:2])
+    for k in range(len(a)):
+        # a[k] is symmetric: its transpose is a Fortran view factored in place
+        chol, info = dpotrf(a[k].T, lower=1, clean=1, overwrite_a=1)
+        if info:
+            y[k] = np.nan
+        else:
+            y[k] = (dtrtri(chol, lower=1) if invert
+                    else dtrtrs(chol, rhs[k].T, lower=1))[0]
+    q = np.einsum("mrd,mrd->md", y, y)
+    w_link = w if senders is None else w[np.arange(len(w))[:, None], senders]
+    bound = float(((w.sum(axis=1, keepdims=True) - w_link).max(initial=0.0)
+                   + codebook.length * noise) / noise)
+    if bound > CONDITION_WARN_THRESHOLD or np.isnan(q[:, 0]).any():
+        failed = receivers[np.isnan(q[:, 0])].tolist()
+        warnings.warn(f"LMMSE covariance condition bound {bound:.3e} exceeds "
+                      f"{CONDITION_WARN_THRESHOLD:.1e}; receivers left with "
+                      f"NaN q: {failed}", RuntimeWarning, stacklevel=2)
+    return q, (a, y)
+
+
+def lmmse_directions(solve) -> np.ndarray:
+    """x (m, r, d) from an ``lmmse_solve``: x[a, :, b] = M_j^-1 e_i or
+    K_j^-1 u_i, which ``kernel_basis`` maps to B_j^-1 s_i in chip space."""
+    a, y = solve
+    return np.array([dtrtrs(chol.T, v, lower=1, trans=1)[0]
+                     for chol, v in zip(a, y)]).reshape(y.shape)
+
+
+def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
+                 codebook: SpreadingCodebook, noise: float,
+                 receivers: np.ndarray, senders: np.ndarray | None = None):
+    """(q, x) of ``lmmse_solve`` and ``lmmse_directions`` in one call."""
+    q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
+    return q, lmmse_directions(solve)
 
 
 def kernel_basis(codebook: SpreadingCodebook) -> np.ndarray:
-    """Columns mapping ``lmmse_kernel`` solutions to chip space: S' (L, n)
-    in sequence space (n <= L), else Q (L, L) of S' = Q U."""
-    if codebook.sequences.shape[0] <= codebook.length:
-        return codebook.sequences.T
+    """Columns mapping ``lmmse_directions`` to chip space: S' G^-1 (L, n)
+    in the inverse-Gram form, else Q (L, r) of S' = Q U."""
+    if codebook.inverse_gram is not None:
+        return codebook.sequences.T @ codebook.inverse_gram
     return np.linalg.qr(codebook.sequences.T)[0]
 
 
 def lmmse_link_sir(c: np.ndarray, q: np.ndarray) -> np.ndarray:
     """LMMSE output SIR c q / (1 - c q) of links with desired term
-    c = P_i h(i,j) and q from ``lmmse_kernel``; infinite where c is zero,
+    c = P_i h(i,j) and q from ``lmmse_solve``; infinite where c is zero,
     as the reference filter of a silent transmitter gives."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(c == 0.0, np.inf, c * q / (1.0 - c * q))
@@ -273,15 +289,15 @@ def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
 
     Entry (i, j) is the SIR the optimal filter would reach on link (i, j) at
     the current powers: ``lmmse_link_sir`` of c = P_i h(i,j) and
-    q = s_i' B_j^-1 s_i from ``lmmse_kernel`` over all receivers, with the
+    q = s_i' B_j^-1 s_i from ``lmmse_solve`` over all receivers, with the
     routing gate's zero where c is zero.
     """
     nodes = np.arange(p.shape[0])
-    q = lmmse_kernel(p, gains, codebook, noise, nodes)[0].T
+    q = lmmse_solve(p, gains, codebook, noise, nodes)[0].T
     c = p[:, None] * gains.gains
     sir = lmmse_link_sir(c, q)
     sir[~np.isfinite(sir)] = np.inf
-    sir[c == 0.0] = 0.0
+    sir[np.isnan(q) | (c == 0.0)] = 0.0
     sir[nodes, nodes] = 0.0
     return sir
 

@@ -26,15 +26,15 @@ has already run, rather than replaying it.
 With the LMMSE receiver, optimizing the filter at the current powers and
 then solving for the power that meets the target collapses to the closed
 form of Ulukus and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
-q = s_i' B_j^-1 s_i from the batched kernel ``phy.lmmse_kernel`` and
-c = P_i h(i,j). The kernel works in sequence space (one n x n system per
-receiver, built from the codebook's cached Gram matrix) when n <= L, and in
-the r = L dimensional span of the sequences when n > L; the phy module
-docstring gives both. Each step solves every receiver in use once. The
-solve at the returned powers also gives every link's output SIR
-c q / (1 - c q), which the run returns as ``PcResult.link_sir``, and the
-returned filter bank maps that solve's solutions to chip space with
-``phy.kernel_basis``. With fixed matched filters the required power is
+q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` and c = P_i h(i,j).
+The kernel takes one Cholesky factorization per receiver, of
+noise G^-1 + D_j on the codebook's cached inverse Gram matrix or, for an
+ill-conditioned G, of noise I + U D_j U' in the span of the sequences; the
+phy module docstring gives both. Each step solves every receiver in use
+once, for q only. The solve at the returned powers also gives every link's
+output SIR c q / (1 - c q), which the run returns as ``PcResult.link_sir``,
+and the returned filter bank finishes that solve with
+``phy.lmmse_directions``. With fixed matched filters the required power is
 target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j), rho the
 Gram matrix of the sequences.
 """
@@ -52,8 +52,9 @@ from .phy import (
     FilterBank,
     incoming_slots,
     kernel_basis,
-    lmmse_kernel,
+    lmmse_directions,
     lmmse_link_sir,
+    lmmse_solve,
     received_powers,
 )
 
@@ -251,17 +252,17 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
     last_solve = []
 
-    def required(powers):
-        q, x = lmmse_kernel(powers, gains, codebook, noise, receivers, senders)
+    def required(p):
+        q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
         q = q[rows, cols]
-        last_solve[:] = [q, x]
-        return target_sir * (1.0 - powers[i_idx] * g * q) / (g * q)
+        last_solve[:] = [q, solve]
+        return target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
 
     result = _fixed_point(p0, active, required, **stop)
     p = result.powers
     if not result.converged:
         required(p)  # the last solve must be at the returned powers
-    q, x = last_solve
+    q, solve = last_solve
     link_sir = lmmse_link_sir(p[i_idx] * g, q)
     link_sir.setflags(write=False)
     result = replace(result, link_sir=link_sir)
@@ -269,5 +270,6 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     # covariance C without link i (Sherman-Morrison)
     downdate = 1.0 - p[i_idx] * g * q
     scale = np.sqrt(p[i_idx]) / (1.0 + p[i_idx] * q / downdate) / downdate
-    filters = (x[rows, :, cols] @ kernel_basis(codebook).T) * scale[:, None]
+    x = lmmse_directions(solve)[rows, :, cols]
+    filters = (x @ kernel_basis(codebook).T) * scale[:, None]
     return result, FilterBank(dict(zip(active.links, filters)))

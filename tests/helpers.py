@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +14,12 @@ from adhocnet.netmodel import (
     Topology,
     compute_link_gains,
 )
-from adhocnet.phy import FilterBank, _interference_covariance, lmmse_filter
+from adhocnet.phy import (
+    CONDITION_WARN_THRESHOLD,
+    FilterBank,
+    _interference_covariance,
+    lmmse_filter,
+)
 from adhocnet.powercontrol import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
@@ -389,3 +395,63 @@ def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"link ({i}, {j}) outside node range")
     return tuple(unique)
+
+
+def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
+                    codebook: SpreadingCodebook, noise: float,
+                    receivers: np.ndarray,
+                    senders: np.ndarray | None = None):
+    """The LU form of ``phy.lmmse_kernel``, kept as its reference.
+
+    q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b], from one
+    LU solve per receiver. For n <= L it solves the non-symmetric
+    A_j = noise I + D_j G in sequence space (B_j^-1 S' = S' A_j^-1,
+    q = G[i] z for z = A_j^-1 e_i); for n > L it solves
+    K_j = noise I + U D_j U' in the span of the sequences (S' = Q U). Returns
+    (q, x), x[a, :, b] holding B_j^-1 s_i in the coordinates of
+    ``kernel_basis_lu(codebook)``. ``senders=None`` pairs every receiver
+    with every node.
+    """
+    n = p.shape[0]
+    w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
+    w_link = w if senders is None else w[np.arange(w.shape[0])[:, None],
+                                         senders]
+    bound = (w.sum(axis=1, keepdims=True) - w_link
+             + codebook.length * noise) / noise
+    if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"LMMSE covariance condition bound {float(bound.max()):.3e} "
+            f"exceeds {CONDITION_WARN_THRESHOLD:.1e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if n <= codebook.length:
+        # sequence space: A_j = noise I + D_j G, right-hand sides e_i, and
+        # q = G[i] z, G being symmetric
+        gram = codebook.gram
+        a = w[:, :, None] * gram
+        if senders is None:
+            rhs, lhs = np.eye(n), gram
+        else:
+            rhs = np.eye(n)[senders].swapaxes(1, 2)  # (m, n, d)
+            lhs = gram[senders].swapaxes(1, 2)
+    else:
+        # span: K_j = noise I + U D_j U', right-hand sides u_i
+        u = codebook.span
+        r = u.shape[0]
+        a = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(
+            -1, r, r)
+        rhs = lhs = (u if senders is None
+                     else u.T[senders].swapaxes(1, 2))  # (m, r, d)
+    diag = np.arange(a.shape[1])
+    a[:, diag, diag] += noise
+    x = np.linalg.solve(a, rhs)
+    return np.einsum("...rd,...rd->...d", lhs, x), x
+
+
+def kernel_basis_lu(codebook: SpreadingCodebook) -> np.ndarray:
+    """Columns mapping ``lmmse_kernel_lu`` solutions to chip space: S'
+    (L, n) for n <= L, else Q (L, L) of S' = Q U."""
+    if codebook.sequences.shape[0] <= codebook.length:
+        return codebook.sequences.T
+    return np.linalg.qr(codebook.sequences.T)[0]

@@ -5,20 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhocnet.netmodel import SpreadingCodebook, generate_spreading_codebook
+from adhocnet.netmodel import (
+    LinkGainMatrix,
+    SpreadingCodebook,
+    generate_spreading_codebook,
+)
 from adhocnet.phy import (
     FilterBank,
     efficiency,
     energy_per_bit_link,
     incoming_slots,
     kernel_basis,
+    lmmse_directions,
     lmmse_filter,
     lmmse_kernel,
     lmmse_sir_matrix,
+    lmmse_solve,
     sir_lmmse,
     sir_matched,
 )
-from helpers import random_network, topology_from_positions
+from helpers import (
+    kernel_basis_lu,
+    lmmse_kernel_lu,
+    random_network,
+    topology_from_positions,
+)
 from adhocnet.netmodel import compute_link_gains
 
 
@@ -338,3 +349,109 @@ def test_lmmse_kernel_both_coordinates_match_dense_reference(book):
         assert q_all[j, i] == pytest.approx(seqs[i] @ want, rel=1e-9)
         np.testing.assert_allclose(directions[a, :, b], want, rtol=1e-9,
                                    atol=1e-9 * np.abs(want).max())
+
+
+@st.composite
+def realistic_kernel_instances(draw):
+    """Networks of the benchmark's scale, n <= L, a quarter of the nodes or
+    fewer silent, and up to two incoming links per node on average."""
+    length = draw(st.integers(32, 128))
+    n = draw(st.integers(10, min(60, length)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, gains = random_network(rng, n)
+    book = generate_spreading_codebook(n, length, seed=int(rng.integers(1e6)))
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    p[draw(st.lists(st.integers(0, n - 1), max_size=n // 4))] = 0.0
+    links = sorted({(int(i), int(j)) for i, j in rng.integers(0, n, (2 * n, 2))
+                    if i != j})
+    return p, gains, book, links
+
+
+@settings(max_examples=100, deadline=None)
+@given(realistic_kernel_instances())
+def test_lmmse_kernel_matches_lu_oracle_at_realistic_sizes(instance):
+    p, gains, book, links = instance
+    noise, n = 1e-13, p.shape[0]
+    i_idx, j_idx = np.array(links).T
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    q, x = lmmse_kernel(p, gains, book, noise, receivers, senders)
+    q_lu, x_lu = lmmse_kernel_lu(p, gains, book, noise, receivers, senders)
+    np.testing.assert_allclose(q[rows, cols], q_lu[rows, cols], rtol=1e-10)
+    got = np.einsum("lc,mcd->mld", kernel_basis(book), x)[rows, :, cols]
+    want = np.einsum("lc,mcd->mld", kernel_basis_lu(book), x_lu)[rows, :, cols]
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) <= 1e-10 * scale).all()
+    np.testing.assert_allclose(
+        lmmse_kernel(p, gains, book, noise, np.arange(n))[0],
+        lmmse_kernel_lu(p, gains, book, noise, np.arange(n))[0], rtol=1e-10)
+
+
+def _perturbed_pair_codebook(n, length, scale):
+    """A random codebook whose sequence 4 is sequence 1 plus ``scale``
+    times a random unit vector, renormalized; scale 0 duplicates it."""
+    book = generate_spreading_codebook(n, length, seed=43)
+    seqs = np.array(book.sequences)
+    bend = np.random.default_rng(44).standard_normal(length)
+    seqs[4] = seqs[1] + scale * bend / np.linalg.norm(bend)
+    seqs[4] /= np.linalg.norm(seqs[4])
+    seqs.setflags(write=False)
+    return SpreadingCodebook(sequences=seqs)
+
+
+@pytest.mark.parametrize("book, inverse_gram", [
+    (generate_spreading_codebook(12, 64, seed=45), True),
+    (_perturbed_pair_codebook(12, 32, 0.0), False),
+    (_perturbed_pair_codebook(12, 32, 1e-5), False),
+    (generate_spreading_codebook(16, 16, seed=45), None),
+    (generate_spreading_codebook(12, 8, seed=45), False),
+], ids=["well-conditioned", "duplicated", "nearly-dependent", "n=L", "n>L"])
+def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
+    # G's condition picks the inverse-Gram form or the span form once per
+    # codebook; both must agree with the dense L x L solve
+    if inverse_gram is not None:
+        assert (book.inverse_gram is not None) == inverse_gram
+    rng = np.random.default_rng(46)
+    n, noise = book.sequences.shape[0], 1e-13
+    _, gains = random_network(rng, n)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    p[[3, 7]] = 0.0
+    seqs = book.sequences
+    links = [(i, j) for i in range(n) for j in range(n) if i != j]
+    i_idx, j_idx = np.array(links).T
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    q, x = lmmse_kernel(p, gains, book, noise, receivers, senders)
+    directions = np.einsum("lc,mcd->mld", kernel_basis(book), x)
+    q_all = lmmse_kernel(p, gains, book, noise, np.arange(n))[0]
+    for (i, j), a, b in zip(links, rows, cols):
+        cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
+            + noise * np.eye(book.length)
+        want = np.linalg.solve(cov, seqs[i])
+        assert q[a, b] == pytest.approx(seqs[i] @ want, rel=1e-9)
+        assert q_all[j, i] == pytest.approx(seqs[i] @ want, rel=1e-9)
+        np.testing.assert_allclose(directions[a, :, b], want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())
+
+
+def test_failed_span_factorization_gives_nan_and_names_the_receiver():
+    # n = 5 > L = 4 with span coordinates U = S' exactly. At receiver 0 the
+    # interference covariance is ones + diag(0, 4, 4, 0), singular in exact
+    # arithmetic, and noise 1e-30 vanishes in rounding: its factorization
+    # meets an exactly zero pivot. Receiver 3 hears every other direction.
+    seqs = np.vstack([np.eye(4), np.full(4, 0.5)])
+    seqs.setflags(write=False)
+    book = SpreadingCodebook(sequences=seqs)
+    gains = LinkGainMatrix(gains=4.0 * (1.0 - np.eye(5)))
+    p = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+    receivers, senders = np.array([0, 3]), np.array([[4, 1], [4, 1]])
+    with pytest.warns(RuntimeWarning,
+                      match=r"condition bound.*NaN q: \[0\]") as record:
+        q, solve = lmmse_solve(p, gains, book, 1e-30, receivers, senders)
+    assert len(record) == 1
+    assert np.isnan(q[0]).all()
+    assert np.isfinite(q[1]).all() and (q[1] > 0).all()
+    x = lmmse_directions(solve)
+    assert np.isnan(x[0]).all() and np.isfinite(x[1]).all()
+    with pytest.warns(RuntimeWarning, match="condition bound"):
+        sir = lmmse_sir_matrix(p, gains, book, 1e-30)
+    # a receiver without a q passes no link through the routing gate
+    assert (sir[:, 0] == 0.0).all()
