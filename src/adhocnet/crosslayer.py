@@ -152,17 +152,9 @@ def _route_energy(routes: RouteSet, p: np.ndarray, link_sir: np.ndarray,
 
 
 def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
-                      gains: LinkGainMatrix, codebook: SpreadingCodebook, *,
-                      probe: PcResult | None = None) -> PcResult:
-    """Power control from ``p`` on ``routes`` with the scenario's receiver.
-
-    ``probe`` is an earlier matched run from the same ``p`` on the same
-    routes with the scenario's tolerance and power cap, such as
-    ``routes.probe`` from ``initial_routes``. The matched run then resumes
-    from the probe's last iterate with the budget it has left and splices
-    the two; the result equals a fresh run bit for bit (powercontrol module
-    docstring). Without budget left it runs fresh. LMMSE ignores the probe.
-    """
+                      gains: LinkGainMatrix,
+                      codebook: SpreadingCodebook) -> PcResult:
+    """Power control from ``p`` on ``routes`` with the scenario's receiver."""
     active = routes.active_links
     if scenario.receiver == "lmmse":
         return pc_mud_iterate(
@@ -170,20 +162,11 @@ def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
             scenario.target_sir, tol=scenario.pc_tol,
             max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
         )[0]
-    if probe is not None and len(probe.trace) - 1 < scenario.pc_max_iter:
-        start, done = probe.powers, len(probe.trace) - 1
-    else:
-        start, done, probe = p, 0, None
-    result = pc_iterate(
-        start, active, gains, scenario.spreading_gain, scenario.noise_power,
+    return pc_iterate(
+        p, active, gains, scenario.spreading_gain, scenario.noise_power,
         scenario.target_sir, tol=scenario.pc_tol,
-        max_iter=scenario.pc_max_iter - done, power_cap=scenario.power_cap,
+        max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
     )
-    if probe is not None:
-        result = PcResult(result.status, result.powers,
-                          done + result.iterations,
-                          np.concatenate((probe.trace, result.trace[1:])))
-    return result
 
 
 def joint_optimize(scenario: Scenario, topology: Topology,
@@ -204,7 +187,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     loop has stalled), which reproduces fixed-length published traces.
 
     An initial power-control failure yields status "infeasible_init" with
-    the failing PcResult attached.
+    the failing PcResult attached: with the matched receiver, a failed
+    ``pc_solve`` check of the initial routes.
     """
     if p_init is None:
         p_init = initial_powers(scenario)
@@ -236,8 +220,9 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         # only called while p and routes are still the last record's
         records.append(replace(records[-1], phase=phase))
 
-    pc = run_power_control(scenario, p_init, routes, gains, codebook,
-                           probe=routes.probe)
+    pc = routes.probe
+    if scenario.receiver == "lmmse" or pc.converged:
+        pc = run_power_control(scenario, p_init, routes, gains, codebook)
     if not pc.converged:
         frozen = np.array(p_init)
         frozen.setflags(write=False)

@@ -128,7 +128,8 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
                                 n_nodes: int, positions_all: np.ndarray,
                                 seed: int, trial: int) -> bool:
     """Judge one Monte Carlo instance: do the initial routes admit a
-    converged power-control run at the initial powers?"""
+    converged power-control run at the initial powers? (For the matched
+    receiver, their exact ``pc_solve`` check.)"""
     scenario = template.replace(n_nodes=n_nodes, spreading_gain=spreading_gain)
     positions = positions_all[:n_nodes].copy()
     positions.setflags(write=False)
@@ -137,15 +138,16 @@ def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
     sessions = generate_sessions(
         n_nodes, derive_seed(seed, _CAP_SESSION_STREAM, trial, n_nodes)
     )
+    p0 = initial_powers(scenario, np.random.default_rng(
+        derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)))
+    routes = initial_routes(scenario, gains, sessions, p0)
+    if scenario.receiver == "matched":
+        return routes.probe.converged
     codebook = generate_spreading_codebook(
         n_nodes, spreading_gain,
         derive_seed(seed, _CAP_CODEBOOK_STREAM, trial, n_nodes),
     )
-    p0 = initial_powers(scenario, np.random.default_rng(
-        derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)))
-    routes = initial_routes(scenario, gains, sessions, p0)
-    return run_power_control(scenario, p0, routes, gains, codebook,
-                             probe=routes.probe).converged
+    return run_power_control(scenario, p0, routes, gains, codebook).converged
 
 
 def capacity_search(scenario_template: Scenario, spreading_gain: int,

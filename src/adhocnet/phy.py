@@ -259,14 +259,6 @@ def lmmse_directions(solve) -> np.ndarray:
                      for chol, v in zip(a, y)]).reshape(y.shape)
 
 
-def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
-                 codebook: SpreadingCodebook, noise: float,
-                 receivers: np.ndarray, senders: np.ndarray | None = None):
-    """(q, x) of ``lmmse_solve`` and ``lmmse_directions`` in one call."""
-    q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
-    return q, lmmse_directions(solve)
-
-
 def kernel_basis(codebook: SpreadingCodebook) -> np.ndarray:
     """Columns mapping ``lmmse_directions`` to chip space: S' G^-1 (L, n)
     in the inverse-Gram form, else Q (L, r) of S' = Q U."""

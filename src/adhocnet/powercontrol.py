@@ -16,12 +16,13 @@ target * ((1/L) sum_{k != i,j} h(k,j) P_k + noise) / h(i,j), the 1/L
 matched-filter model; ``pc_mud_iterate`` uses the exact sequence
 cross-correlations, with the LMMSE filter or fixed matched filters.
 
-Each synchronous step and each stopping test reads only the current
-iterate, so a run restarted from the k-th iterate of an earlier run on the
-same inputs, with the iteration budget less k, repeats that run's remaining
-steps float for float. ``crosslayer.run_power_control`` relies on this to
-resume the matched first run from the probe that ``routing.initial_routes``
-has already run, rather than replaying it.
+The 1/L matched update is a maximum of affine maps, T(p) = max a + F p over
+each node's links, so ``pc_solve`` finds its minimal fixed point exactly by
+policy iteration (Howard): solve (I - F) p = a for one link per node,
+re-pick each node's worst link at p, repeat until none changes. T is
+monotone (Yates), so the solutions rise to the minimal fixed point; a
+singular, negative or over-cap solve proves infeasibility (Perron-Frobenius;
+Zander, Foschini-Miljanic). Verdicts come from it, powers from iteration.
 
 With the LMMSE receiver, optimizing the filter at the current powers and
 then solving for the power that meets the target collapses to the closed
@@ -41,11 +42,14 @@ Gram matrix of the sequences.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 from .phy import (
@@ -61,6 +65,7 @@ from .phy import (
 STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITER = "max_iter"
+STATUS_NONFINITE = "nonfinite"
 
 _RESIDUAL_FLOOR = 1e-30
 
@@ -78,7 +83,8 @@ class ActiveLinkSet:
 
     @classmethod
     def from_links(cls, n_nodes: int, links) -> "ActiveLinkSet":
-        links = list(links)
+        """From (i, j) pairs: any iterable, or an (m, 2) integer array."""
+        links = links if isinstance(links, np.ndarray) else list(links)
         pairs = np.array(links, dtype=np.int64).reshape(len(links), 2)
         i, j = pairs.T
         bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_nodes)
@@ -90,8 +96,10 @@ class ActiveLinkSet:
                 raise ValueError(f"self loop ({i}, {j}) in active link set")
             raise ValueError(f"link ({i}, {j}) outside node range")
         codes = np.unique(i * n_nodes + j)
-        unique = zip((codes // n_nodes).tolist(), (codes % n_nodes).tolist())
-        return cls(n_nodes=n_nodes, links=tuple(unique))
+        i, j = codes // n_nodes, codes % n_nodes
+        active = cls(n_nodes=n_nodes, links=tuple(zip(i.tolist(), j.tolist())))
+        active.__dict__["link_arrays"] = (i, j)  # fill the cached property
+        return active
 
     @cached_property
     def outgoing(self) -> dict[int, tuple[int, ...]]:
@@ -106,9 +114,7 @@ class ActiveLinkSet:
 
     @cached_property
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.links:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        arr = np.asarray(self.links, dtype=int)
+        arr = np.asarray(self.links, dtype=int).reshape(len(self.links), 2)
         return arr[:, 0], arr[:, 1]
 
 
@@ -157,7 +163,8 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
 
     ``required(p)`` gives the power each link of ``active.links`` needs at
     the iterate p; T_i(p) is the largest over node i's outgoing links, and
-    zero for a node without one. The stopping rules are ``pc_iterate``'s.
+    zero for a node without one. The stopping rules are ``pc_iterate``'s; a
+    NaN update (failed LMMSE factorization) ends the run as "nonfinite".
     """
     if np.any(np.asarray(p0) < 0):
         raise ValueError("initial powers must be nonnegative")
@@ -178,8 +185,10 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
         for iteration in range(1, max_iter + 1):
             t = np.zeros(active.n_nodes)
             t[senders] = np.maximum(0.0, worst(required(p), starts))
-            if (np.abs(t - p) / np.maximum(p, _RESIDUAL_FLOOR)).max() <= tol:
-                status = STATUS_CONVERGED
+            residual = (np.abs(t - p) / np.maximum(p, _RESIDUAL_FLOOR)).max()
+            if residual <= tol or math.isnan(residual):
+                status = (STATUS_CONVERGED if residual <= tol
+                          else STATUS_NONFINITE)
                 break
             p = t
             totals.append(float(p.sum()))
@@ -215,6 +224,58 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
 
     return _fixed_point(p0, active, required, tol=tol, max_iter=max_iter,
                         power_cap=power_cap)
+
+
+def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
+             spreading_gain: int, noise: float, target_sir: float, *,
+             power_cap: float = 1.0) -> PcResult:
+    """Minimal fixed point of ``pc_iterate``'s update, by policy iteration.
+
+    "converged" gives the exact minimal fixed point; "infeasible" means none
+    within ``power_cap`` exists (module docstring). ``iterations`` counts the
+    linear solves, ``trace`` holds each accepted solution's total power, and
+    ``active`` must hold a link.
+    """
+    i_idx, j_idx = active.link_arrays
+    senders, starts, owner = np.unique(i_idx, return_index=True,
+                                       return_inverse=True)
+    links = np.arange(len(i_idx))
+    # over the senders, link l needs a_l + F_l p: F_l is column l of coupling,
+    # zero at i_l and at j_l (zero gain diagonal); system holds e_{i_l} - F_l
+    g_link = gains.gains[i_idx, j_idx]
+    a = target_sir * noise / g_link
+    coupling = gains.gains[senders][:, j_idx] \
+        * (target_sir / spreading_gain / g_link)
+    coupling[owner, links] = 0.0
+    system = -coupling
+    system[owner, links] = 1.0
+    # first policy: the worst links two synchronous steps up from zero
+    policy, p, totals, need = starts, np.zeros(len(senders)), [], a
+    for _ in range(2):
+        need = a + np.maximum.reduceat(need, starts) @ coupling
+    status = STATUS_INFEASIBLE
+    for iteration in itertools.count(1):
+        # each sender's first worst link, keeping the current one on ties
+        current, worst = need[policy], np.maximum.reduceat(need, starts)
+        first = np.minimum.reduceat(
+            np.where(need == worst[owner], links, len(links)), starts)
+        policy = np.where(current == worst, policy, first)
+        x, info = dgesv(system[:, policy].T, a[policy], overwrite_a=True,
+                        overwrite_b=True)[2:]
+        if info or not (x.min() >= 0.0 and x.max() <= power_cap):
+            break
+        p, need = x, a + x @ coupling
+        totals.append(float(p.sum()))
+        # done when no link needs more than its sender's policy link, or
+        # when the total did not rise: every real switch raises it
+        if not (need > need[policy][owner]).any() \
+                or len(totals) > 1 and totals[-1] <= totals[-2]:
+            status = STATUS_CONVERGED
+            break
+    powers = np.zeros(active.n_nodes)
+    powers[senders] = p
+    powers.setflags(write=False)
+    return PcResult(status, powers, iteration, np.asarray(totals))
 
 
 def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,

@@ -16,19 +16,17 @@ optimized powers to price links with, so links are priced by the energy per
 bit they would consume if operated at the SIR target given the initial
 interference, every link stays finite, and the route assignment is built on
 a sparse strongly-connected skeleton of locally strong links, merged
-without a graph search per round, and verified (and repaired if needed) to
-admit a convergent power-control run. That verification is a matched
-power-control run from the initial powers with the scenario's tolerance and
-power cap; the returned routes carry the last one as ``RouteSet.probe``, so
-the first full run can resume from it instead of solving the same fixed
-point again (see ``crosslayer.run_power_control``). The probe runs at most
-``_PROBE_ITERATIONS`` steps, and a diverging probe triggers at most
-``_REPAIR_ROUNDS`` skeleton repairs.
+without a graph search per round, and checked by ``powercontrol.pc_solve``
+to admit feasible matched power control; the routes carry that verdict as
+``RouteSet.probe``. A failed check runs a ``pc_iterate`` probe from the
+initial powers, which ranks the nodes for one of ``_REPAIR_ROUNDS`` skeleton
+repairs when it diverges within ``_PROBE_ITERATIONS`` steps.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,7 +37,7 @@ import scipy.sparse.csgraph as csgraph
 from .errors import UnreachableSessionError
 from .netmodel import LinkGainMatrix, Scenario, SessionSet
 from .phy import efficiency, matched_sir_matrix
-from .powercontrol import ActiveLinkSet, PcResult, pc_iterate
+from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
 
 # Cost matrices are plain (n, n) float arrays with +inf for unusable links.
 LinkCostMatrix = np.ndarray
@@ -91,9 +89,8 @@ def initial_route_costs(scenario: Scenario, sir: np.ndarray,
 class RouteSet:
     """One node path per session plus the derived active link set.
 
-    ``probe`` is the matched power-control run ``initial_routes`` made on
-    these routes from its initial powers, or None; it takes no part in
-    equality or repr.
+    ``probe`` is the ``pc_solve`` check ``initial_routes`` made on these
+    routes, or None; it takes no part in equality or repr.
     """
 
     paths: tuple[tuple[int, ...], ...]
@@ -109,10 +106,13 @@ class RouteSet:
 
     @cached_property
     def active_links(self) -> ActiveLinkSet:
-        links = []
-        for path in self.paths:
-            links.extend(zip(path[:-1], path[1:]))
-        return ActiveLinkSet.from_links(self.n_nodes, links)
+        nodes = np.fromiter(itertools.chain.from_iterable(self.paths),
+                            dtype=np.int64)
+        # consecutive nodes, less the pairs that join two paths
+        joins = np.cumsum([len(path) for path in self.paths], dtype=int) - 1
+        pairs = np.stack((nodes[:-1], nodes[1:]), axis=1)
+        return ActiveLinkSet.from_links(self.n_nodes,
+                                        np.delete(pairs, joins[:-1], axis=0))
 
 
 def _heap_lex_path(costs: np.ndarray, source: int,
@@ -264,13 +264,11 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
 
 
 def _probe_diverging(result) -> bool:
-    """Did a short power-control probe show divergence?"""
-    if result.status == "infeasible":
-        return True
-    if result.status == "converged":
-        return False
+    """Did a short power-control probe show divergence: crossing the cap,
+    or a total still growing when the step budget ran out?"""
     trace = result.trace
-    return len(trace) > 60 and trace[-1] > trace[-51] * 1.001
+    return result.status == "infeasible" or result.status == "max_iter" \
+        and len(trace) > 60 and trace[-1] > trace[-51] * 1.001
 
 
 def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
@@ -278,18 +276,13 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
     """Route assignment for the initialization phase.
 
     Sessions are routed over the skeleton digraph with the target-operated
-    energy-per-bit costs, and the resulting active link set is probed with a
-    bounded power-control run. When the probe diverges, the weakest link
-    among the fastest-growing nodes is banned, the skeleton is rebuilt and
-    the sessions rerouted, up to ``_REPAIR_ROUNDS`` times. The last candidate
-    is returned even if no repair succeeded; the subsequent full
-    power-control run then reports infeasibility honestly.
-
-    The returned routes carry their own probe as ``RouteSet.probe``: a
-    synchronous ``pc_iterate`` run from ``p_init`` with the scenario's
-    ``pc_tol`` and ``power_cap`` and at most ``_PROBE_ITERATIONS`` steps.
-    When a repair round ends in an unreachable session, the previous
-    candidate is returned with the probe made on it.
+    energy-per-bit costs, and a candidate is accepted when its ``pc_solve``
+    check passes or its ``pc_iterate`` probe from ``p_init`` does not
+    diverge. Otherwise the weakest link among the nodes of largest probe
+    power is banned, the skeleton rebuilt and the sessions rerouted, up to
+    ``_REPAIR_ROUNDS`` times. The last candidate is returned even if no
+    repair succeeded, or the previous one when a repair strands a session;
+    the routes carry their own check as ``RouteSet.probe``.
     """
     p_init = np.asarray(p_init, dtype=float)
     sir = matched_sir_matrix(p_init, gains, scenario.spreading_gain,
@@ -309,24 +302,25 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
                 raise
             break
         routes = candidate
-        probe = pc_iterate(
-            p_init, routes.active_links, gains, scenario.spreading_gain,
-            scenario.noise_power, scenario.target_sir, tol=scenario.pc_tol,
-            max_iter=_PROBE_ITERATIONS, power_cap=scenario.power_cap,
-        )
+        model = (routes.active_links, gains, scenario.spreading_gain,
+                 scenario.noise_power, scenario.target_sir)
+        check = pc_solve(*model, power_cap=scenario.power_cap)
         # attach in place: the candidate is not shared yet, and a copy
         # would drop its cached active link set
-        object.__setattr__(routes, "probe", probe)
+        object.__setattr__(routes, "probe", check)
+        if check.converged:
+            break
+        probe = pc_iterate(p_init, *model, tol=scenario.pc_tol,
+                           max_iter=_PROBE_ITERATIONS,
+                           power_cap=scenario.power_cap)
         if not _probe_diverging(probe):
             break
-        # ban the weakest link among the fastest-growing transmitters
+        # ban the weakest link among the fastest-growing transmitters, the
+        # first one found on ties
         core = np.argsort(probe.powers)[::-1][:max(3, scenario.n_nodes // 12)]
-        worst = None
-        for i in core:
-            for j in routes.active_links.outgoing.get(int(i), ()):
-                if worst is None or sir[i, j] < worst[0]:
-                    worst = (float(sir[i, j]), int(i), int(j))
-        if worst is None:
+        links = [(i, j) for i in core.tolist()
+                 for j in routes.active_links.outgoing.get(i, ())]
+        if not links:
             break
-        forbidden[worst[1], worst[2]] = True
+        forbidden[min(links, key=sir.__getitem__)] = True
     return routes

@@ -18,7 +18,9 @@ from adhocnet.phy import (
     CONDITION_WARN_THRESHOLD,
     FilterBank,
     _interference_covariance,
+    lmmse_directions,
     lmmse_filter,
+    lmmse_solve,
 )
 from adhocnet.powercontrol import (
     STATUS_CONVERGED,
@@ -397,11 +399,20 @@ def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
     return tuple(unique)
 
 
+def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
+                 codebook: SpreadingCodebook, noise: float,
+                 receivers: np.ndarray, senders: np.ndarray | None = None):
+    """(q, x) of ``phy.lmmse_solve`` and ``phy.lmmse_directions`` in one
+    call."""
+    q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
+    return q, lmmse_directions(solve)
+
+
 def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
                     codebook: SpreadingCodebook, noise: float,
                     receivers: np.ndarray,
                     senders: np.ndarray | None = None):
-    """The LU form of ``phy.lmmse_kernel``, kept as its reference.
+    """The LU form of ``lmmse_kernel``, kept as its reference.
 
     q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b], from one
     LU solve per receiver. For n <= L it solves the non-symmetric

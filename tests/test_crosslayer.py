@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 from adhocnet.crosslayer import (
     initial_powers,
     joint_optimize,
     multi_start,
     network_energy_per_bit,
-    run_power_control,
 )
 from adhocnet.errors import UnreachableSessionError
 from adhocnet.netmodel import Scenario, build_network
@@ -21,7 +18,7 @@ from adhocnet.phy import (
     sir_matched,
 )
 from adhocnet import routing
-from adhocnet.powercontrol import pc_iterate
+from adhocnet.powercontrol import pc_iterate, pc_solve
 from adhocnet.routing import (
     RouteSet,
     assign_routes,
@@ -30,7 +27,7 @@ from adhocnet.routing import (
 )
 from adhocnet.seeds import derive_seed
 
-from helpers import random_active_links, random_network, same_pc_result
+from helpers import random_network, same_pc_result
 
 GAMMA = 12.5
 NOISE = 1e-13
@@ -234,68 +231,28 @@ def test_lmmse_energy_of_silent_transmitter_is_zero():
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def resume_matches_fresh_run(seed, n, spreading, power_cap, probe_iter,
-                             max_iter) -> str:
-    """Resume a matched run from a probe and compare it with a fresh run;
-    returns which path the resume took ('fresh' when no budget was left,
-    else the probe's status)."""
-    rng = np.random.default_rng(seed)
-    _, gains = random_network(rng, n)
-    active = random_active_links(rng, n, max_out=2, min_out=0)
-    routes = RouteSet(paths=active.links, n_nodes=n)
-    p0 = np.exp(rng.uniform(np.log(1e-10), np.log(1e-6), n))
-    p0[rng.random(n) < 0.3] = 0.0
-    scenario = Scenario(n_nodes=n, spreading_gain=spreading,
-                        receiver="matched", target_sir=GAMMA,
-                        noise_power=NOISE, pc_tol=1e-8, pc_max_iter=max_iter,
-                        power_cap=power_cap)
-    kwargs = dict(tol=scenario.pc_tol, power_cap=power_cap)
-    probe = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
-                       max_iter=probe_iter, **kwargs)
-    resumed = run_power_control(scenario, p0, routes, gains, None,
-                                probe=probe)
-    fresh = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
-                       max_iter=max_iter, **kwargs)
-    assert same_pc_result(resumed, fresh)
-    return "fresh" if max_iter <= len(probe.trace) - 1 else probe.status
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
-       spreading=st.sampled_from([2, 8, 128]),
-       power_cap=st.sampled_from([1e-7, 1.0]),
-       probe_iter=st.integers(1, 60), max_iter=st.integers(1, 120))
-def test_resumed_power_control_equals_fresh_run(seed, n, spreading,
-                                                power_cap, probe_iter,
-                                                max_iter):
-    event(resume_matches_fresh_run(seed, n, spreading, power_cap, probe_iter,
-                                   max_iter))
-
-
-def test_resume_cases_reach_every_probe_outcome():
-    reached = set()
-    for seed in range(12):
-        for spreading, power_cap in ((2, 1e-7), (128, 1.0)):
-            for probe_iter, max_iter in ((3, 2), (3, 200), (200, 300)):
-                reached.add(resume_matches_fresh_run(
-                    seed, 5, spreading, power_cap, probe_iter, max_iter))
-    assert reached == {"fresh", "converged", "max_iter", "infeasible"}
-
-
 @pytest.mark.parametrize("n_nodes, spreading_gain, seed, unreachable", [
-    (8, 32, 27, False),  # one repair round, then a converging probe
+    (8, 32, 27, False),  # one repair round, then a feasible check
     (8, 16, 0, True),    # repairs end when a rebuilt skeleton strands a session
 ])
 def test_initial_routes_carry_the_probe_of_the_returned_routes(
         monkeypatch, n_nodes, spreading_gain, seed, unreachable):
+    # the returned routes carry the pc_solve check made on them, and a
+    # pc_iterate probe runs after every failed check and never otherwise
     scenario = Scenario(n_nodes=n_nodes, spreading_gain=spreading_gain,
                         master_seed=seed)
     net = build_network(scenario)
     p0 = initial_powers(scenario)
-    seen = {"probes": 0, "unreachable": 0}
+    calls = []
+    seen = {"unreachable": 0}
+
+    def check(*args, **kwargs):
+        result = pc_solve(*args, **kwargs)
+        calls.append("check" if result.converged else "failed check")
+        return result
 
     def probe(*args, **kwargs):
-        seen["probes"] += 1
+        calls.append("probe")
         return pc_iterate(*args, **kwargs)
 
     def assign(*args, **kwargs):
@@ -305,16 +262,20 @@ def test_initial_routes_carry_the_probe_of_the_returned_routes(
             seen["unreachable"] += 1
             raise
 
+    monkeypatch.setattr(routing, "pc_solve", check)
     monkeypatch.setattr(routing, "pc_iterate", probe)
     monkeypatch.setattr(routing, "assign_routes", assign)
     routes = initial_routes(scenario, net.gains, net.sessions, p0)
-    assert seen["probes"] > 1
+    checks = [c for c in calls if c != "probe"]
+    assert checks.count("failed check") > 0 and "check" not in checks[:-1]
+    assert calls == [c for check in checks
+                     for c in [check] + ["probe"] * (check == "failed check")]
     assert bool(seen["unreachable"]) == unreachable
-    fresh = pc_iterate(p0, routes.active_links, net.gains, spreading_gain,
-                       scenario.noise_power, scenario.target_sir,
-                       tol=scenario.pc_tol, max_iter=1500,
-                       power_cap=scenario.power_cap)
-    assert same_pc_result(routes.probe, fresh)
+    want = pc_solve(routes.active_links, net.gains, spreading_gain,
+                    scenario.noise_power, scenario.target_sir,
+                    power_cap=scenario.power_cap)
+    assert same_pc_result(routes.probe, want)
+    assert routes.probe.converged == (checks[-1] == "check")
 
 
 @pytest.mark.parametrize("receiver", ["lmmse", "matched"])

@@ -18,7 +18,6 @@ from adhocnet.phy import (
     kernel_basis,
     lmmse_directions,
     lmmse_filter,
-    lmmse_kernel,
     lmmse_sir_matrix,
     lmmse_solve,
     sir_lmmse,
@@ -26,6 +25,7 @@ from adhocnet.phy import (
 )
 from helpers import (
     kernel_basis_lu,
+    lmmse_kernel,
     lmmse_kernel_lu,
     random_network,
     topology_from_positions,

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhocnet.netmodel import SpreadingCodebook, compute_link_gains, \
-    generate_spreading_codebook
+from adhocnet.crosslayer import initial_powers
+from adhocnet.netmodel import Scenario, SpreadingCodebook, build_network, \
+    compute_link_gains, generate_spreading_codebook
 from adhocnet.powercontrol import (
     ActiveLinkSet,
     pc_iterate,
     pc_mud_iterate,
+    pc_solve,
     power_targets,
 )
+from adhocnet.routing import initial_routes
 from helpers import (
     from_links_loop,
     gauss_seidel_sweep,
@@ -358,6 +361,103 @@ def test_pc_mud_warns_on_tiny_noise():
     with pytest.warns(RuntimeWarning, match="condition bound"):
         pc_mud_iterate(np.full(5, 1e-3), active, gains, book, 1e-30, GAMMA,
                        max_iter=1)
+
+
+def test_pc_mud_stops_at_first_nonfinite_iterate():
+    # the tiny-noise instance fails its span factorization: the run ends
+    # at the last finite iterate instead of iterating NaN to max_iter
+    rng = np.random.default_rng(35)
+    _, gains = random_network(rng, 5)
+    book = generate_spreading_codebook(5, 4, seed=36)
+    active = random_active_links(rng, 5, max_out=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = pc_mud_iterate(np.full(5, 1e-3), active, gains, book, 1e-30,
+                                GAMMA, max_iter=10_000)[0]
+    assert result.status == "nonfinite"
+    assert result.iterations <= 3
+    assert np.isfinite(result.powers).all()
+    assert np.isfinite(result.trace).all()
+
+
+def test_pc_solve_matches_single_outgoing_linear_solve():
+    # one outgoing link per node leaves a single policy, so the check is the
+    # helper's linear solve; rho_max=1 makes None mean exactly infeasible
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for _ in range(300):
+        state = rng.bit_generator.state
+        inst = single_outgoing_instance(rng, 6, 64, GAMMA, NOISE, rho_max=1.0)
+        if inst is None:
+            # draw the network and links again to check the rejected one
+            rng.bit_generator.state = state
+            _, gains = random_network(rng, 6)
+            dests = [int(rng.integers(0, 5)) for _ in range(6)]
+            links = [(i, d + (d >= i)) for i, d in enumerate(dests)]
+            active = ActiveLinkSet.from_links(6, links)
+        else:
+            _, gains, active, fixed_point, _ = inst
+        result = pc_solve(active, gains, 64, NOISE, GAMMA, power_cap=np.inf)
+        outcomes.add(result.status)
+        if inst is None:
+            assert result.status == "infeasible"
+        else:
+            assert result.converged and result.iterations == 1
+            assert np.allclose(result.powers, fixed_point, rtol=1e-12, atol=0)
+            # a cap just below the fixed point leaves no feasible powers
+            capped = pc_solve(active, gains, 64, NOISE, GAMMA,
+                              power_cap=0.999 * fixed_point.max())
+            assert capped.status == "infeasible"
+    assert outcomes == {"converged", "infeasible"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       spreading=st.sampled_from([2, 8, 128]),
+       power_cap=st.sampled_from([1e-7, 1.0]))
+def test_pc_solve_is_the_fixed_point_pc_iterate_reaches(seed, n, spreading,
+                                                        power_cap):
+    rng = np.random.default_rng(seed)
+    _, gains = random_network(rng, n)
+    active = random_active_links(rng, n, max_out=3, min_out=1)
+    model = (active, gains, spreading, NOISE, GAMMA)
+    exact = pc_solve(*model, power_cap=power_cap)
+    start = np.zeros(n)
+    if exact.converged:
+        p = exact.powers
+        assert np.allclose(power_targets(p, *model), p, rtol=1e-12, atol=0)
+        assert p.max() <= power_cap
+        iterated = pc_iterate(start, *model, tol=1e-10, max_iter=100_000,
+                              power_cap=power_cap)
+        assert iterated.converged
+        assert np.allclose(iterated.powers, p, rtol=1e-6, atol=0)
+    else:
+        assert exact.status == "infeasible"
+        assert not pc_iterate(start, *model, max_iter=10_000,
+                              power_cap=power_cap).converged
+
+
+def test_pc_solve_agrees_with_pc_iterate_on_initial_routes():
+    # several outgoing links per node: the cases that switch policies
+    statuses, solves = set(), set()
+    for seed in range(8):
+        scenario = Scenario(n_nodes=40, spreading_gain=128, master_seed=seed)
+        net = build_network(scenario)
+        routes = initial_routes(scenario, net.gains, net.sessions,
+                                initial_powers(scenario))
+        model = (routes.active_links, net.gains, 128, scenario.noise_power,
+                 scenario.target_sir)
+        exact = pc_solve(*model)
+        iterated = pc_iterate(np.zeros(40), *model, tol=1e-10,
+                              max_iter=100_000)
+        assert exact.status == iterated.status
+        if exact.converged:
+            p = exact.powers
+            assert np.allclose(power_targets(p, *model), p, rtol=1e-12, atol=0)
+            assert np.allclose(iterated.powers, p, rtol=1e-6, atol=0)
+        statuses.add(exact.status)
+        solves.add(exact.iterations)
+    assert statuses == {"converged", "infeasible"} and max(solves) > 1
 
 
 def test_single_outgoing_instance_draws_match_loop():

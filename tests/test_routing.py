@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from adhocnet.routing import (
     initial_routes,
     shortest_path,
 )
-from helpers import brute_force_shortest, initial_skeleton_loop, \
-    random_network, topology_from_positions
+from helpers import brute_force_shortest, from_links_loop, \
+    initial_skeleton_loop, random_network, topology_from_positions
 
 GAMMA = 12.5
 NOISE = 1e-13
@@ -194,6 +196,26 @@ def test_active_links_derived_from_paths():
     routes = RouteSet(paths=((0, 2, 1), (1, 0)), n_nodes=3)
     assert set(routes.active_links.links) == {(0, 2), (2, 1), (1, 0)}
     assert routes.active_links.outgoing[0] == (2,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 9), data=st.data())
+def test_active_links_match_loop_oracle(n, data):
+    # node n is out of range, so some draws must fail like from_links
+    path = st.lists(st.integers(0, n), min_size=2, max_size=n, unique=True)
+    paths = tuple(map(tuple, data.draw(st.lists(path, max_size=6))))
+    links = [link for p in paths for link in zip(p[:-1], p[1:])]
+    routes = RouteSet(paths=paths, n_nodes=n)
+    try:
+        want = from_links_loop(n, links)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            routes.active_links
+    else:
+        active = routes.active_links
+        assert active.links == want
+        i_idx, j_idx = active.link_arrays
+        assert list(zip(i_idx.tolist(), j_idx.tolist())) == list(want)
 
 
 def test_route_set_rejects_degenerate_paths():
