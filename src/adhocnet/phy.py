@@ -209,9 +209,9 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     pairs every receiver with every node, d = n. A system that fails to
     factor in floating point (only the span form can, at noise below the
     rounding of the received power) leaves its receiver's q at NaN. One
-    warning per call names such receivers and reports a link whose
+    warning per call names such receivers, if any, and reports the largest
     covariance condition bound (sum_{k != i,j} P_k h(k,j) + L noise) / noise
-    exceeds ``CONDITION_WARN_THRESHOLD``.
+    of a link, if it exceeds ``CONDITION_WARN_THRESHOLD``.
     """
     n = p.shape[0]
     w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
@@ -243,11 +243,13 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     w_link = w if senders is None else w[np.arange(len(w))[:, None], senders]
     bound = float(((w.sum(axis=1, keepdims=True) - w_link).max(initial=0.0)
                    + codebook.length * noise) / noise)
-    if bound > CONDITION_WARN_THRESHOLD or np.isnan(q[:, 0]).any():
-        failed = receivers[np.isnan(q[:, 0])].tolist()
-        warnings.warn(f"LMMSE covariance condition bound {bound:.3e} exceeds "
-                      f"{CONDITION_WARN_THRESHOLD:.1e}; receivers left with "
-                      f"NaN q: {failed}", RuntimeWarning, stacklevel=2)
+    failed = receivers[np.isnan(q[:, 0])].tolist()
+    clauses = [f"covariance condition bound {bound:.3e} exceeds "
+               f"{CONDITION_WARN_THRESHOLD:.1e}"
+               ] if bound > CONDITION_WARN_THRESHOLD else []
+    clauses += [f"receivers left with NaN q: {failed}"] if failed else []
+    if clauses:
+        warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 2)
     return q, (a, y)
 
 

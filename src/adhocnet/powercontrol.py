@@ -7,43 +7,36 @@ so iterating p <- T(p) converges to the minimal feasible power vector under
 any update schedule whenever the system is feasible; divergence is detected
 by the power cap or the iteration budget.
 
-Every receiver runs the same synchronous loop, ``_fixed_point``. A receiver
-supplies only the power each active link requires at the current iterate;
-the loop takes each node's worst outgoing link, applies the residual test,
-the power cap and the iteration budget, and records the total power of
-every iterate. ``pc_iterate`` requires
-target * ((1/L) sum_{k != i,j} h(k,j) P_k + noise) / h(i,j), the 1/L
-matched-filter model; ``pc_mud_iterate`` uses the exact sequence
-cross-correlations, with the LMMSE filter or fixed matched filters.
-
-The 1/L matched update is a maximum of affine maps, T(p) = max a + F p over
-each node's links, so ``pc_solve`` finds its minimal fixed point exactly by
+Every receiver runs the synchronous loop ``_fixed_point`` with its own
+step. The matched updates, ``pc_iterate``'s 1/L model (``power_targets``)
+and ``pc_mud_iterate`` with fixed matched filters, which requires
+target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j) with rho the
+Gram matrix of the sequences, are maxima of affine maps (``_affine_form``).
+While every node keeps its worst link (its policy) a step is linear, so
+``_affine_steps`` takes blocks of steps at one matrix product each and
+checks each block with one more; statuses, iteration counts, powers and
+traces are the per-step loop's up to rounding.
+``pc_solve`` finds the minimal fixed point of the 1/L update exactly by
 policy iteration (Howard): solve (I - F) p = a for one link per node,
 re-pick each node's worst link at p, repeat until none changes. T is
 monotone (Yates), so the solutions rise to the minimal fixed point; a
 singular, negative or over-cap solve proves infeasibility (Perron-Frobenius;
 Zander, Foschini-Miljanic). Verdicts come from it, powers from iteration.
 
-With the LMMSE receiver, optimizing the filter at the current powers and
-then solving for the power that meets the target collapses to the closed
-form of Ulukus and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
-q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` and c = P_i h(i,j).
-The kernel takes one Cholesky factorization per receiver, of
-noise G^-1 + D_j on the codebook's cached inverse Gram matrix or, for an
-ill-conditioned G, of noise I + U D_j U' in the span of the sequences; the
-phy module docstring gives both. Each step solves every receiver in use
-once, for q only. The solve at the returned powers also gives every link's
-output SIR c q / (1 - c q), which the run returns as ``PcResult.link_sir``,
-and the returned filter bank finishes that solve with
-``phy.lmmse_directions``. With fixed matched filters the required power is
-target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j), rho the
-Gram matrix of the sequences.
+The LMMSE update is not affine; ``pc_mud_iterate`` takes one step per
+kernel solve. Optimizing the filter at the current powers and then solving
+for the power that meets the target collapses to the closed form of Ulukus
+and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
+q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one Cholesky
+factorization per receiver, phy module docstring) and c = P_i h(i,j). The
+solve at the returned powers also gives every link's output SIR
+c q / (1 - c q), ``PcResult.link_sir``, and the returned filter bank
+finishes that solve with ``phy.lmmse_directions``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -68,6 +61,7 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_NONFINITE = "nonfinite"
 
 _RESIDUAL_FLOOR = 1e-30
+_BLOCK_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -157,46 +151,107 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
 
 
 def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
-                 required: Callable[[np.ndarray], np.ndarray], *,
+                 advance: Callable[[np.ndarray, int], np.ndarray], *,
                  tol: float, max_iter: int, power_cap: float) -> PcResult:
     """Synchronous iteration p <- T(p) shared by every receiver.
 
-    ``required(p)`` gives the power each link of ``active.links`` needs at
-    the iterate p; T_i(p) is the largest over node i's outgoing links, and
-    zero for a node without one. The stopping rules are ``pc_iterate``'s; a
-    NaN update (failed LMMSE factorization) ends the run as "nonfinite".
+    ``advance(x, budget)`` returns the senders' powers x (other nodes stay
+    silent) and the next 1 to ``budget`` iterates as rows. The stopping
+    rules, in order: the residual test or a NaN update ("nonfinite", a
+    failed LMMSE factorization) at step k, the cap on iterate k, the budget.
     """
     if np.any(np.asarray(p0) < 0):
         raise ValueError("initial powers must be nonnegative")
-    p = np.array(p0, dtype=float)
-    # the links are sorted by transmitter, so each transmitter's outgoing
-    # links form one run starting at its first index
-    senders, starts = np.unique(active.link_arrays[0], return_index=True)
-    # nodes outside the transmitter set hold zero power throughout
-    silent = np.ones(active.n_nodes, dtype=bool)
-    silent[senders] = False
-    p[silent] = 0.0
-    totals = [float(p.sum())]
-    status, iteration = STATUS_INFEASIBLE, 0
-    if not (p > power_cap).any():
-        status = STATUS_MAX_ITER
-        # bound once: this loop runs up to thousands of short steps per call
-        worst = np.maximum.reduceat
-        for iteration in range(1, max_iter + 1):
-            t = np.zeros(active.n_nodes)
-            t[senders] = np.maximum(0.0, worst(required(p), starts))
-            residual = (np.abs(t - p) / np.maximum(p, _RESIDUAL_FLOOR)).max()
-            if residual <= tol or math.isnan(residual):
-                status = (STATUS_CONVERGED if residual <= tol
+    senders = np.unique(active.link_arrays[0])
+    x = np.asarray(p0, dtype=float)[senders]
+    totals, done = [float(x.sum())], 0
+    status = STATUS_INFEASIBLE if (x > power_cap).any() else STATUS_MAX_ITER
+    with np.errstate(invalid="ignore"):  # inf - inf after an overflow
+        while status == STATUS_MAX_ITER and done < max_iter:
+            rows = advance(x, max_iter - done)
+            prev, new = rows[:-1], rows[1:]
+            residual = (np.abs(new - prev) / np.maximum(prev, _RESIDUAL_FLOOR)
+                        ).max(axis=1, initial=0.0)
+            settled = ~(residual > tol)  # the residual test, or NaN
+            stop = (settled | (new > power_cap).any(axis=1)).nonzero()[0]
+            end = int(stop[0]) if stop.size else len(new) - 1
+            done, kept = done + end + 1, end + (not settled[end])
+            if stop.size:
+                status = (STATUS_INFEASIBLE if not settled[end]
+                          else STATUS_CONVERGED if residual[end] <= tol
                           else STATUS_NONFINITE)
-                break
-            p = t
-            totals.append(float(p.sum()))
-            if (p > power_cap).any():
-                status = STATUS_INFEASIBLE
-                break
-    p.setflags(write=False)
-    return PcResult(status, p, iteration, np.asarray(totals))
+            totals.extend(new[:kept].sum(axis=1).tolist())
+            x = rows[kept].copy()
+    powers = np.zeros(active.n_nodes)
+    powers[senders] = x
+    powers.setflags(write=False)
+    return PcResult(status, powers, done, np.asarray(totals))
+
+
+def _affine_form(active: ActiveLinkSet, gains: LinkGainMatrix, noise: float,
+                 target_sir: float, scale: float, weights=None) -> tuple:
+    """Senders, first link of each, sender of each link, a and coupling: link
+    l = (i, j) needs a_l + x @ coupling[:, l] at the senders' powers x, with
+    a_l = target_sir noise / h(i,j) and coupling[k, l] = scale weights[k, i]
+    h(k,j) / h(i,j), zero at k = i and (zero gain diagonal) at k = j."""
+    i_idx, j_idx = active.link_arrays
+    senders, starts, owner = np.unique(i_idx, return_index=True,
+                                       return_inverse=True)
+    g_link = gains.gains[i_idx, j_idx]
+    coupling = gains.gains[senders][:, j_idx] * (scale / g_link)
+    if weights is not None:
+        coupling *= weights[senders][:, i_idx]
+    coupling[owner, np.arange(len(i_idx))] = 0.0
+    return senders, starts, owner, target_sir * noise / g_link, coupling
+
+
+def _repick(need, policy, starts, owner) -> np.ndarray:
+    """Each sender's first link of largest need; its policy on ties or NaN."""
+    current, worst = need[policy], np.maximum.reduceat(need, starts)
+    first = np.minimum.reduceat(
+        np.where(need == worst[owner], np.arange(len(need)), len(need)),
+        starts)
+    return np.where(current < worst, first, policy)
+
+
+def _affine_steps(form: tuple) -> Callable[[np.ndarray, int], np.ndarray]:
+    """``_fixed_point``'s ``advance`` for the update ``_affine_form`` gives.
+
+    While each sender keeps its worst link (its policy), a step is one dot
+    of the row [x 1] with [coupling_policy 0; a_policy 1]. One product
+    checks the block against the links of senders with a choice, and
+    the iterates up to the first at which a policy link is not worst are
+    returned. Blocks restart at 2 steps after a policy change and double, up
+    to ``_BLOCK_MAX``, while the policies hold.
+    """
+    senders, starts, owner, a, coupling = form
+    m = len(senders)
+    # only the links of senders with more than one can change a policy
+    multi = np.flatnonzero((np.diff(starts, append=len(a)) > 1)[owner])
+    chosen, c_starts, c_owner = np.unique(owner[multi], return_index=True,
+                                          return_inverse=True)
+    augmented = np.vstack([coupling, a])
+    check = augmented[:, multi]
+    rows, step = np.ones((_BLOCK_MAX + 1, m + 1)), np.eye(m + 1)
+    policy, c_policy, length = starts.copy(), c_starts, 2
+
+    def advance(x, budget):
+        nonlocal c_policy, length
+        rows[0, :m] = x
+        c_policy = _repick(rows[0] @ check, c_policy, c_starts, c_owner)
+        policy[chosen] = multi[c_policy]
+        step[:, :m] = augmented[:, policy]
+        size = min(length, budget)
+        for k in range(size):
+            np.dot(rows[k], step, out=rows[k + 1])
+        need = rows[1:size] @ check
+        held = (need[:, c_policy]
+                == np.maximum.reduceat(need, c_starts, axis=1)).all(axis=1)
+        kept = size if held.all() else 1 + int(np.argmin(held))
+        length = min(2 * length, _BLOCK_MAX) if kept == size else 2
+        return rows[:kept + 1, :m]
+
+    return advance
 
 
 def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
@@ -209,21 +264,13 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
     is at most ``tol`` at the returned vector. Any power exceeding
     ``power_cap`` stops the run as infeasible; running out of iterations
     yields status "max_iter". The powers are returned either way for
-    diagnosis. All nodes update from the previous iterate.
+    diagnosis. All nodes update from the previous iterate, in blocks of
+    steps on which no node changes its worst link (``_affine_steps``).
     """
-    i_idx, j_idx = active.link_arrays
-    g_t = gains.gains.T
-    g_link = gains.gains[i_idx, j_idx]
-
-    def required(p):
-        # power_targets' per-link expression with the gathers hoisted: the
-        # same float operations in the same order
-        s = g_t @ p
-        interference = (s[j_idx] - g_link * p[i_idx]) / spreading_gain + noise
-        return target_sir * interference / g_link
-
-    return _fixed_point(p0, active, required, tol=tol, max_iter=max_iter,
-                        power_cap=power_cap)
+    form = _affine_form(active, gains, noise, target_sir,
+                        target_sir / spreading_gain)
+    return _fixed_point(p0, active, _affine_steps(form), tol=tol,
+                        max_iter=max_iter, power_cap=power_cap)
 
 
 def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
@@ -236,30 +283,18 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
     linear solves, ``trace`` holds each accepted solution's total power, and
     ``active`` must hold a link.
     """
-    i_idx, j_idx = active.link_arrays
-    senders, starts, owner = np.unique(i_idx, return_index=True,
-                                       return_inverse=True)
-    links = np.arange(len(i_idx))
-    # over the senders, link l needs a_l + F_l p: F_l is column l of coupling,
-    # zero at i_l and at j_l (zero gain diagonal); system holds e_{i_l} - F_l
-    g_link = gains.gains[i_idx, j_idx]
-    a = target_sir * noise / g_link
-    coupling = gains.gains[senders][:, j_idx] \
-        * (target_sir / spreading_gain / g_link)
-    coupling[owner, links] = 0.0
+    senders, starts, owner, a, coupling = _affine_form(
+        active, gains, noise, target_sir, target_sir / spreading_gain)
+    # column l of system is e_{i_l} - F_l over the senders
     system = -coupling
-    system[owner, links] = 1.0
+    system[owner, np.arange(len(a))] = 1.0
     # first policy: the worst links two synchronous steps up from zero
     policy, p, totals, need = starts, np.zeros(len(senders)), [], a
     for _ in range(2):
         need = a + np.maximum.reduceat(need, starts) @ coupling
     status = STATUS_INFEASIBLE
     for iteration in itertools.count(1):
-        # each sender's first worst link, keeping the current one on ties
-        current, worst = need[policy], np.maximum.reduceat(need, starts)
-        first = np.minimum.reduceat(
-            np.where(need == worst[owner], links, len(links)), starts)
-        policy = np.where(current == worst, policy, first)
+        policy = _repick(need, policy, starts, owner)
         x, info = dgesv(system[:, policy].T, a[policy], overwrite_a=True,
                         overwrite_b=True)[2:]
         if info or not (x.min() >= 0.0 and x.max() <= power_cap):
@@ -303,26 +338,29 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     if filter_mode == "matched":
         rho2 = codebook.gram ** 2
         np.fill_diagonal(rho2, 0.0)
-        # row l: the interferers' power weights at link l's receiver
-        coupling = rho2[i_idx] * gains.gains[:, j_idx].T
-        result = _fixed_point(
-            p0, active, lambda p: target_sir * (coupling @ p + noise) / g,
-            **stop)
-        return result, FilterBank.matched(codebook, active.links)
+        form = _affine_form(active, gains, noise, target_sir, target_sir,
+                            rho2)
+        return (_fixed_point(p0, active, _affine_steps(form), **stop),
+                FilterBank.matched(codebook, active.links))
 
     receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    transmitters, starts = np.unique(i_idx, return_index=True)
     last_solve = []
 
-    def required(p):
+    def advance(x, budget):  # one step per kernel solve
+        p = np.zeros(active.n_nodes)
+        p[transmitters] = x
         q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
         q = q[rows, cols]
         last_solve[:] = [q, solve]
-        return target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
+        need = target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
+        return np.array((x, np.maximum(0.0,
+                                       np.maximum.reduceat(need, starts))))
 
-    result = _fixed_point(p0, active, required, **stop)
+    result = _fixed_point(p0, active, advance, **stop)
     p = result.powers
     if not result.converged:
-        required(p)  # the last solve must be at the returned powers
+        advance(p[transmitters], 1)  # the last solve at the returned powers
     q, solve = last_solve
     link_sir = lmmse_link_sir(p[i_idx] * g, q)
     link_sir.setflags(write=False)

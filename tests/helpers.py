@@ -323,8 +323,9 @@ def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,
                     target_sir: float, *, tol: float = 1e-6,
                     max_iter: int = 10_000,
                     power_cap: float = 1.0) -> PcResult:
-    """Synchronous ``powercontrol.pc_iterate`` in its ``power_targets`` form,
-    kept as the reference for the loop with the per-link gathers hoisted."""
+    """Per-step synchronous loop of ``powercontrol.pc_iterate`` in its
+    ``power_targets`` form, kept as the reference for the fixed-policy
+    blocks of ``powercontrol._affine_steps``."""
     if np.any(np.asarray(p0) < 0):
         raise ValueError("initial powers must be nonnegative")
     p = np.array(p0, dtype=float)
@@ -385,6 +386,16 @@ def same_pc_result(a: PcResult, b: PcResult) -> bool:
     """Bit-for-bit equality of two power-control results."""
     return (a.status, a.iterations, a.powers.tobytes(), a.trace.tobytes()) \
         == (b.status, b.iterations, b.powers.tobytes(), b.trace.tobytes())
+
+
+def same_pc_steps(got: PcResult, want: PcResult, rtol: float = 1e-10):
+    """Assert that two power-control runs took the same steps: equal status,
+    iteration count and trace length, powers and trace equal within ``rtol``
+    (relative), as two float orders of the same update give."""
+    assert (got.status, got.iterations, len(got.trace)) \
+        == (want.status, want.iterations, len(want.trace))
+    assert np.allclose(got.powers, want.powers, rtol=rtol, atol=0.0)
+    assert np.allclose(got.trace, want.trace, rtol=rtol, atol=0.0)
 
 
 def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:

@@ -307,6 +307,8 @@ def test_lmmse_kernel_warns_once_on_tiny_noise():
     with pytest.warns(RuntimeWarning, match="condition bound") as record:
         lmmse_kernel(p, gains, book, 1e-30, receivers, senders)
     assert len(record) == 1
+    # every receiver factored: the warning names no NaN q
+    assert "NaN q" not in str(record[0].message)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         lmmse_kernel(p, gains, book, 1e-13, receivers, senders)

@@ -23,7 +23,7 @@ from helpers import (
     pc_mud_two_step,
     random_active_links,
     random_network,
-    same_pc_result,
+    same_pc_steps,
     single_outgoing_instance,
     single_outgoing_instance_loop,
     topology_from_positions,
@@ -296,10 +296,7 @@ def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
                                         GAMMA, **kwargs)
                 want, _ = pc_mud_two_step(p0, active, gains, book, NOISE,
                                           GAMMA, **kwargs)
-            assert (got.status, got.iterations) == \
-                (want.status, want.iterations)
-            assert np.allclose(got.powers, want.powers, rtol=1e-9, atol=0.0)
-            assert np.allclose(got.trace, want.trace, rtol=1e-9, atol=0.0)
+            same_pc_steps(got, want, rtol=1e-9)
             statuses.add(got.status)
     assert statuses == {"converged", "infeasible", "max_iter"}
 
@@ -491,8 +488,8 @@ def test_single_outgoing_instance_draws_match_loop():
        max_iter=st.sampled_from([1, 5, 300]))
 def test_pc_iterate_matches_loop_oracle(seed, n, spreading, zero_frac,
                                         power_cap, max_iter):
-    """The hoisted synchronous loop repeats the power_targets loop bit for
-    bit, with silent nodes (no outgoing link) and zero initial powers."""
+    """The fixed-policy blocks take the power_targets loop's steps, with
+    silent nodes (no outgoing link) and zero initial powers."""
     rng = np.random.default_rng(seed)
     _, gains = random_network(rng, n)
     active = random_active_links(rng, n, max_out=2, min_out=0)
@@ -502,7 +499,7 @@ def test_pc_iterate_matches_loop_oracle(seed, n, spreading, zero_frac,
     got = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA, **kwargs)
     want = pc_iterate_loop(p0, active, gains, spreading, NOISE, GAMMA,
                            **kwargs)
-    assert same_pc_result(got, want)
+    same_pc_steps(got, want)
 
 
 def test_pc_iterate_oracle_cases_cover_all_statuses():
@@ -519,10 +516,79 @@ def test_pc_iterate_oracle_cases_cover_all_statuses():
                 kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=cap)
                 got = pc_iterate(p0, active, gains, spreading, NOISE, GAMMA,
                                  **kwargs)
-                assert same_pc_result(got, pc_iterate_loop(
+                same_pc_steps(got, pc_iterate_loop(
                     p0, active, gains, spreading, NOISE, GAMMA, **kwargs))
                 statuses.add(got.status)
     assert statuses == {"converged", "infeasible", "max_iter"}
+
+
+def _choice_case(seed, n, start):
+    """A network whose senders have 2-3 links each, some nodes silent.
+
+    ``start`` is "random" (log-uniform powers, some zero), "silent" (all
+    zero) or "empty" (no active link at all).
+    """
+    rng = np.random.default_rng(seed)
+    _, gains = random_network(rng, n)
+    links = random_active_links(rng, n, max_out=3, min_out=2).links
+    keep = rng.random(n) < 0.8
+    links = [] if start == "empty" else [l for l in links if keep[l[0]]]
+    p0 = np.exp(rng.uniform(np.log(1e-10), np.log(1e-6), n))
+    p0[rng.random(n) < 0.3] = 0.0
+    if start == "silent":
+        p0[:] = 0.0
+    return gains, ActiveLinkSet.from_links(n, links), p0
+
+
+def _worst_links(p, active, gains, spreading):
+    """Each sender's link of largest requirement at p, as power_targets
+    takes it."""
+    i_idx, j_idx = active.link_arrays
+    g = gains.gains[i_idx, j_idx]
+    need = ((gains.gains[:, j_idx].T @ p - g * p[i_idx]) / spreading
+            + NOISE) / g
+    return [int(np.flatnonzero(i_idx == i)[np.argmax(need[i_idx == i])])
+            for i in active.transmitters]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10),
+       spreading=st.sampled_from([2, 8, 128]),
+       power_cap=st.sampled_from([1e-7, 1e-5, 1.0]),
+       max_iter=st.integers(1, 400),
+       start=st.sampled_from(["random", "random", "silent", "empty"]))
+def test_pc_iterate_blocks_take_the_loop_steps(seed, n, spreading, power_cap,
+                                               max_iter, start):
+    """Policy switches, stops inside a block and degenerate starts; a
+    converged run passes the residual test at its returned powers."""
+    gains, active, p0 = _choice_case(seed, n, start)
+    model = (active, gains, spreading, NOISE, GAMMA)
+    kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=power_cap)
+    got = pc_iterate(p0, *model, **kwargs)
+    same_pc_steps(got, pc_iterate_loop(p0, *model, **kwargs))
+    if got.converged:
+        p = got.powers
+        t = power_targets(p, *model)
+        assert np.all(np.abs(t - p) <= 1e-8 * np.maximum(p, 1e-30))
+
+
+def test_pc_iterate_block_cases_switch_and_stop_inside_blocks():
+    # the cases above switch policies mid-run and stop at every status, at
+    # iteration counts other than the ends of unbroken blocks 2, 4, ..., 64
+    unbroken_ends = set(np.cumsum([2, 4, 8, 16, 32] + [64] * 10).tolist())
+    switched, inside = 0, set()
+    for seed in range(60):
+        gains, active, p0 = _choice_case(seed, 3 + seed % 8, "random")
+        model = (active, gains, 8 if seed % 2 else 128, NOISE, GAMMA)
+        got = pc_iterate(p0, *model, tol=1e-8, max_iter=37 + seed,
+                         power_cap=1e-5 if seed % 4 < 2 else 1.0)
+        p = p0 * np.isin(np.arange(len(p0)), active.transmitters)
+        switched += _worst_links(p, *model[:3]) \
+            != _worst_links(got.powers, *model[:3])
+        if got.iterations not in unbroken_ends:
+            inside.add(got.status)
+    assert switched >= 5
+    assert inside == {"converged", "infeasible", "max_iter"}
 
 
 @settings(max_examples=200, deadline=None)
