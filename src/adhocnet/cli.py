@@ -59,27 +59,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_multi = sub.add_parser("multistart",
                              help="repeat the joint loop from random inits")
     _add_experiment_flags(p_multi)
-    p_multi.add_argument("--trials", type=int, default=100, metavar="N")
+    p_multi.add_argument("--trials", type=int, metavar="N")
 
     p_fair = sub.add_parser("fairness",
                             help="multi-start plus route-mixture balancing")
     _add_experiment_flags(p_fair)
-    p_fair.add_argument("--trials", type=int, default=100, metavar="N")
+    p_fair.add_argument("--trials", type=int, metavar="N")
     p_fair.add_argument("--threshold", dest="fairness_threshold", type=float,
-                        default=0.10, metavar="THRESHOLD",
+                        metavar="THRESHOLD",
                         help="admission band above the best total power")
 
     p_cap = sub.add_parser("capacity",
                            help="Monte Carlo search for the largest feasible "
                                 "network size")
     _add_experiment_flags(p_cap)
-    p_cap.add_argument("--trials", type=int, default=100, metavar="N")
+    p_cap.add_argument("--trials", type=int, metavar="N")
     p_cap.add_argument("--target", dest="feasibility_target", type=float,
-                       default=0.95, metavar="TARGET",
-                       help="required feasibility rate")
-    p_cap.add_argument("--n-min", type=int, default=40)
-    p_cap.add_argument("--n-max", type=int, default=65)
-    p_cap.add_argument("--n-step", type=int, default=5)
+                       metavar="TARGET", help="required feasibility rate")
+    p_cap.add_argument("--n-min", type=int)
+    p_cap.add_argument("--n-max", type=int)
+    p_cap.add_argument("--n-step", type=int)
 
     p_gain = sub.add_parser("gain", help="normalized throughput gain")
     p_gain.add_argument("n_a", type=int)

@@ -182,9 +182,11 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     recorded trace is non-increasing by construction. Natural termination:
     routes unchanged, no non-regressing step available, or relative
     improvement below the scenario threshold; a phase cap bounds
-    pathological cases. With ``phase_budget`` set, exactly that many phases
-    are recorded instead (power control first, alternating; flat once the
-    loop has stalled), which reproduces fixed-length published traces.
+    pathological cases. With ``phase_budget`` set, the improvement
+    threshold is ignored and the budget is the cap; once the loop stops,
+    repeats of its last record, alternating phase kinds, pad the trace to
+    exactly that many phases, which reproduces fixed-length published
+    traces.
 
     An initial power-control failure yields status "infeasible_init" with
     the failing PcResult attached: with the matched receiver, a failed
@@ -200,7 +202,6 @@ def joint_optimize(scenario: Scenario, topology: Topology,
                                          codebook)
 
     cap = phase_budget if phase_budget is not None else scenario.phase_cap
-    budget_mode = phase_budget is not None
     # converged links sit at the target within the solver tolerance, so the
     # gate must not reject them over that jitter
     gate_sir = scenario.target_sir * (1.0 - 10.0 * scenario.pc_tol)
@@ -234,54 +235,45 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         )
     p = pc.powers
     record(PHASE_POWER_CONTROL, p, routes, pc.link_sir)
-    prev_pc_total = records[-1].total_power
-    stalled = False
 
     while len(records) < cap:
-        new_routes = routes
-        if not stalled:
-            # gate with the SIR the receiver in use actually achieves
-            if scenario.receiver == "lmmse":
-                sir = lmmse_sir_matrix(p, gains, codebook,
-                                       scenario.noise_power)
-            else:
-                sir = matched_sir_matrix(p, gains, scenario.spreading_gain,
-                                         scenario.noise_power)
-            costs = build_link_costs(p, sir, gate_sir)
-            try:
-                new_routes = assign_routes(sessions, costs)
-            except UnreachableSessionError:
-                # gate jitter disconnected the graph: no improving move exists
-                new_routes = routes
-        unchanged = new_routes.paths == routes.paths
-        if unchanged:
+        # gate with the SIR the receiver in use actually achieves
+        if scenario.receiver == "lmmse":
+            sir = lmmse_sir_matrix(p, gains, codebook, scenario.noise_power)
+        else:
+            sir = matched_sir_matrix(p, gains, scenario.spreading_gain,
+                                     scenario.noise_power)
+        costs = build_link_costs(p, sir, gate_sir)
+        try:
+            new_routes = assign_routes(sessions, costs)
+        except UnreachableSessionError:
+            # gate jitter disconnected the graph: no improving move exists
+            new_routes = routes
+        if new_routes.paths == routes.paths:
             repeat(PHASE_ROUTING)
-            if not budget_mode:
-                break
-            if len(records) >= cap:
-                break
-            repeat(PHASE_POWER_CONTROL)
-            continue
+            break
         # tentatively re-optimize powers for the new routes; accept only
         # non-regressing steps so total power descends by construction
         new_pc = run_power_control(scenario, p, new_routes, gains, codebook)
-        if not new_pc.converged \
-                or float(new_pc.powers.sum()) > prev_pc_total * (1.0 + 1e-12):
-            stalled = True
-            if not budget_mode:
-                break
-            continue
+        if not new_pc.converged or float(new_pc.powers.sum()) \
+                > records[-1].total_power * (1.0 + 1e-12):
+            break
         record(PHASE_ROUTING, p, new_routes)
         routes = new_routes
         if len(records) >= cap:
             break
         p = new_pc.powers
         record(PHASE_POWER_CONTROL, p, routes, new_pc.link_sir)
-        total = records[-1].total_power
-        improvement = (prev_pc_total - total) / prev_pc_total
-        prev_pc_total = total
-        if improvement < scenario.improvement_tol and not budget_mode:
+        # the routing record before it holds the previous run's total
+        before = records[-2].total_power
+        improvement = (before - records[-1].total_power) / before
+        if improvement < scenario.improvement_tol and phase_budget is None:
             break
+
+    # a stopped loop's powers and routes stay put for the rest of a budget
+    while phase_budget is not None and len(records) < phase_budget:
+        repeat(PHASE_ROUTING if records[-1].phase == PHASE_POWER_CONTROL
+               else PHASE_POWER_CONTROL)
 
     return JointSolution(
         status=STATUS_LOCAL_MIN, powers=p, routes=routes,

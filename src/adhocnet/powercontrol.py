@@ -219,34 +219,29 @@ def _affine_steps(form: tuple) -> Callable[[np.ndarray, int], np.ndarray]:
 
     While each sender keeps its worst link (its policy), a step is one dot
     of the row [x 1] with [coupling_policy 0; a_policy 1]. One product
-    checks the block against the links of senders with a choice, and
-    the iterates up to the first at which a policy link is not worst are
-    returned. Blocks restart at 2 steps after a policy change and double, up
-    to ``_BLOCK_MAX``, while the policies hold.
+    checks the block against every link, and the iterates up to the first
+    at which a policy link is not worst are returned; a NaN need also ends
+    the block, at an iterate where ``_fixed_point`` stops anyway. Blocks
+    restart at 2 steps after a policy change and double, up to
+    ``_BLOCK_MAX``, while the policies hold.
     """
     senders, starts, owner, a, coupling = form
     m = len(senders)
-    # only the links of senders with more than one can change a policy
-    multi = np.flatnonzero((np.diff(starts, append=len(a)) > 1)[owner])
-    chosen, c_starts, c_owner = np.unique(owner[multi], return_index=True,
-                                          return_inverse=True)
     augmented = np.vstack([coupling, a])
-    check = augmented[:, multi]
     rows, step = np.ones((_BLOCK_MAX + 1, m + 1)), np.eye(m + 1)
-    policy, c_policy, length = starts.copy(), c_starts, 2
+    policy, length = starts, 2
 
     def advance(x, budget):
-        nonlocal c_policy, length
+        nonlocal policy, length
         rows[0, :m] = x
-        c_policy = _repick(rows[0] @ check, c_policy, c_starts, c_owner)
-        policy[chosen] = multi[c_policy]
+        policy = _repick(rows[0] @ augmented, policy, starts, owner)
         step[:, :m] = augmented[:, policy]
         size = min(length, budget)
         for k in range(size):
             np.dot(rows[k], step, out=rows[k + 1])
-        need = rows[1:size] @ check
-        held = (need[:, c_policy]
-                == np.maximum.reduceat(need, c_starts, axis=1)).all(axis=1)
+        need = rows[1:size] @ augmented
+        held = (need[:, policy]
+                == np.maximum.reduceat(need, starts, axis=1)).all(axis=1)
         kept = size if held.all() else 1 + int(np.argmin(held))
         length = min(2 * length, _BLOCK_MAX) if kept == size else 2
         return rows[:kept + 1, :m]

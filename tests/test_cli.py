@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adhocnet.cli import _build_parser, main
+from adhocnet.cli import _build_parser, _given, main
 from adhocnet.experiments import ExperimentConfig
 from adhocnet.netmodel import Scenario, save_scenario
 
@@ -62,6 +62,14 @@ def test_every_experiment_flag_is_named_after_a_config_field():
         dests = {action.dest
                  for action in subparsers.choices[command]._actions}
         assert dests - {"help", "config"} <= fields, command
+
+
+@pytest.mark.parametrize("command",
+                         ["run", "multistart", "fairness", "capacity"])
+def test_experiment_defaults_come_from_the_config(command):
+    # flags left out give no value, so ExperimentConfig's defaults apply
+    args = _build_parser().parse_args([command])
+    assert _given(args, ExperimentConfig) == {"out_dir": "out"}
 
 
 @pytest.mark.parametrize("command, flags, expected", [

@@ -7,7 +7,8 @@ from adhocnet.crosslayer import (
     multi_start,
     network_energy_per_bit,
 )
-from adhocnet.errors import UnreachableSessionError
+from adhocnet import crosslayer
+from adhocnet.errors import ConfigError, UnreachableSessionError
 from adhocnet.netmodel import Scenario, build_network
 from adhocnet.phy import (
     FilterBank,
@@ -100,6 +101,54 @@ def test_infeasible_initialization_is_reported():
     assert solution.trace == ()
     assert solution.pc_diagnostics is not None
     assert solution.pc_diagnostics.status in ("infeasible", "max_iter")
+
+
+@pytest.mark.parametrize("receiver", ["matched", "lmmse"])
+@pytest.mark.parametrize("entry, value, size", [
+    (3, -1e-6, 12), (3, np.nan, 12), (3, np.inf, 12), (None, None, 11)])
+def test_bad_initial_powers_raise_a_named_config_error(receiver, entry,
+                                                        value, size):
+    # without the check a bad vector is judged an unreachable session, or
+    # fails inside numpy with a dimension error
+    scenario = Scenario(n_nodes=12, receiver=receiver, master_seed=0)
+    net = build_network(scenario)
+    p_init = np.full(size, scenario.initial_power)
+    if entry is not None:
+        p_init[entry] = value
+    with pytest.raises(ConfigError, match="p_init"):
+        joint_optimize(scenario, net.topology, net.gains, net.sessions,
+                       net.codebook, p_init=p_init)
+
+
+@pytest.mark.parametrize("receiver", ["matched", "lmmse"])
+def test_phase_budget_pads_without_rerouting_again(monkeypatch, receiver):
+    # once the routes come back unchanged, a budget run repeats its last
+    # record instead of gating and routing again at the same powers
+    calls = []
+
+    def assign(*args, **kwargs):
+        calls.append(1)
+        return assign_routes(*args, **kwargs)
+
+    monkeypatch.setattr(crosslayer, "assign_routes", assign)
+    scenario = Scenario(n_nodes=12, spreading_gain=128, receiver=receiver,
+                        master_seed=0)
+    _, natural = run_joint(scenario)
+    last, before = natural.trace[-1], natural.trace[-2]
+    assert last.phase == "routing"
+    assert (last.total_power, last.energy_per_bit) == (
+        before.total_power, before.energy_per_bit)
+    natural_calls = len(calls)
+    calls.clear()
+    budget = len(natural.trace) + 4
+    _, padded = run_joint(scenario, phase_budget=budget)
+    assert len(calls) == natural_calls
+    assert padded.trace[:len(natural.trace)] == natural.trace
+    assert [r.phase for r in padded.trace[len(natural.trace):]] == [
+        "power_control", "routing", "power_control", "routing"]
+    assert {(r.total_power, r.energy_per_bit)
+            for r in padded.trace[len(natural.trace) - 1:]} == {
+        (last.total_power, last.energy_per_bit)}
 
 
 def test_multi_start_single_trial_equals_joint_run():
