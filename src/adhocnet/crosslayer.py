@@ -192,6 +192,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     the failing PcResult attached: with the matched receiver, a failed
     ``pc_solve`` check of the initial routes.
     """
+    if phase_budget is not None:
+        check_value("phase_budget", phase_budget, Integral, low=1)
     if p_init is None:
         p_init = initial_powers(scenario)
     p_init = np.asarray(p_init, dtype=float)
@@ -208,13 +210,11 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     records: list[PhaseRecord] = []
 
     def record(phase, p, routes, link_sir=None):
-        # a power-control run that reports its link SIRs at p has already
-        # solved what network_energy_per_bit would solve again
-        if link_sir is None:
-            energy = network_energy_per_bit(routes, p, scenario, gains,
-                                            codebook)
-        else:
-            energy = _route_energy(routes, p, link_sir, scenario)
+        # link SIRs at p, from a power-control run or the gate's matrix that
+        # every route link passed, are what network_energy_per_bit solves
+        energy = (_route_energy(routes, p, link_sir, scenario)
+                  if link_sir is not None else network_energy_per_bit(
+                      routes, p, scenario, gains, codebook))
         records.append(PhaseRecord(phase, float(p.sum()), energy))
 
     def repeat(phase):
@@ -239,7 +239,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     while len(records) < cap:
         # gate with the SIR the receiver in use actually achieves
         if scenario.receiver == "lmmse":
-            sir = lmmse_sir_matrix(p, gains, codebook, scenario.noise_power)
+            sir = lmmse_sir_matrix(p, gains, codebook, scenario.noise_power,
+                                   gate_sir)
         else:
             sir = matched_sir_matrix(p, gains, scenario.spreading_gain,
                                      scenario.noise_power)
@@ -258,7 +259,8 @@ def joint_optimize(scenario: Scenario, topology: Topology,
         if not new_pc.converged or float(new_pc.powers.sum()) \
                 > records[-1].total_power * (1.0 + 1e-12):
             break
-        record(PHASE_ROUTING, p, new_routes)
+        record(PHASE_ROUTING, p, new_routes,
+               sir[new_routes.active_links.link_arrays])
         routes = new_routes
         if len(records) >= cap:
             break

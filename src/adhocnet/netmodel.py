@@ -248,14 +248,10 @@ def generate_sessions(n_nodes: int, seed: int) -> SessionSet:
     """Draw one session per node toward a uniformly random other node."""
     if n_nodes < 2:
         raise ConfigError("n_nodes must be at least 2")
-    rng = np.random.default_rng(seed)
-    sessions = []
-    for source in range(n_nodes):
-        dest = int(rng.integers(0, n_nodes - 1))
-        if dest >= source:
-            dest += 1
-        sessions.append((source, dest))
-    return SessionSet(sessions=tuple(sessions))
+    dest = np.random.default_rng(seed).integers(0, n_nodes - 1, size=n_nodes)
+    sources = np.arange(n_nodes)
+    dest += dest >= sources  # skip the source itself
+    return SessionSet(sessions=tuple(zip(sources.tolist(), dest.tolist())))
 
 
 def generate_spreading_codebook(n_nodes: int, length: int, seed: int) -> SpreadingCodebook:

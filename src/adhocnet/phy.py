@@ -33,6 +33,11 @@ matrix by Cholesky, in coordinates chosen once per codebook:
 ``lmmse_directions`` finishes the forward solves where filters are needed;
 ``lmmse_filter`` and ``sir_lmmse`` stay as the per-link reference in the
 full L-dimensional space.
+
+No filter's SIR exceeds the single-user bound c / noise (B_j without the
+desired term is at least noise I), so ``lmmse_sir_matrix`` solves only pairs
+whose bound reaches half the routing gate, a margin far wider than the
+kernel's relative rounding, about 1e-4 even at the warned condition bound.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 
@@ -201,13 +206,12 @@ def incoming_slots(i_idx: np.ndarray, j_idx: np.ndarray):
 
 def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
                 codebook: SpreadingCodebook, noise: float,
-                receivers: np.ndarray, senders: np.ndarray | None = None):
+                receivers: np.ndarray, senders: np.ndarray):
     """q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b].
 
     Returns q (m, d) and the solve, the receivers' Cholesky factors and
-    forward solves, which ``lmmse_directions`` finishes. ``senders=None``
-    pairs every receiver with every node, d = n. A system that fails to
-    factor in floating point (only the span form can, at noise below the
+    forward solves, which ``lmmse_directions`` finishes. A system that fails
+    to factor in floating point (only the span form can, at noise below the
     rounding of the received power) leaves its receiver's q at NaN. One
     warning per call names such receivers, if any, and reports the largest
     covariance condition bound (sum_{k != i,j} P_k h(k,j) + L noise) / noise
@@ -227,20 +231,15 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
         a = (w @ np.einsum("kr,ks->krs", e, e).reshape(n, r * r)).reshape(
             -1, r, r)
         a.reshape(-1, r * r)[:, ::r + 1] += noise
-    rhs = e[senders] if senders is not None else np.broadcast_to(
-        e, (len(w),) + e.shape)  # (m, d, r)
-    invert = senders is None and codebook.inverse_gram is not None
+    rhs = e[senders]  # (m, d, r)
     y = np.empty(a.shape[:2] + rhs.shape[1:2])
     for k in range(len(a)):
-        # a[k] is symmetric: its transpose is a Fortran view factored in place
-        chol, info = dpotrf(a[k].T, lower=1, clean=1, overwrite_a=1)
-        if info:
-            y[k] = np.nan
-        else:
-            y[k] = (dtrtri(chol, lower=1) if invert
-                    else dtrtrs(chol, rhs[k].T, lower=1))[0]
+        # a[k] is symmetric: its transpose is a Fortran view factored in
+        # place, and the solves read only its lower triangle
+        chol, info = dpotrf(a[k].T, lower=1, clean=0, overwrite_a=1)
+        y[k] = np.nan if info else dtrtrs(chol, rhs[k].T, lower=1)[0]
     q = np.einsum("mrd,mrd->md", y, y)
-    w_link = w if senders is None else w[np.arange(len(w))[:, None], senders]
+    w_link = w[np.arange(len(w))[:, None], senders]
     bound = float(((w.sum(axis=1, keepdims=True) - w_link).max(initial=0.0)
                    + codebook.length * noise) / noise)
     failed = receivers[np.isnan(q[:, 0])].tolist()
@@ -278,21 +277,23 @@ def lmmse_link_sir(c: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
-                     codebook: SpreadingCodebook, noise: float) -> np.ndarray:
-    """Achievable LMMSE output SIR for every potential link, diagonal zero.
+                     codebook: SpreadingCodebook, noise: float,
+                     gate: float) -> np.ndarray:
+    """Achievable LMMSE output SIR at p of the pairs that can reach ``gate``.
 
-    Entry (i, j) is the SIR the optimal filter would reach on link (i, j) at
-    the current powers: ``lmmse_link_sir`` of c = P_i h(i,j) and
-    q = s_i' B_j^-1 s_i from ``lmmse_solve`` over all receivers, with the
-    routing gate's zero where c is zero.
+    Entry (i, j) is ``lmmse_link_sir`` of c = P_i h(i,j) and q from
+    ``lmmse_solve``, solved only where the single-user bound c / noise is at
+    least gate / 2, a margin far wider than the kernel's rounding, and zero
+    elsewhere, where c is zero (the diagonal) or where q is NaN. ``gate=0``
+    solves every pair.
     """
-    nodes = np.arange(p.shape[0])
-    q = lmmse_solve(p, gains, codebook, noise, nodes)[0].T
     c = p[:, None] * gains.gains
-    sir = lmmse_link_sir(c, q)
-    sir[~np.isfinite(sir)] = np.inf
-    sir[np.isnan(q) | (c == 0.0)] = 0.0
-    sir[nodes, nodes] = 0.0
+    i_idx, j_idx = np.nonzero(c >= 0.5 * gate * noise)
+    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    q = lmmse_solve(p, gains, codebook, noise, receivers, senders)[0]
+    sir = np.zeros_like(c)
+    sir[i_idx, j_idx] = lmmse_link_sir(c[i_idx, j_idx], q[rows, cols])
+    sir[np.isnan(sir) | (c == 0.0)] = 0.0  # no q, or no desired signal
     return sir
 
 

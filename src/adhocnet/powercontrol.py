@@ -240,8 +240,7 @@ def _affine_steps(form: tuple) -> Callable[[np.ndarray, int], np.ndarray]:
         for k in range(size):
             np.dot(rows[k], step, out=rows[k + 1])
         need = rows[1:size] @ augmented
-        held = (need[:, policy]
-                == np.maximum.reduceat(need, starts, axis=1)).all(axis=1)
+        held = (need <= need[:, policy[owner]]).all(axis=1)
         kept = size if held.all() else 1 + int(np.argmin(held))
         length = min(2 * length, _BLOCK_MAX) if kept == size else 2
         return rows[:kept + 1, :m]

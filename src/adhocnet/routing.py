@@ -2,14 +2,15 @@
 
 The routing layer sees only the node powers and link gains. From them the
 receiver's SIR of every potential link (active or not) is computed in phy:
-``phy.matched_sir_matrix`` for the matched filter, the one place the
-matched SIR is computed, or ``phy.lmmse_sir_matrix``. The gate gives links
-below the SIR target infinite cost, prices the remaining links at the
-transmitter's power, and finds all distances to the session destinations
-with one csgraph Dijkstra call. Each session then follows per-destination
-next-hop pointers, found on the finite links alone, along the
-lexicographically smallest minimum-cost route. The SIR matrices read only
-powers and gains, so they do not depend on which routes are in use.
+``phy.matched_sir_matrix`` for the matched filter, the one place the matched
+SIR is computed, or ``phy.lmmse_sir_matrix``, zero on the links whose
+single-user bound rules out the gate. The gate gives links below the SIR
+target infinite cost, prices the remaining links at the transmitter's power,
+and finds all distances to the session destinations with one csgraph
+Dijkstra call. Each session then follows per-destination next-hop pointers,
+found on the finite links alone, along the lexicographically smallest
+minimum-cost route. The SIR matrices read only powers and gains, so they do
+not depend on which routes are in use.
 
 Initialization differs: before the first power-control run there are no
 optimized powers to price links with, so links are priced by the energy per

@@ -38,6 +38,19 @@ def _residual(new: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(new - ref) / np.maximum(ref, 1e-30)))
 
 
+def generate_sessions_loop(n_nodes: int, seed: int):
+    """Per-node scalar draws of ``netmodel.generate_sessions``, kept as its
+    reference: each source draws one of the other n - 1 nodes."""
+    rng = np.random.default_rng(seed)
+    sessions = []
+    for source in range(n_nodes):
+        dest = int(rng.integers(0, n_nodes - 1))
+        if dest >= source:
+            dest += 1
+        sessions.append((source, dest))
+    return tuple(sessions)
+
+
 def topology_from_positions(positions, area_side=200.0):
     pos = np.asarray(positions, dtype=float)
     pos.setflags(write=False)
@@ -412,17 +425,37 @@ def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
 
 def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
                  codebook: SpreadingCodebook, noise: float,
-                 receivers: np.ndarray, senders: np.ndarray | None = None):
+                 receivers: np.ndarray, senders: np.ndarray):
     """(q, x) of ``phy.lmmse_solve`` and ``phy.lmmse_directions`` in one
     call."""
     q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
     return q, lmmse_directions(solve)
 
 
+def all_pairs(n: int):
+    """(receivers, senders) pairing every node j, as receiver j, with every
+    node i, as senders[j, i]: every pair in one ``lmmse_solve``."""
+    return np.arange(n), np.tile(np.arange(n), (n, 1))
+
+
+def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
+                               codebook: SpreadingCodebook,
+                               noise: float) -> np.ndarray:
+    """``phy.lmmse_sir_matrix`` with every pair solved, kept as the
+    reference for its gate pruning: SIR c q / (1 - c q) of c = P_i h(i,j),
+    zero where c is zero, q is NaN or i = j."""
+    q = lmmse_solve(p, gains, codebook, noise, *all_pairs(p.shape[0]))[0].T
+    c = p[:, None] * gains.gains
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = c * q / (1.0 - c * q)
+    sir[np.isnan(q) | (c == 0.0)] = 0.0
+    np.fill_diagonal(sir, 0.0)
+    return sir
+
+
 def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
                     codebook: SpreadingCodebook, noise: float,
-                    receivers: np.ndarray,
-                    senders: np.ndarray | None = None):
+                    receivers: np.ndarray, senders: np.ndarray):
     """The LU form of ``lmmse_kernel``, kept as its reference.
 
     q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b], from one
@@ -431,13 +464,11 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
     q = G[i] z for z = A_j^-1 e_i); for n > L it solves
     K_j = noise I + U D_j U' in the span of the sequences (S' = Q U). Returns
     (q, x), x[a, :, b] holding B_j^-1 s_i in the coordinates of
-    ``kernel_basis_lu(codebook)``. ``senders=None`` pairs every receiver
-    with every node.
+    ``kernel_basis_lu(codebook)``.
     """
     n = p.shape[0]
     w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
-    w_link = w if senders is None else w[np.arange(w.shape[0])[:, None],
-                                         senders]
+    w_link = w[np.arange(w.shape[0])[:, None], senders]
     bound = (w.sum(axis=1, keepdims=True) - w_link
              + codebook.length * noise) / noise
     if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
@@ -452,19 +483,15 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
         # q = G[i] z, G being symmetric
         gram = codebook.gram
         a = w[:, :, None] * gram
-        if senders is None:
-            rhs, lhs = np.eye(n), gram
-        else:
-            rhs = np.eye(n)[senders].swapaxes(1, 2)  # (m, n, d)
-            lhs = gram[senders].swapaxes(1, 2)
+        rhs = np.eye(n)[senders].swapaxes(1, 2)  # (m, n, d)
+        lhs = gram[senders].swapaxes(1, 2)
     else:
         # span: K_j = noise I + U D_j U', right-hand sides u_i
         u = codebook.span
         r = u.shape[0]
         a = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(
             -1, r, r)
-        rhs = lhs = (u if senders is None
-                     else u.T[senders].swapaxes(1, 2))  # (m, r, d)
+        rhs = lhs = u.T[senders].swapaxes(1, 2)  # (m, r, d)
     diag = np.arange(a.shape[1])
     a[:, diag, diag] += noise
     x = np.linalg.solve(a, rhs)

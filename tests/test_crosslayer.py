@@ -120,6 +120,14 @@ def test_bad_initial_powers_raise_a_named_config_error(receiver, entry,
                        net.codebook, p_init=p_init)
 
 
+@pytest.mark.parametrize("budget", [0, -3, 2.5])
+def test_bad_phase_budget_raises_a_named_config_error(budget):
+    # without the check a budget below 1 returns a one-record trace
+    scenario = Scenario(n_nodes=12, master_seed=0)
+    with pytest.raises(ConfigError, match="phase_budget"):
+        run_joint(scenario, phase_budget=budget)
+
+
 @pytest.mark.parametrize("receiver", ["matched", "lmmse"])
 def test_phase_budget_pads_without_rerouting_again(monkeypatch, receiver):
     # once the routes come back unchanged, a budget run repeats its last

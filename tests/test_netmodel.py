@@ -15,7 +15,7 @@ from adhocnet.netmodel import (
     load_scenario,
     save_scenario,
 )
-from helpers import topology_from_positions
+from helpers import generate_sessions_loop, topology_from_positions
 
 
 def test_topology_two_nodes_inside_area():
@@ -100,6 +100,13 @@ def test_sessions_no_self_loops_and_one_per_node():
     for s, d in sessions.sessions:
         assert s != d
         assert 0 <= d < 55
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 55, 100, 513, 1000])
+def test_sessions_equal_per_node_scalar_draws(n):
+    for seed in range(60):
+        assert generate_sessions(n, seed=seed).sessions == \
+            generate_sessions_loop(n, seed)
 
 
 def test_sessions_destination_uniform_chi_squared():

@@ -24,13 +24,16 @@ from adhocnet.phy import (
     sir_matched,
 )
 from helpers import (
+    all_pairs,
     kernel_basis_lu,
     lmmse_kernel,
     lmmse_kernel_lu,
+    lmmse_sir_matrix_all_pairs,
     random_network,
     topology_from_positions,
 )
 from adhocnet.netmodel import compute_link_gains
+from adhocnet.routing import build_link_costs
 
 
 def make_codebook(rows):
@@ -196,7 +199,7 @@ def test_lmmse_sir_matrix_consistent_with_filters():
     _, gains = random_network(rng, 6)
     book = generate_spreading_codebook(6, 8, seed=14)
     p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), 6))
-    matrix = lmmse_sir_matrix(p, gains, book, 1e-13)
+    matrix = lmmse_sir_matrix(p, gains, book, 1e-13, gate=0.0)
     for link in [(0, 1), (2, 5), (3, 0)]:
         i, j = link
         fb = FilterBank({link: lmmse_filter(i, p, gains, book, 1e-13, j)})
@@ -342,7 +345,7 @@ def test_lmmse_kernel_both_coordinates_match_dense_reference(book):
     receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
     q, x = lmmse_kernel(p, gains, book, noise, receivers, senders)
     directions = np.einsum("lc,mcd->mld", kernel_basis(book), x)
-    q_all = lmmse_kernel(p, gains, book, noise, np.arange(n))[0]
+    q_all = lmmse_kernel(p, gains, book, noise, *all_pairs(n))[0]
     for (i, j), a, b in zip(links, rows, cols):
         cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
@@ -384,8 +387,8 @@ def test_lmmse_kernel_matches_lu_oracle_at_realistic_sizes(instance):
     scale = np.abs(want).max(axis=1, keepdims=True)
     assert (np.abs(got - want) <= 1e-10 * scale).all()
     np.testing.assert_allclose(
-        lmmse_kernel(p, gains, book, noise, np.arange(n))[0],
-        lmmse_kernel_lu(p, gains, book, noise, np.arange(n))[0], rtol=1e-10)
+        lmmse_kernel(p, gains, book, noise, *all_pairs(n))[0],
+        lmmse_kernel_lu(p, gains, book, noise, *all_pairs(n))[0], rtol=1e-10)
 
 
 def _perturbed_pair_codebook(n, length, scale):
@@ -423,7 +426,7 @@ def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
     receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
     q, x = lmmse_kernel(p, gains, book, noise, receivers, senders)
     directions = np.einsum("lc,mcd->mld", kernel_basis(book), x)
-    q_all = lmmse_kernel(p, gains, book, noise, np.arange(n))[0]
+    q_all = lmmse_kernel(p, gains, book, noise, *all_pairs(n))[0]
     for (i, j), a, b in zip(links, rows, cols):
         cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
@@ -454,6 +457,48 @@ def test_failed_span_factorization_gives_nan_and_names_the_receiver():
     x = lmmse_directions(solve)
     assert np.isnan(x[0]).all() and np.isfinite(x[1]).all()
     with pytest.warns(RuntimeWarning, match="condition bound"):
-        sir = lmmse_sir_matrix(p, gains, book, 1e-30)
+        sir = lmmse_sir_matrix(p, gains, book, 1e-30, gate=0.0)
     # a receiver without a q passes no link through the routing gate
     assert (sir[:, 0] == 0.0).all()
+
+
+@st.composite
+def gate_instances(draw):
+    """4-20 nodes with some silent, L from 4 to 32 (the span form when
+    n > L, or a sequence repeated or nearly repeated), noise from 1e-13 to
+    1e-6, and powers that put the single-user bounds c / noise of the pairs
+    on both sides of the gate."""
+    n = draw(st.integers(4, 20))
+    length = draw(st.integers(4, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, gains = random_network(rng, n)
+    seqs = np.array(generate_spreading_codebook(
+        n, length, seed=int(rng.integers(1e6))).sequences)
+    bend = draw(st.sampled_from([None, 0.0, 1e-6, 1e-3]))
+    if bend is not None:
+        seqs[1] = seqs[0] + bend * rng.standard_normal(length)
+        seqs[1] /= np.linalg.norm(seqs[1])
+    book = make_codebook(seqs)
+    noise = float(np.exp(rng.uniform(np.log(1e-13), np.log(1e-6))))
+    p = noise * np.exp(rng.uniform(np.log(1e2), np.log(1e9), n))
+    p[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
+    gate = draw(st.floats(1.0, 50.0))
+    return p, gains, book, noise, gate
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_instances())
+def test_gate_pruned_sir_matrix_routes_as_the_all_pairs_matrix(instance):
+    # no pair below half the gate in its single-user bound c / noise can
+    # reach the gate, so pruning them changes no link cost
+    p, gains, book, noise, gate = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pruned = lmmse_sir_matrix(p, gains, book, noise, gate)
+        full = lmmse_sir_matrix_all_pairs(p, gains, book, noise)
+    np.testing.assert_array_equal(build_link_costs(p, pruned, gate),
+                                  build_link_costs(p, full, gate))
+    solved = p[:, None] * gains.gains >= 0.5 * gate * noise
+    np.testing.assert_allclose(pruned[solved], full[solved], rtol=1e-9,
+                               atol=0.0)
+    assert (pruned[~solved] == 0.0).all()
