@@ -34,8 +34,8 @@ print("=== power control on the initial routes ===")
 matched = pc_iterate(p0, active, net.gains, scenario.spreading_gain,
                      scenario.noise_power, scenario.target_sir)
 print(f"matched filter (1/L model): {matched.status}")
-mud, filters = pc_mud_iterate(p0, active, net.gains, net.codebook,
-                              scenario.noise_power, scenario.target_sir)
+mud = pc_mud_iterate(p0, active, net.gains, net.codebook,
+                     scenario.noise_power, scenario.target_sir)[0]
 print(f"LMMSE power control:        {mud.status} after {mud.iterations} "
       f"iterations, total {mud.powers.sum():.3e} W")
 

@@ -342,6 +342,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                    [(i, float(a), float(b))
                     for i, (a, b) in enumerate(zip(best.powers, mixed))])
             extras["n_candidates"] = len(candidates)
+            extras["mixture_support"] = int(np.count_nonzero(weights.w))
             extras["power_target_W"] = candidates.power_target
             extras["variance_min_energy"] = float(np.var(best.powers))
             extras["variance_mixture"] = float(np.var(mixed))

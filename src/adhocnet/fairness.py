@@ -7,8 +7,11 @@ time, and the weights minimize the squared deviation of the expected
 per-node powers from the average power of the minimal-energy solution,
 over the probability simplex.
 
-The quadratic program is solved by accelerated projected gradient descent
-with an exact equality-constrained polish on the identified support.
+The quadratic program is solved exactly. On the simplex P w - target = A w
+with A = (P - target) / max|P|, and the u >= 0 minimizing ||A u||^2 +
+(1'u - 1)^2 is w* / (1 + ||A w*||^2) for the simplex minimizer w*. So one
+Lawson–Hanson NNLS solve (Solving Least Squares Problems, 1974, ch. 23) of
+[A; 1'] u against the last unit vector gives w* = u / 1'u.
 """
 
 from __future__ import annotations
@@ -19,12 +22,6 @@ import numpy as np
 
 from .crosslayer import TrialSummary
 from .routing import RouteSet
-
-# Stopping rule of the projected-gradient solve in optimize_mixture: the
-# gradient-mapping residual bound and the iteration cap.
-_GRAD_TOL = 1e-12
-_MAX_ITER = 200_000
-
 
 @dataclass(frozen=True)
 class RouteCandidate:
@@ -77,100 +74,62 @@ def select_candidates(trials, threshold: float = 0.10) -> RouteCandidateSet:
     return RouteCandidateSet(candidates=candidates, power_target=target)
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, n + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _nnls(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Lawson–Hanson active set: the x >= 0 that minimizes ||e x - f||.
 
+    A column enters while its dual entry exceeds the tolerance and leaves at
+    the step that zeroes it. Each pass must lower the residual, so no passive
+    set repeats; a pass that does not (rounding) ends the solve.
+    """
+    n = e.shape[1]
+    tol = 10.0 * max(e.shape) * np.finfo(float).eps
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    residual = f
 
-def _polish_on_support(pmat: np.ndarray, target: np.ndarray,
-                       w: np.ndarray) -> np.ndarray | None:
-    """Solve the equality-constrained least squares exactly on the active
-    support; returns None when the result leaves the simplex."""
-    support = np.flatnonzero(w > 1e-12)
-    if support.size == 0:
-        return None
-    sub = pmat[:, support]
-    k = support.size
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * (sub.T @ sub)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * (sub.T @ target), [1.0]])
-    # lstsq tolerates duplicate candidates (singular KKT) symmetrically
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    w_sub = sol[:k]
-    if np.any(w_sub < -1e-12):
-        return None
-    w_new = np.zeros_like(w)
-    w_new[support] = np.clip(w_sub, 0.0, None)
-    total = w_new.sum()
-    if total <= 0:
-        return None
-    return w_new / total
+    def solve():
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+        return z
+
+    while True:
+        dual = np.where(passive, -np.inf, e.T @ residual)
+        j = int(np.argmax(dual))
+        if dual[j] <= tol:
+            return x
+        passive[j] = True
+        y, z = x, solve()
+        while (z < 0.0).any():
+            blocked = z < 0.0
+            step = y[blocked] / (y[blocked] - z[blocked])
+            y = y + step.min() * (z - y)
+            y[np.flatnonzero(blocked)[np.argmin(step)]] = 0.0
+            passive &= y > 0.0
+            z = solve()
+        new_residual = f - e @ z
+        if new_residual @ new_residual >= residual @ residual:
+            return x
+        x, residual = z, new_residual
 
 
 def optimize_mixture(candidates: RouteCandidateSet) -> MixtureWeights:
     """Weights minimizing || P w - target ||^2 over the probability simplex.
 
-    The problem is normalized by its largest power entry so the stopping
-    rule (projected-gradient mapping residual) is scale free. Starting from
-    the uniform point keeps duplicate candidates at equal weight, which is
-    the deterministic tie break.
+    Identical candidates are solved as one column and split its weight
+    evenly, the deterministic tie break; one distinct column is uniform.
     """
     n_cand = len(candidates)
     if n_cand < 1:
         raise ValueError("need at least one candidate")
     pmat = candidates.power_matrix()
-    target = np.full(pmat.shape[0], candidates.power_target)
-    w = np.full(n_cand, 1.0 / n_cand)
-    if n_cand == 1:
-        return MixtureWeights(w=w)
-
-    scale = float(np.max(np.abs(pmat)))
-    if scale == 0.0:
-        return MixtureWeights(w=w)
-    pn = pmat / scale
-    tn = target / scale
-    gram = pn.T @ pn
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
-    if lipschitz == 0.0:
-        return MixtureWeights(w=w)
-    step = 1.0 / lipschitz
-
-    def grad(x):
-        return 2.0 * (gram @ x - pn.T @ tn)
-
-    # FISTA with the convex-combination restart-free schedule
-    y = w.copy()
-    t_prev = 1.0
-    w_prev = w.copy()
-    for _ in range(_MAX_ITER):
-        w_new = project_to_simplex(y - step * grad(y))
-        residual = float(np.linalg.norm(
-            w_new - project_to_simplex(w_new - step * grad(w_new))
-        )) / step
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        y = w_new + ((t_prev - 1.0) / t_new) * (w_new - w_prev)
-        w_prev = w_new
-        t_prev = t_new
-        if residual <= _GRAD_TOL:
-            break
-    w = w_prev
-
-    def objective(x):
-        r = pn @ x - tn
-        return float(r @ r)
-
-    polished = _polish_on_support(pn, tn, w)
-    if polished is not None and objective(polished) <= objective(w) + 1e-18:
-        w = polished
-    w = project_to_simplex(w)
-    return MixtureWeights(w=w)
+    columns, column_of, counts = np.unique(
+        pmat, axis=1, return_inverse=True, return_counts=True)
+    if columns.shape[1] == 1:
+        return MixtureWeights(w=np.full(n_cand, 1.0 / n_cand))
+    a = (columns - candidates.power_target) / float(np.max(np.abs(pmat)))
+    e = np.vstack([a, np.ones(columns.shape[1])])
+    u = _nnls(e, np.eye(e.shape[0])[-1])
+    return MixtureWeights(w=(u / u.sum())[column_of] / counts[column_of])
 
 
 def effective_node_powers(candidates: RouteCandidateSet,

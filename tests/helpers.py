@@ -85,6 +85,8 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
     the same instances; only the destinations are drawn with
     ``rng.integers`` instead of ``rng.choice``, the coupling matrix is built
     with array operations and the link set only for accepted instances.
+    Draws whose two-cycle bound on the spectral radius already reaches
+    ``rho_max`` are rejected before ``eigvals``; every draw comes earlier.
     """
     topology, gains = random_network(rng, n, area)
     # one bounded integer per node, the draw rng.choice(others) makes
@@ -97,6 +99,9 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
     m[nodes, nodes] = 0.0
     m[nodes, dests] = 0.0
     b = target_sir * noise / g_link
+    # rho(m) >= max sqrt(m_ik m_ki) for a nonnegative m
+    if np.sqrt(np.max(m * m.T)) >= rho_max:
+        return None
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     if rho >= rho_max:
         return None
@@ -183,8 +188,9 @@ def simplex_grid_search(pmat, target, step=1e-3):
         w1 = ticks
         weights = np.stack([w1, 1.0 - w1])
     else:
-        grid = [(a, b) for a in ticks for b in ticks if a + b <= 1.0 + 1e-12]
-        arr = np.asarray(grid).T
+        a, b = np.meshgrid(ticks, ticks, indexing="ij")
+        keep = a + b <= 1.0 + 1e-12
+        arr = np.stack([a[keep], b[keep]])
         weights = np.vstack([arr, 1.0 - arr.sum(axis=0)])
     residual = pmat @ weights - target[:, None]
     objectives = np.einsum("ij,ij->j", residual, residual)

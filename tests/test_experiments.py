@@ -109,6 +109,8 @@ def test_fairness_experiment(tmp_path):
     weights = (tmp_path / "weights.csv").read_text().strip().splitlines()[1:]
     total = sum(float(line.split(",")[1]) for line in weights)
     assert total == pytest.approx(1.0, abs=1e-9)
+    support = sum(float(line.split(",")[1]) != 0.0 for line in weights)
+    assert 1 <= result.extras["mixture_support"] == support
 
 
 def readme_artifact_headers():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from adhocnet.crosslayer import TrialSummary
 from adhocnet.fairness import (
     MixtureWeights,
     RouteCandidateSet,
     RouteCandidate,
+    _nnls,
     effective_node_powers,
     optimize_mixture,
-    project_to_simplex,
     select_candidates,
 )
 from adhocnet.routing import RouteSet
@@ -61,13 +62,41 @@ def test_select_threshold_band_and_skips_infeasible():
     assert selected.power_target == pytest.approx(1.0)
 
 
-def test_project_to_simplex_properties():
-    rng = np.random.default_rng(0)
+def test_nnls_matches_scipy_on_full_rank_problems():
+    rng = np.random.default_rng(5)
     for _ in range(200):
-        v = rng.normal(size=int(rng.integers(1, 8)))
-        w = project_to_simplex(v)
-        assert np.all(w >= -1e-15)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        n = int(rng.integers(1, 9))
+        e = rng.normal(size=(int(rng.integers(n, 20)), n))
+        f = rng.normal(size=e.shape[0])
+        x = _nnls(e, f)
+        reference = nnls(e, f)[0]
+        assert np.all(x >= 0.0)
+        assert np.allclose(x, reference, rtol=0, atol=1e-10)
+
+
+def test_nnls_recovers_tiny_positive_entries():
+    # f = e x for an x >= 0 with entries down to 1e-9: the dual tolerance must
+    # not stop the solve before those columns enter
+    rng = np.random.default_rng(10)
+    for _ in range(100):
+        e = rng.normal(size=(12, 6))
+        x_true = np.where(rng.random(6) < 0.4, 0.0,
+                          10.0 ** rng.uniform(-9.0, 0.0, size=6))
+        assert np.allclose(_nnls(e, e @ x_true), x_true, rtol=0, atol=1e-12)
+
+
+def test_nnls_matches_scipy_objective_on_rank_deficient_problems():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        m, rank = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+        n = rank + int(rng.integers(1, 6))
+        e = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        f = rng.normal(size=m)
+        x = _nnls(e, f)
+        reference = nnls(e, f)[0]
+        assert np.all(x >= 0.0)
+        assert (np.linalg.norm(e @ x - f)
+                <= np.linalg.norm(e @ reference - f) + 1e-10)
 
 
 def test_mixture_single_candidate_forced():
@@ -81,6 +110,48 @@ def test_mixture_duplicate_candidates_tie_break_uniform():
     cands = candidate_set(np.stack([column, column], axis=1))
     weights = optimize_mixture(cands)
     assert np.allclose(weights.w, [0.5, 0.5], atol=1e-9)
+
+
+def test_mixture_repeated_candidate_splits_its_weight_exactly():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        a, b, c = rng.uniform(0.0, 0.3, size=(3, 5))
+        for columns in ([a, b, a], [a, b, a, c], [b, a, c, a, a]):
+            weights = optimize_mixture(candidate_set(np.stack(columns, axis=1),
+                                                     target=0.1)).w
+            same = [k for k, col in enumerate(columns) if col is a]
+            assert all(weights[k] == weights[same[0]] for k in same)
+
+
+def test_mixture_permuting_candidates_permutes_weights():
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        pmat = rng.uniform(0.0, 0.3, size=(6, int(rng.integers(2, 7))))
+        order = rng.permutation(pmat.shape[1])
+        weights = optimize_mixture(candidate_set(pmat, target=0.1)).w
+        permuted = optimize_mixture(candidate_set(pmat[:, order], target=0.1)).w
+        assert np.allclose(permuted, weights[order], rtol=0, atol=1e-12)
+
+
+def test_mixture_zero_powers_give_uniform_weights():
+    weights = optimize_mixture(candidate_set(np.zeros((4, 3)), target=0.0))
+    assert np.array_equal(weights.w, np.full(3, 1.0 / 3.0))
+
+
+def test_mixture_kkt_certificate_at_the_workload_shape():
+    # 55 nodes and 2-8 candidates within about 10% of each other, at the
+    # power scale of the multi-start workload
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        base = rng.uniform(1e-10, 1.3e-8, size=55)
+        n_cands = int(rng.integers(2, 9))
+        pmat = base[:, None] * rng.uniform(0.8, 1.2, size=(55, n_cands))
+        cands = candidate_set(pmat)
+        w = optimize_mixture(cands).w
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        scaled = pmat / pmat.max()
+        grad = 2.0 * scaled.T @ (scaled @ w - cands.power_target / pmat.max())
+        assert np.all(grad[w > 0.0] - grad.min() <= 1e-9)
 
 
 def test_mixture_matches_grid_search_oracle():
