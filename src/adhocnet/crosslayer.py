@@ -131,7 +131,7 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
             raise ValueError("LMMSE energy needs the spreading codebook")
         receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
         q = lmmse_solve(p, gains, codebook, scenario.noise_power,
-                        receivers, senders)[0][rows, cols]
+                        receivers, senders)[rows, cols]
         sir = lmmse_link_sir(p[i_idx] * gains.gains[i_idx, j_idx], q)
     return _route_energy(routes, p, sir, scenario)
 

@@ -6,6 +6,8 @@ import json
 import math
 import numbers
 
+import numpy as np
+
 
 class AdhocnetError(Exception):
     """Base class for all package errors."""
@@ -73,6 +75,15 @@ def check_value(name: str, value, kind, low=None, above=None, high=None,
     else:
         return
     raise ConfigError(f"{name} must be {problem}, got {value!r}")
+
+
+def check_powers(name: str, p, n_nodes: int) -> np.ndarray:
+    """``p`` as a float array; ConfigError naming ``name`` unless it holds
+    one finite, nonnegative power per node."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n_nodes,) or not (np.isfinite(p) & (p >= 0)).all():
+        raise ConfigError(f"{name} needs {n_nodes} finite, nonnegative powers")
+    return p
 
 
 def check_fields(config) -> None:

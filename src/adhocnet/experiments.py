@@ -118,9 +118,9 @@ def throughput_gain(n_a: int, spreading_a: int, n_b: int,
                     spreading_b: int) -> float:
     """Normalized throughput of system A relative to system B:
     (n_a / spreading_a) / (n_b / spreading_b)."""
-    for value in (n_a, spreading_a, n_b, spreading_b):
-        if value < 1:
-            raise ValueError("all arguments must be at least 1")
+    for name, value in zip(("n_a", "spreading_a", "n_b", "spreading_b"),
+                           (n_a, spreading_a, n_b, spreading_b)):
+        check_value(name, value, Integral, low=1)
     return (n_a * spreading_b) / (spreading_a * n_b)
 
 

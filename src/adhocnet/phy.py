@@ -25,14 +25,14 @@ matrix by Cholesky, in coordinates chosen once per codebook:
   and D_j = diag(P * h(:, j)), push-through gives S B_j^-1 S' =
   G (noise I + D_j G)^-1 = M_j^-1 with M_j = noise G^-1 + D_j, so
   q = [M_j^-1]_ii = |L_j^-1 e_i|^2 for M_j = L_j L_j'; M_j >= noise G^-1
-  keeps its pivots from vanishing. B_j^-1 s_i = S' G^-1 M_j^-1 e_i.
+  keeps its pivots from vanishing.
 - Span form, n > L or an ill-conditioned G. With the thin QR factorization
   S' = Q U (``span``), B_j^-1 s_i = Q K_j^-1 u_i for
   K_j = noise I + U D_j U', so q = |L_j^-1 u_i|^2 for K_j = L_j L_j'.
 
-``lmmse_directions`` finishes the forward solves where filters are needed;
-``lmmse_filter`` and ``sir_lmmse`` stay as the per-link reference in the
-full L-dimensional space.
+The kernel returns q alone. Filters come from one per-link reference in
+the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``), which
+``FilterBank.lmmse`` calls only for a link that is read.
 
 No filter's SIR exceeds the single-user bound c / noise (B_j without the
 desired term is at least noise I), so ``lmmse_sir_matrix`` solves only pairs
@@ -43,6 +43,7 @@ kernel's relative rounding, about 1e-4 even at the warned condition bound.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +55,41 @@ from .netmodel import LinkGainMatrix, SpreadingCodebook
 CONDITION_WARN_THRESHOLD = 1e12
 
 
+class _FiltersOnRead(Mapping):
+    """``filter_of(i, j)`` of each link (i, j) of ``links``, at every read."""
+
+    def __init__(self, links, filter_of):
+        self._links = {link: link for link in links}
+        self._filter_of = filter_of
+
+    def __getitem__(self, link):
+        return self._filter_of(*self._links[link])  # KeyError off the links
+
+    def __iter__(self):
+        return iter(self._links)
+
+    def __len__(self):
+        return len(self._links)
+
+
 @dataclass(frozen=True)
 class FilterBank:
     """Receiver filter per active directed link (transmitter, receiver)."""
 
-    filters: dict[tuple[int, int], np.ndarray]
+    filters: Mapping[tuple[int, int], np.ndarray]
 
     @classmethod
     def matched(cls, codebook: SpreadingCodebook, links) -> "FilterBank":
         """Matched filters: each link uses its transmitter's own sequence."""
         return cls({(i, j): codebook.sequences[i] for (i, j) in links})
+
+    @classmethod
+    def lmmse(cls, links, p: np.ndarray, gains: LinkGainMatrix,
+              codebook: SpreadingCodebook, noise: float) -> "FilterBank":
+        """``lmmse_filter`` of each link at p, called each time the link is
+        read; p should be read-only, as ``PcResult.powers`` is."""
+        return cls(_FiltersOnRead(links, lambda i, j: lmmse_filter(
+            i, p, gains, codebook, noise, j)))
 
     def __getitem__(self, link):
         return self.filters[link]
@@ -128,9 +154,7 @@ def _interference_covariance(i: int, p: np.ndarray, gains: LinkGainMatrix,
     desired transmitter i and the receiver itself."""
     seqs = codebook.sequences
     weights = p * gains.gains[:, receiver_node]
-    weights = weights.copy()
-    weights[i] = 0.0
-    weights[receiver_node] = 0.0
+    weights[[i, receiver_node]] = 0.0
     cov = (seqs.T * weights) @ seqs
     cov[np.diag_indices_from(cov)] += noise
     return cov
@@ -146,16 +170,15 @@ def lmmse_filter(i: int, p: np.ndarray, gains: LinkGainMatrix,
     definite for any load, so the solve cannot be singular; a very large
     condition bound is still reported as a warning.
     """
+    if i == receiver_node:
+        raise ValueError("link endpoints must differ")
     cov = _interference_covariance(i, p, gains, codebook, noise, receiver_node)
     # lambda_max <= noise + total interference weight since sequences are unit norm
     cond_bound = float(np.trace(cov)) / noise
     if cond_bound > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"LMMSE covariance condition bound {cond_bound:.3e} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"LMMSE covariance condition bound {cond_bound:.3e} "
+                      f"exceeds {CONDITION_WARN_THRESHOLD:.1e}",
+                      RuntimeWarning, 2)
     s_i = codebook.sequences[i]
     base = np.linalg.solve(cov, s_i)
     scale = np.sqrt(p[i]) / (1.0 + p[i] * float(s_i @ base))
@@ -175,9 +198,7 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
     c = filters[link]
     x = codebook.sequences @ c
     weights = p * gains.gains[:, j] * x * x
-    weights = weights.copy()
-    weights[i] = 0.0
-    weights[j] = 0.0
+    weights[[i, j]] = 0.0
     num = gains.gains[i, j] * p[i] * x[i] * x[i]
     denom = float(np.sum(weights)) + noise * float(c @ c)
     if denom == 0.0:
@@ -209,13 +230,12 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
                 receivers: np.ndarray, senders: np.ndarray):
     """q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b].
 
-    Returns q (m, d) and the solve, the receivers' Cholesky factors and
-    forward solves, which ``lmmse_directions`` finishes. A system that fails
-    to factor in floating point (only the span form can, at noise below the
-    rounding of the received power) leaves its receiver's q at NaN. One
-    warning per call names such receivers, if any, and reports the largest
-    covariance condition bound (sum_{k != i,j} P_k h(k,j) + L noise) / noise
-    of a link, if it exceeds ``CONDITION_WARN_THRESHOLD``.
+    Returns q (m, d). A system that fails to factor in floating point (only
+    the span form can, at noise below the rounding of the received power)
+    leaves its receiver's q at NaN. One warning per call names such
+    receivers, if any, and reports the largest covariance condition bound
+    (sum_{k != i,j} P_k h(k,j) + L noise) / noise of a link, if it exceeds
+    ``CONDITION_WARN_THRESHOLD``.
     """
     n = p.shape[0]
     w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
@@ -249,23 +269,7 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     clauses += [f"receivers left with NaN q: {failed}"] if failed else []
     if clauses:
         warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 2)
-    return q, (a, y)
-
-
-def lmmse_directions(solve) -> np.ndarray:
-    """x (m, r, d) from an ``lmmse_solve``: x[a, :, b] = M_j^-1 e_i or
-    K_j^-1 u_i, which ``kernel_basis`` maps to B_j^-1 s_i in chip space."""
-    a, y = solve
-    return np.array([dtrtrs(chol.T, v, lower=1, trans=1)[0]
-                     for chol, v in zip(a, y)]).reshape(y.shape)
-
-
-def kernel_basis(codebook: SpreadingCodebook) -> np.ndarray:
-    """Columns mapping ``lmmse_directions`` to chip space: S' G^-1 (L, n)
-    in the inverse-Gram form, else Q (L, r) of S' = Q U."""
-    if codebook.inverse_gram is not None:
-        return codebook.sequences.T @ codebook.inverse_gram
-    return np.linalg.qr(codebook.sequences.T)[0]
+    return q
 
 
 def lmmse_link_sir(c: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -290,7 +294,7 @@ def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
     c = p[:, None] * gains.gains
     i_idx, j_idx = np.nonzero(c >= 0.5 * gate * noise)
     receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-    q = lmmse_solve(p, gains, codebook, noise, receivers, senders)[0]
+    q = lmmse_solve(p, gains, codebook, noise, receivers, senders)
     sir = np.zeros_like(c)
     sir[i_idx, j_idx] = lmmse_link_sir(c[i_idx, j_idx], q[rows, cols])
     sir[np.isnan(sir) | (c == 0.0)] = 0.0  # no q, or no desired signal

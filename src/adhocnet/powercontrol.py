@@ -30,8 +30,8 @@ and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
 q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one Cholesky
 factorization per receiver, phy module docstring) and c = P_i h(i,j). The
 solve at the returned powers also gives every link's output SIR
-c q / (1 - c q), ``PcResult.link_sir``, and the returned filter bank
-finishes that solve with ``phy.lmmse_directions``.
+c q / (1 - c q), ``PcResult.link_sir``. The returned ``phy.FilterBank.lmmse``
+calls ``phy.lmmse_filter`` at those powers only for a link that is read.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
+from .errors import check_powers, check_value
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 from .phy import (
     FilterBank,
     incoming_slots,
-    kernel_basis,
-    lmmse_directions,
     lmmse_link_sir,
     lmmse_solve,
     received_powers,
@@ -159,11 +158,10 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
     silent) and the next 1 to ``budget`` iterates as rows. The stopping
     rules, in order: the residual test or a NaN update ("nonfinite", a
     failed LMMSE factorization) at step k, the cap on iterate k, the budget.
+    A ``p0`` that ``errors.check_powers`` rejects raises ConfigError.
     """
-    if np.any(np.asarray(p0) < 0):
-        raise ValueError("initial powers must be nonnegative")
     senders = np.unique(active.link_arrays[0])
-    x = np.asarray(p0, dtype=float)[senders]
+    x = check_powers("p0", p0, active.n_nodes)[senders]
     totals, done = [float(x.sum())], 0
     status = STATUS_INFEASIBLE if (x > power_cap).any() else STATUS_MAX_ITER
     with np.errstate(invalid="ignore"):  # inf - inf after an overflow
@@ -274,8 +272,8 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
 
     "converged" gives the exact minimal fixed point; "infeasible" means none
     within ``power_cap`` exists (module docstring). ``iterations`` counts the
-    linear solves, ``trace`` holds each accepted solution's total power, and
-    ``active`` must hold a link.
+    linear solves and ``trace`` holds each accepted solution's total power;
+    a set without links converges at zero powers with no solve.
     """
     senders, starts, owner, a, coupling = _affine_form(
         active, gains, noise, target_sir, target_sir / spreading_gain)
@@ -286,12 +284,13 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
     policy, p, totals, need = starts, np.zeros(len(senders)), [], a
     for _ in range(2):
         need = a + np.maximum.reduceat(need, starts) @ coupling
-    status = STATUS_INFEASIBLE
-    for iteration in itertools.count(1):
+    status, iteration = STATUS_CONVERGED, 0  # unless a solve fails
+    for iteration in itertools.count(1) if len(a) else ():  # no link, no solve
         policy = _repick(need, policy, starts, owner)
         x, info = dgesv(system[:, policy].T, a[policy], overwrite_a=True,
                         overwrite_b=True)[2:]
         if info or not (x.min() >= 0.0 and x.max() <= power_cap):
+            status = STATUS_INFEASIBLE
             break
         p, need = x, a + x @ coupling
         totals.append(float(p.sum()))
@@ -299,7 +298,6 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
         # when the total did not rise: every real switch raises it
         if not (need > need[policy][owner]).any() \
                 or len(totals) > 1 and totals[-1] <= totals[-2]:
-            status = STATUS_CONVERGED
             break
     powers = np.zeros(active.n_nodes)
     powers[senders] = p
@@ -323,8 +321,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     ``pc_iterate``'s. The returned filter bank, and with the LMMSE filter
     the returned ``link_sir``, are computed at the returned power vector.
     """
-    if filter_mode not in ("lmmse", "matched"):
-        raise ValueError(f"unknown filter_mode {filter_mode!r}")
+    check_value("filter_mode", filter_mode, str, choices=("lmmse", "matched"))
     i_idx, j_idx = active.link_arrays
     g = gains.gains[i_idx, j_idx]
     stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
@@ -332,21 +329,20 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     if filter_mode == "matched":
         rho2 = codebook.gram ** 2
         np.fill_diagonal(rho2, 0.0)
-        form = _affine_form(active, gains, noise, target_sir, target_sir,
-                            rho2)
+        form = _affine_form(active, gains, noise, target_sir, target_sir, rho2)
         return (_fixed_point(p0, active, _affine_steps(form), **stop),
                 FilterBank.matched(codebook, active.links))
 
     receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
     transmitters, starts = np.unique(i_idx, return_index=True)
-    last_solve = []
+    q = None  # of the last step's powers
 
     def advance(x, budget):  # one step per kernel solve
+        nonlocal q
         p = np.zeros(active.n_nodes)
         p[transmitters] = x
-        q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
-        q = q[rows, cols]
-        last_solve[:] = [q, solve]
+        q = lmmse_solve(p, gains, codebook, noise, receivers, senders)[
+            rows, cols]
         need = target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
         return np.array((x, np.maximum(0.0,
                                        np.maximum.reduceat(need, starts))))
@@ -355,14 +351,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     p = result.powers
     if not result.converged:
         advance(p[transmitters], 1)  # the last solve at the returned powers
-    q, solve = last_solve
     link_sir = lmmse_link_sir(p[i_idx] * g, q)
     link_sir.setflags(write=False)
-    result = replace(result, link_sir=link_sir)
-    # lmmse_filter's scale, with C^-1 s_i = B_j^-1 s_i / (1 - c q) for the
-    # covariance C without link i (Sherman-Morrison)
-    downdate = 1.0 - p[i_idx] * g * q
-    scale = np.sqrt(p[i_idx]) / (1.0 + p[i_idx] * q / downdate) / downdate
-    x = lmmse_directions(solve)[rows, :, cols]
-    filters = (x @ kernel_basis(codebook).T) * scale[:, None]
-    return result, FilterBank(dict(zip(active.links, filters)))
+    return (replace(result, link_sir=link_sir),
+            FilterBank.lmmse(active.links, p, gains, codebook, noise))

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import ConfigError, UnreachableSessionError
+from .errors import UnreachableSessionError, check_powers
 from .netmodel import LinkGainMatrix, Scenario, SessionSet
 from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
@@ -286,12 +286,7 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
     the routes carry their own check as ``RouteSet.probe``. ``p_init`` must
     hold one finite, nonnegative power per node, or ConfigError is raised.
     """
-    p_init = np.asarray(p_init, dtype=float)
-    if p_init.shape != (gains.n_nodes,):
-        raise ConfigError(f"p_init must have shape ({gains.n_nodes},), "
-                          f"got {p_init.shape}")
-    if not (np.isfinite(p_init) & (p_init >= 0)).all():
-        raise ConfigError("p_init must be finite and nonnegative")
+    p_init = check_powers("p_init", p_init, gains.n_nodes)
     sir = matched_sir_matrix(p_init, gains, scenario.spreading_gain,
                              scenario.noise_power)
     base_costs = initial_route_costs(scenario, sir, p_init)

@@ -18,7 +18,6 @@ from adhocnet.phy import (
     CONDITION_WARN_THRESHOLD,
     FilterBank,
     _interference_covariance,
-    lmmse_directions,
     lmmse_filter,
     lmmse_solve,
 )
@@ -429,15 +428,6 @@ def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
     return tuple(unique)
 
 
-def lmmse_kernel(p: np.ndarray, gains: LinkGainMatrix,
-                 codebook: SpreadingCodebook, noise: float,
-                 receivers: np.ndarray, senders: np.ndarray):
-    """(q, x) of ``phy.lmmse_solve`` and ``phy.lmmse_directions`` in one
-    call."""
-    q, solve = lmmse_solve(p, gains, codebook, noise, receivers, senders)
-    return q, lmmse_directions(solve)
-
-
 def all_pairs(n: int):
     """(receivers, senders) pairing every node j, as receiver j, with every
     node i, as senders[j, i]: every pair in one ``lmmse_solve``."""
@@ -450,7 +440,7 @@ def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
     """``phy.lmmse_sir_matrix`` with every pair solved, kept as the
     reference for its gate pruning: SIR c q / (1 - c q) of c = P_i h(i,j),
     zero where c is zero, q is NaN or i = j."""
-    q = lmmse_solve(p, gains, codebook, noise, *all_pairs(p.shape[0]))[0].T
+    q = lmmse_solve(p, gains, codebook, noise, *all_pairs(p.shape[0])).T
     c = p[:, None] * gains.gains
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = c * q / (1.0 - c * q)
@@ -462,15 +452,13 @@ def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
 def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
                     codebook: SpreadingCodebook, noise: float,
                     receivers: np.ndarray, senders: np.ndarray):
-    """The LU form of ``lmmse_kernel``, kept as its reference.
+    """The LU form of ``phy.lmmse_solve``, kept as its reference.
 
     q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b], from one
     LU solve per receiver. For n <= L it solves the non-symmetric
     A_j = noise I + D_j G in sequence space (B_j^-1 S' = S' A_j^-1,
     q = G[i] z for z = A_j^-1 e_i); for n > L it solves
-    K_j = noise I + U D_j U' in the span of the sequences (S' = Q U). Returns
-    (q, x), x[a, :, b] holding B_j^-1 s_i in the coordinates of
-    ``kernel_basis_lu(codebook)``.
+    K_j = noise I + U D_j U' in the span of the sequences (S' = Q U).
     """
     n = p.shape[0]
     w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
@@ -501,12 +489,4 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
     diag = np.arange(a.shape[1])
     a[:, diag, diag] += noise
     x = np.linalg.solve(a, rhs)
-    return np.einsum("...rd,...rd->...d", lhs, x), x
-
-
-def kernel_basis_lu(codebook: SpreadingCodebook) -> np.ndarray:
-    """Columns mapping ``lmmse_kernel_lu`` solutions to chip space: S'
-    (L, n) for n <= L, else Q (L, L) of S' = Q U."""
-    if codebook.sequences.shape[0] <= codebook.length:
-        return codebook.sequences.T
-    return np.linalg.qr(codebook.sequences.T)[0]
+    return np.einsum("...rd,...rd->...d", lhs, x)

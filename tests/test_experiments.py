@@ -47,6 +47,19 @@ def test_throughput_gain_trivial_values():
         throughput_gain(0, 32, 55, 128)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((True, 2, 3, 4), "n_a"),
+    ((1.5, 2, 3, 4), "n_a"),
+    ((1, 0, 3, 4), "spreading_a"),
+    ((1, 2, 3.0, 4), "n_b"),
+    ((1, 2, 3, np.int64(0)), "spreading_b"),
+])
+def test_throughput_gain_names_a_bad_argument(args, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        throughput_gain(*args)
+    assert throughput_gain(np.int64(2), 4, 1, 4) == 2.0
+
+
 def test_run_experiment_artifacts_and_manifest(tmp_path):
     config = ExperimentConfig(scenario=FEASIBLE, kind="run",
                               out_dir=str(tmp_path))

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhocnet.crosslayer import initial_powers
+from adhocnet.errors import ConfigError
 from adhocnet.netmodel import Scenario, SpreadingCodebook, build_network, \
     compute_link_gains, generate_spreading_codebook
 from adhocnet.powercontrol import (
@@ -301,23 +303,38 @@ def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
     assert statuses == {"converged", "infeasible", "max_iter"}
 
 
-def test_pc_mud_filter_bank_matches_fresh_filters():
-    from adhocnet.phy import FilterBank, lmmse_filter, sir_lmmse
+def test_pc_mud_filter_bank_matches_fresh_filters(monkeypatch):
+    # the bank holds no filter: each read calls phy.lmmse_filter at the
+    # returned powers, and the run itself calls it never
+    from adhocnet import phy
 
+    reference, reads = phy.lmmse_filter, []
+
+    def counted(*args):
+        reads.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(phy, "lmmse_filter", counted)
     for gains, book, active, p0 in mud_instances(33, 10):
+        reads.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             result, bank = pc_mud_iterate(p0, active, gains, book, NOISE,
                                           GAMMA, tol=1e-8, max_iter=300)
-            assert set(bank.filters) == set(active.links)
+            assert reads == []
+            assert tuple(bank.filters) == active.links
+            assert len(bank.filters) == len(active.links)
             for (i, j) in active.links:
-                fresh = lmmse_filter(i, result.powers, gains, book, NOISE, j)
-                got = sir_lmmse((i, j), result.powers, bank, gains, book,
-                                NOISE)
-                want = sir_lmmse((i, j), result.powers,
-                                 FilterBank({(i, j): fresh}), gains, book,
-                                 NOISE)
-                assert got == pytest.approx(want, rel=1e-9)
+                want = reference(i, result.powers, gains, book, NOISE, j)
+                np.testing.assert_array_equal(bank[i, j], want)
+        assert [args[0] for args in reads] == [i for i, _ in active.links]
+        assert all(args[1] is result.powers for args in reads)
+        n = active.n_nodes
+        for link in itertools.product(range(n), range(n)):
+            if link not in active.links:
+                with pytest.raises(KeyError):
+                    bank[link]
+        assert len(reads) == len(active.links)
 
 
 def test_pc_mud_link_sir_matches_fresh_filters():
@@ -604,3 +621,49 @@ def test_from_links_matches_loop_oracle(n, links):
         assert str(err.value) == str(exc)
     else:
         assert ActiveLinkSet.from_links(n, iter(links)).links == want
+
+
+def _three_node_solvers():
+    """Each power-control entry point on one three-node, two-link instance,
+    as a function of the initial powers (pc_solve takes none)."""
+    topo = topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0]])
+    gains = compute_link_gains(topo, 2.0)
+    book = generate_spreading_codebook(3, 64, seed=2)
+    active = ActiveLinkSet.from_links(3, [(0, 1), (2, 1)])
+    return {
+        "pc_iterate": lambda p0: pc_iterate(p0, active, gains, 64, NOISE,
+                                            GAMMA),
+        "lmmse": lambda p0: pc_mud_iterate(p0, active, gains, book, NOISE,
+                                           GAMMA)[0],
+        "matched": lambda p0: pc_mud_iterate(p0, active, gains, book, NOISE,
+                                             GAMMA, filter_mode="matched")[0],
+    }
+
+
+@pytest.mark.parametrize("solver", ["pc_iterate", "lmmse", "matched"])
+@pytest.mark.parametrize("p0", [
+    np.zeros(2), np.zeros(4), np.zeros((3, 1)), [0.0, np.nan, 0.0],
+    [0.0, np.inf, 0.0], [1e-9, -1e-12, 0.0],
+], ids=["short", "long", "column", "nan", "inf", "negative"])
+def test_power_control_rejects_bad_initial_powers(solver, p0):
+    run = _three_node_solvers()[solver]
+    assert run(np.full(3, 1e-9)).converged
+    with pytest.raises(ConfigError, match=r"^p0 needs 3 finite"):
+        run(p0)
+
+
+def test_solvers_on_a_link_set_without_links():
+    gains = compute_link_gains(
+        topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0]]), 2.0)
+    book = generate_spreading_codebook(3, 8, seed=2)
+    empty = ActiveLinkSet.from_links(3, [])
+    exact = pc_solve(empty, gains, 8, NOISE, GAMMA)
+    assert exact.converged and exact.iterations == 0
+    results = [exact, pc_iterate(np.full(3, 1e-9), empty, gains, 8, NOISE,
+                                 GAMMA)]
+    for mode in ("lmmse", "matched"):
+        results.append(pc_mud_iterate(np.full(3, 1e-9), empty, gains, book,
+                                      NOISE, GAMMA, filter_mode=mode)[0])
+    for result in results:
+        assert result.converged
+        assert result.powers.tolist() == [0.0, 0.0, 0.0]
