@@ -29,7 +29,6 @@ from .netmodel import (
     build_network,
 )
 from .phy import (
-    incoming_slots,
     link_energies,
     lmmse_link_sir,
     lmmse_sir_matrix,
@@ -129,9 +128,8 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
     else:
         if codebook is None:
             raise ValueError("LMMSE energy needs the spreading codebook")
-        receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-        q = lmmse_solve(p, gains, codebook, scenario.noise_power,
-                        receivers, senders)[rows, cols]
+        q = lmmse_solve(p, gains, codebook, scenario.noise_power, i_idx,
+                        j_idx)
         sir = lmmse_link_sir(p[i_idx] * gains.gains[i_idx, j_idx], q)
     return _route_energy(routes, p, sir, scenario)
 
@@ -297,6 +295,7 @@ def multi_start(scenario: Scenario, trials: int,
     check_value("trials", trials, Integral, low=1)
     if seed is None:
         seed = scenario.master_seed
+    check_value("seed", seed, Integral)
     net = build_network(scenario)
     # every trial starts from a random draw, whatever the scenario's mode
     random_init = scenario.replace(initial_power_mode="random")

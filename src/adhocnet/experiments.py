@@ -171,6 +171,7 @@ def capacity_search(scenario_template: Scenario, spreading_gain: int,
     check_value("n_min", n_min, Integral, low=2)
     check_value("n_max", n_max, Integral, low=n_min)
     check_value("n_step", n_step, Integral, low=1)
+    check_value("seed", seed, Integral)
 
     positions = []
     for trial in range(trials):

@@ -17,10 +17,12 @@ Lawson–Hanson NNLS solve (Solving Least Squares Problems, 1974, ch. 23) of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .crosslayer import TrialSummary
+from .errors import check_value
 from .routing import RouteSet
 
 @dataclass(frozen=True)
@@ -59,6 +61,7 @@ class MixtureWeights:
 def select_candidates(trials, threshold: float = 0.10) -> RouteCandidateSet:
     """Keep converged trials whose total power is within ``threshold`` of the
     best one; the power target is the best trial's mean node power."""
+    check_value("threshold", threshold, Real, low=0)
     converged: list[TrialSummary] = [t for t in trials if t.status == "local_min"]
     if not converged:
         raise ValueError("no converged trials to select candidates from")

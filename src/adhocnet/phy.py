@@ -13,12 +13,14 @@ expectation 1/L, while the LMMSE expressions use the exact values; on random
 codebooks the two matched-filter numbers therefore differ slightly.
 
 Every batched LMMSE quantity comes from one kernel, ``lmmse_solve``, which
-gives q = s_i' B_j^-1 s_i per (transmitter, receiver) pair, B_j = sum_{k != j}
+gives q = s_i' B_j^-1 s_i per link (i, j) it is handed, B_j = sum_{k != j}
 P_k h(k,j) s_k s_k' + noise I the received covariance at receiver j. With
 c = P_i h(i,j), the rank-one downdate that removes the desired signal turns
-q into the LMMSE output SIR c q / (1 - c q), ``lmmse_link_sir``. The kernel
-never forms B_j. Per receiver it factors one symmetric positive definite
-matrix by Cholesky, in coordinates chosen once per codebook:
+q into the LMMSE output SIR c q / (1 - c q), ``lmmse_link_sir``. Callers pass
+link arrays in any order; the kernel groups them by receiver itself. It
+never forms B_j. Per distinct receiver it factors one symmetric positive
+definite matrix by Cholesky, in coordinates chosen once per codebook, and
+solves it for that receiver's links only:
 
 - Inverse-Gram form (``SpreadingCodebook.inverse_gram``), cond(G) at most
   ``netmodel.GRAM_CONDITION_LIMIT``. With S the (n, L) codebook, G = S S'
@@ -206,39 +208,26 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
     return float(num / denom)
 
 
-def incoming_slots(i_idx: np.ndarray, j_idx: np.ndarray):
-    """Group links (i_idx[l], j_idx[l]) by receiver for ``lmmse_solve``.
-
-    Returns (receivers, senders, rows, cols): receivers[a] is a distinct
-    receiver, senders[a] lists its transmitters padded with the first one to
-    the largest in-degree, and link l sits at senders[rows[l], cols[l]].
-    """
-    receivers, rows = np.unique(j_idx, return_inverse=True)
-    counts = np.bincount(rows, minlength=receivers.size)
-    order = np.argsort(rows, kind="stable")
-    starts = np.cumsum(counts) - counts
-    cols = np.empty_like(rows)
-    cols[order] = np.arange(rows.size) - np.repeat(starts, counts)
-    senders = np.repeat(i_idx[order[starts]][:, None],
-                        max(int(counts.max(initial=0)), 1), axis=1)
-    senders[rows, cols] = i_idx
-    return receivers, senders, rows, cols
-
-
 def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
                 codebook: SpreadingCodebook, noise: float,
-                receivers: np.ndarray, senders: np.ndarray):
-    """q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b].
+                i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
+    """q[l] = s_i' B_j^-1 s_i of every link (i, j) = (i_idx[l], j_idx[l]).
 
-    Returns q (m, d). A system that fails to factor in floating point (only
-    the span form can, at noise below the rounding of the received power)
-    leaves its receiver's q at NaN. One warning per call names such
-    receivers, if any, and reports the largest covariance condition bound
-    (sum_{k != i,j} P_k h(k,j) + L noise) / noise of a link, if it exceeds
-    ``CONDITION_WARN_THRESHOLD``.
+    Links may come in any order and share receivers, and i = j is allowed.
+    The links are grouped by receiver inside: each distinct receiver's
+    system is factored once and solved for that receiver's links only. A
+    system that fails to factor in floating point (only the span form can,
+    at noise below the rounding of the received power) leaves its links' q
+    at NaN. One warning per call names such receivers, if any, and reports
+    the largest covariance condition bound (sum_{k != i,j} P_k h(k,j) +
+    L noise) / noise of a link, if it exceeds ``CONDITION_WARN_THRESHOLD``.
     """
     n = p.shape[0]
-    w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
+    order = j_idx.argsort(kind="stable")  # the links grouped by receiver
+    counts = np.bincount(j_idx, minlength=n)
+    receivers = counts.nonzero()[0]
+    ends = counts[receivers].cumsum()
+    w = p * gains.gains[:, receivers].T  # (receivers, n); zero at each one
     if codebook.inverse_gram is not None:
         # M_j = noise G^-1 + D_j, right-hand sides e_i
         a = np.repeat(noise * codebook.inverse_gram[None], len(w), axis=0)
@@ -251,18 +240,22 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
         a = (w @ np.einsum("kr,ks->krs", e, e).reshape(n, r * r)).reshape(
             -1, r, r)
         a.reshape(-1, r * r)[:, ::r + 1] += noise
-    rhs = e[senders]  # (m, d, r)
-    y = np.empty(a.shape[:2] + rhs.shape[1:2])
-    for k in range(len(a)):
+    rhs = e[i_idx[order]].T  # (r, links), grouped by receiver
+    y = np.empty_like(rhs)
+    edges = [0, *ends.tolist()]
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         # a[k] is symmetric: its transpose is a Fortran view factored in
         # place, and the solves read only its lower triangle
         chol, info = dpotrf(a[k].T, lower=1, clean=0, overwrite_a=1)
-        y[k] = np.nan if info else dtrtrs(chol, rhs[k].T, lower=1)[0]
-    q = np.einsum("mrd,mrd->md", y, y)
-    w_link = w[np.arange(len(w))[:, None], senders]
-    bound = float(((w.sum(axis=1, keepdims=True) - w_link).max(initial=0.0)
+        y[:, lo:hi] = np.nan if info else dtrtrs(chol, rhs[:, lo:hi],
+                                                 lower=1)[0]
+    q_grouped = np.einsum("rl,rl->l", y, y)
+    q = np.empty_like(q_grouped)
+    q[order] = q_grouped
+    own = p[i_idx] * gains.gains[i_idx, j_idx]
+    bound = float(((received_powers(gains, p)[j_idx] - own).max(initial=0.0)
                    + codebook.length * noise) / noise)
-    failed = receivers[np.isnan(q[:, 0])].tolist()
+    failed = receivers[np.isnan(q_grouped[ends - 1])].tolist()
     clauses = [f"covariance condition bound {bound:.3e} exceeds "
                f"{CONDITION_WARN_THRESHOLD:.1e}"
                ] if bound > CONDITION_WARN_THRESHOLD else []
@@ -293,10 +286,9 @@ def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
     """
     c = p[:, None] * gains.gains
     i_idx, j_idx = np.nonzero(c >= 0.5 * gate * noise)
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-    q = lmmse_solve(p, gains, codebook, noise, receivers, senders)
+    q = lmmse_solve(p, gains, codebook, noise, i_idx, j_idx)
     sir = np.zeros_like(c)
-    sir[i_idx, j_idx] = lmmse_link_sir(c[i_idx, j_idx], q[rows, cols])
+    sir[i_idx, j_idx] = lmmse_link_sir(c[i_idx, j_idx], q)
     sir[np.isnan(sir) | (c == 0.0)] = 0.0  # no q, or no desired signal
     return sir
 

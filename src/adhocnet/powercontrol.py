@@ -48,7 +48,6 @@ from .errors import check_powers, check_value
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 from .phy import (
     FilterBank,
-    incoming_slots,
     lmmse_link_sir,
     lmmse_solve,
     received_powers,
@@ -333,7 +332,6 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
         return (_fixed_point(p0, active, _affine_steps(form), **stop),
                 FilterBank.matched(codebook, active.links))
 
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
     transmitters, starts = np.unique(i_idx, return_index=True)
     q = None  # of the last step's powers
 
@@ -341,16 +339,15 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
         nonlocal q
         p = np.zeros(active.n_nodes)
         p[transmitters] = x
-        q = lmmse_solve(p, gains, codebook, noise, receivers, senders)[
-            rows, cols]
+        q = lmmse_solve(p, gains, codebook, noise, i_idx, j_idx)
         need = target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
         return np.array((x, np.maximum(0.0,
                                        np.maximum.reduceat(need, starts))))
 
     result = _fixed_point(p0, active, advance, **stop)
     p = result.powers
-    if not result.converged:
-        advance(p[transmitters], 1)  # the last solve at the returned powers
+    if result.status in (STATUS_INFEASIBLE, STATUS_MAX_ITER):
+        advance(p[transmitters], 1)  # no solve at the returned powers yet
     link_sir = lmmse_link_sir(p[i_idx] * g, q)
     link_sir.setflags(write=False)
     return (replace(result, link_sir=link_sir),

@@ -429,9 +429,9 @@ def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
 
 
 def all_pairs(n: int):
-    """(receivers, senders) pairing every node j, as receiver j, with every
-    node i, as senders[j, i]: every pair in one ``lmmse_solve``."""
-    return np.arange(n), np.tile(np.arange(n), (n, 1))
+    """(i_idx, j_idx) of every ordered pair of n nodes, self-pairs included,
+    in row-major order: ``lmmse_solve`` of them reshapes to q[i, j]."""
+    return np.divmod(np.arange(n * n), n)
 
 
 def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
@@ -440,7 +440,8 @@ def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
     """``phy.lmmse_sir_matrix`` with every pair solved, kept as the
     reference for its gate pruning: SIR c q / (1 - c q) of c = P_i h(i,j),
     zero where c is zero, q is NaN or i = j."""
-    q = lmmse_solve(p, gains, codebook, noise, *all_pairs(p.shape[0])).T
+    n = p.shape[0]
+    q = lmmse_solve(p, gains, codebook, noise, *all_pairs(n)).reshape(n, n)
     c = p[:, None] * gains.gains
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = c * q / (1.0 - c * q)
@@ -451,19 +452,19 @@ def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
 
 def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
                     codebook: SpreadingCodebook, noise: float,
-                    receivers: np.ndarray, senders: np.ndarray):
+                    i_idx: np.ndarray, j_idx: np.ndarray):
     """The LU form of ``phy.lmmse_solve``, kept as its reference.
 
-    q = s_i' B_j^-1 s_i for j = receivers[a] and i = senders[a, b], from one
-    LU solve per receiver. For n <= L it solves the non-symmetric
+    q[l] = s_i' B_j^-1 s_i for i = i_idx[l] and j = j_idx[l], from one LU
+    solve per distinct receiver. For n <= L it solves the non-symmetric
     A_j = noise I + D_j G in sequence space (B_j^-1 S' = S' A_j^-1,
     q = G[i] z for z = A_j^-1 e_i); for n > L it solves
     K_j = noise I + U D_j U' in the span of the sequences (S' = Q U).
     """
     n = p.shape[0]
-    w = p * gains.gains[:, receivers].T  # (m, n); zero at each receiver
-    w_link = w[np.arange(w.shape[0])[:, None], senders]
-    bound = (w.sum(axis=1, keepdims=True) - w_link
+    i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
+    w_link = p[i_idx] * gains.gains[i_idx, j_idx]
+    bound = ((p @ gains.gains)[j_idx] - w_link
              + codebook.length * noise) / noise
     if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -472,21 +473,23 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
             RuntimeWarning,
             stacklevel=2,
         )
-    if n <= codebook.length:
-        # sequence space: A_j = noise I + D_j G, right-hand sides e_i, and
-        # q = G[i] z, G being symmetric
-        gram = codebook.gram
-        a = w[:, :, None] * gram
-        rhs = np.eye(n)[senders].swapaxes(1, 2)  # (m, n, d)
-        lhs = gram[senders].swapaxes(1, 2)
-    else:
-        # span: K_j = noise I + U D_j U', right-hand sides u_i
-        u = codebook.span
-        r = u.shape[0]
-        a = (w @ np.einsum("rk,sk->krs", u, u).reshape(n, r * r)).reshape(
-            -1, r, r)
-        rhs = lhs = u.T[senders].swapaxes(1, 2)  # (m, r, d)
-    diag = np.arange(a.shape[1])
-    a[:, diag, diag] += noise
-    x = np.linalg.solve(a, rhs)
-    return np.einsum("...rd,...rd->...d", lhs, x)
+    q = np.empty(len(i_idx))
+    for j in np.unique(j_idx):
+        at = j_idx == j
+        senders = i_idx[at]
+        w = p * gains.gains[:, j]  # zero at the receiver
+        if n <= codebook.length:
+            # sequence space: A_j = noise I + D_j G, right-hand sides e_i,
+            # and q = G[i] z, G being symmetric
+            gram = codebook.gram
+            a = w[:, None] * gram
+            rhs = np.eye(n)[senders].T  # (n, d)
+            lhs = gram[senders].T
+        else:
+            # span: K_j = noise I + U D_j U', right-hand sides u_i
+            u = codebook.span
+            a = (u * w) @ u.T
+            rhs = lhs = u[:, senders]  # (r, d)
+        a[np.diag_indices_from(a)] += noise
+        q[at] = np.einsum("rd,rd->d", lhs, np.linalg.solve(a, rhs))
+    return q

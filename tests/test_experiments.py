@@ -362,6 +362,8 @@ def test_experiment_config_rejects_bad_capacity_scan(changes, field):
     ({"n_min": 10, "n_max": 6}, "n_max"),
     ({"n_step": 0}, "n_step"),
     ({"trials": 2.5}, "trials"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_capacity_search_names_a_bad_argument_before_any_work(monkeypatch,
                                                               changes, field):
@@ -369,10 +371,10 @@ def test_capacity_search_names_a_bad_argument_before_any_work(monkeypatch,
         raise AssertionError("an instance was judged")
 
     monkeypatch.setattr(experiments, "_capacity_instance_feasible", no_work)
-    arguments = {"trials": 2, "n_min": 4, "n_max": 8, "n_step": 2, **changes}
+    arguments = {"trials": 2, "n_min": 4, "n_max": 8, "n_step": 2, "seed": 1,
+                 **changes}
     with pytest.raises(ValueError, match=rf"^{field}\b"):
-        capacity_search(FEASIBLE, 64, feasibility_target=0.5, seed=1,
-                        **arguments)
+        capacity_search(FEASIBLE, 64, feasibility_target=0.5, **arguments)
 
 
 def test_multi_start_names_a_float_trial_count_before_any_work(monkeypatch):
@@ -382,6 +384,16 @@ def test_multi_start_names_a_float_trial_count_before_any_work(monkeypatch):
     monkeypatch.setattr(crosslayer, "build_network", no_work)
     with pytest.raises(ValueError, match=r"^trials\b"):
         multi_start(FEASIBLE, trials=2.5)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_multi_start_names_a_bad_seed_before_any_work(monkeypatch, seed):
+    def no_work(scenario):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(crosslayer, "build_network", no_work)
+    with pytest.raises(ConfigError, match=r"^seed must be an integer"):
+        multi_start(FEASIBLE, trials=2, seed=seed)
 
 
 def valid_config(**changes):

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import nnls
 
 from adhocnet.crosslayer import TrialSummary
+from adhocnet.errors import ConfigError
 from adhocnet.fairness import (
     MixtureWeights,
     RouteCandidateSet,
@@ -51,6 +52,15 @@ def test_select_zero_threshold_keeps_only_ties():
               summary(2, [1.2, 1.0])]
     selected = select_candidates(trials, threshold=0.0)
     assert [c.trial for c in selected.candidates] == [0, 1]
+
+
+@pytest.mark.parametrize("threshold", [-0.1, float("nan"), float("inf"),
+                                       True])
+def test_select_rejects_a_bad_threshold(threshold):
+    # a negative or NaN threshold would leave out even the best trial
+    trials = [summary(0, [1.0, 1.0]), summary(1, [1.05, 1.0])]
+    with pytest.raises(ConfigError, match=r"^threshold must be"):
+        select_candidates(trials, threshold=threshold)
 
 
 def test_select_threshold_band_and_skips_infeasible():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from adhocnet.netmodel import (
     LinkGainMatrix,
@@ -14,7 +15,6 @@ from adhocnet.phy import (
     FilterBank,
     efficiency,
     energy_per_bit_link,
-    incoming_slots,
     lmmse_filter,
     lmmse_sir_matrix,
     lmmse_solve,
@@ -275,12 +275,10 @@ def kernel_instances(draw):
 def test_lmmse_kernel_matches_per_link_reference(instance):
     p, gains, book, links = instance
     noise = 1e-13
-    i_idx, j_idx = np.array(links).T
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
+    i_idx, j_idx = np.array(links, dtype=int).reshape(-1, 2).T  # may be empty
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        q = lmmse_solve(p, gains, book, noise, receivers, senders)
-    q = q[rows, cols]
+        q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
     seqs = book.sequences
     for (i, j), q_link in zip(links, q):
         weights = p * gains.gains[:, j]
@@ -297,13 +295,65 @@ def test_lmmse_kernel_matches_per_link_reference(instance):
                                                                 rel=1e-9)
 
 
-def test_incoming_slots_group_links_by_receiver():
-    i_idx = np.array([0, 0, 2, 3, 4])
-    j_idx = np.array([1, 2, 1, 1, 2])
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-    assert receivers.tolist() == [1, 2]
-    assert senders.tolist() == [[0, 2, 3], [0, 4, 0]]
-    assert senders[rows, cols].tolist() == i_idx.tolist()
+@st.composite
+def shuffled_link_instances(draw):
+    """``kernel_instances`` whose links, self-pairs and repeats included,
+    come sorted by receiver and in a random order."""
+    p, gains, book, _ = draw(kernel_instances())
+    n = p.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i_idx, j_idx = rng.integers(0, n, (2, 3 * n))
+    order = np.lexsort((i_idx, j_idx))
+    return p, gains, book, i_idx[order], j_idx[order], rng.permutation(3 * n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_link_instances())
+def test_lmmse_kernel_gives_each_link_its_q_in_any_order(instance):
+    p, gains, book, i_idx, j_idx, shuffle = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        q = lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
+        q_shuffled = lmmse_solve(p, gains, book, 1e-13, i_idx[shuffle],
+                                 j_idx[shuffle])
+    np.testing.assert_allclose(q_shuffled, q[shuffle], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("length", [16, 4], ids=["inverse-Gram", "span"])
+def test_lmmse_kernel_factors_each_receiver_once(monkeypatch, length):
+    from adhocnet import phy
+
+    factored = []
+
+    def counted(a, **kwargs):
+        factored.append(a.shape)
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(phy, "dpotrf", counted)
+    rng = np.random.default_rng(47)
+    _, gains = random_network(rng, 8)
+    book = generate_spreading_codebook(8, length, seed=48)
+    assert (book.inverse_gram is not None) == (length == 16)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), 8))
+    i_idx = np.array([0, 5, 2, 7, 1, 3, 6, 2, 4])
+    j_idx = np.array([3, 1, 3, 6, 3, 1, 1, 6, 4])
+    q = lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
+    # one n x n (inverse-Gram) or L x L (span) system per distinct receiver
+    assert len(np.unique(j_idx)) == 4
+    assert factored == [(min(8, length), min(8, length))] * 4
+    assert np.isfinite(q).all() and q.shape == i_idx.shape
+
+
+@pytest.mark.parametrize("length", [16, 4], ids=["inverse-Gram", "span"])
+def test_lmmse_kernel_of_no_links_is_empty(length):
+    rng = np.random.default_rng(49)
+    _, gains = random_network(rng, 8)
+    book = generate_spreading_codebook(8, length, seed=50)
+    none = np.array([], dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = lmmse_solve(np.full(8, 1e-6), gains, book, 1e-13, none, none)
+    assert q.shape == (0,)
 
 
 def test_lmmse_kernel_warns_once_on_tiny_noise():
@@ -312,15 +362,14 @@ def test_lmmse_kernel_warns_once_on_tiny_noise():
     book = generate_spreading_codebook(6, 8, seed=22)
     p = np.full(6, 1e-3)
     i_idx, j_idx = np.array([(0, 1), (2, 1), (3, 4), (5, 4)]).T
-    receivers, senders, _, _ = incoming_slots(i_idx, j_idx)
     with pytest.warns(RuntimeWarning, match="condition bound") as record:
-        lmmse_solve(p, gains, book, 1e-30, receivers, senders)
+        lmmse_solve(p, gains, book, 1e-30, i_idx, j_idx)
     assert len(record) == 1
     # every receiver factored: the warning names no NaN q
     assert "NaN q" not in str(record[0].message)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        lmmse_solve(p, gains, book, 1e-13, receivers, senders)
+        lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
 
 
 def _identical_pair_codebook():
@@ -348,15 +397,14 @@ def test_lmmse_kernel_both_coordinates_match_dense_reference(book):
     seqs = book.sequences
     links = [(i, j) for i in range(n) for j in range(n) if i != j]
     i_idx, j_idx = np.array(links).T
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-    q = lmmse_solve(p, gains, book, noise, receivers, senders)
-    q_all = lmmse_solve(p, gains, book, noise, *all_pairs(n))
-    for (i, j), a, b in zip(links, rows, cols):
+    q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
+    q_all = lmmse_solve(p, gains, book, noise, *all_pairs(n)).reshape(n, n)
+    for (i, j), q_link in zip(links, q):
         cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
         want = np.linalg.solve(cov, seqs[i])
-        assert q[a, b] == pytest.approx(seqs[i] @ want, rel=1e-9)
-        assert q_all[j, i] == pytest.approx(seqs[i] @ want, rel=1e-9)
+        assert q_link == pytest.approx(seqs[i] @ want, rel=1e-9)
+        assert q_all[i, j] == pytest.approx(seqs[i] @ want, rel=1e-9)
 
 
 @st.composite
@@ -381,10 +429,9 @@ def test_lmmse_kernel_matches_lu_oracle_at_realistic_sizes(instance):
     p, gains, book, links = instance
     noise, n = 1e-13, p.shape[0]
     i_idx, j_idx = np.array(links).T
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-    q = lmmse_solve(p, gains, book, noise, receivers, senders)
-    q_lu = lmmse_kernel_lu(p, gains, book, noise, receivers, senders)
-    np.testing.assert_allclose(q[rows, cols], q_lu[rows, cols], rtol=1e-10)
+    q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
+    q_lu = lmmse_kernel_lu(p, gains, book, noise, i_idx, j_idx)
+    np.testing.assert_allclose(q, q_lu, rtol=1e-10)
     np.testing.assert_allclose(
         lmmse_solve(p, gains, book, noise, *all_pairs(n)),
         lmmse_kernel_lu(p, gains, book, noise, *all_pairs(n)), rtol=1e-10)
@@ -422,15 +469,14 @@ def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
     seqs = book.sequences
     links = [(i, j) for i in range(n) for j in range(n) if i != j]
     i_idx, j_idx = np.array(links).T
-    receivers, senders, rows, cols = incoming_slots(i_idx, j_idx)
-    q = lmmse_solve(p, gains, book, noise, receivers, senders)
-    q_all = lmmse_solve(p, gains, book, noise, *all_pairs(n))
-    for (i, j), a, b in zip(links, rows, cols):
+    q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
+    q_all = lmmse_solve(p, gains, book, noise, *all_pairs(n)).reshape(n, n)
+    for (i, j), q_link in zip(links, q):
         cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
         want = np.linalg.solve(cov, seqs[i])
-        assert q[a, b] == pytest.approx(seqs[i] @ want, rel=1e-9)
-        assert q_all[j, i] == pytest.approx(seqs[i] @ want, rel=1e-9)
+        assert q_link == pytest.approx(seqs[i] @ want, rel=1e-9)
+        assert q_all[i, j] == pytest.approx(seqs[i] @ want, rel=1e-9)
 
 
 def test_failed_span_factorization_gives_nan_and_names_the_receiver():
@@ -443,13 +489,13 @@ def test_failed_span_factorization_gives_nan_and_names_the_receiver():
     book = SpreadingCodebook(sequences=seqs)
     gains = LinkGainMatrix(gains=4.0 * (1.0 - np.eye(5)))
     p = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
-    receivers, senders = np.array([0, 3]), np.array([[4, 1], [4, 1]])
+    i_idx, j_idx = np.array([4, 1, 4, 1]), np.array([0, 0, 3, 3])
     with pytest.warns(RuntimeWarning,
                       match=r"condition bound.*NaN q: \[0\]") as record:
-        q = lmmse_solve(p, gains, book, 1e-30, receivers, senders)
+        q = lmmse_solve(p, gains, book, 1e-30, i_idx, j_idx)
     assert len(record) == 1
-    assert np.isnan(q[0]).all()
-    assert np.isfinite(q[1]).all() and (q[1] > 0).all()
+    assert np.isnan(q[:2]).all()
+    assert np.isfinite(q[2:]).all() and (q[2:] > 0).all()
     with pytest.warns(RuntimeWarning, match="condition bound"):
         sir = lmmse_sir_matrix(p, gains, book, 1e-30, gate=0.0)
     # a receiver without a q passes no link through the routing gate

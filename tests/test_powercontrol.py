@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adhocnet.crosslayer import initial_powers
 from adhocnet.errors import ConfigError
+from adhocnet.phy import lmmse_solve
 from adhocnet.netmodel import Scenario, SpreadingCodebook, build_network, \
     compute_link_gains, generate_spreading_codebook
 from adhocnet.powercontrol import (
@@ -392,6 +393,43 @@ def test_pc_mud_stops_at_first_nonfinite_iterate():
     assert result.iterations <= 3
     assert np.isfinite(result.powers).all()
     assert np.isfinite(result.trace).all()
+
+
+def test_pc_mud_solves_again_only_past_the_last_solve(monkeypatch):
+    # a run of k iterations makes k kernel solves, and one more at the
+    # returned powers when they are the step past the last solve
+    from adhocnet import powercontrol
+
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return lmmse_solve(*args)
+
+    monkeypatch.setattr(powercontrol, "lmmse_solve", counted)
+    rng = np.random.default_rng(35)
+    _, gains = random_network(rng, 5)
+    book = generate_spreading_codebook(5, 4, seed=36)
+    # test_pc_mud_stops_at_first_nonfinite_iterate's instance, then
+    # test_pc_mud_link_sir_matches_fresh_filters's
+    runs = [(gains, book, random_active_links(rng, 5, max_out=1),
+             np.full(5, 1e-3), 1e-30, 10_000, 1.0)]
+    runs += [(gains, book, active, p0, NOISE, max_iter, 1e-4)
+             for gains, book, active, p0 in mud_instances(34, 12)
+             for max_iter in (3, 300)]
+    statuses = set()
+    for gains, book, active, p0, noise, max_iter, power_cap in runs:
+        solves.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = pc_mud_iterate(p0, active, gains, book, noise, GAMMA,
+                                    tol=1e-8, max_iter=max_iter,
+                                    power_cap=power_cap)[0]
+        statuses.add(result.status)
+        past = result.status in ("infeasible", "max_iter")
+        assert len(solves) == result.iterations + past
+        assert solves[-1][0].tolist() == result.powers.tolist()
+    assert statuses == {"converged", "nonfinite", "infeasible", "max_iter"}
 
 
 def test_pc_solve_matches_single_outgoing_linear_solve():
