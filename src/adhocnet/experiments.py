@@ -38,13 +38,14 @@ from .errors import (
 )
 from .fairness import effective_node_powers, optimize_mixture, select_candidates
 from .netmodel import (
+    LinkGainMatrix,
     Network,
     Scenario,
-    Topology,
     build_network,
-    compute_link_gains,
     generate_sessions,
     generate_spreading_codebook,
+    leading_gains,
+    pair_gains,
 )
 from .phy import matched_sir_matrix
 from .routing import initial_routes
@@ -124,27 +125,23 @@ def throughput_gain(n_a: int, spreading_a: int, n_b: int,
     return (n_a * spreading_b) / (spreading_a * n_b)
 
 
-def _capacity_instance_feasible(template: Scenario, spreading_gain: int,
-                                n_nodes: int, positions_all: np.ndarray,
+def _capacity_instance_feasible(scenario: Scenario, gains: LinkGainMatrix,
                                 seed: int, trial: int) -> bool:
-    """Judge one Monte Carlo instance: do the initial routes admit a
-    converged power-control run at the initial powers? (For the matched
-    receiver, their exact ``pc_solve`` check.)"""
-    scenario = template.replace(n_nodes=n_nodes, spreading_gain=spreading_gain)
-    positions = positions_all[:n_nodes].copy()
-    positions.setflags(write=False)
-    topology = Topology(positions=positions, area_side=scenario.area_side)
-    gains = compute_link_gains(topology, scenario.path_loss_exp)
+    """Judge one Monte Carlo instance of the scenario's size: do the initial
+    routes admit a converged power-control run at the initial powers? (For
+    the matched receiver, their exact ``pc_solve`` check.)"""
+    n_nodes = scenario.n_nodes
     sessions = generate_sessions(
         n_nodes, derive_seed(seed, _CAP_SESSION_STREAM, trial, n_nodes)
     )
     p0 = initial_powers(scenario, np.random.default_rng(
-        derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)))
+        derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes))
+        if scenario.initial_power_mode == "random" else None)
     routes = initial_routes(scenario, gains, sessions, p0)
     if scenario.receiver == "matched":
         return routes.probe.converged
     codebook = generate_spreading_codebook(
-        n_nodes, spreading_gain,
+        n_nodes, scenario.spreading_gain,
         derive_seed(seed, _CAP_CODEBOOK_STREAM, trial, n_nodes),
     )
     return run_power_control(scenario, p0, routes, gains, codebook).converged
@@ -173,26 +170,27 @@ def capacity_search(scenario_template: Scenario, spreading_gain: int,
     check_value("n_step", n_step, Integral, low=1)
     check_value("seed", seed, Integral)
 
-    positions = []
+    trial_gains = []  # each trial's n_max nodes; size N reads the N x N block
     for trial in range(trials):
         rng = np.random.default_rng(
-            derive_seed(seed, _CAP_POSITION_STREAM, trial)
-        )
-        positions.append(
-            rng.uniform(0.0, scenario_template.area_side, size=(n_max, 2))
-        )
+            derive_seed(seed, _CAP_POSITION_STREAM, trial))
+        trial_gains.append(pair_gains(
+            rng.uniform(0.0, scenario_template.area_side, size=(n_max, 2)),
+            scenario_template.path_loss_exp))
 
     alive = np.ones(trials, dtype=bool)
     n_values: list[int] = []
     rates: list[float] = []
     n_star: int | None = None
     for n_nodes in range(n_min, n_max + 1, n_step):
+        scenario = scenario_template.replace(n_nodes=n_nodes,
+                                             spreading_gain=spreading_gain)
         for trial in range(trials):
             if not alive[trial]:
                 continue
             alive[trial] = _capacity_instance_feasible(
-                scenario_template, spreading_gain, n_nodes, positions[trial],
-                seed, trial,
+                scenario, leading_gains(trial_gains[trial], n_nodes), seed,
+                trial,
             )
         rate = float(np.mean(alive))
         n_values.append(n_nodes)

@@ -40,7 +40,7 @@ POWER_MODES = ("equal", "random")
 _MAX_ATTEMPTS = 100
 
 # Largest cond(G) at which the LMMSE kernel uses noise G^-1 (phy docstring):
-# q loses about cond(G) float epsilons to it; above, it uses the span form.
+# q loses about cond(G) float epsilons to it; above, an LU or the span form.
 GRAM_CONDITION_LIMIT = 1e4
 
 
@@ -227,21 +227,32 @@ def generate_topology(n_nodes: int, area_side: float, seed: int) -> Topology:
     return Topology(positions=_readonly(positions), area_side=float(area_side))
 
 
-def compute_link_gains(topology: Topology, path_loss_exp: float) -> LinkGainMatrix:
-    """Distance power-law gains for every ordered pair.
-
-    Raises CoincidentNodesError when two nodes coincide (infinite gain); the
-    caller should regenerate the topology with a new seed.
-    """
-    pos = topology.positions
-    diff = pos[:, None, :] - pos[None, :, :]
+def pair_gains(positions: np.ndarray, path_loss_exp: float) -> np.ndarray:
+    """d(i, j)^-n of each ordered pair of positions (n, 2): 0 on the diagonal,
+    NaN where two coincide. m nodes' gains are the leading m x m block."""
+    diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    off_diag = ~np.eye(topology.n_nodes, dtype=bool)
-    if np.any(dist[off_diag] == 0.0):
+    with np.errstate(divide="ignore"):
+        gains = dist ** (-path_loss_exp)
+    gains[dist == 0.0] = np.nan
+    np.fill_diagonal(gains, 0.0)
+    return gains
+
+
+def leading_gains(gains: np.ndarray, n_nodes: int) -> LinkGainMatrix:
+    """Gains of the first ``n_nodes`` nodes of a ``pair_gains`` array, as a
+    read-only contiguous block; CoincidentNodesError when two coincide."""
+    block = np.ascontiguousarray(gains[:n_nodes, :n_nodes])
+    if np.isnan(block).any():
         raise CoincidentNodesError("two nodes share a position")
-    gains = np.zeros_like(dist)
-    gains[off_diag] = dist[off_diag] ** (-path_loss_exp)
-    return LinkGainMatrix(gains=_readonly(gains))
+    return LinkGainMatrix(gains=_readonly(block))
+
+
+def compute_link_gains(topology: Topology, path_loss_exp: float) -> LinkGainMatrix:
+    """Distance power-law gains of every ordered pair; CoincidentNodesError
+    when two nodes coincide (the caller should redraw the topology)."""
+    return leading_gains(pair_gains(topology.positions, path_loss_exp),
+                         topology.n_nodes)
 
 
 def generate_sessions(n_nodes: int, seed: int) -> SessionSet:

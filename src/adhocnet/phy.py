@@ -18,9 +18,9 @@ P_k h(k,j) s_k s_k' + noise I the received covariance at receiver j. With
 c = P_i h(i,j), the rank-one downdate that removes the desired signal turns
 q into the LMMSE output SIR c q / (1 - c q), ``lmmse_link_sir``. Callers pass
 link arrays in any order; the kernel groups them by receiver itself. It
-never forms B_j. Per distinct receiver it factors one symmetric positive
-definite matrix by Cholesky, in coordinates chosen once per codebook, and
-solves it for that receiver's links only:
+never forms B_j. Per distinct receiver it factors one matrix, in
+coordinates chosen once per codebook, and solves it for that receiver's
+links only:
 
 - Inverse-Gram form (``SpreadingCodebook.inverse_gram``), cond(G) at most
   ``netmodel.GRAM_CONDITION_LIMIT``. With S the (n, L) codebook, G = S S'
@@ -28,9 +28,11 @@ solves it for that receiver's links only:
   G (noise I + D_j G)^-1 = M_j^-1 with M_j = noise G^-1 + D_j, so
   q = [M_j^-1]_ii = |L_j^-1 e_i|^2 for M_j = L_j L_j'; M_j >= noise G^-1
   keeps its pivots from vanishing.
-- Span form, n > L or an ill-conditioned G. With the thin QR factorization
-  S' = Q U (``span``), B_j^-1 s_i = Q K_j^-1 u_i for
-  K_j = noise I + U D_j U', so q = |L_j^-1 u_i|^2 for K_j = L_j L_j'.
+- LU form, n <= L and an ill-conditioned G. B_j^-1 S' = S' A_j^-1 with
+  A_j = noise I + D_j G, so q = G[i] A_j^-1 e_i by one LU of A_j.
+- Span form, n > L. With the thin QR factorization S' = Q U (``span``),
+  B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U', so
+  q = |L_j^-1 u_i|^2 for K_j = L_j L_j' by Cholesky.
 
 The kernel returns q alone. Filters come from one per-link reference in
 the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``), which
@@ -49,7 +51,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dgesv, dpotrf, dtrtrs
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 
@@ -216,8 +218,8 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     Links may come in any order and share receivers, and i = j is allowed.
     The links are grouped by receiver inside: each distinct receiver's
     system is factored once and solved for that receiver's links only. A
-    system that fails to factor in floating point (only the span form can,
-    at noise below the rounding of the received power) leaves its links' q
+    system that fails to factor in floating point (the span form can, at
+    noise below the rounding of the received power) leaves its links' q
     at NaN. One warning per call names such receivers, if any, and reports
     the largest covariance condition bound (sum_{k != i,j} P_k h(k,j) +
     L noise) / noise of a link, if it exceeds ``CONDITION_WARN_THRESHOLD``.
@@ -228,11 +230,16 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     receivers = counts.nonzero()[0]
     ends = counts[receivers].cumsum()
     w = p * gains.gains[:, receivers].T  # (receivers, n); zero at each one
+    e, left = np.eye(n), None  # q = |y|^2, or left' y for the LU form
     if codebook.inverse_gram is not None:
         # M_j = noise G^-1 + D_j, right-hand sides e_i
         a = np.repeat(noise * codebook.inverse_gram[None], len(w), axis=0)
         a.reshape(-1, n * n)[:, ::n + 1] += w
-        e = np.eye(n)
+    elif n <= codebook.length:
+        # A_j' = noise I + G D_j, right-hand sides e_i, q = G[i] A_j^-1 e_i
+        a = codebook.gram * w[:, None, :]
+        a.reshape(-1, n * n)[:, ::n + 1] += noise
+        left = codebook.gram[i_idx[order]].T
     else:
         # K_j = noise I + U D_j U', right-hand sides u_i
         e = codebook.span.T  # (n, r)
@@ -244,12 +251,15 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     y = np.empty_like(rhs)
     edges = [0, *ends.tolist()]
     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        # a[k] is symmetric: its transpose is a Fortran view factored in
-        # place, and the solves read only its lower triangle
-        chol, info = dpotrf(a[k].T, lower=1, clean=0, overwrite_a=1)
-        y[:, lo:hi] = np.nan if info else dtrtrs(chol, rhs[:, lo:hi],
-                                                 lower=1)[0]
-    q_grouped = np.einsum("rl,rl->l", y, y)
+        # a[k].T is a Fortran view factored in place: A_j, or else a[k]
+        # itself, symmetric, of which the solves read the lower triangle
+        if left is None:
+            chol, info = dpotrf(a[k].T, lower=1, clean=0, overwrite_a=1)
+            x = dtrtrs(chol, rhs[:, lo:hi], lower=1)[0]
+        else:
+            x, info = dgesv(a[k].T, rhs[:, lo:hi], overwrite_a=1)[2:]
+        y[:, lo:hi] = np.nan if info else x
+    q_grouped = np.einsum("rl,rl->l", y if left is None else left, y)
     q = np.empty_like(q_grouped)
     q[order] = q_grouped
     own = p[i_idx] * gains.gains[i_idx, j_idx]

@@ -87,7 +87,8 @@ class ActiveLinkSet:
             if i == j:
                 raise ValueError(f"self loop ({i}, {j}) in active link set")
             raise ValueError(f"link ({i}, {j}) outside node range")
-        codes = np.unique(i * n_nodes + j)
+        codes = np.sort(i * n_nodes + j)  # np.unique costs more on few links
+        codes = codes[np.diff(codes, prepend=-1) > 0]
         i, j = codes // n_nodes, codes % n_nodes
         active = cls(n_nodes=n_nodes, links=tuple(zip(i.tolist(), j.tolist())))
         active.__dict__["link_arrays"] = (i, j)  # fill the cached property
@@ -108,6 +109,12 @@ class ActiveLinkSet:
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(self.links, dtype=int).reshape(len(self.links), 2)
         return arr[:, 0], arr[:, 1]
+
+    @cached_property
+    def sender_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Senders, each one's first link and each link's sender index."""
+        return np.unique(self.link_arrays[0], return_index=True,
+                         return_inverse=True)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
     failed LMMSE factorization) at step k, the cap on iterate k, the budget.
     A ``p0`` that ``errors.check_powers`` rejects raises ConfigError.
     """
-    senders = np.unique(active.link_arrays[0])
+    senders = active.sender_groups[0]
     x = check_powers("p0", p0, active.n_nodes)[senders]
     totals, done = [float(x.sum())], 0
     status = STATUS_INFEASIBLE if (x > power_cap).any() else STATUS_MAX_ITER
@@ -192,8 +199,7 @@ def _affine_form(active: ActiveLinkSet, gains: LinkGainMatrix, noise: float,
     a_l = target_sir noise / h(i,j) and coupling[k, l] = scale weights[k, i]
     h(k,j) / h(i,j), zero at k = i and (zero gain diagonal) at k = j."""
     i_idx, j_idx = active.link_arrays
-    senders, starts, owner = np.unique(i_idx, return_index=True,
-                                       return_inverse=True)
+    senders, starts, owner = active.sender_groups
     g_link = gains.gains[i_idx, j_idx]
     coupling = gains.gains[senders][:, j_idx] * (scale / g_link)
     if weights is not None:
@@ -332,7 +338,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
         return (_fixed_point(p0, active, _affine_steps(form), **stop),
                 FilterBank.matched(codebook, active.links))
 
-    transmitters, starts = np.unique(i_idx, return_index=True)
+    transmitters, starts, _ = active.sender_groups
     q = None  # of the last step's powers
 
     def advance(x, budget):  # one step per kernel solve

@@ -111,9 +111,8 @@ class RouteSet:
                             dtype=np.int64)
         # consecutive nodes, less the pairs that join two paths
         joins = np.cumsum([len(path) for path in self.paths], dtype=int) - 1
-        pairs = np.stack((nodes[:-1], nodes[1:]), axis=1)
-        return ActiveLinkSet.from_links(self.n_nodes,
-                                        np.delete(pairs, joins[:-1], axis=0))
+        pairs = np.delete(np.stack((nodes[:-1], nodes[1:])), joins[:-1], axis=1)
+        return ActiveLinkSet.from_links(self.n_nodes, pairs.T)
 
 
 def _heap_lex_path(costs: np.ndarray, source: int,
@@ -243,7 +242,7 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
         closed = step @ step > 0
     out = nodes.copy()  # every node starts stale
     value = np.empty(n)
-    while True:
+    while not reach.all():  # one component: no round can add a link
         same = reach & reach.T
         # each node's best link out of its own component, then each
         # component's best such node (highest SIR, lowest index first)

@@ -4,15 +4,26 @@ import functools
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from adhocnet.crosslayer import initial_powers, run_power_control
+from adhocnet.experiments import (
+    _CAP_CODEBOOK_STREAM,
+    _CAP_POSITION_STREAM,
+    _CAP_POWER_STREAM,
+    _CAP_SESSION_STREAM,
+    CapacityResult,
+)
 from adhocnet.netmodel import (
     LinkGainMatrix,
     SpreadingCodebook,
     Topology,
     compute_link_gains,
+    generate_sessions,
+    generate_spreading_codebook,
 )
 from adhocnet.phy import (
     CONDITION_WARN_THRESHOLD,
@@ -29,6 +40,8 @@ from adhocnet.powercontrol import (
     PcResult,
     power_targets,
 )
+from adhocnet.routing import initial_routes
+from adhocnet.seeds import derive_seed
 
 
 def _residual(new: np.ndarray, ref: np.ndarray) -> float:
@@ -493,3 +506,90 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
         a[np.diag_indices_from(a)] += noise
         q[at] = np.einsum("rd,rd->d", lhs, np.linalg.solve(a, rhs))
     return q
+
+
+def lmmse_q_mpmath(p: np.ndarray, gains: LinkGainMatrix,
+                   codebook: SpreadingCodebook, noise: float, links,
+                   digits: int = 40) -> np.ndarray:
+    """q = s_i' B_j^-1 s_i of each link (i, j) at ``digits`` significant
+    digits: B_j = sum_{k != j} P_k h(k,j) s_k s_k' + noise I is formed
+    from the float inputs in the full L-dimensional chip space and factored
+    by one mpmath LU per receiver."""
+    q = {}
+    with mpmath.workdps(digits):
+        rows = codebook.sequences.tolist()
+        seqs = mpmath.matrix(rows)
+        for j in sorted({j for _, j in links}):
+            weights = [mpmath.mpf(pk) * mpmath.mpf(hk) for pk, hk
+                       in zip(p.tolist(), gains.gains[:, j].tolist())]
+            scaled = mpmath.matrix([[w * x for x in row]
+                                    for w, row in zip(weights, rows)])
+            cov = seqs.T * scaled + noise * mpmath.eye(codebook.length)
+            lu, perm = mpmath.mp.LU_decomp(cov)
+            for i in sorted({i for i, jj in links if jj == j}):
+                s_i = seqs[i, :].T
+                x = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, s_i.copy(),
+                                                            perm))
+                q[i, j] = float((s_i.T * x)[0])
+    return np.array([q[link] for link in links])
+
+
+def _capacity_instance_feasible_loop(template, spreading_gain, n_nodes,
+                                     positions_all, seed, trial) -> bool:
+    """One instance of ``capacity_search_loop``, built from scratch."""
+    scenario = template.replace(n_nodes=n_nodes, spreading_gain=spreading_gain)
+    positions = positions_all[:n_nodes].copy()
+    positions.setflags(write=False)
+    topology = Topology(positions=positions, area_side=scenario.area_side)
+    gains = compute_link_gains(topology, scenario.path_loss_exp)
+    sessions = generate_sessions(
+        n_nodes, derive_seed(seed, _CAP_SESSION_STREAM, trial, n_nodes)
+    )
+    p0 = initial_powers(scenario, np.random.default_rng(
+        derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)))
+    routes = initial_routes(scenario, gains, sessions, p0)
+    if scenario.receiver == "matched":
+        return routes.probe.converged
+    codebook = generate_spreading_codebook(
+        n_nodes, spreading_gain,
+        derive_seed(seed, _CAP_CODEBOOK_STREAM, trial, n_nodes),
+    )
+    return run_power_control(scenario, p0, routes, gains, codebook).converged
+
+
+def capacity_search_loop(scenario_template, spreading_gain, trials,
+                         feasibility_target, seed, *, n_min=40, n_max=65,
+                         n_step=5) -> CapacityResult:
+    """Per-instance form of ``experiments.capacity_search``, kept as its
+    reference: every judged instance builds its scenario, topology, gains
+    and initial-power generator anew from the trial's n_max positions."""
+    positions = []
+    for trial in range(trials):
+        rng = np.random.default_rng(
+            derive_seed(seed, _CAP_POSITION_STREAM, trial)
+        )
+        positions.append(
+            rng.uniform(0.0, scenario_template.area_side, size=(n_max, 2))
+        )
+
+    alive = np.ones(trials, dtype=bool)
+    n_values, rates, n_star = [], [], None
+    for n_nodes in range(n_min, n_max + 1, n_step):
+        for trial in range(trials):
+            if not alive[trial]:
+                continue
+            alive[trial] = _capacity_instance_feasible_loop(
+                scenario_template, spreading_gain, n_nodes, positions[trial],
+                seed, trial,
+            )
+        rate = float(np.mean(alive))
+        n_values.append(n_nodes)
+        rates.append(rate)
+        if rate >= feasibility_target:
+            n_star = n_nodes
+        else:
+            break
+    return CapacityResult(
+        spreading_gain=spreading_gain, n_star=n_star,
+        n_values=tuple(n_values), rates=tuple(rates), trials=trials,
+    )

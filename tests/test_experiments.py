@@ -9,7 +9,11 @@ import pytest
 
 from adhocnet import crosslayer, experiments, netmodel
 from adhocnet.crosslayer import joint_optimize, multi_start
-from adhocnet.errors import ConfigError, MissingArtifactError
+from adhocnet.errors import (
+    CoincidentNodesError,
+    ConfigError,
+    MissingArtifactError,
+)
 from adhocnet.experiments import (
     EXPERIMENT_KINDS,
     CapacityResult,
@@ -20,7 +24,15 @@ from adhocnet.experiments import (
     run_experiment,
     throughput_gain,
 )
-from adhocnet.netmodel import Scenario, build_network
+from adhocnet.netmodel import (
+    Scenario,
+    Topology,
+    build_network,
+    compute_link_gains,
+    leading_gains,
+    pair_gains,
+)
+from helpers import capacity_search_loop
 
 FEASIBLE = Scenario(n_nodes=10, spreading_gain=64, master_seed=6,
                     area_side=150.0)
@@ -211,6 +223,72 @@ def test_capacity_rates_non_increasing_and_result_fields():
         assert result.rates[idx] >= 0.5
         if idx + 1 < len(rates):
             assert rates[idx + 1] < 0.5
+
+
+@pytest.mark.parametrize("mode", ["equal", "random"])
+@pytest.mark.parametrize("receiver, length, scan", [
+    ("matched", 64, dict(trials=5, feasibility_target=0.2, n_min=6,
+                         n_max=26, n_step=5)),
+    ("lmmse", 8, dict(trials=4, feasibility_target=0.25, n_min=6, n_max=22,
+                      n_step=4)),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_capacity_search_matches_per_instance_loop(receiver, length, scan,
+                                                   mode, seed):
+    # per-size scenarios and per-trial gains judge every instance as the
+    # scan that builds each instance from scratch; the LMMSE scan crosses
+    # n = L, so both kernel coordinate systems are judged
+    template = Scenario(n_nodes=10, spreading_gain=length, receiver=receiver,
+                        initial_power_mode=mode, master_seed=2)
+    want = capacity_search_loop(template, length, seed=seed, **scan)
+    assert capacity_search(template, length, seed=seed, **scan) == want
+    assert len(set(want.rates)) > 1  # the scan judged both verdicts
+
+
+def test_size_gains_are_the_leading_block_until_a_coincident_pair():
+    # nodes 3 and 9 share a position: sizes up to 9 are unaffected, and
+    # every size from 10 on raises, as gains built from scratch do
+    positions = np.random.default_rng(7).uniform(0.0, 200.0, size=(14, 2))
+    positions[9] = positions[3]
+    trial_gains = pair_gains(positions, 2.0)
+    for n in range(2, 15):
+        topology = Topology(positions=positions[:n], area_side=200.0)
+        if n <= 9:
+            got = leading_gains(trial_gains, n).gains
+            assert got.tobytes() == \
+                compute_link_gains(topology, 2.0).gains.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+            continue
+        for build in (lambda: leading_gains(trial_gains, n),
+                      lambda: compute_link_gains(topology, 2.0)):
+            with pytest.raises(CoincidentNodesError):
+                build()
+
+
+def test_capacity_scan_raises_at_the_first_size_holding_a_coincident_pair(
+        monkeypatch):
+    # trial 1 places node 9 on node 3: sizes 4 and 8 are judged in full,
+    # and the scan raises at size 12, before judging that size's trial 1
+    drawn, judged = [], []
+    feasible = experiments._capacity_instance_feasible
+
+    def coincide(positions, path_loss_exp):
+        drawn.append(positions)
+        if len(drawn) == 2:
+            positions[9] = positions[3]
+        return pair_gains(positions, path_loss_exp)
+
+    def judge(scenario, gains, seed, trial):
+        judged.append((scenario.n_nodes, trial))
+        return feasible(scenario, gains, seed, trial)
+
+    monkeypatch.setattr(experiments, "pair_gains", coincide)
+    monkeypatch.setattr(experiments, "_capacity_instance_feasible", judge)
+    easy = Scenario(n_nodes=10, spreading_gain=64, target_sir=1e-6)
+    with pytest.raises(CoincidentNodesError):
+        capacity_search(easy, 64, trials=3, feasibility_target=0.5, seed=5,
+                        n_min=4, n_max=16, n_step=4)
+    assert judged == [(n, t) for n in (4, 8) for t in range(3)] + [(12, 0)]
 
 
 def test_capacity_experiment_writes_rate_table(tmp_path):

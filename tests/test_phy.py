@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
@@ -24,6 +24,7 @@ from adhocnet.phy import (
 from helpers import (
     all_pairs,
     lmmse_kernel_lu,
+    lmmse_q_mpmath,
     lmmse_sir_matrix_all_pairs,
     random_network,
     topology_from_positions,
@@ -435,6 +436,35 @@ def test_lmmse_kernel_matches_lu_oracle_at_realistic_sizes(instance):
     np.testing.assert_allclose(
         lmmse_solve(p, gains, book, noise, *all_pairs(n)),
         lmmse_kernel_lu(p, gains, book, noise, *all_pairs(n)), rtol=1e-10)
+
+
+@st.composite
+def near_switch_instances(draw):
+    """Square or nearly square codebooks, n from L - 2 to L, with cond(G)
+    from 1e3 to 1e7, on both sides of ``netmodel.GRAM_CONDITION_LIMIT``;
+    every link into three receivers."""
+    length = draw(st.integers(16, 28))
+    n = length - draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    book = generate_spreading_codebook(n, length, seed=int(rng.integers(1e6)))
+    assume(1e3 <= np.linalg.cond(book.gram) <= 1e7)
+    _, gains = random_network(rng, n)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    links = [(i, int(j)) for j in rng.choice(n, 3, replace=False)
+             for i in range(n) if i != j]
+    return p, gains, book, links
+
+
+@settings(max_examples=10, deadline=None)
+@given(near_switch_instances())
+def test_lmmse_kernel_matches_mpmath_near_the_coordinate_switch(instance):
+    # the inverse-Gram form up to the limit, the LU form above it; both
+    # agree with a 40-digit solve of the L x L covariance
+    p, gains, book, links = instance
+    i_idx, j_idx = np.array(links).T
+    np.testing.assert_allclose(
+        lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx),
+        lmmse_q_mpmath(p, gains, book, 1e-13, links), rtol=1e-11)
 
 
 def _perturbed_pair_codebook(n, length, scale):

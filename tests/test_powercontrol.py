@@ -661,6 +661,29 @@ def test_from_links_matches_loop_oracle(n, links):
         assert ActiveLinkSet.from_links(n, iter(links)).links == want
 
 
+def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
+    # the grouping is np.unique of the senders, computed once per link set:
+    # the check, the probe and the joint loop's first run share it
+    topo = topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0],
+                                    [20.0, 40.0]])
+    gains = compute_link_gains(topo, 2.0)
+    book = generate_spreading_codebook(4, 64, seed=2)
+    active = ActiveLinkSet.from_links(4, [(3, 1), (0, 1), (3, 2), (2, 0)])
+    want = np.unique([0, 2, 3, 3], return_index=True, return_inverse=True)
+    groups = active.sender_groups
+    for got, expected in zip(groups, want):
+        assert got.tolist() == expected.tolist()
+    calls = []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a))
+    p0 = np.full(4, 1e-9)
+    assert pc_solve(active, gains, 64, NOISE, GAMMA).converged
+    assert pc_iterate(p0, active, gains, 64, NOISE, GAMMA).converged
+    for mode in ("lmmse", "matched"):
+        assert pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
+                              filter_mode=mode)[0].converged
+    assert calls == [] and active.sender_groups is groups
+
+
 def _three_node_solvers():
     """Each power-control entry point on one three-node, two-link instance,
     as a function of the initial powers (pc_solve takes none)."""

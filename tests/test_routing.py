@@ -9,6 +9,7 @@ from adhocnet.errors import UnreachableSessionError
 from adhocnet.netmodel import Scenario, SessionSet, build_network, \
     compute_link_gains
 from adhocnet.phy import matched_link_sir, matched_sir_matrix, sir_matched
+from adhocnet.powercontrol import ActiveLinkSet
 from adhocnet.routing import (
     RouteSet,
     _heap_lex_path,
@@ -218,6 +219,36 @@ def test_active_links_match_loop_oracle(n, data):
         assert list(zip(i_idx.tolist(), j_idx.tolist())) == list(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_active_links_equal_from_links_over_consecutive_pairs(n, data):
+    # few nodes and many paths, so paths share links; two-node paths are
+    # one hop
+    path = st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                    unique=True)
+    paths = tuple(map(tuple, data.draw(st.lists(path, max_size=8))))
+    got = RouteSet(paths=paths, n_nodes=n).active_links
+    want = ActiveLinkSet.from_links(
+        n, [link for p in paths for link in zip(p[:-1], p[1:])])
+    assert got == want and got.links == want.links
+    for a, b in zip(got.link_arrays, want.link_arrays):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("paths, message", [
+    (((0, 1), (2, 5, 1)), "link (2, 5) outside node range"),
+    (((3, 0, -1), (1, 2)), "link (0, -1) outside node range"),
+])
+def test_active_links_name_an_out_of_range_node_as_from_links(paths,
+                                                                message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ActiveLinkSet.from_links(
+            4, [link for p in paths for link in zip(p[:-1], p[1:])])
+    routes = RouteSet(paths=paths, n_nodes=4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        routes.active_links
+
+
 def test_route_set_rejects_degenerate_paths():
     with pytest.raises(ValueError):
         RouteSet(paths=((0,),), n_nodes=2)
@@ -353,6 +384,21 @@ def test_initial_skeleton_matches_loop_oracle():
         forbidden = rng.uniform(size=(n, n)) < 0.2
         assert np.array_equal(_initial_skeleton(sir, forbidden),
                               initial_skeleton_loop(sir, forbidden))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_initial_skeleton_keeps_a_strongly_connected_first_phase(n):
+    # every node's best link out and in runs along the ring i -> i + 1, so
+    # the first phase is one component and no merge round adds a link
+    rng = np.random.default_rng(n)
+    sir = rng.choice([0.0, 0.5, 1.0], size=(n, n))
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    sir[ring] = 2.0
+    np.fill_diagonal(sir, 0.0)
+    forbidden = np.zeros((n, n), dtype=bool)
+    skeleton = _initial_skeleton(sir, forbidden)
+    assert np.array_equal(skeleton, initial_skeleton_loop(sir, forbidden))
+    assert np.array_equal(skeleton, ring)
 
 
 SIR_LEVELS = [0.0, 0.5, 1.0, 2.0, np.inf]
