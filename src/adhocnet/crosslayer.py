@@ -138,15 +138,11 @@ def _route_energy(routes: RouteSet, p: np.ndarray, link_sir: np.ndarray,
                  scenario: Scenario) -> float:
     """``network_energy_per_bit`` from the SIR of every active link, given
     in ``routes.active_links.links`` order."""
-    active = routes.active_links
-    energy = dict(zip(active.links, link_energies(
-        p[active.link_arrays[0]], link_sir, scenario.bit_rate,
-        scenario.packet_bits).tolist()))
-    total = 0.0
-    for path in routes.paths:
-        for link in zip(path[:-1], path[1:]):
-            total += energy[link]
-    return total
+    energy = link_energies(p[routes.active_links.link_arrays[0]], link_sir,
+                           scenario.bit_rate, scenario.packet_bits)
+    # added strictly left to right from 0.0, path by path, link by link
+    path_energy = np.append(0.0, energy[routes.path_links])
+    return float(np.add.accumulate(path_energy)[-1])
 
 
 def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,

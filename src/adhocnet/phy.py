@@ -29,10 +29,18 @@ links only:
   q = [M_j^-1]_ii = |L_j^-1 e_i|^2 for M_j = L_j L_j'; M_j >= noise G^-1
   keeps its pivots from vanishing.
 - LU form, n <= L and an ill-conditioned G. B_j^-1 S' = S' A_j^-1 with
-  A_j = noise I + D_j G, so q = G[i] A_j^-1 e_i by one LU of A_j.
+  A_j = noise I + D_j G, so q = G[i] A_j^-1 e_i by one LU of A_j
+  (``dgetrf``, solved by ``dgetrs``).
 - Span form, n > L. With the thin QR factorization S' = Q U (``span``),
   B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U', so
   q = |L_j^-1 u_i|^2 for K_j = L_j L_j' by Cholesky.
+
+Each receiver is factored once per power vector. A memo keeps the factors
+(failed ones too) made at the last key: p, noise and the gains by value,
+the codebook object by identity, holding a reference. A call at another
+key drops them before it factors; one at the same key factors only the
+receivers missing. A power-control step, the routing gate and the energy
+at one power vector thus share factors, bit-identical to fresh ones.
 
 The kernel returns q alone. Filters come from one per-link reference in
 the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``), which
@@ -51,12 +59,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf, dtrtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dtrtrs
 
 from .netmodel import LinkGainMatrix, SpreadingCodebook
 
 # Condition bound above which an LMMSE covariance solve is flagged.
 CONDITION_WARN_THRESHOLD = 1e12
+
+# lmmse_solve's memo: the last power vector's key and receiver factors
+_memo: tuple = ((), {})
 
 
 class _FiltersOnRead(Mapping):
@@ -217,49 +228,60 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
 
     Links may come in any order and share receivers, and i = j is allowed.
     The links are grouped by receiver inside: each distinct receiver's
-    system is factored once and solved for that receiver's links only. A
-    system that fails to factor in floating point (the span form can, at
-    noise below the rounding of the received power) leaves its links' q
-    at NaN. One warning per call names such receivers, if any, and reports
-    the largest covariance condition bound (sum_{k != i,j} P_k h(k,j) +
-    L noise) / noise of a link, if it exceeds ``CONDITION_WARN_THRESHOLD``.
+    system is factored once per p (module docstring) and solved for its
+    links only. A system that fails to factor in floating point (the span
+    form can, at noise below the rounding of the received power) leaves
+    its links' q at NaN. One warning per call names such receivers, if
+    any, and reports the largest covariance condition bound (sum_{k != i,j}
+    P_k h(k,j) + L noise) / noise of a link, if it exceeds
+    ``CONDITION_WARN_THRESHOLD``.
     """
+    global _memo
     n = p.shape[0]
     order = j_idx.argsort(kind="stable")  # the links grouped by receiver
     counts = np.bincount(j_idx, minlength=n)
     receivers = counts.nonzero()[0]
     ends = counts[receivers].cumsum()
-    w = p * gains.gains[:, receivers].T  # (receivers, n); zero at each one
-    e, left = np.eye(n), None  # q = |y|^2, or left' y for the LU form
+    key = (codebook, float(noise), np.asarray(p, float).tobytes(),
+           np.asarray(gains.gains, float).tobytes())
+    held, factors = _memo  # bound once: another call may rebind _memo
+    if not (held and held[0] is codebook and held[1:] == key[1:]):
+        factors = {}  # the last vector's factors go with the next line
+        _memo = key, factors
+    new = [j for j in receivers.tolist() if j not in factors]
+    w = p * gains.gains[:, new].T  # (new receivers, n); zero at each one
+    lu = codebook.inverse_gram is None and n <= codebook.length
+    e = np.eye(n)  # q = |y|^2, or G[i] y for the LU form
     if codebook.inverse_gram is not None:
         # M_j = noise G^-1 + D_j, right-hand sides e_i
         a = np.repeat(noise * codebook.inverse_gram[None], len(w), axis=0)
         a.reshape(-1, n * n)[:, ::n + 1] += w
-    elif n <= codebook.length:
-        # A_j' = noise I + G D_j, right-hand sides e_i, q = G[i] A_j^-1 e_i
+    elif lu:
+        # A_j' = noise I + G D_j, right-hand sides e_i
         a = codebook.gram * w[:, None, :]
         a.reshape(-1, n * n)[:, ::n + 1] += noise
-        left = codebook.gram[i_idx[order]].T
     else:
-        # K_j = noise I + U D_j U', right-hand sides u_i
+        # K_j = noise I + U D_j U', right-hand sides u_i; one product per
+        # receiver, so its factor does not depend on the others
         e = codebook.span.T  # (n, r)
         r = e.shape[1]
-        a = (w @ np.einsum("kr,ks->krs", e, e).reshape(n, r * r)).reshape(
-            -1, r, r)
+        a = np.array([(e.T * w_j) @ e for w_j in w]).reshape(-1, r, r)
         a.reshape(-1, r * r)[:, ::r + 1] += noise
-    rhs = e[i_idx[order]].T  # (r, links), grouped by receiver
-    y = np.empty_like(rhs)
-    edges = [0, *ends.tolist()]
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        # a[k].T is a Fortran view factored in place: A_j, or else a[k]
+    for j, a_j in zip(new, a):
+        # a_j.T is a Fortran view factored in place: A_j, or else a_j
         # itself, symmetric, of which the solves read the lower triangle
-        if left is None:
-            chol, info = dpotrf(a[k].T, lower=1, clean=0, overwrite_a=1)
-            x = dtrtrs(chol, rhs[:, lo:hi], lower=1)[0]
-        else:
-            x, info = dgesv(a[k].T, rhs[:, lo:hi], overwrite_a=1)[2:]
-        y[:, lo:hi] = np.nan if info else x
-    q_grouped = np.einsum("rl,rl->l", y if left is None else left, y)
+        *factor, info = (dgetrf(a_j.T, overwrite_a=1) if lu else
+                         dpotrf(a_j.T, lower=1, clean=0, overwrite_a=1))
+        factors[j] = None if info else factor
+    rhs = e[i_idx[order]].T  # (r, links), grouped by receiver
+    y = np.full_like(rhs, np.nan)
+    edges = [0, *ends.tolist()]
+    for j, lo, hi in zip(receivers.tolist(), edges[:-1], edges[1:]):
+        if factors[j] is not None:
+            y[:, lo:hi] = (dgetrs(*factors[j], rhs[:, lo:hi]) if lu else
+                           dtrtrs(*factors[j], rhs[:, lo:hi], lower=1))[0]
+    q_grouped = np.einsum("rl,rl->l",
+                          codebook.gram[i_idx[order]].T if lu else y, y)
     q = np.empty_like(q_grouped)
     q[order] = q_grouped
     own = p[i_idx] * gains.gains[i_idx, j_idx]

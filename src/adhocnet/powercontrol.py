@@ -27,9 +27,9 @@ The LMMSE update is not affine; ``pc_mud_iterate`` takes one step per
 kernel solve. Optimizing the filter at the current powers and then solving
 for the power that meets the target collapses to the closed form of Ulukus
 and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
-q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one Cholesky
-factorization per receiver, phy module docstring) and c = P_i h(i,j). The
-solve at the returned powers also gives every link's output SIR
+q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one factorization
+per receiver and power vector, phy module docstring) and c = P_i h(i,j).
+The solve at the returned powers also gives every link's output SIR
 c q / (1 - c q), ``PcResult.link_sir``. The returned ``phy.FilterBank.lmmse``
 calls ``phy.lmmse_filter`` at those powers only for a link that is read.
 """

@@ -106,13 +106,24 @@ class RouteSet:
                 raise ValueError(f"route {path} repeats a node")
 
     @cached_property
-    def active_links(self) -> ActiveLinkSet:
+    def _path_pairs(self) -> np.ndarray:
+        """(2, m) senders and receivers of the path links, in path order."""
         nodes = np.fromiter(itertools.chain.from_iterable(self.paths),
                             dtype=np.int64)
         # consecutive nodes, less the pairs that join two paths
         joins = np.cumsum([len(path) for path in self.paths], dtype=int) - 1
-        pairs = np.delete(np.stack((nodes[:-1], nodes[1:])), joins[:-1], axis=1)
-        return ActiveLinkSet.from_links(self.n_nodes, pairs.T)
+        return np.delete(np.stack((nodes[:-1], nodes[1:])), joins[:-1], axis=1)
+
+    @cached_property
+    def active_links(self) -> ActiveLinkSet:
+        return ActiveLinkSet.from_links(self.n_nodes, self._path_pairs.T)
+
+    @cached_property
+    def path_links(self) -> np.ndarray:
+        """Each path link's index in ``active_links.links``, in path order."""
+        i, j = self.active_links.link_arrays
+        codes = self._path_pairs[0] * self.n_nodes + self._path_pairs[1]
+        return np.searchsorted(i * self.n_nodes + j, codes)
 
 
 def _heap_lex_path(costs: np.ndarray, source: int,

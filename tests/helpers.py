@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from adhocnet import phy
 from adhocnet.crosslayer import initial_powers, run_power_control
 from adhocnet.experiments import (
     _CAP_CODEBOOK_STREAM,
@@ -29,6 +30,7 @@ from adhocnet.phy import (
     CONDITION_WARN_THRESHOLD,
     FilterBank,
     _interference_covariance,
+    link_energies,
     lmmse_filter,
     lmmse_solve,
 )
@@ -427,6 +429,36 @@ def same_pc_steps(got: PcResult, want: PcResult, rtol: float = 1e-10):
         == (want.status, want.iterations, len(want.trace))
     assert np.allclose(got.powers, want.powers, rtol=rtol, atol=0.0)
     assert np.allclose(got.trace, want.trace, rtol=rtol, atol=0.0)
+
+
+def count_factorizations(monkeypatch, fail=()) -> list:
+    """Empty ``phy.lmmse_solve``'s memo, then record the shape of every
+    matrix it factors; the factorizations numbered in ``fail`` (from 1)
+    report a failure."""
+    factored = []
+    monkeypatch.setattr(phy, "_memo", ((), {}))
+    for name in ("dpotrf", "dgetrf"):
+        def counted(a, _factor=getattr(phy, name), **kwargs):
+            factored.append(a.shape)
+            *factor, info = _factor(a, **kwargs)
+            return (*factor, 1 if len(factored) in fail else info)
+
+        monkeypatch.setattr(phy, name, counted)
+    return factored
+
+
+def route_energy_loop(routes, p, link_sir, scenario) -> float:
+    """``crosslayer._route_energy`` as a dict of link energies and a loop
+    over every path's links, kept as its reference."""
+    active = routes.active_links
+    energy = dict(zip(active.links, link_energies(
+        p[active.link_arrays[0]], link_sir, scenario.bit_rate,
+        scenario.packet_bits).tolist()))
+    total = 0.0
+    for path in routes.paths:
+        for link in zip(path[:-1], path[1:]):
+            total += energy[link]
+    return total
 
 
 def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhocnet.crosslayer import (
     initial_powers,
@@ -7,7 +15,7 @@ from adhocnet.crosslayer import (
     multi_start,
     network_energy_per_bit,
 )
-from adhocnet import crosslayer
+from adhocnet import crosslayer, phy, powercontrol
 from adhocnet.errors import ConfigError, UnreachableSessionError
 from adhocnet.netmodel import Scenario, build_network
 from adhocnet.phy import (
@@ -28,7 +36,12 @@ from adhocnet.routing import (
 )
 from adhocnet.seeds import derive_seed
 
-from helpers import random_network, same_pc_result
+from helpers import (
+    count_factorizations,
+    random_network,
+    route_energy_loop,
+    same_pc_result,
+)
 
 GAMMA = 12.5
 NOISE = 1e-13
@@ -363,3 +376,106 @@ def test_recorded_energies_equal_fresh_network_energy(receiver):
                                                   b.energy_per_bit)
             for a, b in zip(full.trace[:-1], full.trace[1:]))
     assert repeated > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 9), data=st.data())
+def test_route_energy_matches_loop_oracle_bit_for_bit(n, data):
+    # paths share links, and some links have zero SIR and infinite energy
+    path = st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                    unique=True)
+    paths = tuple(map(tuple, data.draw(st.lists(path, max_size=8))))
+    routes = RouteSet(paths=paths, n_nodes=n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = np.exp(rng.uniform(np.log(1e-9), np.log(1e-3), n))
+    link_sir = rng.choice([0.0, 5.0, 12.5, 30.0, np.inf],
+                          len(routes.active_links.links))
+    scenario = Scenario(n_nodes=n)
+    got = crosslayer._route_energy(routes, p, link_sir, scenario)
+    assert np.float64(got).tobytes() == np.float64(
+        route_energy_loop(routes, p, link_sir, scenario)).tobytes()
+
+
+def test_lmmse_joint_loop_factors_each_receiver_once_per_power_vector(
+        monkeypatch):
+    # every node sources a session, so the first power-control step runs
+    # at the initial energy's powers; the gate runs at the last step's
+    # powers and a rerouted run starts from them. Each receiver is factored
+    # once per power vector, never again at powers already solved
+    factored, solve = count_factorizations(monkeypatch), phy.lmmse_solve
+    events = []  # (site, factorizations, powers, receivers)
+    for site, module in (("energy", crosslayer), ("step", powercontrol),
+                         ("gate", phy)):
+        def logged(p, gains, codebook, noise, i_idx, j_idx, _site=site):
+            before = len(factored)
+            q = solve(p, gains, codebook, noise, i_idx, j_idx)
+            events.append((_site, len(factored) - before, p.tobytes(),
+                           set(j_idx.tolist())))
+            return q
+
+        monkeypatch.setattr(module, "lmmse_solve", logged)
+    scenario = Scenario(n_nodes=55, spreading_gain=128, receiver="lmmse",
+                        master_seed=5)
+    _, solution = run_joint(scenario)
+    assert solution.converged
+    sites = [site for site, *_ in events]
+    assert sites[:2] == ["energy", "step"]
+    (_, initial, p_init, heard), (_, first, p_first, heard_first) = events[:2]
+    assert (p_first, heard_first) == (p_init, heard)
+    assert (initial, first) == (len(heard), 0)
+    gates = [k for k, site in enumerate(sites) if site == "gate"]
+    assert gates[0] + 1 < len(events)  # a rerouted run
+    for k in gates:
+        _, count, p, heard = events[k]
+        _, _, p_last, heard_last = events[k - 1]
+        assert sites[k - 1] == "step" and p_last == p
+        assert count == len(heard - heard_last)
+        if k + 1 < len(events):
+            assert sites[k + 1] == "step" and events[k + 1][1] == 0
+    # in all: one factorization per power vector and receiver
+    assert len(factored) == len({(p, j) for _, _, p, heard in events
+                                 for j in heard})
+
+
+_BLAS_THREADS_SCRIPT = """
+import json
+from adhocnet import Scenario, build_network, joint_optimize, multi_start
+
+def summary(status, powers, routes):
+    return [status, powers.tobytes().hex(), routes.paths]
+
+def trace(solution):
+    return [(r.phase, r.total_power.hex(), r.energy_per_bit.hex())
+            for r in solution.trace]
+
+lmmse = Scenario(n_nodes=40, spreading_gain=128, receiver="lmmse",
+                 master_seed=5)
+net = build_network(lmmse)
+joint = joint_optimize(lmmse, net.topology, net.gains, net.sessions,
+                       net.codebook)
+matched = multi_start(Scenario(n_nodes=40, spreading_gain=128,
+                               master_seed=5), trials=3)
+print(json.dumps({
+    "joint": summary(joint.status, joint.powers, joint.routes)
+    + [trace(joint)],
+    "multi_start": [summary(t.status, t.powers, t.routes)
+                    for t in matched.trials] + [trace(matched.best)],
+}))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # an LMMSE joint run and a matched multi-start, with one BLAS thread and
+    # with two, in fresh interpreters: same powers to the bit, routes and
+    # traces
+    src = str(Path(crosslayer.__file__).resolve().parents[1])
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _BLAS_THREADS_SCRIPT], stdout=subprocess.PIPE,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                 PYTHONPATH=os.pathsep.join(
+                     [src, os.environ.get("PYTHONPATH", "")])))
+        for threads in ("1", "2")]
+    outputs = [json.loads(run.communicate(timeout=120)[0]) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0]["joint"][0] == "local_min"
+    assert outputs[0] == outputs[1]

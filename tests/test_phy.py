@@ -2,10 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf
 
+from adhocnet import phy
 from adhocnet.netmodel import (
     LinkGainMatrix,
     SpreadingCodebook,
@@ -23,6 +23,7 @@ from adhocnet.phy import (
 )
 from helpers import (
     all_pairs,
+    count_factorizations,
     lmmse_kernel_lu,
     lmmse_q_mpmath,
     lmmse_sir_matrix_all_pairs,
@@ -322,15 +323,7 @@ def test_lmmse_kernel_gives_each_link_its_q_in_any_order(instance):
 
 @pytest.mark.parametrize("length", [16, 4], ids=["inverse-Gram", "span"])
 def test_lmmse_kernel_factors_each_receiver_once(monkeypatch, length):
-    from adhocnet import phy
-
-    factored = []
-
-    def counted(a, **kwargs):
-        factored.append(a.shape)
-        return dpotrf(a, **kwargs)
-
-    monkeypatch.setattr(phy, "dpotrf", counted)
+    factored = count_factorizations(monkeypatch)
     rng = np.random.default_rng(47)
     _, gains = random_network(rng, 8)
     book = generate_spreading_codebook(8, length, seed=48)
@@ -438,16 +431,11 @@ def test_lmmse_kernel_matches_lu_oracle_at_realistic_sizes(instance):
         lmmse_kernel_lu(p, gains, book, noise, *all_pairs(n)), rtol=1e-10)
 
 
-@st.composite
-def near_switch_instances(draw):
-    """Square or nearly square codebooks, n from L - 2 to L, with cond(G)
-    from 1e3 to 1e7, on both sides of ``netmodel.GRAM_CONDITION_LIMIT``;
+def near_switch_instance(n, length, seed):
+    """An n-node network with an (n, L) codebook drawn from ``seed``, and
     every link into three receivers."""
-    length = draw(st.integers(16, 28))
-    n = length - draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     book = generate_spreading_codebook(n, length, seed=int(rng.integers(1e6)))
-    assume(1e3 <= np.linalg.cond(book.gram) <= 1e7)
     _, gains = random_network(rng, n)
     p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
     links = [(i, int(j)) for j in rng.choice(n, 3, replace=False)
@@ -455,12 +443,29 @@ def near_switch_instances(draw):
     return p, gains, book, links
 
 
+@st.composite
+def near_switch_instances(draw):
+    """Square or nearly square codebooks, n from L - 2 to L, with cond(G)
+    from 1e3 to 1e7, on both sides of ``netmodel.GRAM_CONDITION_LIMIT``."""
+    length = draw(st.integers(16, 28))
+    instance = near_switch_instance(length - draw(st.integers(0, 2)), length,
+                                    draw(st.integers(0, 2**32 - 1)))
+    assume(1e3 <= np.linalg.cond(instance[2].gram) <= 1e7)
+    return instance
+
+
 @settings(max_examples=10, deadline=None)
 @given(near_switch_instances())
+# n = L = 32 and cond(G) 5e4 and 2e5, where the span form's q is 9e-11 and
+# 4e-11 off and the LU form's within 2e-14
+@example(near_switch_instance(32, 32, 221))
+@example(near_switch_instance(32, 32, 622))
 def test_lmmse_kernel_matches_mpmath_near_the_coordinate_switch(instance):
     # the inverse-Gram form up to the limit, the LU form above it; both
     # agree with a 40-digit solve of the L x L covariance
     p, gains, book, links = instance
+    if p.shape[0] >= 32:  # the pinned examples
+        assert np.linalg.cond(book.gram) >= 1e4
     i_idx, j_idx = np.array(links).T
     np.testing.assert_allclose(
         lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx),
@@ -530,6 +535,107 @@ def test_failed_span_factorization_gives_nan_and_names_the_receiver():
         sir = lmmse_sir_matrix(p, gains, book, 1e-30, gate=0.0)
     # a receiver without a q passes no link through the routing gate
     assert (sir[:, 0] == 0.0).all()
+
+
+@st.composite
+def memo_instances(draw):
+    """Networks of up to 9 nodes in every coordinate form (a repeated
+    sequence sends n <= L to the LU form), noise at which the span form can
+    fail to factor, two link sets with repeated receivers and self-pairs,
+    and at times one receiver whose gains are NaN, which fails to factor in
+    the Cholesky forms."""
+    n = draw(st.integers(3, 9))
+    length = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, gains = random_network(rng, n)
+    seqs = np.array(generate_spreading_codebook(
+        n, length, seed=int(rng.integers(1e6))).sequences)
+    if draw(st.booleans()):
+        seqs[1] = seqs[0]
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    p[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
+    nan_receiver = draw(st.none() | st.integers(0, n - 1))
+    if nan_receiver is not None:
+        gains = LinkGainMatrix(gains=np.array(gains.gains))
+        gains.gains[:, nan_receiver] = np.nan
+    noise = draw(st.sampled_from([1e-13, 1e-30]))
+    first, links = rng.integers(0, n, (2, 2, 2 * n))
+    return p, gains, make_codebook(seqs), noise, first, links
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_instances())
+def test_lmmse_kernel_memo_gives_the_fresh_q_bit_for_bit(instance):
+    # q from factors the memo kept since an earlier call at the same powers
+    # is q factored afresh, NaN included
+    p, gains, book, noise, first, links = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        phy._memo = ((), {})
+        fresh = lmmse_solve(p, gains, book, noise, *links)
+        phy._memo = ((), {})
+        lmmse_solve(p, gains, book, noise, *first)
+        partly_kept = lmmse_solve(p, gains, book, noise, *links)
+        kept = lmmse_solve(p, gains, book, noise, *links)
+    assert partly_kept.tobytes() == fresh.tobytes()
+    assert kept.tobytes() == fresh.tobytes()
+
+
+def test_lmmse_kernel_memo_is_never_stale(monkeypatch):
+    # the memo holds one key: p, noise and gains by value, the codebook by
+    # identity; any other key factors every receiver again
+    factored = count_factorizations(monkeypatch)
+    rng = np.random.default_rng(53)
+    _, gains = random_network(rng, 8)
+    book = generate_spreading_codebook(8, 16, seed=54)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), 8))
+    i_idx = np.array([0, 5, 2, 7, 1, 3, 6, 2, 4])
+    j_idx = np.array([3, 1, 3, 6, 3, 1, 1, 6, 4])
+
+    def solve(p, gains, book, noise):
+        factored.clear()
+        q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
+        assert len(factored) in (0, 4)  # none, or all 4 receivers again
+        return q, len(factored)
+
+    q, count = solve(p, gains, book, 1e-13)
+    assert count == 4
+    q_kept, count = solve(p.copy(), gains, book, 1e-13)
+    assert count == 0 and q_kept.tobytes() == q.tobytes()
+    assert solve(p, gains, book, 2e-13)[1] == 4
+    assert solve(p, gains, book, 1e-13)[1] == 4  # one key at a time
+    twin = SpreadingCodebook(sequences=book.sequences)
+    assert solve(p, gains, twin, 1e-13)[1] == 4
+    writable = LinkGainMatrix(gains=np.array(gains.gains))
+    assert solve(p, writable, twin, 1e-13)[1] == 0  # equal values
+    writable.gains[2, 3] *= 2.0
+    q_changed, count = solve(p, writable, twin, 1e-13)
+    assert count == 4
+    moved = np.array(p)
+    moved[5] *= 2.0
+    assert solve(moved, writable, twin, 1e-13)[1] == 4
+    monkeypatch.setattr(phy, "_memo", ((), {}))
+    assert solve(p, writable, twin, 1e-13)[0].tobytes() == q_changed.tobytes()
+
+
+@pytest.mark.parametrize("seqs", [
+    generate_spreading_codebook(6, 16, seed=55).sequences,
+    np.repeat(generate_spreading_codebook(3, 16, seed=55).sequences, 2, 0),
+], ids=["inverse-Gram", "LU"])
+def test_failed_factorization_is_kept_as_such(monkeypatch, seqs):
+    # the receiver whose factorization failed keeps NaN q at its powers,
+    # without factoring again; the others are factored once
+    book = make_codebook(seqs)
+    rng = np.random.default_rng(56)
+    _, gains = random_network(rng, 6)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), 6))
+    i_idx, j_idx = np.array([[0, 1], [2, 1], [3, 4], [5, 4], [1, 0]]).T
+    factored = count_factorizations(monkeypatch, fail=(2,))
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match=r"NaN q: \[1\]"):
+            q = lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
+        assert np.isnan(q[:2]).all() and np.isfinite(q[2:]).all()
+        assert len(factored) == 3
 
 
 @st.composite

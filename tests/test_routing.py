@@ -227,12 +227,14 @@ def test_active_links_equal_from_links_over_consecutive_pairs(n, data):
     path = st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
                     unique=True)
     paths = tuple(map(tuple, data.draw(st.lists(path, max_size=8))))
-    got = RouteSet(paths=paths, n_nodes=n).active_links
-    want = ActiveLinkSet.from_links(
-        n, [link for p in paths for link in zip(p[:-1], p[1:])])
+    routes = RouteSet(paths=paths, n_nodes=n)
+    links = [link for p in paths for link in zip(p[:-1], p[1:])]
+    got, want = routes.active_links, ActiveLinkSet.from_links(n, links)
     assert got == want and got.links == want.links
     for a, b in zip(got.link_arrays, want.link_arrays):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    # path_links indexes the set's links with every path link, in order
+    assert [got.links[k] for k in routes.path_links.tolist()] == links
 
 
 @pytest.mark.parametrize("paths, message", [
