@@ -47,6 +47,7 @@ from .powercontrol import (
     PcResult,
     pc_iterate,
     pc_mud_iterate,
+    pc_mud_solve,
     pc_solve,
     power_targets,
 )

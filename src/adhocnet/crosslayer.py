@@ -36,7 +36,7 @@ from .phy import (
     matched_link_sir,
     matched_sir_matrix,
 )
-from .powercontrol import PcResult, pc_iterate, pc_mud_iterate
+from .powercontrol import PcResult, pc_iterate, pc_mud_solve
 from .errors import UnreachableSessionError, check_value
 from .routing import RouteSet, assign_routes, build_link_costs, initial_routes
 from .seeds import derive_seed
@@ -151,11 +151,11 @@ def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
     """Power control from ``p`` on ``routes`` with the scenario's receiver."""
     active = routes.active_links
     if scenario.receiver == "lmmse":
-        return pc_mud_iterate(
+        return pc_mud_solve(
             p, active, gains, codebook, scenario.noise_power,
             scenario.target_sir, tol=scenario.pc_tol,
             max_iter=scenario.pc_max_iter, power_cap=scenario.power_cap,
-        )[0]
+        )
     return pc_iterate(
         p, active, gains, scenario.spreading_gain, scenario.noise_power,
         scenario.target_sir, tol=scenario.pc_tol,

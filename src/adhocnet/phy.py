@@ -35,6 +35,12 @@ links only:
   B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U', so
   q = |L_j^-1 u_i|^2 for K_j = L_j L_j' by Cholesky.
 
+``lmmse_vectors`` also gives each link's x = S c for the LMMSE filter
+direction c = B_j^-1 s_i, so c's_k = x_k and x_i = q: x = S B_j^-1 S' e_i,
+which is L_j'^-1 L_j^-1 e_i in the inverse-Gram form, G A_j^-1 e_i in the
+LU form and U' L_j'^-1 L_j^-1 u_i in the span form. That is one more
+triangular solve per receiver (none for LU) against the kept factors.
+
 Each receiver is factored once per power vector. A memo keeps the factors
 (failed ones too) made at the last key: p, noise and the gains by value,
 the codebook object by identity, holding a reference. A call at another
@@ -236,6 +242,21 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     P_k h(k,j) + L noise) / noise of a link, if it exceeds
     ``CONDITION_WARN_THRESHOLD``.
     """
+    return _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, False)
+
+
+def lmmse_vectors(p: np.ndarray, gains: LinkGainMatrix,
+                  codebook: SpreadingCodebook, noise: float,
+                  i_idx: np.ndarray, j_idx: np.ndarray) -> tuple:
+    """``lmmse_solve``'s q, and x = S c (n, links) for each link's LMMSE
+    filter direction c at p, with x[i, l] = q[l] up to rounding (module
+    docstring). The factors, memo, NaN results and warning are
+    ``lmmse_solve``'s."""
+    return _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, True)
+
+
+def _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, vectors):
+    """``lmmse_vectors`` if ``vectors``, else ``lmmse_solve``."""
     global _memo
     n = p.shape[0]
     order = j_idx.argsort(kind="stable")  # the links grouped by receiver
@@ -275,11 +296,15 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
         factors[j] = None if info else factor
     rhs = e[i_idx[order]].T  # (r, links), grouped by receiver
     y = np.full_like(rhs, np.nan)
+    v = y if lu or not vectors else y.copy()  # L_j'^-1 y; for LU, y
     edges = [0, *ends.tolist()]
     for j, lo, hi in zip(receivers.tolist(), edges[:-1], edges[1:]):
         if factors[j] is not None:
             y[:, lo:hi] = (dgetrs(*factors[j], rhs[:, lo:hi]) if lu else
                            dtrtrs(*factors[j], rhs[:, lo:hi], lower=1))[0]
+            if v is not y:
+                v[:, lo:hi] = dtrtrs(*factors[j], y[:, lo:hi], lower=1,
+                                     trans=1)[0]
     q_grouped = np.einsum("rl,rl->l",
                           codebook.gram[i_idx[order]].T if lu else y, y)
     q = np.empty_like(q_grouped)
@@ -293,8 +318,12 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
                ] if bound > CONDITION_WARN_THRESHOLD else []
     clauses += [f"receivers left with NaN q: {failed}"] if failed else []
     if clauses:
-        warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 2)
-    return q
+        warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 3)
+    if not vectors:
+        return q
+    x = v if codebook.inverse_gram is not None else (
+        codebook.gram if lu else e) @ v  # by form (module docstring)
+    return q, x[:, order.argsort()]
 
 
 def lmmse_link_sir(c: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -23,20 +23,31 @@ monotone (Yates), so the solutions rise to the minimal fixed point; a
 singular, negative or over-cap solve proves infeasibility (Perron-Frobenius;
 Zander, Foschini-Miljanic). Verdicts come from it, powers from iteration.
 
-The LMMSE update is not affine; ``pc_mud_iterate`` takes one step per
-kernel solve. Optimizing the filter at the current powers and then solving
-for the power that meets the target collapses to the closed form of Ulukus
-and Yates: T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
-q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one factorization
-per receiver and power vector, phy module docstring) and c = P_i h(i,j).
-The solve at the returned powers also gives every link's output SIR
+The LMMSE update is not affine. Optimizing the filter at the current
+powers and then solving for the power that meets the target collapses to
+the closed form of Ulukus and Yates ("Adaptive power control and MMSE
+interference suppression", 1998): T_i(p) = max_j target * (1 - c q) /
+(h(i,j) q), with q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve``
+(one factorization per receiver and power vector, phy module docstring)
+and c = P_i h(i,j). ``pc_mud_iterate`` takes one step per kernel solve.
+The joint loop's powers come from ``pc_mud_solve``, by Newton steps. Per
+link, T is the minimum over filters of maps affine in p, so the filters
+frozen at p (``phy.lmmse_vectors``) give tangent maps, equal to T at p and
+above it elsewhere. A step solves their maximum over each sender's links
+exactly, by ``pc_solve``'s policy iteration; its solution p' has
+T(p') <= p', so it bounds the minimal fixed point from above (Yates, "A
+framework for uplink power control", 1995), and steps from there descend.
+A failed policy solve, which for LMMSE proves nothing, gives way to T(p),
+as does a step from p <= T(p) that lands below T(p), which the minimal
+fixed point is not (rounding at ill-conditioned powers). p is returned
+converged only when it passes the residual test, its certificate. The
+solve at the returned powers also gives every link's output SIR
 c q / (1 - c q), ``PcResult.link_sir``. The returned ``phy.FilterBank.lmmse``
 calls ``phy.lmmse_filter`` at those powers only for a link that is read.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -50,6 +61,7 @@ from .phy import (
     FilterBank,
     lmmse_link_sir,
     lmmse_solve,
+    lmmse_vectors,
     received_powers,
 )
 
@@ -157,13 +169,16 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
 
 def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
                  advance: Callable[[np.ndarray, int], np.ndarray], *,
-                 tol: float, max_iter: int, power_cap: float) -> PcResult:
+                 tol: float, max_iter: int, power_cap: float,
+                 leap: Callable | None = None) -> PcResult:
     """Synchronous iteration p <- T(p) shared by every receiver.
 
     ``advance(x, budget)`` returns the senders' powers x (other nodes stay
     silent) and the next 1 to ``budget`` iterates as rows. The stopping
     rules, in order: the residual test or a NaN update ("nonfinite", a
     failed LMMSE factorization) at step k, the cap on iterate k, the budget.
+    ``leap(t)``, if given, replaces a last row t that fails the residual
+    test before the cap is tested.
     A ``p0`` that ``errors.check_powers`` rejects raises ConfigError.
     """
     senders = active.sender_groups[0]
@@ -177,6 +192,8 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
             residual = (np.abs(new - prev) / np.maximum(prev, _RESIDUAL_FLOOR)
                         ).max(axis=1, initial=0.0)
             settled = ~(residual > tol)  # the residual test, or NaN
+            if leap is not None and not settled[-1]:
+                new[-1] = leap(new[-1])
             stop = (settled | (new > power_cap).any(axis=1)).nonzero()[0]
             end = int(stop[0]) if stop.size else len(new) - 1
             done, kept = done + end + 1, end + (not settled[end])
@@ -215,6 +232,31 @@ def _repick(need, policy, starts, owner) -> np.ndarray:
         np.where(need == worst[owner], np.arange(len(need)), len(need)),
         starts)
     return np.where(current < worst, first, policy)
+
+
+def _policy_iteration(a, coupling, starts, owner, need,
+                      power_cap) -> tuple[list, bool]:
+    """``pc_solve``'s policy iteration (module docstring) on the senders'
+    update max over each sender's links l of a_l + x @ coupling[:, l], from
+    the worst links under ``need``: the solutions, and whether the last is
+    its minimal fixed point (not if a solve is singular, negative or over
+    ``power_cap``)."""
+    policy, solutions = starts, []
+    while True:
+        policy = _repick(need, policy, starts, owner)
+        system = -coupling[:, policy].T  # Fortran order, factored in place
+        np.fill_diagonal(system, 1.0)  # coupling is zero at a link's sender
+        x, info = dgesv(system, a[policy], overwrite_a=True,
+                        overwrite_b=True)[2:]
+        if info or not (x.min() >= 0.0 and x.max() <= power_cap):
+            return solutions, False
+        solutions.append(x)
+        need = a + x @ coupling
+        # done when no link needs more than its sender's policy link, or
+        # when the total did not rise: every real switch raises it
+        if not (need > need[policy][owner]).any() or len(solutions) > 1 \
+                and x.sum() <= solutions[-2].sum():
+            return solutions, True
 
 
 def _affine_steps(form: tuple) -> Callable[[np.ndarray, int], np.ndarray]:
@@ -282,32 +324,20 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
     """
     senders, starts, owner, a, coupling = _affine_form(
         active, gains, noise, target_sir, target_sir / spreading_gain)
-    # column l of system is e_{i_l} - F_l over the senders
-    system = -coupling
-    system[owner, np.arange(len(a))] = 1.0
     # first policy: the worst links two synchronous steps up from zero
-    policy, p, totals, need = starts, np.zeros(len(senders)), [], a
+    need = a
     for _ in range(2):
         need = a + np.maximum.reduceat(need, starts) @ coupling
-    status, iteration = STATUS_CONVERGED, 0  # unless a solve fails
-    for iteration in itertools.count(1) if len(a) else ():  # no link, no solve
-        policy = _repick(need, policy, starts, owner)
-        x, info = dgesv(system[:, policy].T, a[policy], overwrite_a=True,
-                        overwrite_b=True)[2:]
-        if info or not (x.min() >= 0.0 and x.max() <= power_cap):
-            status = STATUS_INFEASIBLE
-            break
-        p, need = x, a + x @ coupling
-        totals.append(float(p.sum()))
-        # done when no link needs more than its sender's policy link, or
-        # when the total did not rise: every real switch raises it
-        if not (need > need[policy][owner]).any() \
-                or len(totals) > 1 and totals[-1] <= totals[-2]:
-            break
+    solutions, solved = (_policy_iteration(a, coupling, starts, owner, need,
+                                           power_cap)
+                         if len(a) else ([], True))  # no link, no solve
     powers = np.zeros(active.n_nodes)
-    powers[senders] = p
+    if solutions:
+        powers[senders] = solutions[-1]
     powers.setflags(write=False)
-    return PcResult(status, powers, iteration, np.asarray(totals))
+    return PcResult(STATUS_CONVERGED if solved else STATUS_INFEASIBLE, powers,
+                    len(solutions) + (not solved),
+                    np.array([float(x.sum()) for x in solutions]))
 
 
 def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
@@ -327,8 +357,6 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     the returned ``link_sir``, are computed at the returned power vector.
     """
     check_value("filter_mode", filter_mode, str, choices=("lmmse", "matched"))
-    i_idx, j_idx = active.link_arrays
-    g = gains.gains[i_idx, j_idx]
     stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
 
     if filter_mode == "matched":
@@ -338,23 +366,69 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
         return (_fixed_point(p0, active, _affine_steps(form), **stop),
                 FilterBank.matched(codebook, active.links))
 
-    transmitters, starts, _ = active.sender_groups
-    q = None  # of the last step's powers
+    result = _lmmse_fixed_point(p0, active, gains, codebook, noise,
+                                target_sir, False, stop)
+    return result, FilterBank.lmmse(active.links, result.powers, gains,
+                                    codebook, noise)
+
+
+def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
+                 codebook: SpreadingCodebook, noise: float, target_sir: float,
+                 *, tol: float = 1e-6, max_iter: int = 10_000,
+                 power_cap: float = 1.0) -> PcResult:
+    """``pc_mud_iterate``'s LMMSE fixed point by Newton steps, each from one
+    kernel solve (module docstring). A p that passes the residual test is
+    returned as converged; otherwise the next p solves the tangent maps at
+    p, or is T(p) when that fails or lands below T(p) from below it.
+    Statuses, ``iterations`` and ``link_sir`` read as ``pc_mud_iterate``'s.
+    """
+    return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
+                              True, dict(tol=tol, max_iter=max_iter,
+                                         power_cap=power_cap))
+
+
+def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
+                       newton, stop) -> PcResult:
+    """``_fixed_point`` on the closed-form LMMSE update, with Newton leaps
+    if ``newton``; ``link_sir`` comes from a solve at the returned p."""
+    i_idx, j_idx = active.link_arrays
+    senders, starts, owner = active.sender_groups
+    g = gains.gains[i_idx, j_idx]
+    solve = lmmse_vectors if newton else lambda *a: (lmmse_solve(*a),)
+    last = None  # (q[, S c], x, need) of the last step
 
     def advance(x, budget):  # one step per kernel solve
-        nonlocal q
+        nonlocal last
         p = np.zeros(active.n_nodes)
-        p[transmitters] = x
-        q = lmmse_solve(p, gains, codebook, noise, i_idx, j_idx)
+        p[senders] = x
+        last = solve(p, gains, codebook, noise, i_idx, j_idx)
+        q = last[0]
         need = target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
+        last += (x, need)
         return np.array((x, np.maximum(0.0,
                                        np.maximum.reduceat(need, starts))))
 
-    result = _fixed_point(p0, active, advance, **stop)
+    def leap(t):
+        # with every filter frozen at x, link l needs need[l] at x and
+        # need[l] + (x' - x) @ coupling[:, l] at other senders' powers x'
+        q, sc, x, need = last
+        coupling = gains.gains[senders][:, j_idx] * sc[senders] ** 2 * (
+            target_sir / (g * q * q))
+        coupling[owner, np.arange(len(g))] = 0.0
+        solutions, solved = _policy_iteration(
+            need - x @ coupling, coupling, starts, owner, need,
+            stop["power_cap"])
+        # from x <= t a step lands at or above t (module docstring); one
+        # that does not is rounding at ill-conditioned powers
+        if not solved or (t >= x).all() and (solutions[-1] < t).any():
+            return t
+        return solutions[-1]
+
+    result = _fixed_point(p0, active, advance, leap=leap if newton else None,
+                          **stop)
     p = result.powers
     if result.status in (STATUS_INFEASIBLE, STATUS_MAX_ITER):
-        advance(p[transmitters], 1)  # no solve at the returned powers yet
-    link_sir = lmmse_link_sir(p[i_idx] * g, q)
+        advance(p[senders], 1)  # no solve at the returned powers yet
+    link_sir = lmmse_link_sir(p[i_idx] * g, last[0])
     link_sir.setflags(write=False)
-    return (replace(result, link_sir=link_sir),
-            FilterBank.lmmse(active.links, p, gains, codebook, noise))
+    return replace(result, link_sir=link_sir)

@@ -402,18 +402,20 @@ def test_lmmse_joint_loop_factors_each_receiver_once_per_power_vector(
     # at the initial energy's powers; the gate runs at the last step's
     # powers and a rerouted run starts from them. Each receiver is factored
     # once per power vector, never again at powers already solved
-    factored, solve = count_factorizations(monkeypatch), phy.lmmse_solve
+    factored = count_factorizations(monkeypatch)
     events = []  # (site, factorizations, powers, receivers)
-    for site, module in (("energy", crosslayer), ("step", powercontrol),
-                         ("gate", phy)):
-        def logged(p, gains, codebook, noise, i_idx, j_idx, _site=site):
+    for site, module, entry in (("energy", crosslayer, "lmmse_solve"),
+                                ("step", powercontrol, "lmmse_vectors"),
+                                ("gate", phy, "lmmse_solve")):
+        def logged(p, gains, codebook, noise, i_idx, j_idx, _site=site,
+                   _solve=getattr(phy, entry)):
             before = len(factored)
-            q = solve(p, gains, codebook, noise, i_idx, j_idx)
+            solved = _solve(p, gains, codebook, noise, i_idx, j_idx)
             events.append((_site, len(factored) - before, p.tobytes(),
                            set(j_idx.tolist())))
-            return q
+            return solved
 
-        monkeypatch.setattr(module, "lmmse_solve", logged)
+        monkeypatch.setattr(module, entry, logged)
     scenario = Scenario(n_nodes=55, spreading_gain=128, receiver="lmmse",
                         master_seed=5)
     _, solution = run_joint(scenario)

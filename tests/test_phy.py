@@ -18,6 +18,7 @@ from adhocnet.phy import (
     lmmse_filter,
     lmmse_sir_matrix,
     lmmse_solve,
+    lmmse_vectors,
     sir_lmmse,
     sir_matched,
 )
@@ -514,6 +515,41 @@ def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
         assert q_all[i, j] == pytest.approx(seqs[i] @ want, rel=1e-9)
 
 
+@pytest.mark.parametrize("book, form", [
+    (generate_spreading_codebook(12, 64, seed=45), "inverse-Gram"),
+    (_perturbed_pair_codebook(12, 32, 1e-5), "LU"),
+    (generate_spreading_codebook(12, 8, seed=45), "span"),
+], ids=["inverse-Gram", "LU", "span"])
+def test_lmmse_vectors_are_the_filters_seen_through_the_sequences(
+        monkeypatch, book, form):
+    # x = S c for the LMMSE direction c = B_j^-1 s_i, against the dense
+    # L x L solve; q is lmmse_solve's to the bit, from its kept factors
+    n, noise = book.sequences.shape[0], 1e-13
+    assert (book.inverse_gram is not None) == (form == "inverse-Gram")
+    assert (n <= book.length) == (form != "span")
+    rng = np.random.default_rng(46)
+    _, gains = random_network(rng, n)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    p[[3, 7]] = 0.0
+    seqs = book.sequences
+    links = [(i, j) for i in range(n) for j in range(n) if i != j]
+    i_idx, j_idx = np.array(links)[rng.permutation(len(links))].T
+    factored = count_factorizations(monkeypatch)
+    q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
+    count = len(factored)
+    q_vectors, x = lmmse_vectors(p, gains, book, noise, i_idx, j_idx)
+    assert len(factored) == count == n
+    assert q_vectors.tobytes() == q.tobytes()
+    assert x.shape == (n, len(links))
+    for l, (i, j) in enumerate(zip(i_idx, j_idx)):
+        cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
+            + noise * np.eye(book.length)
+        want = seqs @ np.linalg.solve(cov, seqs[i])
+        np.testing.assert_allclose(x[:, l], want, rtol=1e-8,
+                                   atol=1e-9 * np.abs(want).max())
+        assert x[i, l] == pytest.approx(q[l], rel=1e-12)
+
+
 def test_failed_span_factorization_gives_nan_and_names_the_receiver():
     # n = 5 > L = 4 with span coordinates U = S' exactly. At receiver 0 the
     # interference covariance is ones + diag(0, 4, 4, 0), singular in exact
@@ -577,8 +613,11 @@ def test_lmmse_kernel_memo_gives_the_fresh_q_bit_for_bit(instance):
         lmmse_solve(p, gains, book, noise, *first)
         partly_kept = lmmse_solve(p, gains, book, noise, *links)
         kept = lmmse_solve(p, gains, book, noise, *links)
+        with_vectors, x = lmmse_vectors(p, gains, book, noise, *links)
     assert partly_kept.tobytes() == fresh.tobytes()
     assert kept.tobytes() == fresh.tobytes()
+    assert with_vectors.tobytes() == fresh.tobytes()
+    assert (np.isnan(x).any(axis=0) == np.isnan(fresh)).all()
 
 
 def test_lmmse_kernel_memo_is_never_stale(monkeypatch):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from adhocnet.crosslayer import initial_powers
 from adhocnet.errors import ConfigError
-from adhocnet.phy import lmmse_solve
+from adhocnet import powercontrol
+from adhocnet.phy import FilterBank, lmmse_filter, lmmse_solve, sir_lmmse
 from adhocnet.netmodel import Scenario, SpreadingCodebook, build_network, \
     compute_link_gains, generate_spreading_codebook
 from adhocnet.powercontrol import (
     ActiveLinkSet,
     pc_iterate,
     pc_mud_iterate,
+    pc_mud_solve,
     pc_solve,
     power_targets,
 )
@@ -22,6 +24,7 @@ from adhocnet.routing import initial_routes
 from helpers import (
     from_links_loop,
     gauss_seidel_sweep,
+    mud_targets,
     pc_iterate_loop,
     pc_mud_two_step,
     random_active_links,
@@ -213,12 +216,14 @@ def test_pc_mud_beats_exact_matched_power():
         topology, gains = random_network(rng, 6)
         book = generate_spreading_codebook(6, 8, seed=int(rng.integers(1e6)))
         active = random_active_links(rng, 6, max_out=1)
-        mud, _ = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
-                                GAMMA, tol=1e-10, max_iter=50_000)
         mf, _ = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
                                GAMMA, tol=1e-10, max_iter=50_000,
                                filter_mode="matched")
-        if not (mud.converged and mf.converged):
+        if not mf.converged:  # the LMMSE run draws nothing from rng
+            continue
+        mud, _ = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
+                                GAMMA, tol=1e-10, max_iter=50_000)
+        if not mud.converged:
             continue
         assert mud.powers.sum() <= mf.powers.sum() * (1 + 1e-9)
         done += 1
@@ -430,6 +435,229 @@ def test_pc_mud_solves_again_only_past_the_last_solve(monkeypatch):
         assert len(solves) == result.iterations + past
         assert solves[-1][0].tolist() == result.powers.tolist()
     assert statuses == {"converged", "nonfinite", "infeasible", "max_iter"}
+
+
+def lmmse_certificate(result, active, gains, book, noise, gamma):
+    """max_i |T_i(p) - P_i| / P_i at the returned powers, T from the
+    reference filters ``lmmse_filter`` and ``helpers.mud_targets``."""
+    p = result.powers
+    filters = {(i, j): lmmse_filter(i, p, gains, book, noise, j)
+               for (i, j) in active.links}
+    t = mud_targets(p, active, gains, book, noise, gamma, filters)
+    tx = list(active.transmitters)
+    return float(np.max(np.abs(t[tx] - p[tx]) / p[tx]))
+
+
+def kernel_form(book, n):
+    if book.inverse_gram is not None:
+        return "inverse-Gram"
+    return "LU" if n <= book.length else "span"
+
+
+def test_pc_mud_solve_reaches_pc_mud_iterate_fixed_point():
+    # every kernel form: the same verdict as the fixed-point iteration, and
+    # converged powers within 1e-6 that pass the residual test under the
+    # reference filters
+    forms, statuses = set(), set()
+    for gains, book, active, p0 in mud_instances(31, 30):
+        forms.add(kernel_form(book, active.n_nodes))
+        for power_cap in (1e-4, 1.0):
+            kwargs = dict(tol=1e-10, max_iter=50_000, power_cap=power_cap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
+                                      **kwargs)[0]
+                got = pc_mud_solve(p0, active, gains, book, NOISE, GAMMA,
+                                   **kwargs)
+            assert got.status == want.status
+            statuses.add(got.status)
+            if got.converged:
+                np.testing.assert_allclose(got.powers, want.powers,
+                                           rtol=1e-6, atol=0.0)
+                assert lmmse_certificate(got, active, gains, book, NOISE,
+                                         GAMMA) <= 1e-10 + 1e-12
+                assert got.iterations <= want.iterations
+    assert forms == {"inverse-Gram", "LU", "span"}
+    assert statuses == {"converged", "infeasible"}
+
+
+def test_pc_mud_solve_reaches_every_status(monkeypatch):
+    # a run of k steps makes k kernel solves, and one more at the returned
+    # powers when they are a step past the last solve; link_sir is read
+    # from the solve at the returned powers
+    solves, solve = [], powercontrol.lmmse_vectors
+
+    def counted(p, *args):
+        solves.append(p.copy())
+        return solve(p, *args)
+
+    monkeypatch.setattr(powercontrol, "lmmse_vectors", counted)
+    rng = np.random.default_rng(35)
+    _, gains = random_network(rng, 5)
+    book = generate_spreading_codebook(5, 4, seed=36)
+    # test_pc_mud_stops_at_first_nonfinite_iterate's instance, then
+    # test_pc_mud_link_sir_matches_fresh_filters's
+    runs = [(gains, book, random_active_links(rng, 5, max_out=1),
+             np.full(5, 1e-3), 1e-30, 10_000, 1.0)]
+    runs += [(gains, book, active, p0, NOISE, max_iter, 1e-4)
+             for gains, book, active, p0 in mud_instances(34, 12)
+             for max_iter in (1, 300)]
+    statuses = set()
+    for gains, book, active, p0, noise, max_iter, power_cap in runs:
+        solves.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = pc_mud_solve(p0, active, gains, book, noise, GAMMA,
+                                  tol=1e-8, max_iter=max_iter,
+                                  power_cap=power_cap)
+        statuses.add(result.status)
+        past = result.status in ("infeasible", "max_iter")
+        assert len(solves) == result.iterations + past
+        assert solves[-1].tolist() == result.powers.tolist()
+        assert len(result.trace) == result.iterations + 1 - (
+            result.status in ("converged", "nonfinite"))
+        assert np.isfinite(result.powers).all()
+        if result.status == "nonfinite":
+            continue
+        if result.converged:
+            assert lmmse_certificate(result, active, gains, book, noise,
+                                     GAMMA) <= 1e-8 + 1e-12
+        for (i, j), got in zip(active.links, result.link_sir):
+            fresh = lmmse_filter(i, result.powers, gains, book, noise, j)
+            want = sir_lmmse((i, j), result.powers,
+                             FilterBank({(i, j): fresh}), gains, book, noise)
+            assert got / (1.0 + got) == pytest.approx(want / (1.0 + want),
+                                                      rel=1e-9)
+    assert statuses == {"converged", "nonfinite", "infeasible", "max_iter"}
+
+
+@pytest.mark.parametrize("rho, power_cap", [(0.6, 1.0), (0.0268, 5e-10)],
+                         ids=["negative", "over-the-cap"])
+def test_pc_mud_solve_falls_back_to_a_plain_step(monkeypatch, rho,
+                                                  power_cap):
+    # crossing links, each sender beside the other's receiver, sequences 0
+    # and 2 correlated at rho in L = 2 chips. At p = 0 every filter is
+    # matched; the tangent system there has spectral radius 1250 rho^2, so
+    # its solution is negative (rho 0.6) or ten times the single-user
+    # powers, over a cap of four times them (rho 0.0268). The first step
+    # is then T(0), and from there the LMMSE filters' tangents solve
+    topo = topology_from_positions([[0.0, 0.0], [10.0, 0.0], [11.0, 0.0],
+                                    [1.0, 0.0]])
+    gains = compute_link_gains(topo, 2.0)
+    c = np.sqrt(1.0 - rho ** 2)
+    seqs = np.array([[1.0, 0.0], [0.0, 1.0], [rho, c], [rho, -c]])
+    seqs.setflags(write=False)
+    book = SpreadingCodebook(sequences=seqs)
+    active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
+    solved, policy_iteration = [], powercontrol._policy_iteration
+
+    def counted(*args):
+        solutions, reached = policy_iteration(*args)
+        solved.append(reached)
+        return solutions, reached
+
+    monkeypatch.setattr(powercontrol, "_policy_iteration", counted)
+    kwargs = dict(tol=1e-10, max_iter=50_000, power_cap=power_cap)
+    result = pc_mud_solve(np.zeros(4), active, gains, book, NOISE, GAMMA,
+                          **kwargs)
+    assert solved == [False] + [True] * (len(solved) - 1)
+    assert result.converged and result.iterations == len(solved) + 1
+    # the fallback step is T(0), the single-user powers
+    single_user = GAMMA * NOISE / gains.gains[[0, 2], [1, 3]]
+    assert result.trace[1] == pytest.approx(single_user.sum(), rel=1e-12)
+    want = pc_mud_iterate(np.zeros(4), active, gains, book, NOISE, GAMMA,
+                          **kwargs)[0]
+    np.testing.assert_allclose(result.powers, want.powers, rtol=1e-6)
+    assert lmmse_certificate(result, active, gains, book, NOISE,
+                             GAMMA) <= 1e-10 + 1e-12
+
+
+def six_node_draws(seed):
+    """Endless six-node networks, L = 8, with one or two outgoing links per
+    sender."""
+    rng = np.random.default_rng(seed)
+    while True:
+        _, gains = random_network(rng, 6)
+        book = generate_spreading_codebook(6, 8, seed=int(rng.integers(1e6)))
+        yield gains, book, random_active_links(rng, 6,
+                                               max_out=int(rng.integers(1, 3)))
+
+
+def test_pc_mud_solve_diverges_where_the_iteration_does():
+    # draws on which the fixed-point iteration climbs past the cap. Near
+    # the cap the kernel is ill-conditioned (noise / power about 1e-13), and
+    # a tangent solve there can land far below T(p) although p < T(p); the
+    # solver must refuse that step rather than cycle to the budget
+    draws = dict(itertools.islice(enumerate(six_node_draws(13)), 78))
+    for k in (43, 77):
+        gains, book, active = draws[k]
+        kwargs = dict(tol=1e-10, max_iter=2_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
+                                  GAMMA, **kwargs)[0]
+            got = pc_mud_solve(np.zeros(6), active, gains, book, NOISE,
+                               GAMMA, **kwargs)
+        assert want.status == got.status == "infeasible"
+        assert got.iterations <= want.iterations
+
+
+def one_update(p, active, gains, book, mode):
+    """T(p) of ``pc_mud_iterate``'s update with ``filter_mode=mode``: one
+    step without a cap from p (a zero residual stops there, at T(p))."""
+    return pc_mud_iterate(p, active, gains, book, NOISE, GAMMA, tol=0.0,
+                          max_iter=1, power_cap=np.inf,
+                          filter_mode=mode)[0].powers
+
+
+@st.composite
+def update_instances(draw):
+    """mud_instances-sized networks with two positive power vectors, p and
+    one at most p, and a scale factor above 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(3, 8))
+    length = int(rng.choice([2, 4, 8, 16]))
+    _, gains = random_network(rng, n)
+    book = generate_spreading_codebook(n, length, seed=int(rng.integers(1e6)))
+    active = random_active_links(rng, n, max_out=2)
+    p = np.exp(rng.uniform(np.log(1e-9), np.log(1e-6), n))
+    smaller = p * rng.uniform(0.0, 1.0, n)
+    return active, gains, book, p, smaller, float(rng.uniform(1.01, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(update_instances(), st.sampled_from(["lmmse", "matched"]))
+def test_mud_updates_are_standard_interference_functions(instance, mode):
+    # positivity, monotonicity and scalability (Yates 1995), for the LMMSE
+    # and the exact-correlation matched updates
+    active, gains, book, p, smaller, alpha = instance
+    tx = list(active.transmitters)
+    t = one_update(p, active, gains, book, mode)[tx]
+    t_small = one_update(smaller, active, gains, book, mode)[tx]
+    t_scaled = one_update(alpha * p, active, gains, book, mode)[tx]
+    assert (one_update(np.zeros(active.n_nodes), active, gains, book,
+                       mode)[tx] > 0.0).all()
+    assert (t_small > 0.0).all()
+    assert (t >= t_small * (1 - 1e-9)).all()
+    assert (alpha * t > t_scaled * (1 + 1e-12)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(update_instances())
+def test_lmmse_update_lies_below_its_frozen_filter_tangents(instance):
+    # the Newton step's premise: filters frozen at p need T(p) at p and at
+    # least T(p') at any other p', per node
+    active, gains, book, p, other, alpha = instance
+    frozen = {(i, j): lmmse_filter(i, p, gains, book, NOISE, j)
+              for (i, j) in active.links}
+    tx = list(active.transmitters)
+    for at in (p, other, alpha * p, other + alpha * p):
+        tangent = mud_targets(at, active, gains, book, NOISE, GAMMA, frozen)
+        t = one_update(at, active, gains, book, "lmmse")
+        if at is p:
+            np.testing.assert_allclose(tangent[tx], t[tx], rtol=1e-9)
+        else:
+            assert (tangent[tx] >= t[tx] * (1 - 1e-9)).all()
 
 
 def test_pc_solve_matches_single_outgoing_linear_solve():
@@ -681,6 +909,7 @@ def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
     for mode in ("lmmse", "matched"):
         assert pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
                               filter_mode=mode)[0].converged
+    assert pc_mud_solve(p0, active, gains, book, NOISE, GAMMA).converged
     assert calls == [] and active.sender_groups is groups
 
 
@@ -698,10 +927,13 @@ def _three_node_solvers():
                                            GAMMA)[0],
         "matched": lambda p0: pc_mud_iterate(p0, active, gains, book, NOISE,
                                              GAMMA, filter_mode="matched")[0],
+        "newton": lambda p0: pc_mud_solve(p0, active, gains, book, NOISE,
+                                          GAMMA),
     }
 
 
-@pytest.mark.parametrize("solver", ["pc_iterate", "lmmse", "matched"])
+@pytest.mark.parametrize("solver", ["pc_iterate", "lmmse", "matched",
+                                    "newton"])
 @pytest.mark.parametrize("p0", [
     np.zeros(2), np.zeros(4), np.zeros((3, 1)), [0.0, np.nan, 0.0],
     [0.0, np.inf, 0.0], [1e-9, -1e-12, 0.0],
@@ -725,6 +957,8 @@ def test_solvers_on_a_link_set_without_links():
     for mode in ("lmmse", "matched"):
         results.append(pc_mud_iterate(np.full(3, 1e-9), empty, gains, book,
                                       NOISE, GAMMA, filter_mode=mode)[0])
+    results.append(pc_mud_solve(np.full(3, 1e-9), empty, gains, book, NOISE,
+                                GAMMA))
     for result in results:
         assert result.converged
         assert result.powers.tolist() == [0.0, 0.0, 0.0]
