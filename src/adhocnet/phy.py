@@ -35,11 +35,10 @@ links only:
   B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U', so
   q = |L_j^-1 u_i|^2 for K_j = L_j L_j' by Cholesky.
 
-``lmmse_vectors`` also gives each link's x = S c for the LMMSE filter
-direction c = B_j^-1 s_i, so c's_k = x_k and x_i = q: x = S B_j^-1 S' e_i,
-which is L_j'^-1 L_j^-1 e_i in the inverse-Gram form, G A_j^-1 e_i in the
-LU form and U' L_j'^-1 L_j^-1 u_i in the span form. That is one more
-triangular solve per receiver (none for LU) against the kept factors.
+On request the kernel also gives x = S B_j^-1 S' e_i, so x_k = c's_k for
+the filter direction c = B_j^-1 s_i and x_i = q: L_j'^-1 L_j^-1 e_i,
+G A_j^-1 e_i or U' L_j'^-1 L_j^-1 u_i by form, one more triangular solve
+per receiver (none for LU).
 
 Each receiver is factored once per power vector. A memo keeps the factors
 (failed ones too) made at the last key: p, noise and the gains by value,
@@ -229,7 +228,7 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
 
 def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
                 codebook: SpreadingCodebook, noise: float,
-                i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
+                i_idx: np.ndarray, j_idx: np.ndarray, vectors: bool = False):
     """q[l] = s_i' B_j^-1 s_i of every link (i, j) = (i_idx[l], j_idx[l]).
 
     Links may come in any order and share receivers, and i = j is allowed.
@@ -240,23 +239,9 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     its links' q at NaN. One warning per call names such receivers, if
     any, and reports the largest covariance condition bound (sum_{k != i,j}
     P_k h(k,j) + L noise) / noise of a link, if it exceeds
-    ``CONDITION_WARN_THRESHOLD``.
+    ``CONDITION_WARN_THRESHOLD``. With ``vectors``, also returns x = S c
+    (n, links) of each link's filter direction c (module docstring).
     """
-    return _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, False)
-
-
-def lmmse_vectors(p: np.ndarray, gains: LinkGainMatrix,
-                  codebook: SpreadingCodebook, noise: float,
-                  i_idx: np.ndarray, j_idx: np.ndarray) -> tuple:
-    """``lmmse_solve``'s q, and x = S c (n, links) for each link's LMMSE
-    filter direction c at p, with x[i, l] = q[l] up to rounding (module
-    docstring). The factors, memo, NaN results and warning are
-    ``lmmse_solve``'s."""
-    return _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, True)
-
-
-def _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, vectors):
-    """``lmmse_vectors`` if ``vectors``, else ``lmmse_solve``."""
     global _memo
     n = p.shape[0]
     order = j_idx.argsort(kind="stable")  # the links grouped by receiver
@@ -318,7 +303,7 @@ def _lmmse_kernel(p, gains, codebook, noise, i_idx, j_idx, vectors):
                ] if bound > CONDITION_WARN_THRESHOLD else []
     clauses += [f"receivers left with NaN q: {failed}"] if failed else []
     if clauses:
-        warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 3)
+        warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 2)
     if not vectors:
         return q
     x = v if codebook.inverse_gram is not None else (

@@ -23,27 +23,26 @@ monotone (Yates), so the solutions rise to the minimal fixed point; a
 singular, negative or over-cap solve proves infeasibility (Perron-Frobenius;
 Zander, Foschini-Miljanic). Verdicts come from it, powers from iteration.
 
-The LMMSE update is not affine. Optimizing the filter at the current
-powers and then solving for the power that meets the target collapses to
-the closed form of Ulukus and Yates ("Adaptive power control and MMSE
-interference suppression", 1998): T_i(p) = max_j target * (1 - c q) /
-(h(i,j) q), with q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve``
-(one factorization per receiver and power vector, phy module docstring)
-and c = P_i h(i,j). ``pc_mud_iterate`` takes one step per kernel solve.
-The joint loop's powers come from ``pc_mud_solve``, by Newton steps. Per
-link, T is the minimum over filters of maps affine in p, so the filters
-frozen at p (``phy.lmmse_vectors``) give tangent maps, equal to T at p and
-above it elsewhere. A step solves their maximum over each sender's links
-exactly, by ``pc_solve``'s policy iteration; its solution p' has
-T(p') <= p', so it bounds the minimal fixed point from above (Yates, "A
-framework for uplink power control", 1995), and steps from there descend.
-A failed policy solve, which for LMMSE proves nothing, gives way to T(p),
-as does a step from p <= T(p) that lands below T(p), which the minimal
-fixed point is not (rounding at ill-conditioned powers). p is returned
-converged only when it passes the residual test, its certificate. The
-solve at the returned powers also gives every link's output SIR
-c q / (1 - c q), ``PcResult.link_sir``. The returned ``phy.FilterBank.lmmse``
-calls ``phy.lmmse_filter`` at those powers only for a link that is read.
+The LMMSE update is not affine; ``pc_mud_iterate`` takes one step per
+kernel solve. Optimizing the filter at the current powers and then solving
+for the power that meets the target collapses to the closed form of Ulukus
+and Yates ("Adaptive power control and MMSE interference suppression",
+1998): T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
+q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one factorization
+per receiver and power vector, phy module docstring) and c = P_i h(i,j).
+Per link, T is the minimum over filters of maps affine in p, so the filters
+frozen at p give tangent maps, equal to T at p and above it elsewhere.
+``pc_mud_solve`` solves their maximum exactly by ``pc_solve``'s policy
+iteration: a Newton step, which lands on or above the minimal fixed point
+(Yates, "A framework for uplink power control", 1995), and steps descend
+from there. A failed tangent solve proves nothing for LMMSE, and a step
+from p <= T(p) that lands below T(p) is rounding: either gives way to the
+plain step T(p), and after the k-th such step the next 2^(k-1) steps are
+plain too, so a diverging run pays for few tangent solves. Either solver
+returns p converged only when it passes the residual test. The solve at
+the returned powers also gives every link's output SIR c q / (1 - c q),
+``PcResult.link_sir``. The returned ``phy.FilterBank.lmmse`` calls
+``phy.lmmse_filter`` at those powers only for a link that is read.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .phy import (
     FilterBank,
     lmmse_link_sir,
     lmmse_solve,
-    lmmse_vectors,
     received_powers,
 )
 
@@ -236,11 +234,9 @@ def _repick(need, policy, starts, owner) -> np.ndarray:
 
 def _policy_iteration(a, coupling, starts, owner, need,
                       power_cap) -> tuple[list, bool]:
-    """``pc_solve``'s policy iteration (module docstring) on the senders'
-    update max over each sender's links l of a_l + x @ coupling[:, l], from
-    the worst links under ``need``: the solutions, and whether the last is
-    its minimal fixed point (not if a solve is singular, negative or over
-    ``power_cap``)."""
+    """Policy iteration (module docstring) on each sender's max over its
+    links l of a_l + x @ coupling[:, l], from the worst links under ``need``:
+    the solutions, and False if one is singular, negative or over the cap."""
     policy, solutions = starts, []
     while True:
         policy = _repick(need, policy, starts, owner)
@@ -328,12 +324,10 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
     need = a
     for _ in range(2):
         need = a + np.maximum.reduceat(need, starts) @ coupling
-    solutions, solved = (_policy_iteration(a, coupling, starts, owner, need,
-                                           power_cap)
-                         if len(a) else ([], True))  # no link, no solve
-    powers = np.zeros(active.n_nodes)
-    if solutions:
-        powers[senders] = solutions[-1]
+    solutions, solved = _policy_iteration(
+        a, coupling, starts, owner, need, power_cap) if len(a) else ([], True)
+    powers = np.zeros(active.n_nodes)  # no link, no solve
+    powers[senders] = solutions[-1] if solutions else 0.0
     powers.setflags(write=False)
     return PcResult(STATUS_CONVERGED if solved else STATUS_INFEASIBLE, powers,
                     len(solutions) + (not solved),
@@ -367,7 +361,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
                 FilterBank.matched(codebook, active.links))
 
     result = _lmmse_fixed_point(p0, active, gains, codebook, noise,
-                                target_sir, False, stop)
+                                target_sir, False, **stop)
     return result, FilterBank.lmmse(active.links, result.powers, gains,
                                     codebook, noise)
 
@@ -376,59 +370,61 @@ def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
                  codebook: SpreadingCodebook, noise: float, target_sir: float,
                  *, tol: float = 1e-6, max_iter: int = 10_000,
                  power_cap: float = 1.0) -> PcResult:
-    """``pc_mud_iterate``'s LMMSE fixed point by Newton steps, each from one
-    kernel solve (module docstring). A p that passes the residual test is
-    returned as converged; otherwise the next p solves the tangent maps at
-    p, or is T(p) when that fails or lands below T(p) from below it.
-    Statuses, ``iterations`` and ``link_sir`` read as ``pc_mud_iterate``'s.
-    """
+    """``pc_mud_iterate``'s LMMSE fixed point by Newton steps (module
+    docstring), with its statuses, ``iterations`` and ``link_sir``."""
     return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
-                              True, dict(tol=tol, max_iter=max_iter,
-                                         power_cap=power_cap))
+                              True, tol=tol, max_iter=max_iter,
+                              power_cap=power_cap)
 
 
 def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
-                       newton, stop) -> PcResult:
-    """``_fixed_point`` on the closed-form LMMSE update, with Newton leaps
+                       newton, **stop) -> PcResult:
+    """``_fixed_point`` on the closed-form LMMSE update, with Newton steps
     if ``newton``; ``link_sir`` comes from a solve at the returned p."""
     i_idx, j_idx = active.link_arrays
     senders, starts, owner = active.sender_groups
     g = gains.gains[i_idx, j_idx]
-    solve = lmmse_vectors if newton else lambda *a: (lmmse_solve(*a),)
-    last = None  # (q[, S c], x, need) of the last step
+    last = None  # (x, need, q, S c or None) of the last step
+    # plain steps before the next tangent solve, and after the next refusal
+    wait, pause = 0 if newton else np.inf, 1
 
     def advance(x, budget):  # one step per kernel solve
         nonlocal last
         p = np.zeros(active.n_nodes)
         p[senders] = x
-        last = solve(p, gains, codebook, noise, i_idx, j_idx)
-        q = last[0]
+        solved = lmmse_solve(p, gains, codebook, noise, i_idx, j_idx,
+                             wait == 0)
+        q, sc = solved if wait == 0 else (solved, None)
         need = target_sir * (1.0 - p[i_idx] * g * q) / (g * q)
-        last += (x, need)
+        last = x, need, q, sc
         return np.array((x, np.maximum(0.0,
                                        np.maximum.reduceat(need, starts))))
 
     def leap(t):
+        nonlocal wait, pause
+        x, need, q, sc = last
+        if sc is None:
+            wait -= 1
+            return t
         # with every filter frozen at x, link l needs need[l] at x and
         # need[l] + (x' - x) @ coupling[:, l] at other senders' powers x'
-        q, sc, x, need = last
         coupling = gains.gains[senders][:, j_idx] * sc[senders] ** 2 * (
             target_sir / (g * q * q))
         coupling[owner, np.arange(len(g))] = 0.0
         solutions, solved = _policy_iteration(
             need - x @ coupling, coupling, starts, owner, need,
             stop["power_cap"])
-        # from x <= t a step lands at or above t (module docstring); one
-        # that does not is rounding at ill-conditioned powers
-        if not solved or (t >= x).all() and (solutions[-1] < t).any():
-            return t
-        return solutions[-1]
+        # a step from x <= t lands at or above t, or else it is rounding
+        if solved and not ((t >= x).all() and (solutions[-1] < t).any()):
+            return solutions[-1]
+        wait, pause = pause, 2 * pause
+        return t
 
-    result = _fixed_point(p0, active, advance, leap=leap if newton else None,
-                          **stop)
+    result = _fixed_point(p0, active, advance, leap=leap, **stop)
     p = result.powers
     if result.status in (STATUS_INFEASIBLE, STATUS_MAX_ITER):
+        wait = np.inf
         advance(p[senders], 1)  # no solve at the returned powers yet
-    link_sir = lmmse_link_sir(p[i_idx] * g, last[0])
+    link_sir = lmmse_link_sir(p[i_idx] * g, last[2])
     link_sir.setflags(write=False)
     return replace(result, link_sir=link_sir)

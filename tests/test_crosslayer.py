@@ -402,20 +402,19 @@ def test_lmmse_joint_loop_factors_each_receiver_once_per_power_vector(
     # at the initial energy's powers; the gate runs at the last step's
     # powers and a rerouted run starts from them. Each receiver is factored
     # once per power vector, never again at powers already solved
-    factored = count_factorizations(monkeypatch)
+    factored, solve = count_factorizations(monkeypatch), phy.lmmse_solve
     events = []  # (site, factorizations, powers, receivers)
-    for site, module, entry in (("energy", crosslayer, "lmmse_solve"),
-                                ("step", powercontrol, "lmmse_vectors"),
-                                ("gate", phy, "lmmse_solve")):
-        def logged(p, gains, codebook, noise, i_idx, j_idx, _site=site,
-                   _solve=getattr(phy, entry)):
+    for site, module in (("energy", crosslayer), ("step", powercontrol),
+                         ("gate", phy)):
+        def logged(p, gains, codebook, noise, i_idx, j_idx, vectors=False,
+                   _site=site):
             before = len(factored)
-            solved = _solve(p, gains, codebook, noise, i_idx, j_idx)
+            solved = solve(p, gains, codebook, noise, i_idx, j_idx, vectors)
             events.append((_site, len(factored) - before, p.tobytes(),
                            set(j_idx.tolist())))
             return solved
 
-        monkeypatch.setattr(module, entry, logged)
+        monkeypatch.setattr(module, "lmmse_solve", logged)
     scenario = Scenario(n_nodes=55, spreading_gain=128, receiver="lmmse",
                         master_seed=5)
     _, solution = run_joint(scenario)

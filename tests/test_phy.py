@@ -18,7 +18,6 @@ from adhocnet.phy import (
     lmmse_filter,
     lmmse_sir_matrix,
     lmmse_solve,
-    lmmse_vectors,
     sir_lmmse,
     sir_matched,
 )
@@ -520,7 +519,7 @@ def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
     (_perturbed_pair_codebook(12, 32, 1e-5), "LU"),
     (generate_spreading_codebook(12, 8, seed=45), "span"),
 ], ids=["inverse-Gram", "LU", "span"])
-def test_lmmse_vectors_are_the_filters_seen_through_the_sequences(
+def test_lmmse_kernel_vectors_are_the_filters_seen_through_the_sequences(
         monkeypatch, book, form):
     # x = S c for the LMMSE direction c = B_j^-1 s_i, against the dense
     # L x L solve; q is lmmse_solve's to the bit, from its kept factors
@@ -537,7 +536,7 @@ def test_lmmse_vectors_are_the_filters_seen_through_the_sequences(
     factored = count_factorizations(monkeypatch)
     q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
     count = len(factored)
-    q_vectors, x = lmmse_vectors(p, gains, book, noise, i_idx, j_idx)
+    q_vectors, x = lmmse_solve(p, gains, book, noise, i_idx, j_idx, True)
     assert len(factored) == count == n
     assert q_vectors.tobytes() == q.tobytes()
     assert x.shape == (n, len(links))
@@ -613,7 +612,7 @@ def test_lmmse_kernel_memo_gives_the_fresh_q_bit_for_bit(instance):
         lmmse_solve(p, gains, book, noise, *first)
         partly_kept = lmmse_solve(p, gains, book, noise, *links)
         kept = lmmse_solve(p, gains, book, noise, *links)
-        with_vectors, x = lmmse_vectors(p, gains, book, noise, *links)
+        with_vectors, x = lmmse_solve(p, gains, book, noise, *links, True)
     assert partly_kept.tobytes() == fresh.tobytes()
     assert kept.tobytes() == fresh.tobytes()
     assert with_vectors.tobytes() == fresh.tobytes()

@@ -485,13 +485,13 @@ def test_pc_mud_solve_reaches_every_status(monkeypatch):
     # a run of k steps makes k kernel solves, and one more at the returned
     # powers when they are a step past the last solve; link_sir is read
     # from the solve at the returned powers
-    solves, solve = [], powercontrol.lmmse_vectors
+    solves, solve = [], powercontrol.lmmse_solve
 
     def counted(p, *args):
         solves.append(p.copy())
         return solve(p, *args)
 
-    monkeypatch.setattr(powercontrol, "lmmse_vectors", counted)
+    monkeypatch.setattr(powercontrol, "lmmse_solve", counted)
     rng = np.random.default_rng(35)
     _, gains = random_network(rng, 5)
     book = generate_spreading_codebook(5, 4, seed=36)
@@ -540,7 +540,8 @@ def test_pc_mud_solve_falls_back_to_a_plain_step(monkeypatch, rho,
     # matched; the tangent system there has spectral radius 1250 rho^2, so
     # its solution is negative (rho 0.6) or ten times the single-user
     # powers, over a cap of four times them (rho 0.0268). The first step
-    # is then T(0), and from there the LMMSE filters' tangents solve
+    # is then T(0), the next one plain too, and from there the LMMSE
+    # filters' tangents solve
     topo = topology_from_positions([[0.0, 0.0], [10.0, 0.0], [11.0, 0.0],
                                     [1.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
@@ -561,7 +562,7 @@ def test_pc_mud_solve_falls_back_to_a_plain_step(monkeypatch, rho,
     result = pc_mud_solve(np.zeros(4), active, gains, book, NOISE, GAMMA,
                           **kwargs)
     assert solved == [False] + [True] * (len(solved) - 1)
-    assert result.converged and result.iterations == len(solved) + 1
+    assert result.converged and result.iterations == len(solved) + 2
     # the fallback step is T(0), the single-user powers
     single_user = GAMMA * NOISE / gains.gains[[0, 2], [1, 3]]
     assert result.trace[1] == pytest.approx(single_user.sum(), rel=1e-12)
@@ -570,6 +571,48 @@ def test_pc_mud_solve_falls_back_to_a_plain_step(monkeypatch, rho,
     np.testing.assert_allclose(result.powers, want.powers, rtol=1e-6)
     assert lmmse_certificate(result, active, gains, book, NOISE,
                              GAMMA) <= 1e-10 + 1e-12
+
+
+def count_vector_requests(monkeypatch):
+    """Patch the solvers' kernel entry to log, per call, whether it asked
+    for the filter vectors."""
+    vectors, solve = [], powercontrol.lmmse_solve
+
+    def counted(*args):
+        vectors.append(args[6:] == (True,))
+        return solve(*args)
+
+    monkeypatch.setattr(powercontrol, "lmmse_solve", counted)
+    return vectors
+
+
+def test_pc_mud_solve_backs_off_where_no_tangent_solves(monkeypatch):
+    # where no fixed point lies under the cap no tangent solve succeeds
+    # within it, so every step is plain: the run is pc_mud_iterate's, step
+    # for step. After the k-th refusal 2^(k-1) steps skip the tangent, so
+    # n steps ask for the filter vectors at most 1 + log2(n + 1) times
+    vectors = count_vector_requests(monkeypatch)
+    infeasible = 0
+    for gains, book, active, p0 in mud_instances(31, 60):
+        kwargs = dict(tol=1e-10, max_iter=50_000, power_cap=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
+                                  **kwargs)[0]
+            vectors.clear()
+            got = pc_mud_solve(p0, active, gains, book, NOISE, GAMMA,
+                               **kwargs)
+        assert got.status == want.status
+        if got.status != "infeasible":
+            continue
+        infeasible += 1
+        assert vectors[0] and not vectors[-1]  # none at the returned p
+        assert sum(vectors) <= 1 + np.log2(got.iterations + 1)
+        assert got.iterations == want.iterations
+        for field in ("powers", "trace", "link_sir"):
+            assert getattr(got, field).tobytes() == \
+                getattr(want, field).tobytes()
+    assert infeasible >= 10
 
 
 def six_node_draws(seed):
@@ -583,11 +626,13 @@ def six_node_draws(seed):
                                                max_out=int(rng.integers(1, 3)))
 
 
-def test_pc_mud_solve_diverges_where_the_iteration_does():
+def test_pc_mud_solve_diverges_where_the_iteration_does(monkeypatch):
     # draws on which the fixed-point iteration climbs past the cap. Near
     # the cap the kernel is ill-conditioned (noise / power about 1e-13), and
     # a tangent solve there can land far below T(p) although p < T(p); the
-    # solver must refuse that step rather than cycle to the budget
+    # solver must refuse that step rather than cycle to the budget, and
+    # back off from tangent solves as it refuses them
+    vectors = count_vector_requests(monkeypatch)
     draws = dict(itertools.islice(enumerate(six_node_draws(13)), 78))
     for k in (43, 77):
         gains, book, active = draws[k]
@@ -596,10 +641,12 @@ def test_pc_mud_solve_diverges_where_the_iteration_does():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
                                   GAMMA, **kwargs)[0]
+            vectors.clear()
             got = pc_mud_solve(np.zeros(6), active, gains, book, NOISE,
                                GAMMA, **kwargs)
         assert want.status == got.status == "infeasible"
         assert got.iterations <= want.iterations
+        assert sum(vectors) <= 1 + np.log2(got.iterations + 1)
 
 
 def one_update(p, active, gains, book, mode):
