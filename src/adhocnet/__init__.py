@@ -62,7 +62,6 @@ from .crosslayer import (
     JointSolution,
     MultiStartResult,
     PhaseRecord,
-    TrialSummary,
     initial_powers,
     joint_optimize,
     multi_start,
@@ -70,7 +69,6 @@ from .crosslayer import (
 )
 from .fairness import (
     MixtureWeights,
-    RouteCandidate,
     RouteCandidateSet,
     effective_node_powers,
     optimize_mixture,

@@ -78,19 +78,9 @@ class JointSolution:
 
 
 @dataclass(frozen=True)
-class TrialSummary:
-    trial: int
-    status: str
-    total_power: float
-    energy_per_bit: float
-    powers: np.ndarray
-    routes: RouteSet
-
-
-@dataclass(frozen=True)
 class MultiStartResult:
     best: JointSolution | None
-    trials: tuple[TrialSummary, ...]
+    trials: tuple[JointSolution, ...]  # trial k's solution at position k
     network: Network
 
 
@@ -285,8 +275,8 @@ def multi_start(scenario: Scenario, trials: int,
 
     Each trial draws a log-uniform initial power vector from its own derived
     stream; the best (lowest total power) converged solution is returned
-    together with per-trial summaries and the network they share, which the
-    scenario fixes (topology, sessions, codebook).
+    together with every trial's solution and the network they share, which
+    the scenario fixes (topology, sessions, codebook).
     """
     check_value("trials", trials, Integral, low=1)
     if seed is None:
@@ -295,20 +285,13 @@ def multi_start(scenario: Scenario, trials: int,
     net = build_network(scenario)
     # every trial starts from a random draw, whatever the scenario's mode
     random_init = scenario.replace(initial_power_mode="random")
-    summaries = []
-    best: JointSolution | None = None
+    solutions = []
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, TRIAL_STREAM_BASE, trial))
-        p_init = initial_powers(random_init, rng)
-        solution = joint_optimize(scenario, net.topology, net.gains,
-                                  net.sessions, net.codebook, p_init=p_init)
-        summaries.append(TrialSummary(
-            trial=trial, status=solution.status,
-            total_power=solution.total_power,
-            energy_per_bit=solution.energy_per_bit,
-            powers=solution.powers, routes=solution.routes,
-        ))
-        if solution.converged and (best is None
-                                   or solution.total_power < best.total_power):
-            best = solution
-    return MultiStartResult(best=best, trials=tuple(summaries), network=net)
+        solutions.append(joint_optimize(
+            scenario, net.topology, net.gains, net.sessions, net.codebook,
+            p_init=initial_powers(random_init, rng)))
+    # the first of equal totals, as min returns it
+    best = min((s for s in solutions if s.converged),
+               key=lambda s: s.total_power, default=None)
+    return MultiStartResult(best=best, trials=tuple(solutions), network=net)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .crosslayer import (
@@ -223,6 +224,7 @@ def _write_manifest(config: ExperimentConfig, status: str, extras: dict,
             "adhocnet": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "scipy": scipy.__version__,
         },
     }
     path = os.path.join(config.out_dir, _MANIFEST)
@@ -304,8 +306,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result = multi_start(scenario, config.trials)
         _write(out_dir, artifacts, "trials.csv",
                ("trial", "status", "total_power_W", "energy_per_bit_J"),
-               [(t.trial, t.status, t.total_power, t.energy_per_bit)
-                for t in result.trials])
+               [(k, t.status, t.total_power, t.energy_per_bit)
+                for k, t in enumerate(result.trials)])
         if result.best is None:
             status = STATUS_INFEASIBLE
         else:
@@ -324,11 +326,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                            config.fairness_threshold)
             weights = optimize_mixture(candidates)
             mixed = effective_node_powers(candidates, weights)
-            best = min(candidates.candidates, key=lambda c: c.total_power)
             _write(out_dir, artifacts, "candidates.csv",
                    ("candidate", "trial", "total_power_W"),
-                   [(k, c.trial, c.total_power)
-                    for k, c in enumerate(candidates.candidates)])
+                   [(k, trial, c.total_power) for k, (trial, c) in enumerate(
+                       zip(candidates.trials, candidates.candidates))])
             _write(out_dir, artifacts, "candidate_powers.csv",
                    ("candidate", "node", "power_W"),
                    [(k, i, float(pw))
@@ -338,12 +339,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                    [(k, float(w)) for k, w in enumerate(weights.w)])
             _write(out_dir, artifacts, "fairness_powers.csv",
                    ("node", "power_min_energy_W", "power_mixture_W"),
-                   [(i, float(a), float(b))
-                    for i, (a, b) in enumerate(zip(best.powers, mixed))])
+                   [(i, float(a), float(b)) for i, (a, b) in enumerate(
+                       zip(result.best.powers, mixed))])
             extras["n_candidates"] = len(candidates)
             extras["mixture_support"] = int(np.count_nonzero(weights.w))
             extras["power_target_W"] = candidates.power_target
-            extras["variance_min_energy"] = float(np.var(best.powers))
+            extras["variance_min_energy"] = float(np.var(result.best.powers))
             extras["variance_mixture"] = float(np.var(mixed))
 
     elif config.kind == "capacity":

@@ -2,10 +2,10 @@
 
 The minimal-energy solution can load a few relay nodes heavily. To even
 consumption out, near-optimal solutions from a multi-start run are blended:
-candidate i (routes plus its power vector) is used a fraction w_i of the
-time, and the weights minimize the squared deviation of the expected
-per-node powers from the average power of the minimal-energy solution,
-over the probability simplex.
+candidate i, the ``JointSolution`` of one trial as ``multi_start`` returns
+it, is used a fraction w_i of the time, and the weights minimize the
+squared deviation of the expected per-node powers from the average power
+of the minimal-energy solution, over the probability simplex.
 
 The quadratic program is solved exactly. On the simplex P w - target = A w
 with A = (P - target) / max|P|, and the u >= 0 minimizing ||A u||^2 +
@@ -21,23 +21,16 @@ from numbers import Real
 
 import numpy as np
 
-from .crosslayer import TrialSummary
+from .crosslayer import JointSolution
 from .errors import check_value
-from .routing import RouteSet
-
-@dataclass(frozen=True)
-class RouteCandidate:
-    trial: int
-    routes: RouteSet
-    powers: np.ndarray
-    total_power: float
 
 
 @dataclass(frozen=True)
 class RouteCandidateSet:
-    """Near-optimal candidates plus the per-node power target."""
+    """Near-optimal trial solutions plus the per-node power target."""
 
-    candidates: tuple[RouteCandidate, ...]
+    candidates: tuple[JointSolution, ...]
+    trials: tuple[int, ...]  # the multi-start trial of each candidate
     power_target: float  # average node power of the minimal-energy solution
 
     def __len__(self) -> int:
@@ -59,22 +52,19 @@ class MixtureWeights:
 
 
 def select_candidates(trials, threshold: float = 0.10) -> RouteCandidateSet:
-    """Keep converged trials whose total power is within ``threshold`` of the
-    best one; the power target is the best trial's mean node power."""
+    """Keep the converged trials (``MultiStartResult.trials``, trial k at
+    position k) whose total power is within ``threshold`` of the best one;
+    the power target is the best trial's mean node power."""
     check_value("threshold", threshold, Real, low=0)
-    converged: list[TrialSummary] = [t for t in trials if t.status == "local_min"]
+    converged = [k for k, t in enumerate(trials) if t.converged]
     if not converged:
         raise ValueError("no converged trials to select candidates from")
-    best = min(converged, key=lambda t: t.total_power)
+    best = min((trials[k] for k in converged), key=lambda t: t.total_power)
     limit = (1.0 + threshold) * best.total_power
-    selected = [t for t in converged if t.total_power <= limit]
-    candidates = tuple(
-        RouteCandidate(trial=t.trial, routes=t.routes, powers=t.powers,
-                       total_power=t.total_power)
-        for t in selected
-    )
-    target = float(np.mean(best.powers))
-    return RouteCandidateSet(candidates=candidates, power_target=target)
+    selected = tuple(k for k in converged if trials[k].total_power <= limit)
+    return RouteCandidateSet(candidates=tuple(trials[k] for k in selected),
+                             trials=selected,
+                             power_target=float(np.mean(best.powers)))
 
 
 def _nnls(e: np.ndarray, f: np.ndarray) -> np.ndarray:

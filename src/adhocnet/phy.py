@@ -187,8 +187,9 @@ def lmmse_filter(i: int, p: np.ndarray, gains: LinkGainMatrix,
 
     c = sqrt(P_i) / (1 + P_i s_i' A^-1 s_i) * A^-1 s_i with A the
     interference-plus-noise covariance. The noise term keeps A positive
-    definite for any load, so the solve cannot be singular; a very large
-    condition bound is still reported as a warning.
+    definite in exact arithmetic; a noise far below the interference vanishes
+    in floating point, and the solve then raises ``numpy.linalg.LinAlgError``.
+    A very large condition bound is reported as a warning.
     """
     if i == receiver_node:
         raise ValueError("link endpoints must differ")

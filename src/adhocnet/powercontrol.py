@@ -77,7 +77,8 @@ class ActiveLinkSet:
     """Directed links used by the current routes, with per-node outgoing sets.
 
     ``links`` is sorted by (i, j) and free of duplicates, as ``from_links``
-    builds it.
+    builds it; the solvers raise ValueError on a set built directly that is
+    not.
     """
 
     n_nodes: int
@@ -117,8 +118,12 @@ class ActiveLinkSet:
 
     @cached_property
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(self.links, dtype=int).reshape(len(self.links), 2)
-        return arr[:, 0], arr[:, 1]
+        # from_links fills this: only a set built directly is checked here
+        ordered = ActiveLinkSet.from_links(self.n_nodes, self.links)
+        if ordered.links != self.links:
+            raise ValueError("links must be strictly increasing (i, j) pairs: "
+                             "build the set with ActiveLinkSet.from_links")
+        return ordered.link_arrays
 
     @cached_property
     def sender_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

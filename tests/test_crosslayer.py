@@ -17,6 +17,7 @@ from adhocnet.crosslayer import (
 )
 from adhocnet import crosslayer, phy, powercontrol
 from adhocnet.errors import ConfigError, UnreachableSessionError
+from adhocnet.fairness import select_candidates
 from adhocnet.netmodel import Scenario, build_network
 from adhocnet.phy import (
     FilterBank,
@@ -204,6 +205,38 @@ def test_multi_start_deterministic_given_seed():
     assert np.array_equal(a.best.powers, b.best.powers)
     assert [t.total_power for t in a.trials] == \
         [t.total_power for t in b.trials]
+
+
+def test_multi_start_keeps_each_trial_solution():
+    # best is the trial object of lowest converged total, and each fairness
+    # candidate is its trial's own solution
+    scenario = Scenario(n_nodes=10, spreading_gain=64, master_seed=6,
+                        area_side=150.0)
+    result = multi_start(scenario, trials=6)
+    assert len(result.trials) == 6
+    converged = [t for t in result.trials if t.converged]
+    assert result.best is min(converged, key=lambda t: t.total_power)
+    candidates = select_candidates(result.trials, threshold=0.10)
+    assert len(candidates.trials) == len(candidates) >= 1
+    for k, trial in enumerate(candidates.trials):
+        assert candidates.candidates[k] is result.trials[trial]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(6, 10), receiver=st.sampled_from(["matched", "lmmse"]),
+       spreading_gain=st.sampled_from([32, 64, 128]),
+       mode=st.sampled_from(["equal", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_joint_trace_never_increases(n, receiver, spreading_gain, mode, seed):
+    # a rerouting step is accepted only within the loop's 1e-12 relative
+    # slack, and a routing record repeats the last run's total
+    scenario = Scenario(n_nodes=n, spreading_gain=spreading_gain,
+                        receiver=receiver, initial_power_mode=mode,
+                        master_seed=seed)
+    _, solution = run_joint(scenario)
+    totals = [r.total_power for r in solution.trace]
+    for before, after in zip(totals[:-1], totals[1:]):
+        assert after <= before * (1 + 1e-12)
 
 
 def test_initial_powers_modes():

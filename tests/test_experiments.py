@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from adhocnet import crosslayer, experiments, netmodel
 from adhocnet.crosslayer import joint_optimize, multi_start
@@ -87,15 +88,20 @@ def test_run_experiment_artifacts_and_manifest(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["config"]["scenario"]["n_nodes"] == 10
     assert "adhocnet" in manifest["versions"]
+    # every pc_solve and LMMSE bit comes from scipy's LAPACK
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
-def test_run_experiment_deterministic(tmp_path):
-    c1 = ExperimentConfig(scenario=FEASIBLE, kind="run",
-                          out_dir=str(tmp_path / "a"))
-    c2 = ExperimentConfig(scenario=FEASIBLE, kind="run",
-                          out_dir=str(tmp_path / "b"))
-    r1 = run_experiment(c1)
-    run_experiment(c2)
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_run_experiment_deterministic(tmp_path, kind):
+    configs = [ExperimentConfig(scenario=FEASIBLE, kind=kind,
+                                out_dir=str(tmp_path / side), trials=4,
+                                feasibility_target=0.5, n_min=6, n_max=10,
+                                n_step=4)
+               for side in ("a", "b")]
+    r1, r2 = map(run_experiment, configs)
+    assert r1.status == "ok" and r1.artifacts == r2.artifacts
+    assert data_files(r1)
     for name in data_files(r1):
         assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 

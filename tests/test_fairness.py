@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from adhocnet.crosslayer import TrialSummary
+from adhocnet.crosslayer import JointSolution
 from adhocnet.errors import ConfigError
 from adhocnet.fairness import (
     MixtureWeights,
     RouteCandidateSet,
-    RouteCandidate,
     _nnls,
     effective_node_powers,
     optimize_mixture,
@@ -17,58 +16,56 @@ from adhocnet.routing import RouteSet
 from helpers import simplex_grid_search
 
 
-def summary(trial, powers, status="local_min"):
+def solution(powers, status="local_min"):
     powers = np.asarray(powers, dtype=float)
-    n = powers.shape[0]
-    routes = RouteSet(paths=tuple((i, (i + 1) % n) for i in range(n)),
-                      n_nodes=n)
-    return TrialSummary(trial=trial, status=status,
-                        total_power=float(powers.sum()),
-                        energy_per_bit=1.0, powers=powers, routes=routes)
+    total = float(powers.sum())
+    return JointSolution(
+        status=status, powers=powers,
+        routes=RouteSet(paths=((0, 1),), n_nodes=powers.shape[0]), trace=(),
+        total_power=total, energy_per_bit=1.0, initial_total_power=total,
+        initial_energy_per_bit=1.0)
 
 
 def candidate_set(power_columns, target=None):
     pmat = np.asarray(power_columns, dtype=float)
-    candidates = tuple(
-        RouteCandidate(trial=k, routes=RouteSet(paths=((0, 1),), n_nodes=pmat.shape[0]),
-                       powers=pmat[:, k], total_power=float(pmat[:, k].sum()))
-        for k in range(pmat.shape[1])
-    )
+    candidates = tuple(solution(pmat[:, k]) for k in range(pmat.shape[1]))
     if target is None:
         best = min(candidates, key=lambda c: c.total_power)
         target = float(np.mean(best.powers))
-    return RouteCandidateSet(candidates=candidates, power_target=target)
+    return RouteCandidateSet(candidates=candidates,
+                             trials=tuple(range(len(candidates))),
+                             power_target=target)
 
 
 def test_select_single_trial():
-    trials = [summary(0, [1.0, 2.0, 3.0])]
+    trials = [solution([1.0, 2.0, 3.0])]
     selected = select_candidates(trials)
     assert len(selected) == 1
     assert selected.power_target == pytest.approx(2.0)
 
 
 def test_select_zero_threshold_keeps_only_ties():
-    trials = [summary(0, [1.0, 1.0]), summary(1, [1.0, 1.0]),
-              summary(2, [1.2, 1.0])]
+    trials = [solution([1.0, 1.0]), solution([1.0, 1.0]),
+              solution([1.2, 1.0])]
     selected = select_candidates(trials, threshold=0.0)
-    assert [c.trial for c in selected.candidates] == [0, 1]
+    assert list(selected.trials) == [0, 1]
 
 
 @pytest.mark.parametrize("threshold", [-0.1, float("nan"), float("inf"),
                                        True])
 def test_select_rejects_a_bad_threshold(threshold):
     # a negative or NaN threshold would leave out even the best trial
-    trials = [summary(0, [1.0, 1.0]), summary(1, [1.05, 1.0])]
+    trials = [solution([1.0, 1.0]), solution([1.05, 1.0])]
     with pytest.raises(ConfigError, match=r"^threshold must be"):
         select_candidates(trials, threshold=threshold)
 
 
 def test_select_threshold_band_and_skips_infeasible():
-    trials = [summary(0, [1.0, 1.0]), summary(1, [1.05, 1.0]),
-              summary(2, [1.3, 1.0]),
-              summary(3, [0.1, 0.1], status="infeasible_init")]
+    trials = [solution([1.0, 1.0]), solution([1.05, 1.0]),
+              solution([1.3, 1.0]),
+              solution([0.1, 0.1], status="infeasible_init")]
     selected = select_candidates(trials, threshold=0.10)
-    assert [c.trial for c in selected.candidates] == [0, 1]
+    assert list(selected.trials) == [0, 1]
     assert selected.power_target == pytest.approx(1.0)
 
 

@@ -400,6 +400,28 @@ def test_pc_mud_stops_at_first_nonfinite_iterate():
     assert np.isfinite(result.trace).all()
 
 
+def test_lmmse_filter_raises_where_the_covariance_is_singular():
+    # test_pc_mud_stops_at_first_nonfinite_iterate's instance: noise 1e-30
+    # vanishes next to the interference, so every link's covariance is
+    # singular in floating point, read directly or through the filter bank
+    rng = np.random.default_rng(35)
+    _, gains = random_network(rng, 5)
+    book = generate_spreading_codebook(5, 4, seed=36)
+    active = random_active_links(rng, 5, max_out=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for max_iter, status in ((1, "max_iter"), (10_000, "nonfinite")):
+            result, filters = pc_mud_iterate(np.full(5, 1e-3), active, gains,
+                                             book, 1e-30, GAMMA,
+                                             max_iter=max_iter)
+            assert result.status == status
+            for i, j in active.links:
+                with pytest.raises(np.linalg.LinAlgError):
+                    lmmse_filter(i, result.powers, gains, book, 1e-30, j)
+                with pytest.raises(np.linalg.LinAlgError):
+                    filters[(i, j)]
+
+
 def test_pc_mud_solves_again_only_past_the_last_solve(monkeypatch):
     # a run of k iterations makes k kernel solves, and one more at the
     # returned powers when they are the step past the last solve
@@ -934,6 +956,29 @@ def test_from_links_matches_loop_oracle(n, links):
         assert str(err.value) == str(exc)
     else:
         assert ActiveLinkSet.from_links(n, iter(links)).links == want
+
+
+def test_a_link_set_built_directly_must_be_in_from_links_form():
+    # the solvers group links by sender: unsorted, these links got a
+    # "converged" verdict from pc_solve that their sorted twin refutes
+    _, gains = random_network(np.random.default_rng(3), 4)
+    links = ((0, 1), (0, 2), (2, 3), (1, 0))
+    with pytest.raises(ValueError, match="ActiveLinkSet.from_links"):
+        pc_solve(ActiveLinkSet(4, links), gains, 16, NOISE, GAMMA)
+    active = ActiveLinkSet.from_links(4, links)
+    assert pc_solve(active, gains, 16, NOISE, GAMMA).status == "infeasible"
+    assert pc_iterate(np.zeros(4), active, gains, 16, NOISE,
+                      GAMMA).status == "infeasible"
+    with pytest.raises(ValueError, match="ActiveLinkSet.from_links"):
+        ActiveLinkSet(4, ((0, 1), (0, 1))).link_arrays
+    for bad, message in ((((1, 1),), "self loop"), (((0, 4),), "outside"),
+                         (((-1, 0),), "outside")):
+        with pytest.raises(ValueError, match=message):
+            ActiveLinkSet(4, bad).link_arrays
+    direct = ActiveLinkSet(4, active.links)
+    for got, want in zip(direct.link_arrays, active.link_arrays):
+        assert got.tolist() == want.tolist()
+    assert ActiveLinkSet(4, ()).link_arrays[0].size == 0
 
 
 def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
