@@ -25,9 +25,9 @@ print("=== network ===")
 print(f"{scenario.n_nodes} nodes on a {scenario.area_side:.0f} m square, "
       f"spreading gain {scenario.spreading_gain}, "
       f"target SIR {scenario.target_sir}")
-for i, (x, y) in enumerate(net.topology.positions):
+for i, (x, y) in enumerate(net.topology):
     print(f"  node {i}: ({x:6.1f}, {y:6.1f})")
-print("sessions:", net.sessions.sessions)
+print("sessions:", net.sessions)
 
 p0 = np.full(scenario.n_nodes, scenario.initial_power)
 routes = initial_routes(scenario, net.gains, net.sessions, p0)
@@ -57,12 +57,10 @@ for i in routes.active_links.transmitters:
 
 print("\n=== an infeasible configuration ===")
 # two tightly coupled crossing links with a small spreading gain diverge
-from adhocnet.netmodel import Topology, compute_link_gains
+from adhocnet.netmodel import compute_link_gains
 
 positions = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 1.0], [10.0, 1.0]])
-positions.setflags(write=False)
-crossing = Topology(positions=positions, area_side=20.0)
-gains = compute_link_gains(crossing, 2.0)
+gains = compute_link_gains(positions, 2.0)
 active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
 bad = pc_iterate(np.full(4, 1e-6), active, gains, 2, 1e-13, 5.0)
 print(f"status: {bad.status} (powers blew past the cap after "

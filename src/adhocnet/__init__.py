@@ -19,12 +19,9 @@ from .errors import (
     UnreachableSessionError,
 )
 from .netmodel import (
-    LinkGainMatrix,
     Network,
     Scenario,
-    SessionSet,
     SpreadingCodebook,
-    Topology,
     build_network,
     compute_link_gains,
     generate_sessions,

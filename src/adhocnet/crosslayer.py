@@ -20,12 +20,9 @@ import numpy as np
 
 from .netmodel import (
     INIT_POWER_STREAM,
-    LinkGainMatrix,
     Network,
     Scenario,
-    SessionSet,
     SpreadingCodebook,
-    Topology,
     build_network,
 )
 from .phy import (
@@ -102,7 +99,7 @@ def initial_powers(scenario: Scenario, rng: np.random.Generator | None = None) -
 
 
 def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
-                           gains: LinkGainMatrix,
+                           gains: np.ndarray,
                            codebook: SpreadingCodebook | None = None) -> float:
     """Total energy per delivered bit, summed over sessions and route links.
 
@@ -120,7 +117,7 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
             raise ValueError("LMMSE energy needs the spreading codebook")
         q = lmmse_solve(p, gains, codebook, scenario.noise_power, i_idx,
                         j_idx)
-        sir = lmmse_link_sir(p[i_idx] * gains.gains[i_idx, j_idx], q)
+        sir = lmmse_link_sir(p[i_idx] * gains[i_idx, j_idx], q)
     return _route_energy(routes, p, sir, scenario)
 
 
@@ -136,7 +133,7 @@ def _route_energy(routes: RouteSet, p: np.ndarray, link_sir: np.ndarray,
 
 
 def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
-                      gains: LinkGainMatrix,
+                      gains: np.ndarray,
                       codebook: SpreadingCodebook) -> PcResult:
     """Power control from ``p`` on ``routes`` with the scenario's receiver."""
     active = routes.active_links
@@ -153,8 +150,9 @@ def run_power_control(scenario: Scenario, p: np.ndarray, routes: RouteSet,
     )
 
 
-def joint_optimize(scenario: Scenario, topology: Topology,
-                   gains: LinkGainMatrix, sessions: SessionSet,
+def joint_optimize(scenario: Scenario, topology: np.ndarray | None,
+                   gains: np.ndarray,
+                   sessions: tuple[tuple[int, int], ...],
                    codebook: SpreadingCodebook,
                    p_init: np.ndarray | None = None,
                    phase_budget: int | None = None) -> JointSolution:
@@ -175,6 +173,9 @@ def joint_optimize(scenario: Scenario, topology: Topology,
     An initial power-control failure yields status "infeasible_init" with
     the failing PcResult attached: with the matched receiver, a failed
     ``pc_solve`` check of the initial routes.
+
+    ``topology`` is not read (the gains carry all the loop needs of the
+    positions); it keeps its place for callers that pass it by position.
     """
     if phase_budget is not None:
         check_value("phase_budget", phase_budget, Integral, low=1)
@@ -281,7 +282,7 @@ def multi_start(scenario: Scenario, trials: int,
     check_value("trials", trials, Integral, low=1)
     if seed is None:
         seed = scenario.master_seed
-    check_value("seed", seed, Integral)
+    check_value("seed", seed, Integral, low=0, high=2**64 - 1)
     net = build_network(scenario)
     # every trial starts from a random draw, whatever the scenario's mode
     random_init = scenario.replace(initial_power_mode="random")

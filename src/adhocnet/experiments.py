@@ -39,7 +39,6 @@ from .errors import (
 )
 from .fairness import effective_node_powers, optimize_mixture, select_candidates
 from .netmodel import (
-    LinkGainMatrix,
     Network,
     Scenario,
     build_network,
@@ -126,7 +125,7 @@ def throughput_gain(n_a: int, spreading_a: int, n_b: int,
     return (n_a * spreading_b) / (spreading_a * n_b)
 
 
-def _capacity_instance_feasible(scenario: Scenario, gains: LinkGainMatrix,
+def _capacity_instance_feasible(scenario: Scenario, gains: np.ndarray,
                                 seed: int, trial: int) -> bool:
     """Judge one Monte Carlo instance of the scenario's size: do the initial
     routes admit a converged power-control run at the initial powers? (For
@@ -169,7 +168,7 @@ def capacity_search(scenario_template: Scenario, spreading_gain: int,
     check_value("n_min", n_min, Integral, low=2)
     check_value("n_max", n_max, Integral, low=n_min)
     check_value("n_step", n_step, Integral, low=1)
-    check_value("seed", seed, Integral)
+    check_value("seed", seed, Integral, low=0, high=2**64 - 1)
 
     trial_gains = []  # each trial's n_max nodes; size N reads the N x N block
     for trial in range(trials):
@@ -259,7 +258,7 @@ def _export_solution(net: Network, solution: JointSolution, out_dir: str,
     _write(out_dir, artifacts, prefix + "node_powers.csv",
            ("node", "x_m", "y_m", "power_W"),
            [(i, float(x), float(y), float(pw))
-            for i, ((x, y), pw) in enumerate(zip(net.topology.positions,
+            for i, ((x, y), pw) in enumerate(zip(net.topology,
                                                  solution.powers))])
     _write(out_dir, artifacts, prefix + "routes.csv",
            ("session", "hop", "node"),
@@ -285,10 +284,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         net = build_network(scenario)
         _write(out_dir, artifacts, "topology.csv", ("node", "x_m", "y_m"),
                [(i, float(x), float(y))
-                for i, (x, y) in enumerate(net.topology.positions)])
+                for i, (x, y) in enumerate(net.topology)])
         _write(out_dir, artifacts, "sessions.csv",
                ("session", "source", "destination"),
-               [(k, s, d) for k, (s, d) in enumerate(net.sessions.sessions)])
+               [(k, s, d) for k, (s, d) in enumerate(net.sessions)])
         solution = joint_optimize(scenario, net.topology, net.gains,
                                   net.sessions, net.codebook,
                                   phase_budget=config.phase_budget)

@@ -71,7 +71,7 @@ class Scenario:
     improvement_tol : relative total-power improvement below which the joint
         loop stops.
     phase_cap : hard bound on recorded joint-loop phases.
-    master_seed : root of every random stream.
+    master_seed : root of every random stream, in [0, 2^64).
     """
 
     n_nodes: int = checked(Integral, 55, low=2)
@@ -92,7 +92,7 @@ class Scenario:
     pc_max_iter: int = checked(Integral, 10_000, low=1)
     improvement_tol: float = checked(Real, 1e-4, low=0)
     phase_cap: int = checked(Integral, 100, low=1)
-    master_seed: int = checked(Integral, 1)
+    master_seed: int = checked(Integral, 1, low=0, high=2**64 - 1)
 
     def __post_init__(self):
         check_fields(self)
@@ -151,41 +151,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Topology:
-    """Node positions, shape (n, 2), meters."""
-
-    positions: np.ndarray
-    area_side: float
-
-    @property
-    def n_nodes(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class LinkGainMatrix:
-    """Pairwise path-loss gains h(i, j) = d(i, j)^-n; the diagonal is unused
-    and stored as zero."""
-
-    gains: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.gains.shape[0]
-
-
-@dataclass(frozen=True)
-class SessionSet:
-    """One (source, destination) pair per node, destination chosen uniformly
-    among the other nodes."""
-
-    sessions: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.sessions)
-
-
-@dataclass(frozen=True)
 class SpreadingCodebook:
     """Per-node spreading sequences, shape (n, L), each row unit norm."""
 
@@ -218,13 +183,13 @@ class SpreadingCodebook:
         return _readonly(np.linalg.inv(self.gram))
 
 
-def generate_topology(n_nodes: int, area_side: float, seed: int) -> Topology:
-    """Place ``n_nodes`` points i.i.d. uniformly on the square area."""
+def generate_topology(n_nodes: int, area_side: float, seed: int) -> np.ndarray:
+    """Place ``n_nodes`` points i.i.d. uniformly on the square area: the
+    read-only (n, 2) positions in meters."""
     if n_nodes < 2:
         raise ConfigError("n_nodes must be at least 2")
     rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, area_side, size=(n_nodes, 2))
-    return Topology(positions=_readonly(positions), area_side=float(area_side))
+    return _readonly(rng.uniform(0.0, area_side, size=(n_nodes, 2)))
 
 
 def pair_gains(positions: np.ndarray, path_loss_exp: float) -> np.ndarray:
@@ -239,30 +204,32 @@ def pair_gains(positions: np.ndarray, path_loss_exp: float) -> np.ndarray:
     return gains
 
 
-def leading_gains(gains: np.ndarray, n_nodes: int) -> LinkGainMatrix:
+def leading_gains(gains: np.ndarray, n_nodes: int) -> np.ndarray:
     """Gains of the first ``n_nodes`` nodes of a ``pair_gains`` array, as a
     read-only contiguous block; CoincidentNodesError when two coincide."""
     block = np.ascontiguousarray(gains[:n_nodes, :n_nodes])
     if np.isnan(block).any():
         raise CoincidentNodesError("two nodes share a position")
-    return LinkGainMatrix(gains=_readonly(block))
+    return _readonly(block)
 
 
-def compute_link_gains(topology: Topology, path_loss_exp: float) -> LinkGainMatrix:
-    """Distance power-law gains of every ordered pair; CoincidentNodesError
-    when two nodes coincide (the caller should redraw the topology)."""
-    return leading_gains(pair_gains(topology.positions, path_loss_exp),
-                         topology.n_nodes)
+def compute_link_gains(positions: np.ndarray,
+                       path_loss_exp: float) -> np.ndarray:
+    """Read-only (n, n) gains h(i, j) = d(i, j)^-n of the positions (n, 2),
+    zero on the diagonal; CoincidentNodesError when two nodes coincide (the
+    caller should redraw the topology)."""
+    return leading_gains(pair_gains(positions, path_loss_exp), len(positions))
 
 
-def generate_sessions(n_nodes: int, seed: int) -> SessionSet:
-    """Draw one session per node toward a uniformly random other node."""
+def generate_sessions(n_nodes: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """Draw one session per node toward a uniformly random other node: the
+    (source, destination) pairs, session k from source k."""
     if n_nodes < 2:
         raise ConfigError("n_nodes must be at least 2")
     dest = np.random.default_rng(seed).integers(0, n_nodes - 1, size=n_nodes)
     sources = np.arange(n_nodes)
     dest += dest >= sources  # skip the source itself
-    return SessionSet(sessions=tuple(zip(sources.tolist(), dest.tolist())))
+    return tuple(zip(sources.tolist(), dest.tolist()))
 
 
 def generate_spreading_codebook(n_nodes: int, length: int, seed: int) -> SpreadingCodebook:
@@ -277,12 +244,13 @@ def generate_spreading_codebook(n_nodes: int, length: int, seed: int) -> Spreadi
 
 @dataclass(frozen=True)
 class Network:
-    """A scenario together with its generated static state."""
+    """A scenario together with its generated static state; ``topology``
+    holds the node positions."""
 
     scenario: Scenario
-    topology: Topology
-    gains: LinkGainMatrix
-    sessions: SessionSet
+    topology: np.ndarray
+    gains: np.ndarray
+    sessions: tuple[tuple[int, int], ...]
     codebook: SpreadingCodebook
 
 

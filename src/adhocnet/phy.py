@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dtrtrs
 
-from .netmodel import LinkGainMatrix, SpreadingCodebook
+from .netmodel import SpreadingCodebook
 
 # Condition bound above which an LMMSE covariance solve is flagged.
 CONDITION_WARN_THRESHOLD = 1e12
@@ -104,7 +104,7 @@ class FilterBank:
         return cls({(i, j): codebook.sequences[i] for (i, j) in links})
 
     @classmethod
-    def lmmse(cls, links, p: np.ndarray, gains: LinkGainMatrix,
+    def lmmse(cls, links, p: np.ndarray, gains: np.ndarray,
               codebook: SpreadingCodebook, noise: float) -> "FilterBank":
         """``lmmse_filter`` of each link at p, called each time the link is
         read; p should be read-only, as ``PcResult.powers`` is."""
@@ -115,7 +115,7 @@ class FilterBank:
         return self.filters[link]
 
 
-def received_powers(gains: LinkGainMatrix, p: np.ndarray) -> np.ndarray:
+def received_powers(gains: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Total received power at every node from all other transmitters.
 
     Entry j equals sum_k h(k, j) P_k over k != j; the zero diagonal of the
@@ -123,10 +123,10 @@ def received_powers(gains: LinkGainMatrix, p: np.ndarray) -> np.ndarray:
     a node can measure locally; the matched-filter SIR subtracts the desired
     term from it.
     """
-    return gains.gains.T @ p
+    return gains.T @ p
 
 
-def sir_matched(link, p: np.ndarray, gains: LinkGainMatrix, spreading_gain: int,
+def sir_matched(link, p: np.ndarray, gains: np.ndarray, spreading_gain: int,
                 noise: float) -> float:
     """Matched-filter SIR of a link under the 1/L interference model.
 
@@ -140,12 +140,12 @@ def sir_matched(link, p: np.ndarray, gains: LinkGainMatrix, spreading_gain: int,
 
 
 def matched_link_sir(i_idx: np.ndarray, j_idx: np.ndarray, p: np.ndarray,
-                     gains: LinkGainMatrix, spreading_gain: int,
+                     gains: np.ndarray, spreading_gain: int,
                      noise: float) -> np.ndarray:
     """``sir_matched`` of every link (i_idx[l], j_idx[l]); infinite where
     the denominator is zero."""
     s = received_powers(gains, p)
-    num = gains.gains[i_idx, j_idx] * p[i_idx]
+    num = gains[i_idx, j_idx] * p[i_idx]
     denom = (s[j_idx] - num) / spreading_gain + noise
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = num / denom
@@ -153,7 +153,7 @@ def matched_link_sir(i_idx: np.ndarray, j_idx: np.ndarray, p: np.ndarray,
     return sir
 
 
-def matched_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
+def matched_sir_matrix(p: np.ndarray, gains: np.ndarray,
                        spreading_gain: int, noise: float) -> np.ndarray:
     """``matched_link_sir`` of every ordered pair (i, j), the SIR the
     routing gate reads: zero on the diagonal and wherever the desired term
@@ -162,25 +162,25 @@ def matched_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
     nodes = np.arange(p.shape[0])
     sir = matched_link_sir(nodes[:, None], nodes, p, gains, spreading_gain,
                            noise)
-    sir[gains.gains * p[:, None] == 0.0] = 0.0
+    sir[gains * p[:, None] == 0.0] = 0.0
     np.fill_diagonal(sir, 0.0)
     return sir
 
 
-def _interference_covariance(i: int, p: np.ndarray, gains: LinkGainMatrix,
+def _interference_covariance(i: int, p: np.ndarray, gains: np.ndarray,
                              codebook: SpreadingCodebook, noise: float,
                              receiver_node: int) -> np.ndarray:
     """Interference-plus-noise covariance at the receiver, excluding the
     desired transmitter i and the receiver itself."""
     seqs = codebook.sequences
-    weights = p * gains.gains[:, receiver_node]
+    weights = p * gains[:, receiver_node]
     weights[[i, receiver_node]] = 0.0
     cov = (seqs.T * weights) @ seqs
     cov[np.diag_indices_from(cov)] += noise
     return cov
 
 
-def lmmse_filter(i: int, p: np.ndarray, gains: LinkGainMatrix,
+def lmmse_filter(i: int, p: np.ndarray, gains: np.ndarray,
                  codebook: SpreadingCodebook, noise: float,
                  receiver_node: int) -> np.ndarray:
     """LMMSE receiver filter for transmitter i at ``receiver_node``.
@@ -206,7 +206,7 @@ def lmmse_filter(i: int, p: np.ndarray, gains: LinkGainMatrix,
     return scale * base
 
 
-def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
+def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: np.ndarray,
               codebook: SpreadingCodebook, noise: float) -> float:
     """Output SIR of the link's receiver filter with exact cross-correlations.
 
@@ -218,16 +218,16 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: LinkGainMatrix,
         raise ValueError("link endpoints must differ")
     c = filters[link]
     x = codebook.sequences @ c
-    weights = p * gains.gains[:, j] * x * x
+    weights = p * gains[:, j] * x * x
     weights[[i, j]] = 0.0
-    num = gains.gains[i, j] * p[i] * x[i] * x[i]
+    num = gains[i, j] * p[i] * x[i] * x[i]
     denom = float(np.sum(weights)) + noise * float(c @ c)
     if denom == 0.0:
         return float("inf")
     return float(num / denom)
 
 
-def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
+def lmmse_solve(p: np.ndarray, gains: np.ndarray,
                 codebook: SpreadingCodebook, noise: float,
                 i_idx: np.ndarray, j_idx: np.ndarray, vectors: bool = False):
     """q[l] = s_i' B_j^-1 s_i of every link (i, j) = (i_idx[l], j_idx[l]).
@@ -250,13 +250,13 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
     receivers = counts.nonzero()[0]
     ends = counts[receivers].cumsum()
     key = (codebook, float(noise), np.asarray(p, float).tobytes(),
-           np.asarray(gains.gains, float).tobytes())
+           np.asarray(gains, float).tobytes())
     held, factors = _memo  # bound once: another call may rebind _memo
     if not (held and held[0] is codebook and held[1:] == key[1:]):
         factors = {}  # the last vector's factors go with the next line
         _memo = key, factors
     new = [j for j in receivers.tolist() if j not in factors]
-    w = p * gains.gains[:, new].T  # (new receivers, n); zero at each one
+    w = p * gains[:, new].T  # (new receivers, n); zero at each one
     lu = codebook.inverse_gram is None and n <= codebook.length
     e = np.eye(n)  # q = |y|^2, or G[i] y for the LU form
     if codebook.inverse_gram is not None:
@@ -295,7 +295,7 @@ def lmmse_solve(p: np.ndarray, gains: LinkGainMatrix,
                           codebook.gram[i_idx[order]].T if lu else y, y)
     q = np.empty_like(q_grouped)
     q[order] = q_grouped
-    own = p[i_idx] * gains.gains[i_idx, j_idx]
+    own = p[i_idx] * gains[i_idx, j_idx]
     bound = float(((received_powers(gains, p)[j_idx] - own).max(initial=0.0)
                    + codebook.length * noise) / noise)
     failed = receivers[np.isnan(q_grouped[ends - 1])].tolist()
@@ -320,7 +320,7 @@ def lmmse_link_sir(c: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.where(c == 0.0, np.inf, c * q / (1.0 - c * q))
 
 
-def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
+def lmmse_sir_matrix(p: np.ndarray, gains: np.ndarray,
                      codebook: SpreadingCodebook, noise: float,
                      gate: float) -> np.ndarray:
     """Achievable LMMSE output SIR at p of the pairs that can reach ``gate``.
@@ -331,7 +331,7 @@ def lmmse_sir_matrix(p: np.ndarray, gains: LinkGainMatrix,
     elsewhere, where c is zero (the diagonal) or where q is NaN. ``gate=0``
     solves every pair.
     """
-    c = p[:, None] * gains.gains
+    c = p[:, None] * gains
     i_idx, j_idx = np.nonzero(c >= 0.5 * gate * noise)
     q = lmmse_solve(p, gains, codebook, noise, i_idx, j_idx)
     sir = np.zeros_like(c)

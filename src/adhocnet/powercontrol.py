@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv
 
 from .errors import check_powers, check_value
-from .netmodel import LinkGainMatrix, SpreadingCodebook
+from .netmodel import SpreadingCodebook
 from .phy import (
     FilterBank,
     lmmse_link_sir,
@@ -153,7 +153,7 @@ class PcResult:
         return self.status == STATUS_CONVERGED
 
 
-def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
+def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                   spreading_gain: int, noise: float,
                   target_sir: float) -> np.ndarray:
     """T_i(p) for every node; zero for nodes with no outgoing active link.
@@ -163,7 +163,7 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
     """
     i_idx, j_idx = active.link_arrays
     s = received_powers(gains, p)
-    g = gains.gains[i_idx, j_idx]
+    g = gains[i_idx, j_idx]
     interference = (s[j_idx] - g * p[i_idx]) / spreading_gain + noise
     targets = np.zeros(active.n_nodes)
     np.maximum.at(targets, i_idx, target_sir * interference / g)
@@ -212,7 +212,7 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
     return PcResult(status, powers, done, np.asarray(totals))
 
 
-def _affine_form(active: ActiveLinkSet, gains: LinkGainMatrix, noise: float,
+def _affine_form(active: ActiveLinkSet, gains: np.ndarray, noise: float,
                  target_sir: float, scale: float, weights=None) -> tuple:
     """Senders, first link of each, sender of each link, a and coupling: link
     l = (i, j) needs a_l + x @ coupling[:, l] at the senders' powers x, with
@@ -220,8 +220,8 @@ def _affine_form(active: ActiveLinkSet, gains: LinkGainMatrix, noise: float,
     h(k,j) / h(i,j), zero at k = i and (zero gain diagonal) at k = j."""
     i_idx, j_idx = active.link_arrays
     senders, starts, owner = active.sender_groups
-    g_link = gains.gains[i_idx, j_idx]
-    coupling = gains.gains[senders][:, j_idx] * (scale / g_link)
+    g_link = gains[i_idx, j_idx]
+    coupling = gains[senders][:, j_idx] * (scale / g_link)
     if weights is not None:
         coupling *= weights[senders][:, i_idx]
     coupling[owner, np.arange(len(i_idx))] = 0.0
@@ -294,7 +294,7 @@ def _affine_steps(form: tuple) -> Callable[[np.ndarray, int], np.ndarray]:
     return advance
 
 
-def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
+def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                spreading_gain: int, noise: float, target_sir: float, *,
                tol: float = 1e-6, max_iter: int = 10_000,
                power_cap: float = 1.0) -> PcResult:
@@ -313,7 +313,7 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
                         max_iter=max_iter, power_cap=power_cap)
 
 
-def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
+def pc_solve(active: ActiveLinkSet, gains: np.ndarray,
              spreading_gain: int, noise: float, target_sir: float, *,
              power_cap: float = 1.0) -> PcResult:
     """Minimal fixed point of ``pc_iterate``'s update, by policy iteration.
@@ -340,7 +340,7 @@ def pc_solve(active: ActiveLinkSet, gains: LinkGainMatrix,
 
 
 def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
-                   gains: LinkGainMatrix, codebook: SpreadingCodebook,
+                   gains: np.ndarray, codebook: SpreadingCodebook,
                    noise: float, target_sir: float, *,
                    tol: float = 1e-6, max_iter: int = 10_000,
                    power_cap: float = 1.0,
@@ -371,7 +371,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
                                     codebook, noise)
 
 
-def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
+def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                  codebook: SpreadingCodebook, noise: float, target_sir: float,
                  *, tol: float = 1e-6, max_iter: int = 10_000,
                  power_cap: float = 1.0) -> PcResult:
@@ -388,7 +388,7 @@ def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
     if ``newton``; ``link_sir`` comes from a solve at the returned p."""
     i_idx, j_idx = active.link_arrays
     senders, starts, owner = active.sender_groups
-    g = gains.gains[i_idx, j_idx]
+    g = gains[i_idx, j_idx]
     last = None  # (x, need, q, S c or None) of the last step
     # plain steps before the next tangent solve, and after the next refusal
     wait, pause = 0 if newton else np.inf, 1
@@ -413,7 +413,7 @@ def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
             return t
         # with every filter frozen at x, link l needs need[l] at x and
         # need[l] + (x' - x) @ coupling[:, l] at other senders' powers x'
-        coupling = gains.gains[senders][:, j_idx] * sc[senders] ** 2 * (
+        coupling = gains[senders][:, j_idx] * sc[senders] ** 2 * (
             target_sir / (g * q * q))
         coupling[owner, np.arange(len(g))] = 0.0
         solutions, solved = _policy_iteration(

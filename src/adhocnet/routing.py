@@ -36,12 +36,9 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import UnreachableSessionError, check_powers
-from .netmodel import LinkGainMatrix, Scenario, SessionSet
+from .netmodel import Scenario
 from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
-
-# Cost matrices are plain (n, n) float arrays with +inf for unusable links.
-LinkCostMatrix = np.ndarray
 
 # Skeleton repairs after a diverging probe, and the probe's step budget.
 _REPAIR_ROUNDS = 8
@@ -49,7 +46,7 @@ _PROBE_ITERATIONS = 1500
 
 
 def build_link_costs(p: np.ndarray, sir: np.ndarray,
-                     target_sir: float) -> LinkCostMatrix:
+                     target_sir: float) -> np.ndarray:
     """SIR-gated link costs: the transmitter's power when the link's SIR in
     ``sir`` reaches the target (boundary included), +inf otherwise.
 
@@ -63,7 +60,7 @@ def build_link_costs(p: np.ndarray, sir: np.ndarray,
 
 
 def initial_route_costs(scenario: Scenario, sir: np.ndarray,
-                        p_init: np.ndarray) -> LinkCostMatrix:
+                        p_init: np.ndarray) -> np.ndarray:
     """Energy-per-bit link costs for the initialization phase (no SIR gate).
 
     A link is priced by the energy per bit it would consume when operated at
@@ -189,7 +186,7 @@ def _lex_paths(costs: np.ndarray,
     return paths
 
 
-def shortest_path(costs: LinkCostMatrix, source: int,
+def shortest_path(costs: np.ndarray, source: int,
                   dest: int) -> list[int] | None:
     """Minimum-total-cost simple path, or None when unreachable.
 
@@ -207,13 +204,15 @@ def shortest_path(costs: LinkCostMatrix, source: int,
     return _lex_paths(costs, ((source, dest),))[0]
 
 
-def assign_routes(sessions: SessionSet, costs: LinkCostMatrix) -> RouteSet:
-    """Minimum-cost route per session; raises when a session is unreachable."""
+def assign_routes(sessions: tuple[tuple[int, int], ...],
+                  costs: np.ndarray) -> RouteSet:
+    """Minimum-cost route per (source, destination) session; raises when a
+    session is unreachable."""
     costs = np.asarray(costs, dtype=float)
-    paths = _lex_paths(costs, sessions.sessions)
+    paths = _lex_paths(costs, sessions)
     for k, path in enumerate(paths):
         if path is None:
-            source, dest = sessions.sessions[k]
+            source, dest = sessions[k]
             raise UnreachableSessionError(k, source, dest)
     return RouteSet(paths=tuple(map(tuple, paths)), n_nodes=costs.shape[0])
 
@@ -282,8 +281,9 @@ def _probe_diverging(result) -> bool:
         and len(trace) > 60 and trace[-1] > trace[-51] * 1.001
 
 
-def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
-                   sessions: SessionSet, p_init: np.ndarray) -> RouteSet:
+def initial_routes(scenario: Scenario, gains: np.ndarray,
+                   sessions: tuple[tuple[int, int], ...],
+                   p_init: np.ndarray) -> RouteSet:
     """Route assignment for the initialization phase.
 
     Sessions are routed over the skeleton digraph with the target-operated
@@ -296,7 +296,7 @@ def initial_routes(scenario: Scenario, gains: LinkGainMatrix,
     the routes carry their own check as ``RouteSet.probe``. ``p_init`` must
     hold one finite, nonnegative power per node, or ConfigError is raised.
     """
-    p_init = check_powers("p_init", p_init, gains.n_nodes)
+    p_init = check_powers("p_init", p_init, len(gains))
     sir = matched_sir_matrix(p_init, gains, scenario.spreading_gain,
                              scenario.noise_power)
     base_costs = initial_route_costs(scenario, sir, p_init)

@@ -19,9 +19,7 @@ from adhocnet.experiments import (
     CapacityResult,
 )
 from adhocnet.netmodel import (
-    LinkGainMatrix,
     SpreadingCodebook,
-    Topology,
     compute_link_gains,
     generate_sessions,
     generate_spreading_codebook,
@@ -65,15 +63,16 @@ def generate_sessions_loop(n_nodes: int, seed: int):
     return tuple(sessions)
 
 
-def topology_from_positions(positions, area_side=200.0):
+def topology_from_positions(positions):
+    """Read-only float (n, 2) positions, as ``generate_topology`` returns."""
     pos = np.asarray(positions, dtype=float)
     pos.setflags(write=False)
-    return Topology(positions=pos, area_side=area_side)
+    return pos
 
 
 def random_network(rng, n, area=200.0, path_loss_exp=2.0):
     positions = rng.uniform(0.0, area, size=(n, 2))
-    topology = topology_from_positions(positions, area)
+    topology = topology_from_positions(positions)
     return topology, compute_link_gains(topology, path_loss_exp)
 
 
@@ -106,7 +105,7 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
     # one bounded integer per node, the draw rng.choice(others) makes
     dests = np.array([int(others[rng.integers(0, n - 1)])
                       for others in _others(n)])
-    g = gains.gains
+    g = gains
     nodes = np.arange(n)
     g_link = g[nodes, dests]
     m = target_sir / spreading_gain * g[:, dests].T / g_link[:, None]
@@ -139,7 +138,7 @@ def single_outgoing_instance_loop(rng, n, spreading_gain, target_sir, noise,
     topology, gains = random_network(rng, n, area)
     dests = [int(rng.choice([j for j in range(n) if j != i])) for i in range(n)]
     active = ActiveLinkSet.from_links(n, [(i, dests[i]) for i in range(n)])
-    g = gains.gains
+    g = gains
     m = np.zeros((n, n))
     b = np.zeros(n)
     for i in range(n):
@@ -252,7 +251,7 @@ def initial_skeleton_loop(sir, forbidden):
     return allowed
 
 
-def mud_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
+def mud_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                 codebook: SpreadingCodebook, noise: float, target_sir: float,
                 filters: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
     """Per-node power update for given receiver filters (worst outgoing link).
@@ -260,7 +259,7 @@ def mud_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
     Per link: target_sir * ( sum_{k != i,j} P_k h(k,j) (c's_k)^2
     + noise c'c ) / ( h(i,j) (c's_i)^2 ).
     """
-    g = gains.gains
+    g = gains
     seqs = codebook.sequences
     targets = np.zeros(active.n_nodes)
     for (i, j) in active.links:
@@ -277,7 +276,7 @@ def mud_targets(p: np.ndarray, active: ActiveLinkSet, gains: LinkGainMatrix,
 
 
 def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
-                    gains: LinkGainMatrix, codebook: SpreadingCodebook,
+                    gains: np.ndarray, codebook: SpreadingCodebook,
                     noise: float, target_sir: float, *,
                     tol: float = 1e-6, max_iter: int = 10_000,
                     power_cap: float = 1.0,
@@ -352,7 +351,7 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
 
 
 def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,
-                    gains: LinkGainMatrix, spreading_gain: int, noise: float,
+                    gains: np.ndarray, spreading_gain: int, noise: float,
                     target_sir: float, *, tol: float = 1e-6,
                     max_iter: int = 10_000,
                     power_cap: float = 1.0) -> PcResult:
@@ -387,7 +386,7 @@ def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,
 
 
 def gauss_seidel_sweep(p0: np.ndarray, active: ActiveLinkSet,
-                       gains: LinkGainMatrix, spreading_gain: int,
+                       gains: np.ndarray, spreading_gain: int,
                        noise: float, target_sir: float, *, tol: float,
                        max_sweeps: int) -> np.ndarray | None:
     """Matched power iteration under an asynchronous schedule, kept as the
@@ -479,7 +478,7 @@ def all_pairs(n: int):
     return np.divmod(np.arange(n * n), n)
 
 
-def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
+def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: np.ndarray,
                                codebook: SpreadingCodebook,
                                noise: float) -> np.ndarray:
     """``phy.lmmse_sir_matrix`` with every pair solved, kept as the
@@ -487,7 +486,7 @@ def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
     zero where c is zero, q is NaN or i = j."""
     n = p.shape[0]
     q = lmmse_solve(p, gains, codebook, noise, *all_pairs(n)).reshape(n, n)
-    c = p[:, None] * gains.gains
+    c = p[:, None] * gains
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = c * q / (1.0 - c * q)
     sir[np.isnan(q) | (c == 0.0)] = 0.0
@@ -495,7 +494,7 @@ def lmmse_sir_matrix_all_pairs(p: np.ndarray, gains: LinkGainMatrix,
     return sir
 
 
-def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
+def lmmse_kernel_lu(p: np.ndarray, gains: np.ndarray,
                     codebook: SpreadingCodebook, noise: float,
                     i_idx: np.ndarray, j_idx: np.ndarray):
     """The LU form of ``phy.lmmse_solve``, kept as its reference.
@@ -508,8 +507,8 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
     """
     n = p.shape[0]
     i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
-    w_link = p[i_idx] * gains.gains[i_idx, j_idx]
-    bound = ((p @ gains.gains)[j_idx] - w_link
+    w_link = p[i_idx] * gains[i_idx, j_idx]
+    bound = ((p @ gains)[j_idx] - w_link
              + codebook.length * noise) / noise
     if bound.size and float(bound.max()) > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -522,7 +521,7 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
     for j in np.unique(j_idx):
         at = j_idx == j
         senders = i_idx[at]
-        w = p * gains.gains[:, j]  # zero at the receiver
+        w = p * gains[:, j]  # zero at the receiver
         if n <= codebook.length:
             # sequence space: A_j = noise I + D_j G, right-hand sides e_i,
             # and q = G[i] z, G being symmetric
@@ -540,7 +539,7 @@ def lmmse_kernel_lu(p: np.ndarray, gains: LinkGainMatrix,
     return q
 
 
-def lmmse_q_mpmath(p: np.ndarray, gains: LinkGainMatrix,
+def lmmse_q_mpmath(p: np.ndarray, gains: np.ndarray,
                    codebook: SpreadingCodebook, noise: float, links,
                    digits: int = 40) -> np.ndarray:
     """q = s_i' B_j^-1 s_i of each link (i, j) at ``digits`` significant
@@ -553,7 +552,7 @@ def lmmse_q_mpmath(p: np.ndarray, gains: LinkGainMatrix,
         seqs = mpmath.matrix(rows)
         for j in sorted({j for _, j in links}):
             weights = [mpmath.mpf(pk) * mpmath.mpf(hk) for pk, hk
-                       in zip(p.tolist(), gains.gains[:, j].tolist())]
+                       in zip(p.tolist(), gains[:, j].tolist())]
             scaled = mpmath.matrix([[w * x for x in row]
                                     for w, row in zip(weights, rows)])
             cov = seqs.T * scaled + noise * mpmath.eye(codebook.length)
@@ -570,10 +569,7 @@ def _capacity_instance_feasible_loop(template, spreading_gain, n_nodes,
                                      positions_all, seed, trial) -> bool:
     """One instance of ``capacity_search_loop``, built from scratch."""
     scenario = template.replace(n_nodes=n_nodes, spreading_gain=spreading_gain)
-    positions = positions_all[:n_nodes].copy()
-    positions.setflags(write=False)
-    topology = Topology(positions=positions, area_side=scenario.area_side)
-    gains = compute_link_gains(topology, scenario.path_loss_exp)
+    gains = compute_link_gains(positions_all[:n_nodes], scenario.path_loss_exp)
     sessions = generate_sessions(
         n_nodes, derive_seed(seed, _CAP_SESSION_STREAM, trial, n_nodes)
     )

@@ -202,6 +202,18 @@ def test_bad_fairness_threshold_exits_2_before_any_trial(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_out_of_range_seed_exits_2_without_traceback(tmp_path, capsys, seed):
+    # derive_seed folds seeds mod 2^64, so these would alias 2^64 - 1 and 0
+    code = main(["run", "--nodes", "6", "--seed", seed,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "master_seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body", ["[]", '{"artifacts": 5}'])
 def test_malformed_manifest_exits_2_without_traceback(tmp_path, capsys, body):
     (tmp_path / "manifest.json").write_text(body)

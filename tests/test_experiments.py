@@ -27,7 +27,6 @@ from adhocnet.experiments import (
 )
 from adhocnet.netmodel import (
     Scenario,
-    Topology,
     build_network,
     compute_link_gains,
     leading_gains,
@@ -258,11 +257,11 @@ def test_size_gains_are_the_leading_block_until_a_coincident_pair():
     positions[9] = positions[3]
     trial_gains = pair_gains(positions, 2.0)
     for n in range(2, 15):
-        topology = Topology(positions=positions[:n], area_side=200.0)
+        topology = positions[:n]
         if n <= 9:
-            got = leading_gains(trial_gains, n).gains
+            got = leading_gains(trial_gains, n)
             assert got.tobytes() == \
-                compute_link_gains(topology, 2.0).gains.tobytes()
+                compute_link_gains(topology, 2.0).tobytes()
             assert got.flags.c_contiguous and not got.flags.writeable
             continue
         for build in (lambda: leading_gains(trial_gains, n),
@@ -448,6 +447,8 @@ def test_experiment_config_rejects_bad_capacity_scan(changes, field):
     ({"trials": 2.5}, "trials"),
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
 ])
 def test_capacity_search_names_a_bad_argument_before_any_work(monkeypatch,
                                                               changes, field):
@@ -470,13 +471,15 @@ def test_multi_start_names_a_float_trial_count_before_any_work(monkeypatch):
         multi_start(FEASIBLE, trials=2.5)
 
 
-@pytest.mark.parametrize("seed", [1.5, True])
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
 def test_multi_start_names_a_bad_seed_before_any_work(monkeypatch, seed):
     def no_work(scenario):
         raise AssertionError("a network was built")
 
     monkeypatch.setattr(crosslayer, "build_network", no_work)
-    with pytest.raises(ConfigError, match=r"^seed must be an integer"):
+    problem = {-1: "at least 0", 2**64: "at most 18446744073709551615"}.get(
+        seed, "an integer")
+    with pytest.raises(ConfigError, match=rf"^seed must be {problem}"):
         multi_start(FEASIBLE, trials=2, seed=seed)
 
 

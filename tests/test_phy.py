@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from adhocnet import phy
 from adhocnet.netmodel import (
-    LinkGainMatrix,
     SpreadingCodebook,
     generate_spreading_codebook,
 )
@@ -54,7 +53,7 @@ def test_sir_matched_single_interferer_hand_value():
     gains = compute_link_gains(topo, 2.0)
     p = np.array([2e-6, 0.0, 5e-7])
     spreading, noise = 8, 1e-13
-    g = gains.gains
+    g = gains
     expected = g[0, 1] * p[0] / ((g[2, 1] * p[2]) / spreading + noise)
     assert sir_matched((0, 1), p, gains, spreading, noise) == \
         pytest.approx(expected, rel=1e-12)
@@ -115,7 +114,7 @@ def test_lmmse_filter_matches_dense_solve():
     c = lmmse_filter(0, p, gains, book, noise, receiver_node=1)
     seqs = book.sequences
     cov = noise * np.eye(4)
-    cov += p[2] * gains.gains[2, 1] * np.outer(seqs[2], seqs[2])
+    cov += p[2] * gains[2, 1] * np.outer(seqs[2], seqs[2])
     base = np.linalg.inv(cov) @ seqs[0]
     expected = np.sqrt(p[0]) / (1.0 + p[0] * seqs[0] @ base) * base
     assert np.allclose(c, expected, rtol=1e-10)
@@ -130,7 +129,7 @@ def test_sir_lmmse_orthogonal_matched_is_noise_limited():
     noise = 1e-13
     filters = FilterBank.matched(book, [(0, 1)])
     sir = sir_lmmse((0, 1), p, filters, gains, book, noise)
-    expected = gains.gains[0, 1] * p[0] / noise
+    expected = gains[0, 1] * p[0] / noise
     assert sir == pytest.approx(expected, rel=1e-12)
 
 
@@ -144,7 +143,7 @@ def test_sir_lmmse_matched_filters_use_exact_cross_correlations():
     filters = FilterBank.matched(book, [link])
     got = sir_lmmse(link, p, filters, gains, book, noise)
     seqs = book.sequences
-    g = gains.gains
+    g = gains
     interference = sum(
         p[k] * g[k, 1] * float(seqs[0] @ seqs[k]) ** 2
         for k in range(5) if k not in (0, 1)
@@ -168,8 +167,8 @@ def test_sir_lmmse_matches_closed_form():
     got = sir_lmmse(link, p, filters, gains, book, noise)
     seqs = book.sequences
     cov = noise * np.eye(4)
-    cov += p[2] * gains.gains[2, 1] * np.outer(seqs[2], seqs[2])
-    closed = gains.gains[0, 1] * p[0] * seqs[0] @ np.linalg.solve(cov, seqs[0])
+    cov += p[2] * gains[2, 1] * np.outer(seqs[2], seqs[2])
+    closed = gains[0, 1] * p[0] * seqs[0] @ np.linalg.solve(cov, seqs[0])
     assert got == pytest.approx(closed, rel=1e-10)
 
 
@@ -283,13 +282,13 @@ def test_lmmse_kernel_matches_per_link_reference(instance):
         q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
     seqs = book.sequences
     for (i, j), q_link in zip(links, q):
-        weights = p * gains.gains[:, j]
+        weights = p * gains[:, j]
         cov = (seqs.T * weights) @ seqs + noise * np.eye(book.length)
         assert q_link == pytest.approx(
             seqs[i] @ np.linalg.solve(cov, seqs[i]), rel=1e-9)
         if p[i] == 0.0:
             continue
-        c = p[i] * gains.gains[i, j]
+        c = p[i] * gains[i, j]
         filters = FilterBank({(i, j): lmmse_filter(i, p, gains, book, noise,
                                                    j)})
         reference = sir_lmmse((i, j), p, filters, gains, book, noise)
@@ -394,7 +393,7 @@ def test_lmmse_kernel_both_coordinates_match_dense_reference(book):
     q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
     q_all = lmmse_solve(p, gains, book, noise, *all_pairs(n)).reshape(n, n)
     for (i, j), q_link in zip(links, q):
-        cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
+        cov = (seqs.T * (p * gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
         want = np.linalg.solve(cov, seqs[i])
         assert q_link == pytest.approx(seqs[i] @ want, rel=1e-9)
@@ -507,7 +506,7 @@ def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
     q = lmmse_solve(p, gains, book, noise, i_idx, j_idx)
     q_all = lmmse_solve(p, gains, book, noise, *all_pairs(n)).reshape(n, n)
     for (i, j), q_link in zip(links, q):
-        cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
+        cov = (seqs.T * (p * gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
         want = np.linalg.solve(cov, seqs[i])
         assert q_link == pytest.approx(seqs[i] @ want, rel=1e-9)
@@ -541,7 +540,7 @@ def test_lmmse_kernel_vectors_are_the_filters_seen_through_the_sequences(
     assert q_vectors.tobytes() == q.tobytes()
     assert x.shape == (n, len(links))
     for l, (i, j) in enumerate(zip(i_idx, j_idx)):
-        cov = (seqs.T * (p * gains.gains[:, j])) @ seqs \
+        cov = (seqs.T * (p * gains[:, j])) @ seqs \
             + noise * np.eye(book.length)
         want = seqs @ np.linalg.solve(cov, seqs[i])
         np.testing.assert_allclose(x[:, l], want, rtol=1e-8,
@@ -557,7 +556,7 @@ def test_failed_span_factorization_gives_nan_and_names_the_receiver():
     seqs = np.vstack([np.eye(4), np.full(4, 0.5)])
     seqs.setflags(write=False)
     book = SpreadingCodebook(sequences=seqs)
-    gains = LinkGainMatrix(gains=4.0 * (1.0 - np.eye(5)))
+    gains = 4.0 * (1.0 - np.eye(5))
     p = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
     i_idx, j_idx = np.array([4, 1, 4, 1]), np.array([0, 0, 3, 3])
     with pytest.warns(RuntimeWarning,
@@ -591,8 +590,8 @@ def memo_instances(draw):
     p[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
     nan_receiver = draw(st.none() | st.integers(0, n - 1))
     if nan_receiver is not None:
-        gains = LinkGainMatrix(gains=np.array(gains.gains))
-        gains.gains[:, nan_receiver] = np.nan
+        gains = np.array(gains)
+        gains[:, nan_receiver] = np.nan
     noise = draw(st.sampled_from([1e-13, 1e-30]))
     first, links = rng.integers(0, n, (2, 2, 2 * n))
     return p, gains, make_codebook(seqs), noise, first, links
@@ -644,9 +643,9 @@ def test_lmmse_kernel_memo_is_never_stale(monkeypatch):
     assert solve(p, gains, book, 1e-13)[1] == 4  # one key at a time
     twin = SpreadingCodebook(sequences=book.sequences)
     assert solve(p, gains, twin, 1e-13)[1] == 4
-    writable = LinkGainMatrix(gains=np.array(gains.gains))
+    writable = np.array(gains)
     assert solve(p, writable, twin, 1e-13)[1] == 0  # equal values
-    writable.gains[2, 3] *= 2.0
+    writable[2, 3] *= 2.0
     q_changed, count = solve(p, writable, twin, 1e-13)
     assert count == 4
     moved = np.array(p)
@@ -712,7 +711,7 @@ def test_gate_pruned_sir_matrix_routes_as_the_all_pairs_matrix(instance):
         full = lmmse_sir_matrix_all_pairs(p, gains, book, noise)
     np.testing.assert_array_equal(build_link_costs(p, pruned, gate),
                                   build_link_costs(p, full, gate))
-    solved = p[:, None] * gains.gains >= 0.5 * gate * noise
+    solved = p[:, None] * gains >= 0.5 * gate * noise
     np.testing.assert_allclose(pruned[solved], full[solved], rtol=1e-9,
                                atol=0.0)
     assert (pruned[~solved] == 0.0).all()

@@ -1,14 +1,26 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adhocnet import phy
 from adhocnet.errors import UnreachableSessionError
-from adhocnet.netmodel import Scenario, SessionSet, build_network, \
-    compute_link_gains
-from adhocnet.phy import matched_link_sir, matched_sir_matrix, sir_matched
+from adhocnet.netmodel import (
+    Scenario,
+    build_network,
+    compute_link_gains,
+    generate_spreading_codebook,
+)
+from adhocnet.phy import (
+    lmmse_sir_matrix,
+    lmmse_solve,
+    matched_link_sir,
+    matched_sir_matrix,
+    sir_matched,
+)
 from adhocnet.powercontrol import ActiveLinkSet
 from adhocnet.routing import (
     RouteSet,
@@ -34,7 +46,7 @@ def test_estimated_sir_no_other_transmitters():
     gains = compute_link_gains(topo, 2.0)
     p = np.array([1e-6, 0.0, 0.0])
     got = matched_sir_matrix(p, gains, 16, NOISE)[0, 1]
-    assert got == pytest.approx(gains.gains[0, 1] * p[0] / NOISE, rel=1e-12)
+    assert got == pytest.approx(gains[0, 1] * p[0] / NOISE, rel=1e-12)
 
 
 def test_estimated_sir_equals_matched_sir_exactly():
@@ -65,13 +77,10 @@ def test_estimated_sir_matrix_matches_scalar_path():
 def test_estimated_sir_zero_over_zero_is_zero():
     # without noise and interference a silent transmitter reads 0/0 and is
     # gated out, while a sending one reads x/0 and is admitted
-    gains_matrix = np.array([[0.0, 2.0 ** -10, 0.0],
-                             [2.0 ** -10, 0.0, 0.0],
-                             [0.0, 0.0, 0.0]])
-    gains_matrix.setflags(write=False)
-    from adhocnet.netmodel import LinkGainMatrix
-
-    gains = LinkGainMatrix(gains=gains_matrix)
+    gains = np.array([[0.0, 2.0 ** -10, 0.0],
+                      [2.0 ** -10, 0.0, 0.0],
+                      [0.0, 0.0, 0.0]])
+    gains.setflags(write=False)
     matrix = matched_sir_matrix(np.array([1.0, 0.0, 0.0]), gains, 4, 0.0)
     assert matrix[0, 1] == np.inf
     assert matrix[1, 0] == 0.0
@@ -81,11 +90,8 @@ def test_estimated_sir_zero_over_zero_is_zero():
 def test_link_costs_boundary_sir_is_admitted():
     # powers of two keep the arithmetic exact, so the estimated SIR equals
     # the target exactly and the boundary rule (>=) is visible
-    gains_matrix = np.array([[0.0, 2.0 ** -10], [2.0 ** -10, 0.0]])
-    gains_matrix.setflags(write=False)
-    from adhocnet.netmodel import LinkGainMatrix
-
-    gains = LinkGainMatrix(gains=gains_matrix)
+    gains = np.array([[0.0, 2.0 ** -10], [2.0 ** -10, 0.0]])
+    gains.setflags(write=False)
     noise = 2.0 ** -40
     target = 12.5
     p_exact = target * noise / 2.0 ** -10  # receiver sees exactly target
@@ -161,7 +167,7 @@ def test_assign_routes_direct_when_cheapest():
         for j in range(n):
             if i != j:
                 costs[i, j] = 1.0
-    sessions = SessionSet(sessions=((0, 3), (1, 2), (2, 0), (3, 1)))
+    sessions = ((0, 3), (1, 2), (2, 0), (3, 1))
     routes = assign_routes(sessions, costs)
     assert routes.paths == ((0, 3), (1, 2), (2, 0), (3, 1))
 
@@ -169,7 +175,7 @@ def test_assign_routes_direct_when_cheapest():
 def test_assign_routes_unreachable_names_session():
     costs = np.full((3, 3), np.inf)
     costs[0, 1] = 1.0
-    sessions = SessionSet(sessions=((0, 1), (1, 2)))
+    sessions = ((0, 1), (1, 2))
     with pytest.raises(UnreachableSessionError) as err:
         assign_routes(sessions, costs)
     assert err.value.session == 1
@@ -182,11 +188,9 @@ def test_assign_routes_total_cost_matches_brute_force():
     n = 6
     costs = rng.uniform(0.1, 2.0, size=(n, n))
     np.fill_diagonal(costs, np.inf)
-    sessions = SessionSet(sessions=tuple(
-        (i, int((i + 2) % n)) for i in range(n)
-    ))
+    sessions = tuple((i, int((i + 2) % n)) for i in range(n))
     routes = assign_routes(sessions, costs)
-    for (s, d), path in zip(sessions.sessions, routes.paths):
+    for (s, d), path in zip(sessions, routes.paths):
         total = sum(costs[a, b] for a, b in zip(path[:-1], path[1:]))
         oracle = brute_force_shortest(costs, s, d)
         oracle_cost = sum(costs[a, b] for a, b in zip(oracle[:-1], oracle[1:]))
@@ -272,9 +276,9 @@ def test_initial_routes_collinear_multihop_beats_direct():
     scenario = Scenario(n_nodes=4, spreading_gain=32, master_seed=1,
                         target_sir=12.5)
     topo = topology_from_positions(
-        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], area_side=10.0)
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
-    sessions = SessionSet(sessions=((0, 3), (1, 0), (2, 1), (3, 2)))
+    sessions = ((0, 3), (1, 0), (2, 1), (3, 2))
     p0 = np.full(4, scenario.initial_power)
     routes = initial_routes(scenario, gains, sessions, p0)
     assert routes.paths[0] == (0, 1, 2, 3)
@@ -305,9 +309,8 @@ def test_initial_routes_smoke_at_full_scale():
 
 
 def test_route_invariance_of_estimated_sir():
-    # the estimate reads only gains and powers, so any two route sets see
-    # identical values at fixed converged powers
-    rng = np.random.default_rng(8)
+    # the estimate reads only gains and powers, so the links of any two
+    # route sets read their values off one matrix at fixed converged powers
     scenario = Scenario(n_nodes=10, spreading_gain=64, master_seed=4)
     net = build_network(scenario)
     p0 = np.full(10, scenario.initial_power)
@@ -317,14 +320,94 @@ def test_route_invariance_of_estimated_sir():
     res = pc_iterate(p0, routes_a.active_links, net.gains, 64,
                      scenario.noise_power, scenario.target_sir)
     assert res.converged
-    matrix_a = matched_sir_matrix(res.powers, net.gains, 64,
-                                  scenario.noise_power)
+    matrix = matched_sir_matrix(res.powers, net.gains, 64,
+                                scenario.noise_power)
     # a different (arbitrary) route set
     paths = tuple((i, int((i + 3) % 10)) for i in range(10))
-    RouteSet(paths=paths, n_nodes=10)
-    matrix_b = matched_sir_matrix(res.powers, net.gains, 64,
-                                  scenario.noise_power)
-    assert np.array_equal(matrix_a, matrix_b)
+    for routes in (routes_a, RouteSet(paths=paths, n_nodes=10)):
+        links = routes.active_links.link_arrays
+        sir = matched_link_sir(*links, res.powers, net.gains, 64,
+                               scenario.noise_power)
+        assert sir.tobytes() == matrix[links].tobytes()
+
+
+@st.composite
+def route_set_pairs(draw):
+    """A random 6-12-node network at fixed random powers, a codebook of a
+    length that puts it in any LMMSE kernel form, and two random route sets
+    of one path per node, the second keeping some of the first's paths."""
+    n = draw(st.integers(6, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, gains = random_network(rng, n)
+    book = generate_spreading_codebook(
+        n, draw(st.sampled_from([4, 8, 32])), seed=int(rng.integers(2**32)))
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+
+    def random_path():
+        return tuple(rng.choice(n, size=int(rng.integers(2, 5)),
+                                replace=False).tolist())
+
+    paths_a = [random_path() for _ in range(n)]
+    kept = [path for path in paths_a if rng.random() < 0.5] or paths_a[:1]
+    paths_b = kept + [random_path() for _ in range(n - len(kept))]
+    return (p, gains, book, RouteSet(paths=tuple(paths_a), n_nodes=n),
+            RouteSet(paths=tuple(paths_b), n_nodes=n))
+
+
+def lmmse_q_rtol(p, gains, book, links) -> np.ndarray:
+    """Per link (i, j), how far apart two kernel calls that solve it beside
+    different links may put q, relative: 1e-13, the kernel's permutation
+    tolerance, or in the LU form 2 eps cond(A_j). There the rounding of q
+    depends on the links solved with it at j, by up to 0.6 eps cond(A_j)
+    in 4,036 drawn route sets (7e-12 at most), against 1.1e-15 in the
+    Cholesky forms."""
+    n = len(p)
+    if book.inverse_gram is not None or n > book.length:
+        return np.full(len(links[0]), 1e-13)
+    a = (p * gains[:, links[1]].T)[:, :, None] * book.gram + NOISE * np.eye(n)
+    return np.maximum(1e-13, 2 * np.finfo(float).eps * np.linalg.cond(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(route_set_pairs())
+def test_link_sir_does_not_depend_on_the_routes(instance):
+    # at fixed powers a link's SIR reads only the powers, gains and
+    # codebook: the same for every route set it is on, and the all-pairs
+    # matrix's entry
+    p, gains, book, routes_a, routes_b = instance
+    link_sets = [routes.active_links for routes in (routes_a, routes_b)]
+    shared = sorted(set(link_sets[0].links) & set(link_sets[1].links))
+    at_a, at_b = ([active.links.index(link) for link in shared]
+                  for active in link_sets)
+    arrays = [active.link_arrays for active in link_sets]
+
+    matrix = matched_sir_matrix(p, gains, book.length, NOISE)
+    sir_a, sir_b = (matched_link_sir(*links, p, gains, book.length, NOISE)
+                    for links in arrays)
+    assert sir_a[at_a].tobytes() == sir_b[at_b].tobytes()
+    for links, sir in zip(arrays, (sir_a, sir_b)):
+        assert sir.tobytes() == matrix[links].tobytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # condition bound
+        phy._memo = ((), {})
+        q_a = lmmse_solve(p, gains, book, NOISE, *arrays[0])
+        q_b_warmed = lmmse_solve(p, gains, book, NOISE, *arrays[1])
+        phy._memo = ((), {})
+        q_b = lmmse_solve(p, gains, book, NOISE, *arrays[1])
+        q_a_warmed = lmmse_solve(p, gains, book, NOISE, *arrays[0])
+        matrix = lmmse_sir_matrix(p, gains, book, NOISE, gate=0.0)
+    rtol_a, rtol_b = (lmmse_q_rtol(p, gains, book, links) for links in arrays)
+    for q_first in (q_a, q_a_warmed):
+        for q_second in (q_b, q_b_warmed):
+            assert (np.abs(q_first[at_a] - q_second[at_b])
+                    <= rtol_a[at_a] * q_second[at_b]).all()
+    for links, q, rtol in zip(arrays, (q_a, q_b), (rtol_a, rtol_b)):
+        # the matrix holds s = c q / (1 - c q); s / (1 + s) gives c q back
+        # without the 1 / (1 - c q) growth of the rounding in s
+        sir = matrix[links]
+        cq = p[links[0]] * gains[links] * q
+        assert (np.abs(sir / (1.0 + sir) - cq) <= rtol * cq).all()
 
 
 def test_gating_soundness_of_assigned_routes():
@@ -355,15 +438,15 @@ def zero_cost_instances(draw):
     np.fill_diagonal(costs, np.inf)
     offsets = draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
     sessions = tuple((i, (i + off) % n) for i, off in enumerate(offsets))
-    return costs, SessionSet(sessions=sessions)
+    return costs, sessions
 
 
 @settings(max_examples=150, deadline=None)
 @given(zero_cost_instances())
 def test_routes_match_enumeration_oracle_with_zero_costs(instance):
     costs, sessions = instance
-    expected = [brute_force_shortest(costs, s, d) for s, d in sessions.sessions]
-    for (s, d), path in zip(sessions.sessions, expected):
+    expected = [brute_force_shortest(costs, s, d) for s, d in sessions]
+    for (s, d), path in zip(sessions, expected):
         assert shortest_path(costs, s, d) == path
     unreachable = [k for k, path in enumerate(expected) if path is None]
     if unreachable:
@@ -473,15 +556,15 @@ def sparse_cost_instances(draw):
             rng.integers(1, 4, size=k)
     offsets = draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
     sessions = tuple((i, (i + off) % n) for i, off in enumerate(offsets))
-    return costs, SessionSet(sessions=sessions)
+    return costs, sessions
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_cost_instances())
 def test_routes_match_heap_search_on_sparse_graphs(instance):
     costs, sessions = instance
-    expected = [_heap_lex_path(costs, s, d) for s, d in sessions.sessions]
-    for (s, d), path in zip(sessions.sessions, expected):
+    expected = [_heap_lex_path(costs, s, d) for s, d in sessions]
+    for (s, d), path in zip(sessions, expected):
         assert shortest_path(costs, s, d) == path
     unreachable = [k for k, path in enumerate(expected) if path is None]
     if unreachable:
