@@ -30,7 +30,7 @@ for i, (x, y) in enumerate(net.topology):
 print("sessions:", net.sessions)
 
 p0 = np.full(scenario.n_nodes, scenario.initial_power)
-routes = initial_routes(scenario, net.gains, net.sessions, p0)
+routes, _ = initial_routes(scenario, net.gains, net.sessions, p0)
 print("\n=== initial routes (energy-per-bit costs at the starting powers) ===")
 for k, path in enumerate(routes.paths):
     print(f"  session {k}: {' -> '.join(map(str, path))}")

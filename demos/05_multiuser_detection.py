@@ -27,7 +27,7 @@ scenario = Scenario(n_nodes=30, spreading_gain=32, receiver="lmmse",
                     initial_power_mode="random", master_seed=9)
 net = build_network(scenario)
 p0 = initial_powers(scenario)
-routes = initial_routes(scenario, net.gains, net.sessions, p0)
+routes, _ = initial_routes(scenario, net.gains, net.sessions, p0)
 active = routes.active_links
 
 print("=== power control on the initial routes ===")

@@ -53,7 +53,6 @@ from .routing import (
     assign_routes,
     build_link_costs,
     initial_routes,
-    shortest_path,
 )
 from .crosslayer import (
     JointSolution,

@@ -183,7 +183,7 @@ def joint_optimize(scenario: Scenario, topology: np.ndarray | None,
         p_init = initial_powers(scenario)
     p_init = np.asarray(p_init, dtype=float)
 
-    routes = initial_routes(scenario, gains, sessions, p_init)
+    routes, pc = initial_routes(scenario, gains, sessions, p_init)
     init_total = float(p_init.sum())
     init_energy = network_energy_per_bit(routes, p_init, scenario, gains,
                                          codebook)
@@ -206,7 +206,6 @@ def joint_optimize(scenario: Scenario, topology: np.ndarray | None,
         # only called while p and routes are still the last record's
         records.append(replace(records[-1], phase=phase))
 
-    pc = routes.probe
     if scenario.receiver == "lmmse" or pc.converged:
         pc = run_power_control(scenario, p_init, routes, gains, codebook)
     if not pc.converged:

@@ -1,10 +1,11 @@
 """Reproduction harness: named experiments, file artifacts and the manifest.
 
 Every experiment writes CSV artifacts plus a ``manifest.json`` that echoes
-the full configuration, seeds and library versions; re-running from the
-manifest alone reproduces every data file byte for byte. This module owns
-every artifact: each file name and CSV header is written here and only
-here, through ``_write``, so the layer modules hold numerics alone.
+the full configuration, seeds, library versions, BLAS thread variables and
+CPU count; re-running from the manifest alone reproduces every data file
+byte for byte. This module owns every artifact: each file name and CSV
+header is written here and only here, through ``_write``, so the layer
+modules hold numerics alone.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def _capacity_instance_feasible(scenario: Scenario, gains: np.ndarray,
     p0 = initial_powers(scenario, np.random.default_rng(
         derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes))
         if scenario.initial_power_mode == "random" else None)
-    routes = initial_routes(scenario, gains, sessions, p0)
+    routes, check = initial_routes(scenario, gains, sessions, p0)
     if scenario.receiver == "matched":
-        return routes.probe.converged
+        return check.converged
     codebook = generate_spreading_codebook(
         n_nodes, scenario.spreading_gain,
         derive_seed(seed, _CAP_CODEBOOK_STREAM, trial, n_nodes),
@@ -224,6 +225,12 @@ def _write_manifest(config: ExperimentConfig, status: str, extras: dict,
             "numpy": np.__version__,
             "python": platform.python_version(),
             "scipy": scipy.__version__,
+        },
+        # settings the LAPACK bits may depend on, null where unset
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
     }
     path = os.path.join(config.out_dir, _MANIFEST)

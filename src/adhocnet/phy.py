@@ -30,7 +30,8 @@ links only:
   keeps its pivots from vanishing.
 - LU form, n <= L and an ill-conditioned G. B_j^-1 S' = S' A_j^-1 with
   A_j = noise I + D_j G, so q = G[i] A_j^-1 e_i by one LU of A_j
-  (``dgetrf``, solved by ``dgetrs``).
+  (``dgetrf``), solved by one ``dgetrs`` per link: a blocked solve of
+  several right-hand sides would round each by the others.
 - Span form, n > L. With the thin QR factorization S' = Q U (``span``),
   B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U', so
   q = |L_j^-1 u_i|^2 for K_j = L_j L_j' by Cholesky.
@@ -285,10 +286,14 @@ def lmmse_solve(p: np.ndarray, gains: np.ndarray,
     v = y if lu or not vectors else y.copy()  # L_j'^-1 y; for LU, y
     edges = [0, *ends.tolist()]
     for j, lo, hi in zip(receivers.tolist(), edges[:-1], edges[1:]):
-        if factors[j] is not None:
-            y[:, lo:hi] = (dgetrs(*factors[j], rhs[:, lo:hi]) if lu else
-                           dtrtrs(*factors[j], rhs[:, lo:hi], lower=1))[0]
-            if v is not y:
+        if factors[j] is None:
+            continue
+        if lu:  # one link per solve (module docstring)
+            for k in range(lo, hi):
+                y[:, k] = dgetrs(*factors[j], rhs[:, k])[0]
+        else:
+            y[:, lo:hi] = dtrtrs(*factors[j], rhs[:, lo:hi], lower=1)[0]
+            if vectors:
                 v[:, lo:hi] = dtrtrs(*factors[j], y[:, lo:hi], lower=1,
                                      trans=1)[0]
     q_grouped = np.einsum("rl,rl->l",

@@ -18,17 +18,17 @@ bit they would consume if operated at the SIR target given the initial
 interference, every link stays finite, and the route assignment is built on
 a sparse strongly-connected skeleton of locally strong links, merged
 without a graph search per round, and checked by ``powercontrol.pc_solve``
-to admit feasible matched power control; the routes carry that verdict as
-``RouteSet.probe``. A failed check runs a ``pc_iterate`` probe from the
-initial powers, which ranks the nodes for one of ``_REPAIR_ROUNDS`` skeleton
-repairs when it diverges within ``_PROBE_ITERATIONS`` steps.
+to admit feasible matched power control; ``initial_routes`` returns that
+check beside the routes. A failed check runs a ``pc_iterate`` probe from
+the initial powers, which ranks the nodes for one of ``_REPAIR_ROUNDS``
+skeleton repairs when it diverges within ``_PROBE_ITERATIONS`` steps.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -85,15 +85,10 @@ def initial_route_costs(scenario: Scenario, sir: np.ndarray,
 
 @dataclass(frozen=True)
 class RouteSet:
-    """One node path per session plus the derived active link set.
-
-    ``probe`` is the ``pc_solve`` check ``initial_routes`` made on these
-    routes, or None; it takes no part in equality or repr.
-    """
+    """One node path per session plus the derived active link set."""
 
     paths: tuple[tuple[int, ...], ...]
     n_nodes: int
-    probe: PcResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for path in self.paths:
@@ -186,24 +181,6 @@ def _lex_paths(costs: np.ndarray,
     return paths
 
 
-def shortest_path(costs: np.ndarray, source: int,
-                  dest: int) -> list[int] | None:
-    """Minimum-total-cost simple path, or None when unreachable.
-
-    Ties break to the path whose node sequence is lexicographically
-    smallest. Costs must be nonnegative; entries of +inf mark absent links.
-    """
-    costs = np.asarray(costs, dtype=float)
-    n = costs.shape[0]
-    if costs.shape != (n, n):
-        raise ValueError("cost matrix must be square")
-    if not (0 <= source < n and 0 <= dest < n):
-        raise ValueError("source or destination outside node range")
-    if np.any(costs < 0):
-        raise ValueError("costs must be nonnegative")
-    return _lex_paths(costs, ((source, dest),))[0]
-
-
 def assign_routes(sessions: tuple[tuple[int, int], ...],
                   costs: np.ndarray) -> RouteSet:
     """Minimum-cost route per (source, destination) session; raises when a
@@ -228,11 +205,10 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     link in row-major order.
 
     Components are read off a reflexive reachability matrix, closed once
-    by squaring and kept closed with one outer product per added link. As
-    components only grow, a node's best link out of its own component stays
-    best until its target joins it, so only such stale nodes are re-scanned;
-    a component that did not grow re-picks a link already in the skeleton
-    or without positive SIR, so the rounds end when no link is added.
+    by squaring and kept closed with one outer product per added link. Each
+    round re-scans every node's links out of its own component. A component
+    that did not grow re-picks a link already in the skeleton or without
+    positive SIR, so the rounds end at one component or no link added.
     """
     n = sir.shape[0]
     nodes = np.arange(n)
@@ -250,18 +226,16 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
         reach = closed
         step = reach.astype(np.float32)
         closed = step @ step > 0
-    out = nodes.copy()  # every node starts stale
-    value = np.empty(n)
-    while not reach.all():  # one component: no round can add a link
+    while True:
         same = reach & reach.T
+        heads = np.flatnonzero(same.argmax(axis=1) == nodes)
+        if len(heads) == 1:
+            break
         # each node's best link out of its own component, then each
         # component's best such node (highest SIR, lowest index first)
-        stale = np.flatnonzero(same[nodes, out])
-        cross = usable[stale]
-        cross[same[stale]] = -np.inf
-        out[stale] = cross.argmax(axis=1)
-        value[stale] = cross.max(axis=1)
-        heads = np.flatnonzero(same.argmax(axis=1) == nodes)
+        cross = np.where(same, -np.inf, usable)
+        out = cross.argmax(axis=1)
+        value = cross[nodes, out]
         i = np.where(same[heads], value, -np.inf).argmax(axis=1)
         j = out[i]
         new = (value[i] > 0) & ~allowed[i, j]
@@ -283,18 +257,18 @@ def _probe_diverging(result) -> bool:
 
 def initial_routes(scenario: Scenario, gains: np.ndarray,
                    sessions: tuple[tuple[int, int], ...],
-                   p_init: np.ndarray) -> RouteSet:
-    """Route assignment for the initialization phase.
+                   p_init: np.ndarray) -> tuple[RouteSet, PcResult]:
+    """Route assignment for the initialization phase, and its check.
 
     Sessions are routed over the skeleton digraph with the target-operated
     energy-per-bit costs, and a candidate is accepted when its ``pc_solve``
     check passes or its ``pc_iterate`` probe from ``p_init`` does not
     diverge. Otherwise the weakest link among the nodes of largest probe
     power is banned, the skeleton rebuilt and the sessions rerouted, up to
-    ``_REPAIR_ROUNDS`` times. The last candidate is returned even if no
-    repair succeeded, or the previous one when a repair strands a session;
-    the routes carry their own check as ``RouteSet.probe``. ``p_init`` must
-    hold one finite, nonnegative power per node, or ConfigError is raised.
+    ``_REPAIR_ROUNDS`` times. Returns the last candidate, even if no repair
+    succeeded, or the previous one when a repair strands a session, each
+    with its own ``pc_solve`` check. ``p_init`` must hold one finite,
+    nonnegative power per node, or ConfigError is raised.
     """
     p_init = check_powers("p_init", p_init, len(gains))
     sir = matched_sir_matrix(p_init, gains, scenario.spreading_gain,
@@ -302,24 +276,19 @@ def initial_routes(scenario: Scenario, gains: np.ndarray,
     base_costs = initial_route_costs(scenario, sir, p_init)
 
     forbidden = np.zeros_like(sir, dtype=bool)
-    routes = None
+    found = None
     for _ in range(_REPAIR_ROUNDS + 1):
-        allowed = _initial_skeleton(sir, forbidden)
-        costs = np.where(allowed, base_costs, np.inf)
-        np.fill_diagonal(costs, np.inf)
+        costs = np.where(_initial_skeleton(sir, forbidden), base_costs, np.inf)
         try:
-            candidate = assign_routes(sessions, costs)
+            routes = assign_routes(sessions, costs)
         except UnreachableSessionError:
-            if routes is None:
+            if found is None:
                 raise
             break
-        routes = candidate
         model = (routes.active_links, gains, scenario.spreading_gain,
                  scenario.noise_power, scenario.target_sir)
         check = pc_solve(*model, power_cap=scenario.power_cap)
-        # attach in place: the candidate is not shared yet, and a copy
-        # would drop its cached active link set
-        object.__setattr__(routes, "probe", check)
+        found = routes, check
         if check.converged:
             break
         probe = pc_iterate(p_init, *model, tol=scenario.pc_tol,
@@ -335,4 +304,4 @@ def initial_routes(scenario: Scenario, gains: np.ndarray,
         if not links:
             break
         forbidden[min(links, key=sir.__getitem__)] = True
-    return routes
+    return found

@@ -575,9 +575,9 @@ def _capacity_instance_feasible_loop(template, spreading_gain, n_nodes,
     )
     p0 = initial_powers(scenario, np.random.default_rng(
         derive_seed(seed, _CAP_POWER_STREAM, trial, n_nodes)))
-    routes = initial_routes(scenario, gains, sessions, p0)
+    routes, check = initial_routes(scenario, gains, sessions, p0)
     if scenario.receiver == "matched":
-        return routes.probe.converged
+        return check.converged
     codebook = generate_spreading_codebook(
         n_nodes, spreading_gain,
         derive_seed(seed, _CAP_CODEBOOK_STREAM, trial, n_nodes),

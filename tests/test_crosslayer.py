@@ -338,9 +338,9 @@ def test_lmmse_energy_of_silent_transmitter_is_zero():
     (8, 32, 27, False),  # one repair round, then a feasible check
     (8, 16, 0, True),    # repairs end when a rebuilt skeleton strands a session
 ])
-def test_initial_routes_carry_the_probe_of_the_returned_routes(
+def test_initial_routes_return_the_check_of_the_returned_routes(
         monkeypatch, n_nodes, spreading_gain, seed, unreachable):
-    # the returned routes carry the pc_solve check made on them, and a
+    # the routes come back beside the pc_solve check made on them, and a
     # pc_iterate probe runs after every failed check and never otherwise
     scenario = Scenario(n_nodes=n_nodes, spreading_gain=spreading_gain,
                         master_seed=seed)
@@ -368,7 +368,7 @@ def test_initial_routes_carry_the_probe_of_the_returned_routes(
     monkeypatch.setattr(routing, "pc_solve", check)
     monkeypatch.setattr(routing, "pc_iterate", probe)
     monkeypatch.setattr(routing, "assign_routes", assign)
-    routes = initial_routes(scenario, net.gains, net.sessions, p0)
+    routes, got = initial_routes(scenario, net.gains, net.sessions, p0)
     checks = [c for c in calls if c != "probe"]
     assert checks.count("failed check") > 0 and "check" not in checks[:-1]
     assert calls == [c for check in checks
@@ -377,8 +377,8 @@ def test_initial_routes_carry_the_probe_of_the_returned_routes(
     want = pc_solve(routes.active_links, net.gains, spreading_gain,
                     scenario.noise_power, scenario.target_sir,
                     power_cap=scenario.power_cap)
-    assert same_pc_result(routes.probe, want)
-    assert routes.probe.converged == (checks[-1] == "check")
+    assert same_pc_result(got, want)
+    assert got.converged == (checks[-1] == "check")
 
 
 @pytest.mark.parametrize("receiver", ["lmmse", "matched"])

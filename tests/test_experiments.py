@@ -72,7 +72,9 @@ def test_throughput_gain_names_a_bad_argument(args, name):
     assert throughput_gain(np.int64(2), 4, 1, 4) == 2.0
 
 
-def test_run_experiment_artifacts_and_manifest(tmp_path):
+def test_run_experiment_artifacts_and_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     config = ExperimentConfig(scenario=FEASIBLE, kind="run",
                               out_dir=str(tmp_path))
     result = run_experiment(config)
@@ -89,6 +91,10 @@ def test_run_experiment_artifacts_and_manifest(tmp_path):
     assert "adhocnet" in manifest["versions"]
     # every pc_solve and LMMSE bit comes from scipy's LAPACK
     assert manifest["versions"]["scipy"] == scipy.__version__
+    assert manifest["environment"] == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+        "cpu_count": os.cpu_count()}
 
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)

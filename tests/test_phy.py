@@ -320,6 +320,31 @@ def test_lmmse_kernel_gives_each_link_its_q_in_any_order(instance):
     np.testing.assert_allclose(q_shuffled, q[shuffle], rtol=1e-13, atol=0.0)
 
 
+def test_lmmse_lu_form_gives_a_link_its_q_whichever_links_share_it():
+    # the LU form solves each link's right-hand side alone, so a link's q
+    # solved alone matches the all-pairs solve's; one blocked solve of a
+    # receiver's links put them up to 4e-11 apart over 1,500 such draws
+    rng = np.random.default_rng(61)
+    drawn = 0
+    while drawn < 30:
+        n = int(rng.integers(6, 9))
+        book = generate_spreading_codebook(n, 8,
+                                           seed=int(rng.integers(2**32)))
+        if book.inverse_gram is not None:  # the LU form only
+            continue
+        drawn += 1
+        _, gains = random_network(rng, n)
+        p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+        i_idx, j_idx = all_pairs(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            q_all = lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
+            q_alone = [lmmse_solve(p, gains, book, 1e-13, i_idx[k:k + 1],
+                                   j_idx[k:k + 1])[0]
+                       for k in range(n * n)]
+        np.testing.assert_allclose(q_alone, q_all, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("length", [16, 4], ids=["inverse-Gram", "span"])
 def test_lmmse_kernel_factors_each_receiver_once(monkeypatch, length):
     factored = count_factorizations(monkeypatch)

@@ -792,8 +792,8 @@ def test_pc_solve_agrees_with_pc_iterate_on_initial_routes():
     for seed in range(8):
         scenario = Scenario(n_nodes=40, spreading_gain=128, master_seed=seed)
         net = build_network(scenario)
-        routes = initial_routes(scenario, net.gains, net.sessions,
-                                initial_powers(scenario))
+        routes, _ = initial_routes(scenario, net.gains, net.sessions,
+                                   initial_powers(scenario))
         model = (routes.active_links, net.gains, 128, scenario.noise_power,
                  scenario.target_sir)
         exact = pc_solve(*model)
