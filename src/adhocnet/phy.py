@@ -26,20 +26,24 @@ links only:
   ``netmodel.GRAM_CONDITION_LIMIT``. With S the (n, L) codebook, G = S S'
   and D_j = diag(P * h(:, j)), push-through gives S B_j^-1 S' =
   G (noise I + D_j G)^-1 = M_j^-1 with M_j = noise G^-1 + D_j, so
-  q = [M_j^-1]_ii = |L_j^-1 e_i|^2 for M_j = L_j L_j'; M_j >= noise G^-1
-  keeps its pivots from vanishing.
+  q = e_i'M_j^-1 e_i by Cholesky of M_j; M_j >= noise G^-1 keeps its
+  pivots from vanishing.
 - LU form, n <= L and an ill-conditioned G. B_j^-1 S' = S' A_j^-1 with
   A_j = noise I + D_j G, so q = G[i] A_j^-1 e_i by one LU of A_j
   (``dgetrf``), solved by one ``dgetrs`` per link: a blocked solve of
   several right-hand sides would round each by the others.
 - Span form, n > L. With the thin QR factorization S' = Q U (``span``),
   B_j^-1 s_i = Q K_j^-1 u_i for K_j = noise I + U D_j U', so
-  q = |L_j^-1 u_i|^2 for K_j = L_j L_j' by Cholesky.
+  q = u_i'K_j^-1 u_i by Cholesky of K_j.
 
-On request the kernel also gives x = S B_j^-1 S' e_i, so x_k = c's_k for
-the filter direction c = B_j^-1 s_i and x_i = q: L_j'^-1 L_j^-1 e_i,
-G A_j^-1 e_i or U' L_j'^-1 L_j^-1 u_i by form, one more triangular solve
-per receiver (none for LU).
+Each link is solved once, by one ``dpotrs`` per receiver on its Cholesky
+factor or by the LU form's ``dgetrs``: z = M_j^-1 e_i, A_j^-1 e_i or
+K_j^-1 u_i, and q is the link's right-hand side (for LU its G row) dotted
+with z. On request the same z gives x = S B_j^-1 S' e_i, so x_k = c's_k
+for the filter direction c = B_j^-1 s_i and x_i = q: x = z, G z or U'z.
+The kernel returns no filters. They come from one per-link reference in
+the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``), which
+``FilterBank.lmmse`` calls only for a link that is read.
 
 Each receiver is factored once per power vector. A memo keeps the factors
 (failed ones too) made at the last key: p, noise and the gains by value,
@@ -47,10 +51,6 @@ the codebook object by identity, holding a reference. A call at another
 key drops them before it factors; one at the same key factors only the
 receivers missing. A power-control step, the routing gate and the energy
 at one power vector thus share factors, bit-identical to fresh ones.
-
-The kernel returns q alone. Filters come from one per-link reference in
-the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``), which
-``FilterBank.lmmse`` calls only for a link that is read.
 
 No filter's SIR exceeds the single-user bound c / noise (B_j without the
 desired term is at least noise I), so ``lmmse_sir_matrix`` solves only pairs
@@ -65,7 +65,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dtrtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .netmodel import SpreadingCodebook
 
@@ -235,14 +235,15 @@ def lmmse_solve(p: np.ndarray, gains: np.ndarray,
 
     Links may come in any order and share receivers, and i = j is allowed.
     The links are grouped by receiver inside: each distinct receiver's
-    system is factored once per p (module docstring) and solved for its
-    links only. A system that fails to factor in floating point (the span
-    form can, at noise below the rounding of the received power) leaves
-    its links' q at NaN. One warning per call names such receivers, if
-    any, and reports the largest covariance condition bound (sum_{k != i,j}
-    P_k h(k,j) + L noise) / noise of a link, if it exceeds
-    ``CONDITION_WARN_THRESHOLD``. With ``vectors``, also returns x = S c
-    (n, links) of each link's filter direction c (module docstring).
+    system is factored once per p and solved once per call, for its links
+    only (each link alone in the LU form; module docstring). With
+    ``vectors``, that solve also gives x = S c (n, links) of each link's
+    filter direction c. A system that fails to factor in floating point
+    (the span form can, at noise below the rounding of the received power)
+    leaves its links' q at NaN. One warning per call names such receivers,
+    if any, and reports the largest covariance condition bound
+    (sum_{k != i,j} P_k h(k,j) + L noise) / noise of a link, if it exceeds
+    ``CONDITION_WARN_THRESHOLD``.
     """
     global _memo
     n = p.shape[0]
@@ -259,7 +260,7 @@ def lmmse_solve(p: np.ndarray, gains: np.ndarray,
     new = [j for j in receivers.tolist() if j not in factors]
     w = p * gains[:, new].T  # (new receivers, n); zero at each one
     lu = codebook.inverse_gram is None and n <= codebook.length
-    e = np.eye(n)  # q = |y|^2, or G[i] y for the LU form
+    e = np.eye(n)
     if codebook.inverse_gram is not None:
         # M_j = noise G^-1 + D_j, right-hand sides e_i
         a = np.repeat(noise * codebook.inverse_gram[None], len(w), axis=0)
@@ -282,22 +283,18 @@ def lmmse_solve(p: np.ndarray, gains: np.ndarray,
                          dpotrf(a_j.T, lower=1, clean=0, overwrite_a=1))
         factors[j] = None if info else factor
     rhs = e[i_idx[order]].T  # (r, links), grouped by receiver
-    y = np.full_like(rhs, np.nan)
-    v = y if lu or not vectors else y.copy()  # L_j'^-1 y; for LU, y
+    z = np.full_like(rhs, np.nan)  # M_j^-1 e_i, A_j^-1 e_i or K_j^-1 u_i
     edges = [0, *ends.tolist()]
     for j, lo, hi in zip(receivers.tolist(), edges[:-1], edges[1:]):
         if factors[j] is None:
             continue
         if lu:  # one link per solve (module docstring)
             for k in range(lo, hi):
-                y[:, k] = dgetrs(*factors[j], rhs[:, k])[0]
+                z[:, k] = dgetrs(*factors[j], rhs[:, k])[0]
         else:
-            y[:, lo:hi] = dtrtrs(*factors[j], rhs[:, lo:hi], lower=1)[0]
-            if vectors:
-                v[:, lo:hi] = dtrtrs(*factors[j], y[:, lo:hi], lower=1,
-                                     trans=1)[0]
+            z[:, lo:hi] = dpotrs(*factors[j], rhs[:, lo:hi], lower=1)[0]
     q_grouped = np.einsum("rl,rl->l",
-                          codebook.gram[i_idx[order]].T if lu else y, y)
+                          codebook.gram[i_idx[order]].T if lu else rhs, z)
     q = np.empty_like(q_grouped)
     q[order] = q_grouped
     own = p[i_idx] * gains[i_idx, j_idx]
@@ -312,8 +309,8 @@ def lmmse_solve(p: np.ndarray, gains: np.ndarray,
         warnings.warn("LMMSE " + "; ".join(clauses), RuntimeWarning, 2)
     if not vectors:
         return q
-    x = v if codebook.inverse_gram is not None else (
-        codebook.gram if lu else e) @ v  # by form (module docstring)
+    x = z if codebook.inverse_gram is not None else (
+        codebook.gram if lu else e) @ z  # by form (module docstring)
     return q, x[:, order.argsort()]
 
 

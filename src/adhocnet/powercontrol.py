@@ -27,22 +27,23 @@ The LMMSE update is not affine; ``pc_mud_iterate`` takes one step per
 kernel solve. Optimizing the filter at the current powers and then solving
 for the power that meets the target collapses to the closed form of Ulukus
 and Yates ("Adaptive power control and MMSE interference suppression",
-1998): T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with
-q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve`` (one factorization
-per receiver and power vector, phy module docstring) and c = P_i h(i,j).
-Per link, T is the minimum over filters of maps affine in p, so the filters
-frozen at p give tangent maps, equal to T at p and above it elsewhere.
-``pc_mud_solve`` solves their maximum exactly by ``pc_solve``'s policy
-iteration: a Newton step, which lands on or above the minimal fixed point
-(Yates, "A framework for uplink power control", 1995), and steps descend
-from there. A failed tangent solve proves nothing for LMMSE, and a step
-from p <= T(p) that lands below T(p) is rounding: either gives way to the
-plain step T(p), and after the k-th such step the next 2^(k-1) steps are
-plain too, so a diverging run pays for few tangent solves. Either solver
-returns p converged only when it passes the residual test. The solve at
-the returned powers also gives every link's output SIR c q / (1 - c q),
-``PcResult.link_sir``. The returned ``phy.FilterBank.lmmse`` calls
-``phy.lmmse_filter`` at those powers only for a link that is read.
+1998): T_i(p) = max_j target * (1 - c q) / (h(i,j) q), with c = P_i h(i,j)
+and q = s_i' B_j^-1 s_i from the kernel ``phy.lmmse_solve``. Per link, T
+is the minimum over filters of maps affine in p, so the filters frozen at
+p give tangent maps, equal to T at p and above it elsewhere; with x = S c
+from the kernel's solve at p, each is ``_affine_form``'s map with weights
+target (x_k / q)^2, shifted to meet T at p. ``pc_mud_solve`` solves their
+maximum exactly by ``pc_solve``'s policy iteration: a Newton step, which
+lands on or above the minimal fixed point (Yates, "A framework for uplink
+power control", 1995), and steps descend from there. A failed tangent
+solve proves nothing for LMMSE, and a step from p <= T(p) that lands below
+T(p) is rounding: either gives way to the plain step T(p), and after the
+k-th such step the next 2^(k-1) steps are plain too, so a diverging run
+pays for few tangent solves. Either solver returns p converged only when
+it passes the residual test. The solve at the returned powers also gives
+every link's output SIR c q / (1 - c q), ``PcResult.link_sir``. The
+returned ``phy.FilterBank.lmmse`` calls ``phy.lmmse_filter`` at those
+powers only for a link that is read.
 """
 
 from __future__ import annotations
@@ -213,17 +214,16 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
 
 
 def _affine_form(active: ActiveLinkSet, gains: np.ndarray, noise: float,
-                 target_sir: float, scale: float, weights=None) -> tuple:
+                 target_sir: float, weights) -> tuple:
     """Senders, first link of each, sender of each link, a and coupling: link
     l = (i, j) needs a_l + x @ coupling[:, l] at the senders' powers x, with
-    a_l = target_sir noise / h(i,j) and coupling[k, l] = scale weights[k, i]
-    h(k,j) / h(i,j), zero at k = i and (zero gain diagonal) at k = j."""
+    a_l = target_sir noise / h(i,j) and coupling[k, l] = w h(k,j) / h(i,j),
+    zero at k = i and (zero gain diagonal) at k = j. ``weights`` gives w, a
+    scalar or one value per sender k and link l."""
     i_idx, j_idx = active.link_arrays
     senders, starts, owner = active.sender_groups
     g_link = gains[i_idx, j_idx]
-    coupling = gains[senders][:, j_idx] * (scale / g_link)
-    if weights is not None:
-        coupling *= weights[senders][:, i_idx]
+    coupling = gains[senders][:, j_idx] * (weights / g_link)
     coupling[owner, np.arange(len(i_idx))] = 0.0
     return senders, starts, owner, target_sir * noise / g_link, coupling
 
@@ -359,9 +359,9 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
 
     if filter_mode == "matched":
-        rho2 = codebook.gram ** 2
-        np.fill_diagonal(rho2, 0.0)
-        form = _affine_form(active, gains, noise, target_sir, target_sir, rho2)
+        rho = codebook.gram[active.sender_groups[0]][:, active.link_arrays[0]]
+        form = _affine_form(active, gains, noise, target_sir,
+                            target_sir * rho ** 2)
         return (_fixed_point(p0, active, _affine_steps(form), **stop),
                 FilterBank.matched(codebook, active.links))
 
@@ -413,9 +413,8 @@ def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
             return t
         # with every filter frozen at x, link l needs need[l] at x and
         # need[l] + (x' - x) @ coupling[:, l] at other senders' powers x'
-        coupling = gains[senders][:, j_idx] * sc[senders] ** 2 * (
-            target_sir / (g * q * q))
-        coupling[owner, np.arange(len(g))] = 0.0
+        coupling = _affine_form(active, gains, noise, target_sir,
+                                target_sir * (sc[senders] / q) ** 2)[-1]
         solutions, solved = _policy_iteration(
             need - x @ coupling, coupling, starts, owner, need,
             stop["power_cap"])

@@ -446,6 +446,19 @@ def count_factorizations(monkeypatch, fail=()) -> list:
     return factored
 
 
+def count_solves(monkeypatch) -> list:
+    """Record the name of every solve ``phy.lmmse_solve`` makes on a kept
+    factor: ``dpotrs`` (Cholesky) or ``dgetrs`` (LU)."""
+    solves = []
+    for name in ("dpotrs", "dgetrs"):
+        def counted(*args, _name=name, _solve=getattr(phy, name), **kwargs):
+            solves.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(phy, name, counted)
+    return solves
+
+
 def route_energy_loop(routes, p, link_sir, scenario) -> float:
     """``crosslayer._route_energy`` as a dict of link energies and a loop
     over every path's links, kept as its reference."""

@@ -23,6 +23,7 @@ from adhocnet.phy import (
 from helpers import (
     all_pairs,
     count_factorizations,
+    count_solves,
     lmmse_kernel_lu,
     lmmse_q_mpmath,
     lmmse_sir_matrix_all_pairs,
@@ -538,11 +539,15 @@ def test_coordinate_switch_matches_dense_reference(book, inverse_gram):
         assert q_all[i, j] == pytest.approx(seqs[i] @ want, rel=1e-9)
 
 
-@pytest.mark.parametrize("book, form", [
+# one codebook per form of the LMMSE kernel
+kernel_forms = pytest.mark.parametrize("book, form", [
     (generate_spreading_codebook(12, 64, seed=45), "inverse-Gram"),
     (_perturbed_pair_codebook(12, 32, 1e-5), "LU"),
     (generate_spreading_codebook(12, 8, seed=45), "span"),
 ], ids=["inverse-Gram", "LU", "span"])
+
+
+@kernel_forms
 def test_lmmse_kernel_vectors_are_the_filters_seen_through_the_sequences(
         monkeypatch, book, form):
     # x = S c for the LMMSE direction c = B_j^-1 s_i, against the dense
@@ -571,6 +576,27 @@ def test_lmmse_kernel_vectors_are_the_filters_seen_through_the_sequences(
         np.testing.assert_allclose(x[:, l], want, rtol=1e-8,
                                    atol=1e-9 * np.abs(want).max())
         assert x[i, l] == pytest.approx(q[l], rel=1e-12)
+
+
+@kernel_forms
+def test_lmmse_kernel_solves_each_factored_receiver_once(
+        monkeypatch, book, form):
+    # one dpotrs per receiver on its Cholesky factor (one dgetrs per link in
+    # the LU form) gives q and, on request, x: no second solve for x
+    n = book.sequences.shape[0]
+    rng = np.random.default_rng(47)
+    _, gains = random_network(rng, n)
+    p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+    links = [(i, j) for i in range(n) for j in (0, 2, 5, 9) if i != j]
+    i_idx, j_idx = np.array(links)[rng.permutation(len(links))].T
+    factored = count_factorizations(monkeypatch)
+    solves = count_solves(monkeypatch)
+    for vectors in (False, True, True):
+        solves.clear()
+        lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx, vectors)
+        assert solves == (["dgetrs"] * len(links) if form == "LU"
+                          else ["dpotrs"] * 4)
+    assert len(factored) == 4  # kept for the later calls
 
 
 def test_failed_span_factorization_gives_nan_and_names_the_receiver():

@@ -729,6 +729,44 @@ def test_lmmse_update_lies_below_its_frozen_filter_tangents(instance):
             assert (tangent[tx] >= t[tx] * (1 - 1e-9)).all()
 
 
+def test_lmmse_tangent_is_the_frozen_filter_update():
+    # pc_mud_solve's tangent: from the kernel's (q, x) at p, _affine_form's
+    # coupling with weights target (x_k / q)^2 moves each link's need at p
+    # to the power at which its filter frozen at p meets the target at p'
+    rng = np.random.default_rng(48)
+    for form in ["inverse-Gram", "LU", "span"] * 10:
+        n = int(rng.integers(9 if form == "span" else 6, 13))
+        length = {"inverse-Gram": 64, "LU": 16, "span": 8}[form]
+        _, gains = random_network(rng, n)
+        seqs = np.array(generate_spreading_codebook(
+            n, length, seed=int(rng.integers(1e6))).sequences)
+        if form == "LU":  # sequence 1 within 1e-3 of sequence 0
+            seqs[1] = seqs[0] + 1e-3 * rng.standard_normal(length)
+            seqs[1] /= np.linalg.norm(seqs[1])
+        seqs.setflags(write=False)
+        book = SpreadingCodebook(sequences=seqs)
+        assert (book.inverse_gram is None) == (form != "inverse-Gram")
+        active = random_active_links(rng, n, max_out=2)
+        i_idx, j_idx = active.link_arrays
+        senders = active.sender_groups[0]
+        p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
+        q, x = lmmse_solve(p, gains, book, NOISE, i_idx, j_idx, True)
+        g = gains[i_idx, j_idx]
+        need = GAMMA * (1.0 - p[i_idx] * g * q) / (g * q)
+        weights = GAMMA * (x[senders] / q) ** 2
+        coupling = powercontrol._affine_form(active, gains, NOISE, GAMMA,
+                                             weights=weights)[-1]
+        frozen = FilterBank({(i, j): lmmse_filter(i, p, gains, book, NOISE, j)
+                             for (i, j) in active.links})
+        for _ in range(4):
+            other = p * np.exp(rng.uniform(-2.0, 2.0, n))
+            tangent = need + (other - p)[senders] @ coupling
+            for l, (i, j) in enumerate(active.links):
+                sir = sir_lmmse((i, j), other, frozen, gains, book, NOISE)
+                assert tangent[l] == pytest.approx(other[i] * GAMMA / sir,
+                                                   rel=1e-9)
+
+
 def test_pc_solve_matches_single_outgoing_linear_solve():
     # one outgoing link per node leaves a single policy, so the check is the
     # helper's linear solve; rho_max=1 makes None mean exactly infeasible
