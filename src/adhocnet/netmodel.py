@@ -156,6 +156,10 @@ class SpreadingCodebook:
 
     sequences: np.ndarray
 
+    def __post_init__(self):
+        # a copy: later edits must not reach the caches or the LMMSE memo
+        self.__dict__["sequences"] = _readonly(np.array(self.sequences, float))
+
     @property
     def length(self) -> int:
         return self.sequences.shape[1]
@@ -238,8 +242,7 @@ def generate_spreading_codebook(n_nodes: int, length: int, seed: int) -> Spreadi
         raise ConfigError("spreading sequence length must be at least 1")
     rng = np.random.default_rng(seed)
     chips = rng.integers(0, 2, size=(n_nodes, length)).astype(float) * 2.0 - 1.0
-    sequences = chips / np.sqrt(length)
-    return SpreadingCodebook(sequences=_readonly(sequences))
+    return SpreadingCodebook(sequences=chips / np.sqrt(length))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_NONFINITE = "nonfinite"
 
 _RESIDUAL_FLOOR = 1e-30
-_BLOCK_MAX = 64
+_BLOCK_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -172,17 +172,17 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
 
 
 def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
-                 advance: Callable[[np.ndarray, int], np.ndarray], *,
+                 advance: Callable[[np.ndarray], np.ndarray], *,
                  tol: float, max_iter: int, power_cap: float,
                  leap: Callable | None = None) -> PcResult:
     """Synchronous iteration p <- T(p) shared by every receiver.
 
-    ``advance(x, budget)`` returns the senders' powers x (other nodes stay
-    silent) and the next 1 to ``budget`` iterates as rows. The stopping
-    rules, in order: the residual test or a NaN update ("nonfinite", a
-    failed LMMSE factorization) at step k, the cap on iterate k, the budget.
-    ``leap(t)``, if given, replaces a last row t that fails the residual
-    test before the cap is tested.
+    ``advance(x)`` returns the senders' powers x (other nodes stay silent)
+    and one or more next iterates as rows; rows past ``max_iter`` are
+    dropped. The stopping rules, in order: the residual test or a NaN
+    update ("nonfinite", a failed LMMSE factorization) at step k, the cap
+    on iterate k, the budget. ``leap(t)``, if given, replaces a last row t
+    that fails the residual test before the cap is tested.
     A ``p0`` that ``errors.check_powers`` rejects raises ConfigError.
     """
     senders = active.sender_groups[0]
@@ -191,7 +191,7 @@ def _fixed_point(p0: np.ndarray, active: ActiveLinkSet,
     status = STATUS_INFEASIBLE if (x > power_cap).any() else STATUS_MAX_ITER
     with np.errstate(invalid="ignore"):  # inf - inf after an overflow
         while status == STATUS_MAX_ITER and done < max_iter:
-            rows = advance(x, max_iter - done)
+            rows = advance(x)[:max_iter - done + 1]
             prev, new = rows[:-1], rows[1:]
             residual = (np.abs(new - prev) / np.maximum(prev, _RESIDUAL_FLOOR)
                         ).max(axis=1, initial=0.0)
@@ -260,35 +260,32 @@ def _policy_iteration(a, coupling, starts, owner, need,
             return solutions, True
 
 
-def _affine_steps(form: tuple) -> Callable[[np.ndarray, int], np.ndarray]:
+def _affine_steps(form: tuple) -> Callable[[np.ndarray], np.ndarray]:
     """``_fixed_point``'s ``advance`` for the update ``_affine_form`` gives.
 
     While each sender keeps its worst link (its policy), a step is one dot
-    of the row [x 1] with [coupling_policy 0; a_policy 1]. One product
-    checks the block against every link, and the iterates up to the first
-    at which a policy link is not worst are returned; a NaN need also ends
-    the block, at an iterate where ``_fixed_point`` stops anyway. Blocks
-    restart at 2 steps after a policy change and double, up to
-    ``_BLOCK_MAX``, while the policies hold.
+    of the row [x 1] with [coupling_policy 0; a_policy 1]. Each block takes
+    ``_BLOCK_MAX`` steps; one product checks them against every link, and
+    the iterates up to the first at which a policy link is not worst are
+    returned, so the next block re-picks the policies there. A NaN need
+    also ends the block, at an iterate where ``_fixed_point`` stops anyway.
     """
     senders, starts, owner, a, coupling = form
     m = len(senders)
     augmented = np.vstack([coupling, a])
     rows, step = np.ones((_BLOCK_MAX + 1, m + 1)), np.eye(m + 1)
-    policy, length = starts, 2
+    policy = starts
 
-    def advance(x, budget):
-        nonlocal policy, length
+    def advance(x):
+        nonlocal policy
         rows[0, :m] = x
         policy = _repick(rows[0] @ augmented, policy, starts, owner)
         step[:, :m] = augmented[:, policy]
-        size = min(length, budget)
-        for k in range(size):
+        for k in range(_BLOCK_MAX):
             np.dot(rows[k], step, out=rows[k + 1])
-        need = rows[1:size] @ augmented
+        need = rows[1:_BLOCK_MAX] @ augmented
         held = (need <= need[:, policy[owner]]).all(axis=1)
-        kept = size if held.all() else 1 + int(np.argmin(held))
-        length = min(2 * length, _BLOCK_MAX) if kept == size else 2
+        kept = _BLOCK_MAX if held.all() else 1 + int(np.argmin(held))
         return rows[:kept + 1, :m]
 
     return advance
@@ -393,7 +390,7 @@ def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
     # plain steps before the next tangent solve, and after the next refusal
     wait, pause = 0 if newton else np.inf, 1
 
-    def advance(x, budget):  # one step per kernel solve
+    def advance(x):  # one step per kernel solve
         nonlocal last
         p = np.zeros(active.n_nodes)
         p[senders] = x
@@ -428,7 +425,7 @@ def _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
     p = result.powers
     if result.status in (STATUS_INFEASIBLE, STATUS_MAX_ITER):
         wait = np.inf
-        advance(p[senders], 1)  # no solve at the returned powers yet
+        advance(p[senders])  # no solve at the returned powers yet
     link_sir = lmmse_link_sir(p[i_idx] * g, last[2])
     link_sir.setflags(write=False)
     return replace(result, link_sir=link_sir)

@@ -1,6 +1,5 @@
 """Shared builders and brute-force oracles for the test suite."""
 
-import functools
 import itertools
 import warnings
 
@@ -23,6 +22,7 @@ from adhocnet.netmodel import (
     compute_link_gains,
     generate_sessions,
     generate_spreading_codebook,
+    pair_gains,
 )
 from adhocnet.phy import (
     CONDITION_WARN_THRESHOLD,
@@ -95,18 +95,19 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
     point from the linear solve as an oracle, or None when infeasible.
 
     Draws exactly what ``single_outgoing_instance_loop`` draws and returns
-    the same instances; only the destinations are drawn with
-    ``rng.integers`` instead of ``rng.choice``, the coupling matrix is built
-    with array operations and the link set only for accepted instances.
-    Draws whose two-cycle bound on the spectral radius already reaches
-    ``rho_max`` are rejected before ``eigvals``; every draw comes earlier.
+    the same instances; the destinations come from one ``rng.integers``
+    call instead of ``rng.choice`` per node, the coupling matrix is built
+    from ``netmodel.pair_gains`` with array operations, and the read-only
+    topology, gains and link set only for accepted instances. Draws whose
+    two-cycle bound on the spectral radius already reaches ``rho_max`` are
+    rejected before ``eigvals``; every draw comes earlier.
     """
-    topology, gains = random_network(rng, n, area)
-    # one bounded integer per node, the draw rng.choice(others) makes
-    dests = np.array([int(others[rng.integers(0, n - 1)])
-                      for others in _others(n)])
-    g = gains
+    positions = rng.uniform(0.0, area, size=(n, 2))
+    # the bounded integers rng.choice(others) draws one node at a time
     nodes = np.arange(n)
+    dests = rng.integers(0, n - 1, size=n)
+    dests += dests >= nodes  # skip the node itself
+    g = pair_gains(positions, 2.0)
     g_link = g[nodes, dests]
     m = target_sir / spreading_gain * g[:, dests].T / g_link[:, None]
     m[nodes, nodes] = 0.0
@@ -121,14 +122,10 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
     fixed_point = np.linalg.solve(np.eye(n) - m, b)
     if np.any(fixed_point <= 0):
         return None
-    active = ActiveLinkSet.from_links(n, [(i, int(dests[i])) for i in range(n)])
+    topology = topology_from_positions(positions)
+    gains = compute_link_gains(topology, 2.0)
+    active = ActiveLinkSet.from_links(n, np.column_stack([nodes, dests]))
     return topology, gains, active, fixed_point, rho
-
-
-@functools.cache
-def _others(n):
-    """Per node i, the candidate destinations: every node but i."""
-    return tuple(np.delete(np.arange(n), i) for i in range(n))
 
 
 def single_outgoing_instance_loop(rng, n, spreading_gain, target_sir, noise,

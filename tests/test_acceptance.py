@@ -197,6 +197,8 @@ def test_criterion_07_multi_start_energy_improvement():
               f"(median ratio {float(np.median(ratios)):.2e})")
 
 
+@pytest.mark.filterwarnings(
+    "ignore:LMMSE covariance condition bound:RuntimeWarning")
 def test_criterion_08_lmmse_dominance_and_power_savings():
     rng = np.random.default_rng(808)
     link_checks = 0

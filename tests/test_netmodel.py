@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from adhocnet import crosslayer, experiments, netmodel
+from adhocnet import crosslayer, experiments, netmodel, phy
 from adhocnet.errors import CoincidentNodesError, ConfigError
 from adhocnet.netmodel import (
     Scenario,
+    SpreadingCodebook,
     build_network,
     compute_link_gains,
     generate_sessions,
@@ -18,6 +19,7 @@ from adhocnet.netmodel import (
     load_scenario,
     save_scenario,
 )
+from adhocnet.phy import lmmse_solve
 from adhocnet.seeds import derive_seed
 from helpers import generate_sessions_loop, topology_from_positions
 
@@ -141,6 +143,31 @@ def test_codebook_cross_correlation_near_one_over_length():
         book = generate_spreading_codebook(2, length, seed=seed)
         samples.append(float(book.sequences[0] @ book.sequences[1]) ** 2)
     assert np.mean(samples) == pytest.approx(1.0 / length, rel=0.10)
+
+
+def test_codebook_keeps_a_copy_of_the_sequences(monkeypatch):
+    # gram is cached and the LMMSE memo keys the codebook by identity, so
+    # editing the caller's array afterwards must reach neither
+    seqs = np.array(generate_spreading_codebook(6, 16, seed=3).sequences)
+    original = seqs.copy()
+    positions = np.random.default_rng(3).uniform(0.0, 200.0, size=(6, 2))
+    gains = compute_link_gains(topology_from_positions(positions), 2.0)
+    p = np.full(6, 1e-7)
+    i_idx, j_idx = np.array([0, 2]), np.array([1, 1])
+    book = SpreadingCodebook(sequences=seqs)
+    gram = book.gram
+    q = lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
+    seqs[2] = seqs[3]
+    monkeypatch.setattr(phy, "_memo", ((), {}))  # solve again
+    fresh = SpreadingCodebook(sequences=original)
+    assert np.array_equal(book.sequences, original)
+    assert not book.sequences.flags.writeable
+    assert np.array_equal(gram, fresh.gram) and book.gram is gram
+    again = lmmse_solve(p, gains, book, 1e-13, i_idx, j_idx)
+    assert np.array_equal(again, q)
+    monkeypatch.setattr(phy, "_memo", ((), {}))
+    assert np.array_equal(lmmse_solve(p, gains, fresh, 1e-13, i_idx, j_idx),
+                          q)
 
 
 def test_build_network_deterministic():

@@ -964,8 +964,9 @@ def test_pc_iterate_blocks_take_the_loop_steps(seed, n, spreading, power_cap,
 
 def test_pc_iterate_block_cases_switch_and_stop_inside_blocks():
     # the cases above switch policies mid-run and stop at every status, at
-    # iteration counts other than the ends of unbroken blocks 2, 4, ..., 64
-    unbroken_ends = set(np.cumsum([2, 4, 8, 16, 32] + [64] * 10).tolist())
+    # iteration counts other than the ends of unbroken full-length blocks
+    unbroken_ends = set(range(powercontrol._BLOCK_MAX, 10_000,
+                              powercontrol._BLOCK_MAX))
     switched, inside = 0, set()
     for seed in range(60):
         gains, active, p0 = _choice_case(seed, 3 + seed % 8, "random")
