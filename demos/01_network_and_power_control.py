@@ -61,7 +61,7 @@ from adhocnet.netmodel import compute_link_gains
 
 positions = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 1.0], [10.0, 1.0]])
 gains = compute_link_gains(positions, 2.0)
-active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
+active = ActiveLinkSet(4, [(0, 1), (2, 3)])
 bad = pc_iterate(np.full(4, 1e-6), active, gains, 2, 1e-13, 5.0)
 print(f"status: {bad.status} (powers blew past the cap after "
       f"{bad.iterations} iterations)")

@@ -49,7 +49,7 @@ powers only for a link that is read.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -77,21 +77,28 @@ _BLOCK_MAX = 32
 class ActiveLinkSet:
     """Directed links used by the current routes, with per-node outgoing sets.
 
-    ``links`` is sorted by (i, j) and free of duplicates, as ``from_links``
-    builds it; the solvers raise ValueError on a set built directly that is
-    not.
+    ``links`` may be any iterable of (i, j) node pairs or an (m, 2) array.
+    The set keeps them sorted by (i, j) and free of duplicates, and
+    ``link_arrays`` holds their senders and receivers as int64 arrays. A
+    ValueError at construction names the first bad link in sorted order: a
+    self loop, or a node outside 0..n_nodes-1. Node ids must have an integer
+    type; any other (1.5, and also 1.0) is a ValueError.
     """
 
     n_nodes: int
     links: tuple[tuple[int, int], ...]
+    link_arrays: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_links(cls, n_nodes: int, links) -> "ActiveLinkSet":
-        """From (i, j) pairs: any iterable, or an (m, 2) integer array."""
+    def __post_init__(self):
+        n, links = self.n_nodes, self.links
         links = links if isinstance(links, np.ndarray) else list(links)
-        pairs = np.array(links, dtype=np.int64).reshape(len(links), 2)
-        i, j = pairs.T
-        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_nodes)
+        pairs = np.asarray(links).reshape(len(links), 2)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"active link nodes must be integers, got "
+                             f"{pairs.dtype} values")
+        i, j = pairs.astype(np.int64, copy=False).T
+        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
         if bad.any():
             # report the first offending link in sorted order
             first = np.lexsort((j[bad], i[bad]))[0]
@@ -99,12 +106,11 @@ class ActiveLinkSet:
             if i == j:
                 raise ValueError(f"self loop ({i}, {j}) in active link set")
             raise ValueError(f"link ({i}, {j}) outside node range")
-        codes = np.sort(i * n_nodes + j)  # np.unique costs more on few links
+        codes = np.sort(i * n + j)  # np.unique costs more on few links
         codes = codes[np.diff(codes, prepend=-1) > 0]
-        i, j = codes // n_nodes, codes % n_nodes
-        active = cls(n_nodes=n_nodes, links=tuple(zip(i.tolist(), j.tolist())))
-        active.__dict__["link_arrays"] = (i, j)  # fill the cached property
-        return active
+        i, j = codes // n, codes % n
+        object.__setattr__(self, "links", tuple(zip(i.tolist(), j.tolist())))
+        object.__setattr__(self, "link_arrays", (i, j))
 
     @cached_property
     def outgoing(self) -> dict[int, tuple[int, ...]]:
@@ -116,15 +122,6 @@ class ActiveLinkSet:
     @cached_property
     def transmitters(self) -> tuple[int, ...]:
         return tuple(sorted(self.outgoing))
-
-    @cached_property
-    def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # from_links fills this: only a set built directly is checked here
-        ordered = ActiveLinkSet.from_links(self.n_nodes, self.links)
-        if ordered.links != self.links:
-            raise ValueError("links must be strictly increasing (i, j) pairs: "
-                             "build the set with ActiveLinkSet.from_links")
-        return ordered.link_arrays
 
     @cached_property
     def sender_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,6 +39,7 @@ from .errors import UnreachableSessionError, check_powers
 from .netmodel import Scenario
 from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
+from .powercontrol import STATUS_INFEASIBLE, STATUS_MAX_ITER
 
 # Skeleton repairs after a diverging probe, and the probe's step budget.
 _REPAIR_ROUNDS = 8
@@ -100,15 +101,15 @@ class RouteSet:
     @cached_property
     def _path_pairs(self) -> np.ndarray:
         """(2, m) senders and receivers of the path links, in path order."""
-        nodes = np.fromiter(itertools.chain.from_iterable(self.paths),
-                            dtype=np.int64)
+        # the dtype follows the nodes: ActiveLinkSet rejects non-integers
+        nodes = np.array(list(itertools.chain.from_iterable(self.paths)))
         # consecutive nodes, less the pairs that join two paths
         joins = np.cumsum([len(path) for path in self.paths], dtype=int) - 1
         return np.delete(np.stack((nodes[:-1], nodes[1:])), joins[:-1], axis=1)
 
     @cached_property
     def active_links(self) -> ActiveLinkSet:
-        return ActiveLinkSet.from_links(self.n_nodes, self._path_pairs.T)
+        return ActiveLinkSet(self.n_nodes, self._path_pairs.T)
 
     @cached_property
     def path_links(self) -> np.ndarray:
@@ -251,8 +252,9 @@ def _probe_diverging(result) -> bool:
     """Did a short power-control probe show divergence: crossing the cap,
     or a total still growing when the step budget ran out?"""
     trace = result.trace
-    return result.status == "infeasible" or result.status == "max_iter" \
-        and len(trace) > 60 and trace[-1] > trace[-51] * 1.001
+    return result.status == STATUS_INFEASIBLE or (
+        result.status == STATUS_MAX_ITER and len(trace) > 60
+        and trace[-1] > trace[-51] * 1.001)
 
 
 def initial_routes(scenario: Scenario, gains: np.ndarray,

@@ -85,7 +85,7 @@ def random_active_links(rng, n, max_out=2, min_out=1):
         targets = rng.choice([j for j in range(n) if j != i],
                              size=min(n_out, n - 1), replace=False)
         links.extend((i, int(j)) for j in targets)
-    return ActiveLinkSet.from_links(n, links)
+    return ActiveLinkSet(n, links)
 
 
 def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
@@ -124,7 +124,7 @@ def single_outgoing_instance(rng, n, spreading_gain, target_sir, noise,
         return None
     topology = topology_from_positions(positions)
     gains = compute_link_gains(topology, 2.0)
-    active = ActiveLinkSet.from_links(n, np.column_stack([nodes, dests]))
+    active = ActiveLinkSet(n, np.column_stack([nodes, dests]))
     return topology, gains, active, fixed_point, rho
 
 
@@ -134,7 +134,7 @@ def single_outgoing_instance_loop(rng, n, spreading_gain, target_sir, noise,
     reference."""
     topology, gains = random_network(rng, n, area)
     dests = [int(rng.choice([j for j in range(n) if j != i])) for i in range(n)]
-    active = ActiveLinkSet.from_links(n, [(i, dests[i]) for i in range(n)])
+    active = ActiveLinkSet(n, [(i, dests[i]) for i in range(n)])
     g = gains
     m = np.zeros((n, n))
     b = np.zeros(n)
@@ -470,9 +470,10 @@ def route_energy_loop(routes, p, link_sir, scenario) -> float:
     return total
 
 
-def from_links_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
-    """Per-link form of ``ActiveLinkSet.from_links``, kept as its reference:
-    the sorted unique links, or the ValueError of the first bad one."""
+def link_set_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
+    """Per-link form of the ``ActiveLinkSet`` constructor, kept as its
+    reference: the sorted unique links, or the ValueError of the first bad
+    one."""
     unique = sorted(set((int(i), int(j)) for i, j in links))
     for i, j in unique:
         if i == j:

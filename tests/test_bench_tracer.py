@@ -44,7 +44,7 @@ def test_power_control_results_have_the_shape_the_tracer_reads(tracer):
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0], [40.0, 70.0]])
     gains = compute_link_gains(topo, 2.0)
     book = generate_spreading_codebook(3, 8, seed=1)
-    active = ActiveLinkSet.from_links(3, [(0, 1), (1, 2)])
+    active = ActiveLinkSet(3, [(0, 1), (1, 2)])
     p0 = np.full(3, 1e-7)
     matched = pc_iterate(p0, active, gains, 128, 1e-13, 12.5)
     assert isinstance(matched, PcResult)

@@ -269,7 +269,7 @@ def test_network_metrics_single_link_fixed_point():
     scenario = Scenario(n_nodes=2, spreading_gain=128, master_seed=1)
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(2, [(0, 1)])
+    active = ActiveLinkSet(2, [(0, 1)])
     res = pc_iterate(np.zeros(2), active, gains, 128, scenario.noise_power,
                      scenario.target_sir, tol=1e-10)
     assert res.powers.sum() == pytest.approx(1.25e-8, rel=1e-8)

@@ -22,8 +22,8 @@ from adhocnet.powercontrol import (
 )
 from adhocnet.routing import initial_routes
 from helpers import (
-    from_links_loop,
     gauss_seidel_sweep,
+    link_set_loop,
     mud_targets,
     pc_iterate_loop,
     pc_mud_two_step,
@@ -42,7 +42,7 @@ NOISE = 1e-13
 def test_interference_target_single_isolated_link():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(2, [(0, 1)])
+    active = ActiveLinkSet(2, [(0, 1)])
     t = power_targets(np.zeros(2), active, gains, 128, NOISE, GAMMA)
     assert t[0] == pytest.approx(1.25e-8, rel=1e-12)
     assert t[1] == 0.0  # no outgoing link
@@ -52,7 +52,7 @@ def test_interference_target_takes_worst_outgoing_link():
     topo = topology_from_positions([[0.0, 0.0], [10.0, 0.0], [50.0, 0.0],
                                     [0.0, 30.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(4, [(0, 1), (0, 2), (3, 1)])
+    active = ActiveLinkSet(4, [(0, 1), (0, 2), (3, 1)])
     rng = np.random.default_rng(0)
     p = rng.uniform(1e-8, 1e-6, 4)
     got = power_targets(p, active, gains, 16, NOISE, GAMMA)[0]
@@ -68,7 +68,7 @@ def test_interference_target_takes_worst_outgoing_link():
 def test_interference_target_zero_powers_noise_floor():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0], [40.0, 70.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(3, [(0, 1), (0, 2)])
+    active = ActiveLinkSet(3, [(0, 1), (0, 2)])
     t = power_targets(np.zeros(3), active, gains, 16, NOISE, GAMMA)[0]
     g = gains
     assert t == pytest.approx(max(GAMMA * NOISE / g[0, 1],
@@ -78,7 +78,7 @@ def test_interference_target_zero_powers_noise_floor():
 def test_pc_single_link_converges_in_two_iterations():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(2, [(0, 1)])
+    active = ActiveLinkSet(2, [(0, 1)])
     result = pc_iterate(np.zeros(2), active, gains, 128, NOISE, GAMMA)
     assert result.converged
     assert result.iterations <= 2
@@ -90,7 +90,7 @@ def test_pc_two_link_fixed_point_matches_linear_solve():
     topo = topology_from_positions([[0.0, 0.0], [10.0, 0.0],
                                     [60.0, 5.0], [70.0, 5.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
+    active = ActiveLinkSet(4, [(0, 1), (2, 3)])
     spreading = 16
     g = gains
     # p0 = a01 * p2 + b0 ; p2 = a23 * p0 + b2
@@ -112,7 +112,7 @@ def test_pc_detects_infeasible_instance():
     topo = topology_from_positions([[0.0, 0.0], [10.0, 0.0],
                                     [0.0, 1.0], [10.0, 1.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
+    active = ActiveLinkSet(4, [(0, 1), (2, 3)])
     spreading, gamma = 2, 5.0
     g = gains
     ratio = (gamma / spreading) ** 2 * (g[2, 1] / g[0, 1]) * (g[0, 3] / g[2, 3])
@@ -199,7 +199,7 @@ def test_pc_mud_zero_interference_equals_matched():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
     book = generate_spreading_codebook(2, 8, seed=1)
-    active = ActiveLinkSet.from_links(2, [(0, 1)])
+    active = ActiveLinkSet(2, [(0, 1)])
     matched = pc_iterate(np.zeros(2), active, gains, 8, NOISE, GAMMA,
                          tol=1e-10)
     mud, filters = pc_mud_iterate(np.zeros(2), active, gains, book, NOISE,
@@ -239,7 +239,7 @@ def test_pc_mud_feasible_where_matched_is_not():
     seqs = seqs / np.linalg.norm(seqs, axis=1, keepdims=True)
     seqs.setflags(write=False)
     book = SpreadingCodebook(sequences=seqs)
-    active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
+    active = ActiveLinkSet(4, [(0, 1), (2, 3)])
     spreading, gamma = 2, 5.0
     matched = pc_iterate(np.full(4, 1e-6), active, gains, spreading, NOISE,
                          gamma)
@@ -268,7 +268,7 @@ def test_pc_mud_converged_sir_meets_target():
 def test_trace_records_totals():
     topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
     gains = compute_link_gains(topo, 2.0)
-    active = ActiveLinkSet.from_links(2, [(0, 1)])
+    active = ActiveLinkSet(2, [(0, 1)])
     result = pc_iterate(np.zeros(2), active, gains, 128, NOISE, GAMMA)
     assert result.trace[0] == 0.0
     assert result.trace[-1] == pytest.approx(result.powers.sum(), rel=1e-12)
@@ -571,7 +571,7 @@ def test_pc_mud_solve_falls_back_to_a_plain_step(monkeypatch, rho,
     seqs = np.array([[1.0, 0.0], [0.0, 1.0], [rho, c], [rho, -c]])
     seqs.setflags(write=False)
     book = SpreadingCodebook(sequences=seqs)
-    active = ActiveLinkSet.from_links(4, [(0, 1), (2, 3)])
+    active = ActiveLinkSet(4, [(0, 1), (2, 3)])
     solved, policy_iteration = [], powercontrol._policy_iteration
 
     def counted(*args):
@@ -781,7 +781,7 @@ def test_pc_solve_matches_single_outgoing_linear_solve():
             _, gains = random_network(rng, 6)
             dests = [int(rng.integers(0, 5)) for _ in range(6)]
             links = [(i, d + (d >= i)) for i, d in enumerate(dests)]
-            active = ActiveLinkSet.from_links(6, links)
+            active = ActiveLinkSet(6, links)
         else:
             _, gains, active, fixed_point, _ = inst
         result = pc_solve(active, gains, 64, NOISE, GAMMA, power_cap=np.inf)
@@ -927,7 +927,7 @@ def _choice_case(seed, n, start):
     p0[rng.random(n) < 0.3] = 0.0
     if start == "silent":
         p0[:] = 0.0
-    return gains, ActiveLinkSet.from_links(n, links), p0
+    return gains, ActiveLinkSet(n, links), p0
 
 
 def _worst_links(p, active, gains, spreading):
@@ -985,39 +985,55 @@ def test_pc_iterate_block_cases_switch_and_stop_inside_blocks():
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 6),
        links=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
-                      max_size=12))
-def test_from_links_matches_loop_oracle(n, links):
+                      max_size=12),
+       form=st.sampled_from(["list", "generator", "array"]))
+def test_link_set_constructor_matches_loop_oracle(n, links, form):
+    given_links = {
+        "list": lambda: list(links),
+        "generator": lambda: (link for link in links),
+        "array": lambda: np.array(links, dtype=np.int64).reshape(-1, 2),
+    }[form]
     try:
-        want = from_links_loop(n, links)
+        want = link_set_loop(n, links)
     except ValueError as exc:
         with pytest.raises(ValueError) as err:
-            ActiveLinkSet.from_links(n, links)
+            ActiveLinkSet(n, given_links())
         assert str(err.value) == str(exc)
     else:
-        assert ActiveLinkSet.from_links(n, iter(links)).links == want
+        active = ActiveLinkSet(n, given_links())
+        assert active.links == want
+        i_idx, j_idx = active.link_arrays
+        assert i_idx.dtype == j_idx.dtype == np.int64
+        assert list(zip(i_idx.tolist(), j_idx.tolist())) == list(want)
 
 
-def test_a_link_set_built_directly_must_be_in_from_links_form():
-    # the solvers group links by sender: unsorted, these links got a
+def test_a_link_set_is_checked_sorted_and_deduplicated_when_built():
+    # the solvers group links by sender: unsorted, these links once got a
     # "converged" verdict from pc_solve that their sorted twin refutes
     _, gains = random_network(np.random.default_rng(3), 4)
     links = ((0, 1), (0, 2), (2, 3), (1, 0))
-    with pytest.raises(ValueError, match="ActiveLinkSet.from_links"):
-        pc_solve(ActiveLinkSet(4, links), gains, 16, NOISE, GAMMA)
-    active = ActiveLinkSet.from_links(4, links)
+    active = ActiveLinkSet(4, links)
+    assert active == ActiveLinkSet(4, sorted(links))
+    assert active.links == ((0, 1), (0, 2), (1, 0), (2, 3))
+    for got, want in zip(active.link_arrays, ([0, 0, 1, 2], [1, 2, 0, 3])):
+        assert got.tolist() == want
     assert pc_solve(active, gains, 16, NOISE, GAMMA).status == "infeasible"
     assert pc_iterate(np.zeros(4), active, gains, 16, NOISE,
                       GAMMA).status == "infeasible"
-    with pytest.raises(ValueError, match="ActiveLinkSet.from_links"):
-        ActiveLinkSet(4, ((0, 1), (0, 1))).link_arrays
+    assert ActiveLinkSet(4, ((0, 1), (2, 3), (0, 1))).links == ((0, 1), (2, 3))
     for bad, message in ((((1, 1),), "self loop"), (((0, 4),), "outside"),
                          (((-1, 0),), "outside")):
         with pytest.raises(ValueError, match=message):
-            ActiveLinkSet(4, bad).link_arrays
-    direct = ActiveLinkSet(4, active.links)
-    for got, want in zip(direct.link_arrays, active.link_arrays):
-        assert got.tolist() == want.tolist()
+            ActiveLinkSet(4, bad)
     assert ActiveLinkSet(4, ()).link_arrays[0].size == 0
+
+
+@pytest.mark.parametrize("links", [
+    [(0, 1.5)], [(0, 1), (2, 1.0)], np.array([[0.0, 1.0]]), [("0", "1")],
+], ids=["fraction", "integral-float", "float-array", "strings"])
+def test_a_link_set_rejects_non_integer_nodes(links):
+    with pytest.raises(ValueError, match="must be integers"):
+        ActiveLinkSet(3, links)
 
 
 def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
@@ -1027,7 +1043,7 @@ def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
                                     [20.0, 40.0]])
     gains = compute_link_gains(topo, 2.0)
     book = generate_spreading_codebook(4, 64, seed=2)
-    active = ActiveLinkSet.from_links(4, [(3, 1), (0, 1), (3, 2), (2, 0)])
+    active = ActiveLinkSet(4, [(3, 1), (0, 1), (3, 2), (2, 0)])
     want = np.unique([0, 2, 3, 3], return_index=True, return_inverse=True)
     groups = active.sender_groups
     for got, expected in zip(groups, want):
@@ -1050,7 +1066,7 @@ def _three_node_solvers():
     topo = topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0]])
     gains = compute_link_gains(topo, 2.0)
     book = generate_spreading_codebook(3, 64, seed=2)
-    active = ActiveLinkSet.from_links(3, [(0, 1), (2, 1)])
+    active = ActiveLinkSet(3, [(0, 1), (2, 1)])
     return {
         "pc_iterate": lambda p0: pc_iterate(p0, active, gains, 64, NOISE,
                                             GAMMA),
@@ -1080,7 +1096,7 @@ def test_solvers_on_a_link_set_without_links():
     gains = compute_link_gains(
         topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0]]), 2.0)
     book = generate_spreading_codebook(3, 8, seed=2)
-    empty = ActiveLinkSet.from_links(3, [])
+    empty = ActiveLinkSet(3, [])
     exact = pc_solve(empty, gains, 8, NOISE, GAMMA)
     assert exact.converged and exact.iterations == 0
     results = [exact, pc_iterate(np.full(3, 1e-9), empty, gains, 8, NOISE,

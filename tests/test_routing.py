@@ -31,7 +31,7 @@ from adhocnet.routing import (
     build_link_costs,
     initial_routes,
 )
-from helpers import brute_force_shortest, from_links_loop, \
+from helpers import brute_force_shortest, link_set_loop, \
     initial_skeleton_loop, random_network, topology_from_positions
 
 GAMMA = 12.5
@@ -204,13 +204,13 @@ def test_active_links_derived_from_paths():
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 9), data=st.data())
 def test_active_links_match_loop_oracle(n, data):
-    # node n is out of range, so some draws must fail like from_links
+    # node n is out of range, so some draws must fail like the oracle
     path = st.lists(st.integers(0, n), min_size=2, max_size=n, unique=True)
     paths = tuple(map(tuple, data.draw(st.lists(path, max_size=6))))
     links = [link for p in paths for link in zip(p[:-1], p[1:])]
     routes = RouteSet(paths=paths, n_nodes=n)
     try:
-        want = from_links_loop(n, links)
+        want = link_set_loop(n, links)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             routes.active_links
@@ -223,7 +223,7 @@ def test_active_links_match_loop_oracle(n, data):
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 6), data=st.data())
-def test_active_links_equal_from_links_over_consecutive_pairs(n, data):
+def test_active_links_equal_the_link_set_of_consecutive_pairs(n, data):
     # few nodes and many paths, so paths share links; two-node paths are
     # one hop
     path = st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
@@ -231,7 +231,7 @@ def test_active_links_equal_from_links_over_consecutive_pairs(n, data):
     paths = tuple(map(tuple, data.draw(st.lists(path, max_size=8))))
     routes = RouteSet(paths=paths, n_nodes=n)
     links = [link for p in paths for link in zip(p[:-1], p[1:])]
-    got, want = routes.active_links, ActiveLinkSet.from_links(n, links)
+    got, want = routes.active_links, ActiveLinkSet(n, links)
     assert got == want and got.links == want.links
     for a, b in zip(got.link_arrays, want.link_arrays):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
@@ -243,13 +243,20 @@ def test_active_links_equal_from_links_over_consecutive_pairs(n, data):
     (((0, 1), (2, 5, 1)), "link (2, 5) outside node range"),
     (((3, 0, -1), (1, 2)), "link (0, -1) outside node range"),
 ])
-def test_active_links_name_an_out_of_range_node_as_from_links(paths,
-                                                                message):
+def test_active_links_name_an_out_of_range_node_as_a_link_set(paths,
+                                                               message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        ActiveLinkSet.from_links(
+        ActiveLinkSet(
             4, [link for p in paths for link in zip(p[:-1], p[1:])])
     routes = RouteSet(paths=paths, n_nodes=4)
     with pytest.raises(ValueError, match=re.escape(message)):
+        routes.active_links
+
+
+@pytest.mark.parametrize("paths", [((0, 1.5),), ((0, 1), (2, 1.0, 0))])
+def test_active_links_reject_non_integer_nodes(paths):
+    routes = RouteSet(paths=paths, n_nodes=3)
+    with pytest.raises(ValueError, match="must be integers"):
         routes.active_links
 
 
