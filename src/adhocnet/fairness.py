@@ -47,7 +47,8 @@ class MixtureWeights:
 
     def __post_init__(self):
         w = np.asarray(self.w)
-        if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-12:
+        # written so that NaN fails it
+        if not (np.all(w >= -1e-12) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must lie on the probability simplex")
 
 

@@ -42,8 +42,8 @@ K_j^-1 u_i, and q is the link's right-hand side (for LU its G row) dotted
 with z. On request the same z gives x = S B_j^-1 S' e_i, so x_k = c's_k
 for the filter direction c = B_j^-1 s_i and x_i = q: x = z, G z or U'z.
 The kernel returns no filters. They come from one per-link reference in
-the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``), which
-``FilterBank.lmmse`` calls only for a link that is read.
+the full L-dimensional space, ``lmmse_filter`` (with ``sir_lmmse``),
+called per link on demand.
 
 Each receiver is factored once per power vector. A memo keeps the factors
 (failed ones too) made at the last key: p, noise and the gains by value,
@@ -76,23 +76,6 @@ CONDITION_WARN_THRESHOLD = 1e12
 _memo: tuple = ((), {})
 
 
-class _FiltersOnRead(Mapping):
-    """``filter_of(i, j)`` of each link (i, j) of ``links``, at every read."""
-
-    def __init__(self, links, filter_of):
-        self._links = {link: link for link in links}
-        self._filter_of = filter_of
-
-    def __getitem__(self, link):
-        return self._filter_of(*self._links[link])  # KeyError off the links
-
-    def __iter__(self):
-        return iter(self._links)
-
-    def __len__(self):
-        return len(self._links)
-
-
 @dataclass(frozen=True)
 class FilterBank:
     """Receiver filter per active directed link (transmitter, receiver)."""
@@ -103,14 +86,6 @@ class FilterBank:
     def matched(cls, codebook: SpreadingCodebook, links) -> "FilterBank":
         """Matched filters: each link uses its transmitter's own sequence."""
         return cls({(i, j): codebook.sequences[i] for (i, j) in links})
-
-    @classmethod
-    def lmmse(cls, links, p: np.ndarray, gains: np.ndarray,
-              codebook: SpreadingCodebook, noise: float) -> "FilterBank":
-        """``lmmse_filter`` of each link at p, called each time the link is
-        read; p should be read-only, as ``PcResult.powers`` is."""
-        return cls(_FiltersOnRead(links, lambda i, j: lmmse_filter(
-            i, p, gains, codebook, noise, j)))
 
     def __getitem__(self, link):
         return self.filters[link]
@@ -373,7 +348,7 @@ def link_energies(p_tx: np.ndarray, sir: np.ndarray, bit_rate: float,
     arithmetic: numpy's vectorised power can differ from it in the last
     digit, and the result must not depend on how many links are evaluated.
     """
-    if bit_rate <= 0:
+    if not bit_rate > 0:  # NaN too
         raise ValueError("bit_rate must be positive")
     base = 1.0 - np.exp(-0.5 * sir)
     f = np.array([b ** packet_bits for b in base.tolist()], dtype=float)

@@ -41,9 +41,8 @@ T(p) is rounding: either gives way to the plain step T(p), and after the
 k-th such step the next 2^(k-1) steps are plain too, so a diverging run
 pays for few tangent solves. Either solver returns p converged only when
 it passes the residual test. The solve at the returned powers also gives
-every link's output SIR c q / (1 - c q), ``PcResult.link_sir``. The
-returned ``phy.FilterBank.lmmse`` calls ``phy.lmmse_filter`` at those
-powers only for a link that is read.
+every link's output SIR c q / (1 - c q), ``PcResult.link_sir``. No
+solver builds filters; ``phy.lmmse_filter`` gives any link's on demand.
 """
 
 from __future__ import annotations
@@ -57,12 +56,7 @@ from scipy.linalg.lapack import dgesv
 
 from .errors import check_powers, check_value
 from .netmodel import SpreadingCodebook
-from .phy import (
-    FilterBank,
-    lmmse_link_sir,
-    lmmse_solve,
-    received_powers,
-)
+from .phy import lmmse_link_sir, lmmse_solve, received_powers
 
 STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "infeasible"
@@ -79,10 +73,11 @@ class ActiveLinkSet:
 
     ``links`` may be any iterable of (i, j) node pairs or an (m, 2) array.
     The set keeps them sorted by (i, j) and free of duplicates, and
-    ``link_arrays`` holds their senders and receivers as int64 arrays. A
-    ValueError at construction names the first bad link in sorted order: a
-    self loop, or a node outside 0..n_nodes-1. Node ids must have an integer
-    type; any other (1.5, and also 1.0) is a ValueError.
+    ``link_arrays`` holds their senders and receivers as read-only int64
+    arrays, as ``sender_groups`` holds its own. A ValueError at construction
+    names the first bad link in sorted order: a self loop, or a node outside
+    0..n_nodes-1. Node ids must have an integer type; any other (1.5, and
+    also 1.0) is a ValueError.
     """
 
     n_nodes: int
@@ -109,6 +104,8 @@ class ActiveLinkSet:
         codes = np.sort(i * n + j)  # np.unique costs more on few links
         codes = codes[np.diff(codes, prepend=-1) > 0]
         i, j = codes // n, codes % n
+        i.setflags(write=False)  # shared by every holder of the set
+        j.setflags(write=False)
         object.__setattr__(self, "links", tuple(zip(i.tolist(), j.tolist())))
         object.__setattr__(self, "link_arrays", (i, j))
 
@@ -126,8 +123,11 @@ class ActiveLinkSet:
     @cached_property
     def sender_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Senders, each one's first link and each link's sender index."""
-        return np.unique(self.link_arrays[0], return_index=True,
-                         return_inverse=True)
+        groups = np.unique(self.link_arrays[0], return_index=True,
+                           return_inverse=True)
+        for array in groups:
+            array.setflags(write=False)
+        return groups
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
                    noise: float, target_sir: float, *,
                    tol: float = 1e-6, max_iter: int = 10_000,
                    power_cap: float = 1.0,
-                   filter_mode: str = "lmmse") -> tuple[PcResult, FilterBank]:
+                   filter_mode: str = "lmmse") -> tuple[PcResult, None]:
     """Iterate the exact-cross-correlation power update until it settles.
 
     With ``filter_mode="lmmse"`` every step is the closed-form LMMSE update
@@ -346,8 +346,10 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     current powers and then applying the power update for those filters.
     ``filter_mode="matched"`` keeps the matched filters fixed, which gives
     the exact-cross-correlation matched baseline. The stopping rules are
-    ``pc_iterate``'s. The returned filter bank, and with the LMMSE filter
-    the returned ``link_sir``, are computed at the returned power vector.
+    ``pc_iterate``'s. With the LMMSE filter the result's ``link_sir`` is
+    computed at the returned power vector. The second item is None: it
+    keeps the place of the filter bank this function once returned, for
+    callers that unpack two values.
     """
     check_value("filter_mode", filter_mode, str, choices=("lmmse", "matched"))
     stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
@@ -356,13 +358,9 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
         rho = codebook.gram[active.sender_groups[0]][:, active.link_arrays[0]]
         form = _affine_form(active, gains, noise, target_sir,
                             target_sir * rho ** 2)
-        return (_fixed_point(p0, active, _affine_steps(form), **stop),
-                FilterBank.matched(codebook, active.links))
-
-    result = _lmmse_fixed_point(p0, active, gains, codebook, noise,
-                                target_sir, False, **stop)
-    return result, FilterBank.lmmse(active.links, result.powers, gains,
-                                    codebook, noise)
+        return _fixed_point(p0, active, _affine_steps(form), **stop), None
+    return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
+                              False, **stop), None
 
 
 def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,

@@ -210,6 +210,9 @@ def test_mixture_weights_validate_simplex():
         MixtureWeights(w=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         MixtureWeights(w=np.array([-0.1, 1.1]))
+    for w in ([np.nan, np.nan], [np.nan, 1.0], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="simplex"):
+            MixtureWeights(w=np.array(w))
 
 
 def test_effective_powers_one_hot_and_uniform():

@@ -14,6 +14,7 @@ from adhocnet.phy import (
     FilterBank,
     efficiency,
     energy_per_bit_link,
+    link_energies,
     lmmse_filter,
     lmmse_sir_matrix,
     lmmse_solve,
@@ -243,6 +244,16 @@ def test_energy_per_bit_perfect_link():
 def test_energy_per_bit_zero_sir_unusable():
     p = np.array([2e-6, 0.0])
     assert energy_per_bit_link((0, 1), p, 0.0, 7812.5, 80) == np.inf
+
+
+@pytest.mark.parametrize("bit_rate", [0.0, -1.0, np.nan],
+                         ids=["zero", "negative", "nan"])
+def test_energies_reject_a_bit_rate_that_is_not_positive(bit_rate):
+    p = np.array([2e-6, 0.0])
+    with pytest.raises(ValueError, match="bit_rate must be positive"):
+        link_energies(p[:1], np.array([12.5]), bit_rate, 80)
+    with pytest.raises(ValueError, match="bit_rate must be positive"):
+        energy_per_bit_link((0, 1), p, 12.5, bit_rate, 80)
 
 
 def test_energy_per_bit_closed_form():

@@ -14,6 +14,7 @@ from adhocnet.netmodel import Scenario, SpreadingCodebook, build_network, \
     compute_link_gains, generate_spreading_codebook
 from adhocnet.powercontrol import (
     ActiveLinkSet,
+    PcResult,
     pc_iterate,
     pc_mud_iterate,
     pc_mud_solve,
@@ -202,11 +203,10 @@ def test_pc_mud_zero_interference_equals_matched():
     active = ActiveLinkSet(2, [(0, 1)])
     matched = pc_iterate(np.zeros(2), active, gains, 8, NOISE, GAMMA,
                          tol=1e-10)
-    mud, filters = pc_mud_iterate(np.zeros(2), active, gains, book, NOISE,
-                                  GAMMA, tol=1e-10)
+    mud, _ = pc_mud_iterate(np.zeros(2), active, gains, book, NOISE, GAMMA,
+                            tol=1e-10)
     assert mud.converged
     assert mud.powers[0] == pytest.approx(matched.powers[0], rel=1e-8)
-    assert (0, 1) in filters.filters
 
 
 def test_pc_mud_beats_exact_matched_power():
@@ -256,9 +256,12 @@ def test_pc_mud_converged_sir_meets_target():
     topology, gains = random_network(rng, 6)
     book = generate_spreading_codebook(6, 16, seed=8)
     active = random_active_links(rng, 6, max_out=2)
-    result, filters = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
-                                     GAMMA, tol=1e-9, max_iter=50_000)
+    result, _ = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
+                               GAMMA, tol=1e-9, max_iter=50_000)
     assert result.converged
+    filters = FilterBank({(i, j): lmmse_filter(i, result.powers, gains, book,
+                                               NOISE, j)
+                          for i, j in active.links})
     for i in active.transmitters:
         sirs = [sir_lmmse((i, j), result.powers, filters, gains, book, NOISE)
                 for j in active.outgoing[i]]
@@ -309,38 +312,23 @@ def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
     assert statuses == {"converged", "infeasible", "max_iter"}
 
 
-def test_pc_mud_filter_bank_matches_fresh_filters(monkeypatch):
-    # the bank holds no filter: each read calls phy.lmmse_filter at the
-    # returned powers, and the run itself calls it never
+def test_pc_mud_iterate_builds_no_filter(monkeypatch):
+    # the second item only keeps the place of the old filter bank, and the
+    # run itself never calls phy.lmmse_filter
     from adhocnet import phy
 
-    reference, reads = phy.lmmse_filter, []
-
-    def counted(*args):
-        reads.append(args)
-        return reference(*args)
-
-    monkeypatch.setattr(phy, "lmmse_filter", counted)
+    reads = []
+    monkeypatch.setattr(phy, "lmmse_filter", lambda *args: reads.append(args))
     for gains, book, active, p0 in mud_instances(33, 10):
-        reads.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result, bank = pc_mud_iterate(p0, active, gains, book, NOISE,
-                                          GAMMA, tol=1e-8, max_iter=300)
-            assert reads == []
-            assert tuple(bank.filters) == active.links
-            assert len(bank.filters) == len(active.links)
-            for (i, j) in active.links:
-                want = reference(i, result.powers, gains, book, NOISE, j)
-                np.testing.assert_array_equal(bank[i, j], want)
-        assert [args[0] for args in reads] == [i for i, _ in active.links]
-        assert all(args[1] is result.powers for args in reads)
-        n = active.n_nodes
-        for link in itertools.product(range(n), range(n)):
-            if link not in active.links:
-                with pytest.raises(KeyError):
-                    bank[link]
-        assert len(reads) == len(active.links)
+            for filter_mode in ("lmmse", "matched"):
+                result, bank = pc_mud_iterate(p0, active, gains, book, NOISE,
+                                              GAMMA, tol=1e-8, max_iter=300,
+                                              filter_mode=filter_mode)
+                assert isinstance(result, PcResult)
+                assert bank is None
+    assert reads == []
 
 
 def test_pc_mud_link_sir_matches_fresh_filters():
@@ -403,7 +391,7 @@ def test_pc_mud_stops_at_first_nonfinite_iterate():
 def test_lmmse_filter_raises_where_the_covariance_is_singular():
     # test_pc_mud_stops_at_first_nonfinite_iterate's instance: noise 1e-30
     # vanishes next to the interference, so every link's covariance is
-    # singular in floating point, read directly or through the filter bank
+    # singular in floating point
     rng = np.random.default_rng(35)
     _, gains = random_network(rng, 5)
     book = generate_spreading_codebook(5, 4, seed=36)
@@ -411,15 +399,12 @@ def test_lmmse_filter_raises_where_the_covariance_is_singular():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for max_iter, status in ((1, "max_iter"), (10_000, "nonfinite")):
-            result, filters = pc_mud_iterate(np.full(5, 1e-3), active, gains,
-                                             book, 1e-30, GAMMA,
-                                             max_iter=max_iter)
+            result = pc_mud_iterate(np.full(5, 1e-3), active, gains, book,
+                                    1e-30, GAMMA, max_iter=max_iter)[0]
             assert result.status == status
             for i, j in active.links:
                 with pytest.raises(np.linalg.LinAlgError):
                     lmmse_filter(i, result.powers, gains, book, 1e-30, j)
-                with pytest.raises(np.linalg.LinAlgError):
-                    filters[(i, j)]
 
 
 def test_pc_mud_solves_again_only_past_the_last_solve(monkeypatch):
@@ -1034,6 +1019,18 @@ def test_a_link_set_is_checked_sorted_and_deduplicated_when_built():
 def test_a_link_set_rejects_non_integer_nodes(links):
     with pytest.raises(ValueError, match="must be integers"):
         ActiveLinkSet(3, links)
+
+
+def test_a_link_sets_arrays_are_read_only():
+    # every holder of the set shares them, and links is not rebuilt from them
+    active = ActiveLinkSet(4, [(0, 1), (1, 2), (1, 3)])
+    for array in (*active.link_arrays, *active.sender_groups):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2
+    assert active.links == ((0, 1), (1, 2), (1, 3))
+    assert active.link_arrays[0].tolist() == [0, 1, 1]
+    assert [g.tolist() for g in active.sender_groups] == [[0, 1], [0, 1],
+                                                          [0, 1, 1]]
 
 
 def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
