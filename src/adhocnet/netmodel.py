@@ -164,6 +164,11 @@ class SpreadingCodebook:
     def length(self) -> int:
         return self.sequences.shape[1]
 
+    def check_nodes(self, n_nodes: int) -> None:
+        """ConfigError unless the codebook holds one sequence per node."""
+        if (rows := self.sequences.shape[0]) != n_nodes:
+            raise ConfigError(f"codebook has {rows} rows for {n_nodes} nodes")
+
     @cached_property
     def span(self) -> np.ndarray:
         """U (r, n) of the thin QR factorization S' = Q U, r = min(n, L).

@@ -61,8 +61,6 @@ kernel's relative rounding, about 1e-4 even at the warned condition bound.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
@@ -76,19 +74,8 @@ CONDITION_WARN_THRESHOLD = 1e12
 _memo: tuple = ((), {})
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """Receiver filter per active directed link (transmitter, receiver)."""
-
-    filters: Mapping[tuple[int, int], np.ndarray]
-
-    @classmethod
-    def matched(cls, codebook: SpreadingCodebook, links) -> "FilterBank":
-        """Matched filters: each link uses its transmitter's own sequence."""
-        return cls({(i, j): codebook.sequences[i] for (i, j) in links})
-
-    def __getitem__(self, link):
-        return self.filters[link]
+# Kept for callers that build filter mappings through this name
+FilterBank = dict
 
 
 def received_powers(gains: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -169,6 +156,7 @@ def lmmse_filter(i: int, p: np.ndarray, gains: np.ndarray,
     """
     if i == receiver_node:
         raise ValueError("link endpoints must differ")
+    codebook.check_nodes(p.shape[0])
     cov = _interference_covariance(i, p, gains, codebook, noise, receiver_node)
     # lambda_max <= noise + total interference weight since sequences are unit norm
     cond_bound = float(np.trace(cov)) / noise
@@ -185,6 +173,9 @@ def lmmse_filter(i: int, p: np.ndarray, gains: np.ndarray,
 def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: np.ndarray,
               codebook: SpreadingCodebook, noise: float) -> float:
     """Output SIR of the link's receiver filter with exact cross-correlations.
+
+    The filter c is ``filters[link]``, read from any mapping of links to
+    filter vectors.
 
     SIR = h(i,j) P_i (c's_i)^2 /
           ( sum_{k != i,j} P_k h(k,j) (c's_k)^2 + noise * c'c ).
@@ -222,6 +213,7 @@ def lmmse_solve(p: np.ndarray, gains: np.ndarray,
     """
     global _memo
     n = p.shape[0]
+    codebook.check_nodes(n)
     order = j_idx.argsort(kind="stable")  # the links grouped by receiver
     counts = np.bincount(j_idx, minlength=n)
     receivers = counts.nonzero()[0]

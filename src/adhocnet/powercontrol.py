@@ -352,6 +352,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     callers that unpack two values.
     """
     check_value("filter_mode", filter_mode, str, choices=("lmmse", "matched"))
+    codebook.check_nodes(active.n_nodes)
     stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
 
     if filter_mode == "matched":

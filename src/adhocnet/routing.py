@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import UnreachableSessionError, check_powers
+from .errors import ConfigError, UnreachableSessionError, check_powers
 from .netmodel import Scenario
 from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
@@ -97,6 +97,7 @@ class RouteSet:
                 raise ValueError("a route needs at least two nodes")
             if len(set(path)) != len(path):
                 raise ValueError(f"route {path} repeats a node")
+        self.active_links  # ActiveLinkSet checks the nodes when built
 
     @cached_property
     def _path_pairs(self) -> np.ndarray:
@@ -184,15 +185,21 @@ def _lex_paths(costs: np.ndarray,
 
 def assign_routes(sessions: tuple[tuple[int, int], ...],
                   costs: np.ndarray) -> RouteSet:
-    """Minimum-cost route per (source, destination) session; raises when a
-    session is unreachable."""
+    """Minimum-cost route per session; ConfigError if an endpoint is not a
+    node of ``costs``, UnreachableSessionError if a session is unreachable."""
     costs = np.asarray(costs, dtype=float)
+    n = costs.shape[0]
+    for k, (i, j) in enumerate(sessions):
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < n
+                and isinstance(j, (int, np.integer)) and 0 <= j < n):
+            raise ConfigError(f"session {k} ({i}, {j}) needs nodes in "
+                              f"0..{n - 1}")
     paths = _lex_paths(costs, sessions)
     for k, path in enumerate(paths):
         if path is None:
             source, dest = sessions[k]
             raise UnreachableSessionError(k, source, dest)
-    return RouteSet(paths=tuple(map(tuple, paths)), n_nodes=costs.shape[0])
+    return RouteSet(paths=tuple(map(tuple, paths)), n_nodes=n)
 
 
 def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from adhocnet.netmodel import (
 )
 from adhocnet.phy import (
     CONDITION_WARN_THRESHOLD,
-    FilterBank,
     _interference_covariance,
     link_energies,
     lmmse_filter,
@@ -277,7 +276,7 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
                     noise: float, target_sir: float, *,
                     tol: float = 1e-6, max_iter: int = 10_000,
                     power_cap: float = 1.0,
-                    filter_mode: str = "lmmse") -> tuple[PcResult, FilterBank]:
+                    filter_mode: str = "lmmse") -> PcResult:
     """Two-step loop form of ``powercontrol.pc_mud_iterate``, kept as its
     reference: alternate receiver-filter and power updates until the powers
     settle.
@@ -285,8 +284,7 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
     Step 1 recomputes the per-link filters from the current powers (LMMSE,
     or the fixed matched filters when ``filter_mode="matched"``, which gives
     the exact-cross-correlation matched baseline). Step 2 applies the
-    corresponding power update per worst outgoing link. The returned filter
-    bank is the one computed at the returned power vector.
+    corresponding power update per worst outgoing link.
     """
     if np.any(np.asarray(p0) < 0):
         raise ValueError("initial powers must be nonnegative")
@@ -300,11 +298,7 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
     if np.any(p > power_cap):
         frozen = p.copy()
         frozen.setflags(write=False)
-        return (
-            PcResult(STATUS_INFEASIBLE, frozen, 0, np.asarray(totals)),
-            FilterBank({(i, j): codebook.sequences[i]
-                        for (i, j) in active.links}),
-        )
+        return PcResult(STATUS_INFEASIBLE, frozen, 0, np.asarray(totals))
 
     matched = {(i, j): codebook.sequences[i] for (i, j) in active.links}
 
@@ -329,10 +323,8 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
         if _residual(t, p) <= tol:
             powers = p.copy()
             powers.setflags(write=False)
-            return (
-                PcResult(STATUS_CONVERGED, powers, iteration, np.asarray(totals)),
-                FilterBank(filters),
-            )
+            return PcResult(STATUS_CONVERGED, powers, iteration,
+                            np.asarray(totals))
         p = t
         totals.append(float(p.sum()))
         if np.any(p > power_cap):
@@ -341,10 +333,8 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
     status = STATUS_INFEASIBLE if np.any(p > power_cap) else STATUS_MAX_ITER
     powers = p.copy()
     powers.setflags(write=False)
-    return (
-        PcResult(status, powers, min(iteration, max_iter), np.asarray(totals)),
-        FilterBank(filters),
-    )
+    return PcResult(status, powers, min(iteration, max_iter),
+                    np.asarray(totals))
 
 
 def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,

@@ -211,7 +211,7 @@ def test_criterion_08_lmmse_dominance_and_power_savings():
         p = np.exp(rng.uniform(np.log(1e-9), np.log(1e-6), n))
         i, j = 0, 1
         lm = FilterBank({(i, j): lmmse_filter(i, p, gains, book, NOISE, j)})
-        mf = FilterBank.matched(book, [(i, j)])
+        mf = {(i, j): book.sequences[i]}
         s_l = sir_lmmse((i, j), p, lm, gains, book, NOISE)
         s_m = sir_lmmse((i, j), p, mf, gains, book, NOISE)
         assert s_l >= s_m - 1e-9

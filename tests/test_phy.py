@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adhocnet import phy
+from adhocnet.errors import ConfigError
 from adhocnet.netmodel import (
     SpreadingCodebook,
     generate_spreading_codebook,
@@ -107,6 +108,30 @@ def test_lmmse_filter_rejects_equal_endpoints():
         lmmse_filter(1, p, gains, book, 1e-13, receiver_node=1)
 
 
+@pytest.mark.parametrize("rows", [12, 8])
+def test_lmmse_filter_rejects_a_codebook_of_the_wrong_size(rows):
+    rng = np.random.default_rng(4)
+    _, gains = random_network(rng, 10)
+    book = generate_spreading_codebook(rows, 16, seed=5)
+    message = f"codebook has {rows} rows for 10 nodes"
+    with pytest.raises(ConfigError, match=message):
+        lmmse_filter(0, np.full(10, 1e-7), gains, book, 1e-13, 1)
+
+
+@pytest.mark.parametrize("rows", [12, 8])
+def test_lmmse_solve_rejects_a_codebook_of_the_wrong_size(rows):
+    # and so does every LMMSE quantity solved through it
+    rng = np.random.default_rng(4)
+    _, gains = random_network(rng, 10)
+    book = generate_spreading_codebook(rows, 16, seed=5)
+    p = np.full(10, 1e-7)
+    message = f"codebook has {rows} rows for 10 nodes"
+    with pytest.raises(ConfigError, match=message):
+        lmmse_solve(p, gains, book, 1e-13, np.array([0]), np.array([1]))
+    with pytest.raises(ConfigError, match=message):
+        lmmse_sir_matrix(p, gains, book, 1e-13, 0.0)
+
+
 def test_lmmse_filter_matches_dense_solve():
     rng = np.random.default_rng(4)
     _, gains = random_network(rng, 3)
@@ -129,7 +154,7 @@ def test_sir_lmmse_orthogonal_matched_is_noise_limited():
     gains = compute_link_gains(topo, 2.0)
     p = np.array([1e-6, 0.0, 2e-6, 1e-6])
     noise = 1e-13
-    filters = FilterBank.matched(book, [(0, 1)])
+    filters = {(0, 1): book.sequences[0]}
     sir = sir_lmmse((0, 1), p, filters, gains, book, noise)
     expected = gains[0, 1] * p[0] / noise
     assert sir == pytest.approx(expected, rel=1e-12)
@@ -142,7 +167,7 @@ def test_sir_lmmse_matched_filters_use_exact_cross_correlations():
     p = rng.uniform(1e-8, 1e-6, 5)
     noise = 1e-13
     link = (0, 1)
-    filters = FilterBank.matched(book, [link])
+    filters = {link: book.sequences[link[0]]}
     got = sir_lmmse(link, p, filters, gains, book, noise)
     seqs = book.sequences
     g = gains
@@ -183,7 +208,7 @@ def test_lmmse_dominates_matched_per_instance():
         p = np.exp(rng.uniform(np.log(1e-8), np.log(1e-6), n))
         i, j = 0, 1
         lm = FilterBank({(i, j): lmmse_filter(i, p, gains, book, 1e-13, j)})
-        mf = FilterBank.matched(book, [(i, j)])
+        mf = {(i, j): book.sequences[i]}
         s_l = sir_lmmse((i, j), p, lm, gains, book, 1e-13)
         s_m = sir_lmmse((i, j), p, mf, gains, book, 1e-13)
         assert s_l >= s_m - 1e-9

@@ -305,8 +305,8 @@ def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got, _ = pc_mud_iterate(p0, active, gains, book, NOISE,
                                         GAMMA, **kwargs)
-                want, _ = pc_mud_two_step(p0, active, gains, book, NOISE,
-                                          GAMMA, **kwargs)
+                want = pc_mud_two_step(p0, active, gains, book, NOISE,
+                                       GAMMA, **kwargs)
             same_pc_steps(got, want, rtol=1e-9)
             statuses.add(got.status)
     assert statuses == {"converged", "infeasible", "max_iter"}
@@ -329,6 +329,23 @@ def test_pc_mud_iterate_builds_no_filter(monkeypatch):
                 assert isinstance(result, PcResult)
                 assert bank is None
     assert reads == []
+
+
+@pytest.mark.parametrize("rows", [12, 8])
+def test_pc_mud_iterate_rejects_a_codebook_of_the_wrong_size(rows):
+    # the matched mode reads only Gram entries of the linked nodes, which a
+    # codebook with too many rows has too
+    rng = np.random.default_rng(6)
+    _, gains = random_network(rng, 10)
+    book = generate_spreading_codebook(rows, 16, seed=7)
+    active = ActiveLinkSet(10, [(0, 1), (1, 2)])
+    message = f"codebook has {rows} rows for 10 nodes"
+    for filter_mode in ("lmmse", "matched"):
+        with pytest.raises(ConfigError, match=message):
+            pc_mud_iterate(np.zeros(10), active, gains, book, NOISE, GAMMA,
+                           filter_mode=filter_mode)
+    with pytest.raises(ConfigError, match=message):
+        pc_mud_solve(np.zeros(10), active, gains, book, NOISE, GAMMA)
 
 
 def test_pc_mud_link_sir_matches_fresh_filters():

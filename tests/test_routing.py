@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhocnet import phy
-from adhocnet.errors import UnreachableSessionError
+from adhocnet.errors import ConfigError, UnreachableSessionError
 from adhocnet.netmodel import (
     Scenario,
     build_network,
@@ -181,6 +181,26 @@ def test_assign_routes_unreachable_names_session():
     assert err.value.destination == 2
 
 
+def ring_costs(n):
+    costs = np.full((n, n), np.inf)
+    costs[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    return costs
+
+
+@pytest.mark.parametrize("sessions, costs, message", [
+    # numpy would read node -1 as node 3 of the ring
+    (((-1, 2),), ring_costs(4), "session 0 (-1, 2) needs nodes in 0..3"),
+    (((0, 1), (0, -1)), ring_costs(4),
+     "session 1 (0, -1) needs nodes in 0..3"),
+    (((0, 10),), np.ones((10, 10)), "session 0 (0, 10) needs nodes in 0..9"),
+    (((0, 1.0),), ring_costs(4), "session 0 (0, 1.0) needs nodes in 0..3"),
+])
+def test_assign_routes_rejects_endpoints_that_are_not_nodes(sessions, costs,
+                                                           message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        assign_routes(sessions, costs)
+
+
 def test_assign_routes_total_cost_matches_brute_force():
     rng = np.random.default_rng(6)
     n = 6
@@ -208,14 +228,13 @@ def test_active_links_match_loop_oracle(n, data):
     path = st.lists(st.integers(0, n), min_size=2, max_size=n, unique=True)
     paths = tuple(map(tuple, data.draw(st.lists(path, max_size=6))))
     links = [link for p in paths for link in zip(p[:-1], p[1:])]
-    routes = RouteSet(paths=paths, n_nodes=n)
     try:
         want = link_set_loop(n, links)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            routes.active_links
+            RouteSet(paths=paths, n_nodes=n)
     else:
-        active = routes.active_links
+        active = RouteSet(paths=paths, n_nodes=n).active_links
         assert active.links == want
         i_idx, j_idx = active.link_arrays
         assert list(zip(i_idx.tolist(), j_idx.tolist())) == list(want)
@@ -248,16 +267,15 @@ def test_active_links_name_an_out_of_range_node_as_a_link_set(paths,
     with pytest.raises(ValueError, match=re.escape(message)):
         ActiveLinkSet(
             4, [link for p in paths for link in zip(p[:-1], p[1:])])
-    routes = RouteSet(paths=paths, n_nodes=4)
+    # the route set builds its link set, with these checks, when it is built
     with pytest.raises(ValueError, match=re.escape(message)):
-        routes.active_links
+        RouteSet(paths=paths, n_nodes=4)
 
 
 @pytest.mark.parametrize("paths", [((0, 1.5),), ((0, 1), (2, 1.0, 0))])
 def test_active_links_reject_non_integer_nodes(paths):
-    routes = RouteSet(paths=paths, n_nodes=3)
     with pytest.raises(ValueError, match="must be integers"):
-        routes.active_links
+        RouteSet(paths=paths, n_nodes=3)
 
 
 def test_route_set_rejects_degenerate_paths():
