@@ -86,6 +86,15 @@ def check_powers(name: str, p, n_nodes: int) -> np.ndarray:
     return p
 
 
+def check_gains(gains, n_nodes: int) -> None:
+    """ConfigError naming ``gains`` unless they are a finite, nonnegative
+    (n_nodes, n_nodes) array."""
+    g = np.asarray(gains, dtype=float)
+    if g.shape != (n_nodes, n_nodes) or not (np.isfinite(g) & (g >= 0)).all():
+        raise ConfigError(f"gains must be a finite, nonnegative {n_nodes} x "
+                          f"{n_nodes} array")
+
+
 def check_fields(config) -> None:
     """Apply ``check_value`` to every field of the dataclass ``config`` made
     by ``checked``, so the first that breaks its rule is named."""

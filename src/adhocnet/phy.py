@@ -89,15 +89,24 @@ def received_powers(gains: np.ndarray, p: np.ndarray) -> np.ndarray:
     return gains.T @ p
 
 
+def _link_ends(link, n_nodes: int) -> tuple[int, int]:
+    """The ends (i, j) of ``link``; a ValueError names the link unless they
+    are distinct integer node ids in 0..n_nodes-1, as in ``ActiveLinkSet``."""
+    i, j = ends = np.asarray(link)
+    if ends.dtype.kind not in "iu" or min(i, j) < 0 or max(i, j) >= n_nodes:
+        raise ValueError(f"link ({i}, {j}) needs nodes in 0..{n_nodes - 1}")
+    if i == j:
+        raise ValueError(f"link endpoints must differ: ({i}, {j})")
+    return int(i), int(j)
+
+
 def sir_matched(link, p: np.ndarray, gains: np.ndarray, spreading_gain: int,
                 noise: float) -> float:
     """Matched-filter SIR of a link under the 1/L interference model.
 
     SIR = h(i,j) P_i / ( (1/L) * sum_{k != i,j} h(k,j) P_k + noise ).
     """
-    i, j = link
-    if i == j:
-        raise ValueError("link endpoints must differ")
+    i, j = _link_ends(link, p.shape[0])
     return float(matched_link_sir(np.array([i]), np.array([j]), p, gains,
                                   spreading_gain, noise)[0])
 
@@ -154,8 +163,7 @@ def lmmse_filter(i: int, p: np.ndarray, gains: np.ndarray,
     in floating point, and the solve then raises ``numpy.linalg.LinAlgError``.
     A very large condition bound is reported as a warning.
     """
-    if i == receiver_node:
-        raise ValueError("link endpoints must differ")
+    i, receiver_node = _link_ends((i, receiver_node), p.shape[0])
     codebook.check_nodes(p.shape[0])
     cov = _interference_covariance(i, p, gains, codebook, noise, receiver_node)
     # lambda_max <= noise + total interference weight since sequences are unit norm
@@ -180,9 +188,7 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: np.ndarray,
     SIR = h(i,j) P_i (c's_i)^2 /
           ( sum_{k != i,j} P_k h(k,j) (c's_k)^2 + noise * c'c ).
     """
-    i, j = link
-    if i == j:
-        raise ValueError("link endpoints must differ")
+    i, j = _link_ends(link, p.shape[0])
     c = filters[link]
     x = codebook.sequences @ c
     weights = p * gains[:, j] * x * x
@@ -326,7 +332,7 @@ def energy_per_bit_link(link, p: np.ndarray, sir: float, bit_rate: float,
     E_b = P_i / (bit_rate * f(sir)); infinite when the success probability
     is zero (the link cannot deliver).
     """
-    i, _ = link
+    i, _ = _link_ends(link, len(p))
     return float(link_energies(np.array([p[i]], dtype=float),
                                np.array([sir], dtype=float), bit_rate,
                                packet_bits)[0])

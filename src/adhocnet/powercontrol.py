@@ -8,20 +8,19 @@ any update schedule whenever the system is feasible; divergence is detected
 by the power cap or the iteration budget.
 
 Every receiver runs the synchronous loop ``_fixed_point`` with its own
-step. The matched updates, ``pc_iterate``'s 1/L model (``power_targets``)
-and ``pc_mud_iterate`` with fixed matched filters, which requires
-target * (sum_{k != i,j} P_k h(k,j) rho_ik^2 + noise) / h(i,j) with rho the
-Gram matrix of the sequences, are maxima of affine maps (``_affine_form``).
-While every node keeps its worst link (its policy) a step is linear, so
-``_affine_steps`` takes blocks of steps at one matrix product each and
-checks each block with one more; statuses, iteration counts, powers and
-traces are the per-step loop's up to rounding.
+step. ``pc_iterate``'s 1/L matched update (``power_targets``) is a maximum
+of affine maps (``_affine_form``). While every node keeps its worst link
+(its policy) a step is linear, so ``_affine_steps`` takes blocks of steps
+at one matrix product each and checks each block with one more; statuses,
+iteration counts, powers and traces are the per-step loop's up to rounding.
 ``pc_solve`` finds the minimal fixed point of the 1/L update exactly by
 policy iteration (Howard): solve (I - F) p = a for one link per node,
 re-pick each node's worst link at p, repeat until none changes. T is
 monotone (Yates), so the solutions rise to the minimal fixed point; a
 singular, negative or over-cap solve proves infeasibility (Perron-Frobenius;
 Zander, Foschini-Miljanic). Verdicts come from it, powers from iteration.
+The exact-correlation matched update, rho_ik^2 (Gram matrix rho) for 1/L,
+is only a test baseline: ``tests/helpers.exact_matched_solve`` solves it.
 
 The LMMSE update is not affine; ``pc_mud_iterate`` takes one step per
 kernel solve. Optimizing the filter at the current powers and then solving
@@ -54,7 +53,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .errors import check_powers, check_value
+from .errors import check_gains, check_powers
 from .netmodel import SpreadingCodebook
 from .phy import lmmse_link_sir, lmmse_solve, received_powers
 
@@ -159,6 +158,7 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
     T_i = max over outgoing links (i, j) of
     target_sir * ( (1/L) sum_{k != i,j} h(k,j) P_k + noise ) / h(i,j).
     """
+    check_gains(gains, active.n_nodes)
     i_idx, j_idx = active.link_arrays
     s = received_powers(gains, p)
     g = gains[i_idx, j_idx]
@@ -295,12 +295,15 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
     """Iterate the matched-filter power update until the residual test.
 
     Converged means every node's update residual |P_i - T_i(p)| / max(P_i, eps)
-    is at most ``tol`` at the returned vector. Any power exceeding
-    ``power_cap`` stops the run as infeasible; running out of iterations
-    yields status "max_iter". The powers are returned either way for
-    diagnosis. All nodes update from the previous iterate, in blocks of
-    steps on which no node changes its worst link (``_affine_steps``).
+    is at most ``tol`` at the returned vector, which is then only within
+    about tol / (1 - r) of the fixed point, r the update's contraction
+    factor. Any power exceeding ``power_cap`` stops the run as infeasible;
+    running out of iterations yields status "max_iter". The powers are
+    returned either way for diagnosis. All nodes update from the previous
+    iterate, in blocks of steps on which no node changes its worst link
+    (``_affine_steps``).
     """
+    check_gains(gains, active.n_nodes)
     form = _affine_form(active, gains, noise, target_sir,
                         target_sir / spreading_gain)
     return _fixed_point(p0, active, _affine_steps(form), tol=tol,
@@ -317,6 +320,7 @@ def pc_solve(active: ActiveLinkSet, gains: np.ndarray,
     linear solves and ``trace`` holds each accepted solution's total power;
     a set without links converges at zero powers with no solve.
     """
+    check_gains(gains, active.n_nodes)
     senders, starts, owner, a, coupling = _affine_form(
         active, gains, noise, target_sir, target_sir / spreading_gain)
     # first policy: the worst links two synchronous steps up from zero
@@ -337,31 +341,22 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
                    gains: np.ndarray, codebook: SpreadingCodebook,
                    noise: float, target_sir: float, *,
                    tol: float = 1e-6, max_iter: int = 10_000,
-                   power_cap: float = 1.0,
-                   filter_mode: str = "lmmse") -> tuple[PcResult, None]:
-    """Iterate the exact-cross-correlation power update until it settles.
+                   power_cap: float = 1.0) -> tuple[PcResult, None]:
+    """Iterate the closed-form LMMSE power update until it settles.
 
-    With ``filter_mode="lmmse"`` every step is the closed-form LMMSE update
-    (module docstring), equal to recomputing each link's LMMSE filter at the
-    current powers and then applying the power update for those filters.
-    ``filter_mode="matched"`` keeps the matched filters fixed, which gives
-    the exact-cross-correlation matched baseline. The stopping rules are
-    ``pc_iterate``'s. With the LMMSE filter the result's ``link_sir`` is
-    computed at the returned power vector. The second item is None: it
-    keeps the place of the filter bank this function once returned, for
-    callers that unpack two values.
+    Every step (module docstring) equals recomputing each link's LMMSE
+    filter at the current powers and then applying the power update for
+    those filters. The stopping rules, and the distance tol / (1 - r) from
+    the fixed point that a residual of ``tol`` allows, are ``pc_iterate``'s.
+    The result's ``link_sir`` is computed at the returned power vector. The
+    second item is None: it keeps the place of the filter bank this function
+    once returned, for callers that unpack two values.
     """
-    check_value("filter_mode", filter_mode, str, choices=("lmmse", "matched"))
+    check_gains(gains, active.n_nodes)
     codebook.check_nodes(active.n_nodes)
-    stop = dict(tol=tol, max_iter=max_iter, power_cap=power_cap)
-
-    if filter_mode == "matched":
-        rho = codebook.gram[active.sender_groups[0]][:, active.link_arrays[0]]
-        form = _affine_form(active, gains, noise, target_sir,
-                            target_sir * rho ** 2)
-        return _fixed_point(p0, active, _affine_steps(form), **stop), None
     return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
-                              False, **stop), None
+                              False, tol=tol, max_iter=max_iter,
+                              power_cap=power_cap), None
 
 
 def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
@@ -370,6 +365,7 @@ def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                  power_cap: float = 1.0) -> PcResult:
     """``pc_mud_iterate``'s LMMSE fixed point by Newton steps (module
     docstring), with its statuses, ``iterations`` and ``link_sir``."""
+    check_gains(gains, active.n_nodes)
     return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
                               True, tol=tol, max_iter=max_iter,
                               power_cap=power_cap)

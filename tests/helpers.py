@@ -283,7 +283,8 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
 
     Step 1 recomputes the per-link filters from the current powers (LMMSE,
     or the fixed matched filters when ``filter_mode="matched"``, which gives
-    the exact-cross-correlation matched baseline). Step 2 applies the
+    the exact-cross-correlation matched iteration that
+    ``exact_matched_solve`` solves exactly). Step 2 applies the
     corresponding power update per worst outgoing link.
     """
     if np.any(np.asarray(p0) < 0):
@@ -335,6 +336,41 @@ def pc_mud_two_step(p0: np.ndarray, active: ActiveLinkSet,
     powers.setflags(write=False)
     return PcResult(status, powers, min(iteration, max_iter),
                     np.asarray(totals))
+
+
+def exact_matched_solve(active: ActiveLinkSet, gains: np.ndarray,
+                        codebook: SpreadingCodebook, noise: float,
+                        target_sir: float, *,
+                        power_cap: float = 1.0) -> PcResult:
+    """Minimal fixed point of the exact-cross-correlation matched update,
+    the baseline the LMMSE receiver is compared with, for a link set with
+    one link per sender.
+
+    Link (i, j) needs target_sir * (sum_{k != i,j} P_k h(k,j) rho_ik^2
+    + noise) / h(i,j), rho the Gram matrix of the sequences, so the senders'
+    powers solve (I - F) p = a. F is nonnegative and a positive, so the
+    iteration from zero converges exactly when the solution is nonnegative
+    (Perron-Frobenius), and stays under the cap exactly when the solution
+    does: "converged" when it lies in [0, power_cap], else "infeasible",
+    a singular system included. ``iterations`` is 1, the one solve.
+    """
+    i_idx, j_idx = active.link_arrays
+    if len(set(i_idx.tolist())) != len(i_idx):
+        raise ValueError("exact_matched_solve needs one link per sender")
+    g = gains[i_idx, j_idx]
+    f = target_sir * (codebook.gram[np.ix_(i_idx, i_idx)] ** 2
+                      * gains[np.ix_(i_idx, j_idx)].T / g[:, None])
+    np.fill_diagonal(f, 0.0)  # k = i; k = j has zero gain h(j, j)
+    try:
+        x = np.linalg.solve(np.eye(len(g)) - f, target_sir * noise / g)
+        feasible = bool(x.min() >= 0.0 and x.max() <= power_cap)
+    except np.linalg.LinAlgError:
+        x, feasible = np.full(len(g), np.nan), False
+    powers = np.zeros(active.n_nodes)
+    powers[i_idx] = x
+    powers.setflags(write=False)
+    return PcResult(STATUS_CONVERGED if feasible else STATUS_INFEASIBLE,
+                    powers, 1, np.array([float(x.sum())]))
 
 
 def pc_iterate_loop(p0: np.ndarray, active: ActiveLinkSet,

@@ -802,3 +802,26 @@ def test_gate_pruned_sir_matrix_routes_as_the_all_pairs_matrix(instance):
     np.testing.assert_allclose(pruned[solved], full[solved], rtol=1e-9,
                                atol=0.0)
     assert (pruned[~solved] == 0.0).all()
+
+
+@pytest.mark.parametrize("link", [(-1, 2), (2, -1), (0, 4), (4, 0),
+                                  (1.0, 2), (1.5, 2)])
+def test_per_link_functions_reject_links_outside_the_network(link):
+    # ActiveLinkSet's rule: before, node -1 aliased node 3, node 4 raised
+    # numpy's IndexError, and a float id was used as an index or failed
+    rng = np.random.default_rng(4)
+    _, gains = random_network(rng, 4)
+    book = generate_spreading_codebook(4, 8, seed=5)
+    p = np.full(4, 1e-7)
+    filters = {link: book.sequences[0]}
+    i, j = np.asarray(link)  # as the message prints it
+    message = rf"link \({i}, {j}\) needs nodes in 0\.\.3"
+    calls = [
+        lambda: sir_matched(link, p, gains, 8, 1e-13),
+        lambda: energy_per_bit_link(link, p, 10.0, 1e4, 80),
+        lambda: lmmse_filter(link[0], p, gains, book, 1e-13, link[1]),
+        lambda: sir_lmmse(link, p, filters, gains, book, 1e-13),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

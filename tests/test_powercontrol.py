@@ -23,6 +23,7 @@ from adhocnet.powercontrol import (
 )
 from adhocnet.routing import initial_routes
 from helpers import (
+    exact_matched_solve,
     gauss_seidel_sweep,
     link_set_loop,
     mud_targets,
@@ -216,13 +217,11 @@ def test_pc_mud_beats_exact_matched_power():
         topology, gains = random_network(rng, 6)
         book = generate_spreading_codebook(6, 8, seed=int(rng.integers(1e6)))
         active = random_active_links(rng, 6, max_out=1)
-        mf, _ = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
-                               GAMMA, tol=1e-10, max_iter=50_000,
-                               filter_mode="matched")
+        mf = exact_matched_solve(active, gains, book, NOISE, GAMMA)
         if not mf.converged:  # the LMMSE run draws nothing from rng
             continue
-        mud, _ = pc_mud_iterate(np.zeros(6), active, gains, book, NOISE,
-                                GAMMA, tol=1e-10, max_iter=50_000)
+        mud = pc_mud_solve(np.zeros(6), active, gains, book, NOISE, GAMMA,
+                           tol=1e-10, max_iter=50_000)
         if not mud.converged:
             continue
         assert mud.powers.sum() <= mf.powers.sum() * (1 + 1e-9)
@@ -292,15 +291,13 @@ def mud_instances(seed, count):
         yield gains, book, active, p0
 
 
-@pytest.mark.parametrize("filter_mode", ["lmmse", "matched"])
-def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
+def test_pc_mud_iterate_matches_two_step_loop():
     statuses = set()
     for gains, book, active, p0 in mud_instances(31, 30):
         for max_iter in (3, 300):
             # the cap stops diverging runs before the covariances become so
             # ill-conditioned that both solvers lose the ninth digit
-            kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=1e-4,
-                          filter_mode=filter_mode)
+            kwargs = dict(tol=1e-8, max_iter=max_iter, power_cap=1e-4)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got, _ = pc_mud_iterate(p0, active, gains, book, NOISE,
@@ -310,6 +307,30 @@ def test_pc_mud_iterate_matches_two_step_loop(filter_mode):
             same_pc_steps(got, want, rtol=1e-9)
             statuses.add(got.status)
     assert statuses == {"converged", "infeasible", "max_iter"}
+
+
+def test_exact_matched_solve_is_the_matched_iteration_fixed_point():
+    # the exact-correlation matched baseline of the LMMSE comparisons: one
+    # solve gives the powers and the verdict of the two-step loop with the
+    # matched filters held fixed, run to a tight residual
+    rng = np.random.default_rng(37)
+    statuses = []
+    while statuses.count("converged") < 30:
+        n = int(rng.integers(3, 7))
+        _, gains = random_network(rng, n)
+        book = generate_spreading_codebook(n, int(rng.choice([8, 16, 32])),
+                                           seed=int(rng.integers(1 << 30)))
+        active = random_active_links(rng, n, max_out=1)
+        got = exact_matched_solve(active, gains, book, NOISE, GAMMA)
+        want = pc_mud_two_step(np.zeros(n), active, gains, book, NOISE,
+                               GAMMA, tol=1e-12, max_iter=20_000,
+                               filter_mode="matched")
+        assert got.status == want.status
+        if got.converged:
+            np.testing.assert_allclose(got.powers, want.powers, rtol=1e-9,
+                                       atol=0.0)
+        statuses.append(got.status)
+    assert statuses.count("infeasible") >= 30
 
 
 def test_pc_mud_iterate_builds_no_filter(monkeypatch):
@@ -322,28 +343,22 @@ def test_pc_mud_iterate_builds_no_filter(monkeypatch):
     for gains, book, active, p0 in mud_instances(33, 10):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for filter_mode in ("lmmse", "matched"):
-                result, bank = pc_mud_iterate(p0, active, gains, book, NOISE,
-                                              GAMMA, tol=1e-8, max_iter=300,
-                                              filter_mode=filter_mode)
-                assert isinstance(result, PcResult)
-                assert bank is None
+            result, bank = pc_mud_iterate(p0, active, gains, book, NOISE,
+                                          GAMMA, tol=1e-8, max_iter=300)
+            assert isinstance(result, PcResult)
+            assert bank is None
     assert reads == []
 
 
 @pytest.mark.parametrize("rows", [12, 8])
 def test_pc_mud_iterate_rejects_a_codebook_of_the_wrong_size(rows):
-    # the matched mode reads only Gram entries of the linked nodes, which a
-    # codebook with too many rows has too
     rng = np.random.default_rng(6)
     _, gains = random_network(rng, 10)
     book = generate_spreading_codebook(rows, 16, seed=7)
     active = ActiveLinkSet(10, [(0, 1), (1, 2)])
     message = f"codebook has {rows} rows for 10 nodes"
-    for filter_mode in ("lmmse", "matched"):
-        with pytest.raises(ConfigError, match=message):
-            pc_mud_iterate(np.zeros(10), active, gains, book, NOISE, GAMMA,
-                           filter_mode=filter_mode)
+    with pytest.raises(ConfigError, match=message):
+        pc_mud_iterate(np.zeros(10), active, gains, book, NOISE, GAMMA)
     with pytest.raises(ConfigError, match=message):
         pc_mud_solve(np.zeros(10), active, gains, book, NOISE, GAMMA)
 
@@ -372,9 +387,6 @@ def test_pc_mud_link_sir_matches_fresh_filters():
                     # magnifies q's rounding by 1 + SIR, up to 1e7 here
                     assert got / (1.0 + got) == pytest.approx(
                         want / (1.0 + want), rel=1e-9)
-            matched = pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
-                                     max_iter=3, filter_mode="matched")[0]
-            assert matched.link_sir is None
     assert statuses == {"converged", "infeasible", "max_iter"}
 
 
@@ -673,12 +685,11 @@ def test_pc_mud_solve_diverges_where_the_iteration_does(monkeypatch):
         assert sum(vectors) <= 1 + np.log2(got.iterations + 1)
 
 
-def one_update(p, active, gains, book, mode):
-    """T(p) of ``pc_mud_iterate``'s update with ``filter_mode=mode``: one
-    step without a cap from p (a zero residual stops there, at T(p))."""
+def one_update(p, active, gains, book):
+    """T(p) of ``pc_mud_iterate``'s update: one step without a cap from p
+    (a zero residual stops there, at T(p))."""
     return pc_mud_iterate(p, active, gains, book, NOISE, GAMMA, tol=0.0,
-                          max_iter=1, power_cap=np.inf,
-                          filter_mode=mode)[0].powers
+                          max_iter=1, power_cap=np.inf)[0].powers
 
 
 @st.composite
@@ -697,17 +708,17 @@ def update_instances(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(update_instances(), st.sampled_from(["lmmse", "matched"]))
-def test_mud_updates_are_standard_interference_functions(instance, mode):
-    # positivity, monotonicity and scalability (Yates 1995), for the LMMSE
-    # and the exact-correlation matched updates
+@given(update_instances())
+def test_mud_updates_are_standard_interference_functions(instance):
+    # positivity, monotonicity and scalability (Yates 1995) of the LMMSE
+    # update
     active, gains, book, p, smaller, alpha = instance
     tx = list(active.transmitters)
-    t = one_update(p, active, gains, book, mode)[tx]
-    t_small = one_update(smaller, active, gains, book, mode)[tx]
-    t_scaled = one_update(alpha * p, active, gains, book, mode)[tx]
-    assert (one_update(np.zeros(active.n_nodes), active, gains, book,
-                       mode)[tx] > 0.0).all()
+    t = one_update(p, active, gains, book)[tx]
+    t_small = one_update(smaller, active, gains, book)[tx]
+    t_scaled = one_update(alpha * p, active, gains, book)[tx]
+    assert (one_update(np.zeros(active.n_nodes), active, gains,
+                       book)[tx] > 0.0).all()
     assert (t_small > 0.0).all()
     assert (t >= t_small * (1 - 1e-9)).all()
     assert (alpha * t > t_scaled * (1 + 1e-12)).all()
@@ -724,7 +735,7 @@ def test_lmmse_update_lies_below_its_frozen_filter_tangents(instance):
     tx = list(active.transmitters)
     for at in (p, other, alpha * p, other + alpha * p):
         tangent = mud_targets(at, active, gains, book, NOISE, GAMMA, frozen)
-        t = one_update(at, active, gains, book, "lmmse")
+        t = one_update(at, active, gains, book)
         if at is p:
             np.testing.assert_allclose(tangent[tx], t[tx], rtol=1e-9)
         else:
@@ -1067,9 +1078,7 @@ def test_every_solver_reads_the_link_sets_one_sender_grouping(monkeypatch):
     p0 = np.full(4, 1e-9)
     assert pc_solve(active, gains, 64, NOISE, GAMMA).converged
     assert pc_iterate(p0, active, gains, 64, NOISE, GAMMA).converged
-    for mode in ("lmmse", "matched"):
-        assert pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA,
-                              filter_mode=mode)[0].converged
+    assert pc_mud_iterate(p0, active, gains, book, NOISE, GAMMA)[0].converged
     assert pc_mud_solve(p0, active, gains, book, NOISE, GAMMA).converged
     assert calls == [] and active.sender_groups is groups
 
@@ -1086,15 +1095,12 @@ def _three_node_solvers():
                                             GAMMA),
         "lmmse": lambda p0: pc_mud_iterate(p0, active, gains, book, NOISE,
                                            GAMMA)[0],
-        "matched": lambda p0: pc_mud_iterate(p0, active, gains, book, NOISE,
-                                             GAMMA, filter_mode="matched")[0],
         "newton": lambda p0: pc_mud_solve(p0, active, gains, book, NOISE,
                                           GAMMA),
     }
 
 
-@pytest.mark.parametrize("solver", ["pc_iterate", "lmmse", "matched",
-                                    "newton"])
+@pytest.mark.parametrize("solver", ["pc_iterate", "lmmse", "newton"])
 @pytest.mark.parametrize("p0", [
     np.zeros(2), np.zeros(4), np.zeros((3, 1)), [0.0, np.nan, 0.0],
     [0.0, np.inf, 0.0], [1e-9, -1e-12, 0.0],
@@ -1115,11 +1121,69 @@ def test_solvers_on_a_link_set_without_links():
     assert exact.converged and exact.iterations == 0
     results = [exact, pc_iterate(np.full(3, 1e-9), empty, gains, 8, NOISE,
                                  GAMMA)]
-    for mode in ("lmmse", "matched"):
-        results.append(pc_mud_iterate(np.full(3, 1e-9), empty, gains, book,
-                                      NOISE, GAMMA, filter_mode=mode)[0])
+    results.append(pc_mud_iterate(np.full(3, 1e-9), empty, gains, book,
+                                  NOISE, GAMMA)[0])
     results.append(pc_mud_solve(np.full(3, 1e-9), empty, gains, book, NOISE,
                                 GAMMA))
     for result in results:
         assert result.converged
         assert result.powers.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("case", ["more_nodes", "fewer_nodes", "not_square",
+                                  "nan", "inf", "negative"])
+def test_power_control_rejects_bad_gains(case):
+    # before, gains for more nodes than the link set gave "converged", a NaN
+    # gain on a link gave "infeasible" or "nonfinite", and a shape mismatch
+    # raised numpy's errors
+    topo = topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0],
+                                    [20.0, 40.0]])
+    gains = compute_link_gains(topo, 2.0)
+    bad = {"more_nodes": gains, "fewer_nodes": gains[:2, :2],
+           "not_square": gains[:3]}.get(case, np.array(gains[:3, :3]))
+    if case in ("nan", "inf", "negative"):
+        bad[0, 1] = {"nan": np.nan, "inf": np.inf, "negative": -1e-9}[case]
+    book = generate_spreading_codebook(3, 64, seed=2)
+    active = ActiveLinkSet(3, [(0, 1), (2, 1)])
+    p0 = np.full(3, 1e-9)
+    calls = [
+        lambda g: power_targets(p0, active, g, 64, NOISE, GAMMA),
+        lambda g: pc_iterate(p0, active, g, 64, NOISE, GAMMA),
+        lambda g: pc_solve(active, g, 64, NOISE, GAMMA),
+        lambda g: pc_mud_iterate(p0, active, g, book, NOISE, GAMMA),
+        lambda g: pc_mud_solve(p0, active, g, book, NOISE, GAMMA),
+    ]
+    for call in calls:
+        assert call(gains[:3, :3]) is not None
+        with pytest.raises(ConfigError, match="^gains must be"):
+            call(bad)
+
+
+def test_repick_keeps_the_policy_link_on_a_tie():
+    # a sender switches only to a link that needs strictly more; one whose
+    # policy ties with an earlier link keeps it, as on a NaN need
+    starts, owner = np.array([0, 2]), np.array([0, 0, 1, 1])
+    need = np.array([2.0, 2.0, 1.0, np.nan])
+    for policy, want in (([1, 3], [1, 3]), ([0, 2], [0, 2])):
+        got = powercontrol._repick(need, np.array(policy), starts, owner)
+        assert got.tolist() == want
+    # otherwise each sender takes its first link of largest need
+    assert powercontrol._repick(np.array([1.0, 3.0, 3.0, 1.0]),
+                                np.array([0, 3]), starts, owner
+                                ).tolist() == [1, 2]
+
+
+def test_the_residual_test_and_the_cap_are_inclusive():
+    # a lone link's update is constant: a step from zero lands exactly on
+    # the fixed point a = target * noise / h, and the next has residual 0.
+    # A zero tol accepts that, and a cap equal to a does not refuse it
+    topo = topology_from_positions([[0.0, 0.0], [100.0, 0.0]])
+    gains = compute_link_gains(topo, 2.0)
+    active = ActiveLinkSet(2, [(0, 1)])
+    a = GAMMA * NOISE / gains[0, 1]
+    iterated = pc_iterate(np.zeros(2), active, gains, 8, NOISE, GAMMA,
+                          tol=0.0, max_iter=50, power_cap=a)
+    assert iterated.status == "converged" and iterated.iterations == 2
+    solved = pc_solve(active, gains, 8, NOISE, GAMMA, power_cap=a)
+    assert solved.converged
+    assert iterated.powers.tolist() == solved.powers.tolist() == [a, 0.0]
