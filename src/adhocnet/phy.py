@@ -65,6 +65,7 @@ import warnings
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
+from .errors import ConfigError
 from .netmodel import SpreadingCodebook
 
 # Condition bound above which an LMMSE covariance solve is flagged.
@@ -84,8 +85,13 @@ def received_powers(gains: np.ndarray, p: np.ndarray) -> np.ndarray:
     Entry j equals sum_k h(k, j) P_k over k != j; the zero diagonal of the
     gain matrix excludes each node's own transmission. This is the quantity
     a node can measure locally; the matched-filter SIR subtracts the desired
-    term from it.
+    term from it. Only the shapes are checked: ConfigError names ``gains``
+    unless they are square, or ``p`` unless it holds one power per node.
     """
+    if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
+        raise ConfigError(f"gains must be square, got shape {gains.shape}")
+    if np.shape(p) != gains.shape[:1]:
+        raise ConfigError(f"p needs {len(gains)} powers, got {np.shape(p)}")
     return gains.T @ p
 
 

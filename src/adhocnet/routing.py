@@ -27,8 +27,7 @@ skeleton repairs when it diverges within ``_PROBE_ITERATIONS`` steps.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,8 +51,13 @@ def build_link_costs(p: np.ndarray, sir: np.ndarray,
     ``sir`` reaches the target (boundary included), +inf otherwise.
 
     ``sir`` is the all-pairs SIR matrix of the receiver in use at ``p``:
-    ``phy.matched_sir_matrix`` or ``phy.lmmse_sir_matrix``.
+    ``phy.matched_sir_matrix`` or ``phy.lmmse_sir_matrix``. ConfigError
+    names ``sir`` unless it is square, or ``p`` unless it fits ``sir``.
     """
+    if sir.ndim != 2 or sir.shape[0] != sir.shape[1]:
+        raise ConfigError(f"sir must be square, got shape {sir.shape}")
+    if np.shape(p) != sir.shape[:1]:
+        raise ConfigError(f"p needs {len(sir)} powers, got {np.shape(p)}")
     costs = np.where(sir >= target_sir, np.broadcast_to(p[:, None], sir.shape),
                      np.inf)
     np.fill_diagonal(costs, np.inf)
@@ -90,33 +94,28 @@ class RouteSet:
 
     paths: tuple[tuple[int, ...], ...]
     n_nodes: int
+    active_links: ActiveLinkSet = field(init=False, repr=False, compare=False)
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        senders, receivers = [], []
         for path in self.paths:
             if len(path) < 2:
                 raise ValueError("a route needs at least two nodes")
             if len(set(path)) != len(path):
                 raise ValueError(f"route {path} repeats a node")
-        self.active_links  # ActiveLinkSet checks the nodes when built
-
-    @cached_property
-    def _path_pairs(self) -> np.ndarray:
-        """(2, m) senders and receivers of the path links, in path order."""
-        # the dtype follows the nodes: ActiveLinkSet rejects non-integers
-        nodes = np.array(list(itertools.chain.from_iterable(self.paths)))
-        # consecutive nodes, less the pairs that join two paths
-        joins = np.cumsum([len(path) for path in self.paths], dtype=int) - 1
-        return np.delete(np.stack((nodes[:-1], nodes[1:])), joins[:-1], axis=1)
-
-    @cached_property
-    def active_links(self) -> ActiveLinkSet:
-        return ActiveLinkSet(self.n_nodes, self._path_pairs.T)
+            senders.extend(path[:-1])
+            receivers.extend(path[1:])
+        pairs = np.array((senders, receivers))  # the nodes' dtype, path order
+        object.__setattr__(self, "_pairs", pairs)
+        links = ActiveLinkSet(self.n_nodes, pairs.T)  # rejects non-integers
+        object.__setattr__(self, "active_links", links)
 
     @cached_property
     def path_links(self) -> np.ndarray:
         """Each path link's index in ``active_links.links``, in path order."""
         i, j = self.active_links.link_arrays
-        codes = self._path_pairs[0] * self.n_nodes + self._path_pairs[1]
+        codes = self._pairs[0] * self.n_nodes + self._pairs[1]
         return np.searchsorted(i * self.n_nodes + j, codes)
 
 

@@ -509,6 +509,22 @@ def link_set_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
     return tuple(unique)
 
 
+def route_set_loop(n_nodes: int, paths) -> tuple[tuple[int, int], ...]:
+    """Per-path form of the ``RouteSet`` constructor, kept as its reference:
+    every path's own checks first (two nodes at least, none repeated), then
+    the node type, then ``link_set_loop`` over the consecutive pairs."""
+    for path in paths:
+        if len(path) < 2:
+            raise ValueError("a route needs at least two nodes")
+        if len(set(path)) != len(path):
+            raise ValueError(f"route {path} repeats a node")
+    links = [link for path in paths for link in zip(path[:-1], path[1:])]
+    if not all(isinstance(v, (int, np.integer)) for link in links
+               for v in link):
+        raise ValueError("active link nodes must be integers")
+    return link_set_loop(n_nodes, links)
+
+
 def all_pairs(n: int):
     """(i_idx, j_idx) of every ordered pair of n nodes, self-pairs included,
     in row-major order: ``lmmse_solve`` of them reshapes to q[i, j]."""

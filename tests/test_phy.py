@@ -87,6 +87,18 @@ def test_sir_matched_monotone_in_powers():
         assert sir_matched(link, bumped, gains, 16, 1e-13) < base
 
 
+@pytest.mark.parametrize("function, args, name", [
+    (phy.received_powers, (np.ones((4, 3)), np.ones(4)), "gains"),
+    (phy.received_powers, (np.ones((4, 4)), np.ones(3)), "p"),
+    (build_link_costs, (np.ones(4), np.ones((4, 5)), 1.0), "sir"),
+    (build_link_costs, (np.ones(3), np.ones((4, 4)), 1.0), "p"),
+], ids=["gains-4x3", "p-3-for-4x4-gains", "sir-4x5", "p-3-for-4x4-sir"])
+def test_shape_mismatches_raise_a_config_error_naming_the_argument(
+        function, args, name):
+    with pytest.raises(ConfigError, match=f"^{name} "):
+        function(*args)
+
+
 def test_lmmse_filter_collinear_with_sequence_when_no_interference():
     rng = np.random.default_rng(2)
     _, gains = random_network(rng, 4)

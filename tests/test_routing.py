@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adhocnet import phy
@@ -31,8 +31,8 @@ from adhocnet.routing import (
     build_link_costs,
     initial_routes,
 )
-from helpers import brute_force_shortest, link_set_loop, \
-    initial_skeleton_loop, random_network, topology_from_positions
+from helpers import brute_force_shortest, initial_skeleton_loop, \
+    random_network, route_set_loop, topology_from_positions
 
 GAMMA = 12.5
 NOISE = 1e-13
@@ -221,15 +221,41 @@ def test_active_links_derived_from_paths():
     assert routes.active_links.outgoing[0] == (2,)
 
 
+def sized_paths(n_max: int, node_max, max_paths: int):
+    """(n, paths) for 2 <= n <= n_max, with nodes up to ``node_max(n)``."""
+    def paths(n):
+        path = st.lists(st.integers(0, node_max(n)), min_size=2, max_size=n,
+                        unique=True)
+        return st.tuples(st.just(n), st.lists(path, max_size=max_paths).map(
+            lambda drawn: tuple(map(tuple, drawn))))
+    return st.integers(2, n_max).flatmap(paths)
+
+
+# inputs the draws rarely or never make: an empty route set, numpy-integer
+# nodes, a float node, and a short first path before an out-of-range node,
+# where the path error must come first
+ROUTE_SET_EXAMPLES = [
+    (3, ()),
+    (3, ((np.int64(0), np.int32(2), 1), (np.uint8(1), 0))),
+    (3, ((0, 1.5),)),
+    (3, ((0,), (1, 7))),
+]
+
+
+def with_route_set_examples(test):
+    for case in ROUTE_SET_EXAMPLES:
+        test = example(case=case)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 9), data=st.data())
-def test_active_links_match_loop_oracle(n, data):
-    # node n is out of range, so some draws must fail like the oracle
-    path = st.lists(st.integers(0, n), min_size=2, max_size=n, unique=True)
-    paths = tuple(map(tuple, data.draw(st.lists(path, max_size=6))))
-    links = [link for p in paths for link in zip(p[:-1], p[1:])]
+# node n is out of range, so some draws must fail like the oracle
+@given(case=sized_paths(9, lambda n: n, 6))
+@with_route_set_examples
+def test_active_links_match_loop_oracle(case):
+    n, paths = case
     try:
-        want = link_set_loop(n, links)
+        want = route_set_loop(n, paths)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             RouteSet(paths=paths, n_nodes=n)
@@ -241,13 +267,17 @@ def test_active_links_match_loop_oracle(n, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 6), data=st.data())
-def test_active_links_equal_the_link_set_of_consecutive_pairs(n, data):
-    # few nodes and many paths, so paths share links; two-node paths are
-    # one hop
-    path = st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
-                    unique=True)
-    paths = tuple(map(tuple, data.draw(st.lists(path, max_size=8))))
+# few nodes and many paths, so paths share links; two-node paths are one hop
+@given(case=sized_paths(6, lambda n: n - 1, 8))
+@with_route_set_examples
+def test_active_links_equal_the_link_set_of_consecutive_pairs(case):
+    n, paths = case
+    try:
+        route_set_loop(n, paths)
+    except ValueError as exc:  # only some of the examples
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            RouteSet(paths=paths, n_nodes=n)
+        return
     routes = RouteSet(paths=paths, n_nodes=n)
     links = [link for p in paths for link in zip(p[:-1], p[1:])]
     got, want = routes.active_links, ActiveLinkSet(n, links)
@@ -279,10 +309,21 @@ def test_active_links_reject_non_integer_nodes(paths):
 
 
 def test_route_set_rejects_degenerate_paths():
-    with pytest.raises(ValueError):
-        RouteSet(paths=((0,),), n_nodes=2)
-    with pytest.raises(ValueError):
-        RouteSet(paths=((0, 1, 0),), n_nodes=2)
+    for paths, message in [
+        (((0,),), "a route needs at least two nodes"),
+        (((0, 1, 0),), "route (0, 1, 0) repeats a node"),
+        (((np.int64(1), np.int64(1)),), "repeats a node"),
+        (((0, 1.5),), "active link nodes must be integers"),
+        # the path checks come before the link-set checks
+        (((0,), (1, 7)), "a route needs at least two nodes"),
+        (((0, 1), (2, 7), (1, 0, 1)), "route (1, 0, 1) repeats a node"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RouteSet(paths=paths, n_nodes=3)
+    # neither an empty set nor numpy-integer nodes are degenerate
+    assert RouteSet(paths=(), n_nodes=3).active_links.links == ()
+    routes = RouteSet(paths=((np.int64(0), np.int32(2)),), n_nodes=3)
+    assert routes.active_links.links == ((0, 2),)
 
 
 def test_initial_routes_two_nodes_direct():
@@ -464,6 +505,10 @@ def test_routes_match_enumeration_oracle_with_zero_costs(instance):
     else:
         routes = assign_routes(sessions, costs)
         assert [list(p) for p in routes.paths] == expected
+        # path_links indexes the set's links with every path link, in order
+        links = [link for p in expected for link in zip(p[:-1], p[1:])]
+        active = routes.active_links
+        assert [active.links[k] for k in routes.path_links.tolist()] == links
 
 
 def test_initial_skeleton_matches_loop_oracle():
