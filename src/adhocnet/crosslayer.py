@@ -34,7 +34,8 @@ from .phy import (
     matched_sir_matrix,
 )
 from .powercontrol import PcResult, pc_iterate, pc_mud_solve
-from .errors import UnreachableSessionError, check_value
+from .errors import (UnreachableSessionError, check_gains, check_powers,
+                     check_value)
 from .routing import RouteSet, assign_routes, build_link_costs, initial_routes
 from .seeds import derive_seed
 
@@ -106,8 +107,11 @@ def network_energy_per_bit(routes: RouteSet, p: np.ndarray, scenario: Scenario,
     Each link's energy uses the SIR model matching the scenario's receiver.
     For the LMMSE receiver the SIR is ``phy.lmmse_link_sir`` of one kernel
     call over the route receivers; a route transmitter at zero power keeps
-    the reference filter's value, SIR inf and energy 0.
+    the reference filter's value, SIR inf and energy 0. ConfigError names
+    ``gains`` or ``p`` unless they fit ``routes``.
     """
+    check_gains(gains, routes.n_nodes)
+    p = check_powers("p", p, routes.n_nodes)
     i_idx, j_idx = routes.active_links.link_arrays
     if scenario.receiver == "matched":
         sir = matched_link_sir(i_idx, j_idx, p, gains,

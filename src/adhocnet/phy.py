@@ -195,6 +195,7 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: np.ndarray,
           ( sum_{k != i,j} P_k h(k,j) (c's_k)^2 + noise * c'c ).
     """
     i, j = _link_ends(link, p.shape[0])
+    codebook.check_nodes(p.shape[0])
     c = filters[link]
     x = codebook.sequences @ c
     weights = p * gains[:, j] * x * x

@@ -157,8 +157,10 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
 
     T_i = max over outgoing links (i, j) of
     target_sir * ( (1/L) sum_{k != i,j} h(k,j) P_k + noise ) / h(i,j).
+    ConfigError names ``gains`` or ``p`` unless they fit ``active``.
     """
     check_gains(gains, active.n_nodes)
+    p = check_powers("p", p, active.n_nodes)
     i_idx, j_idx = active.link_arrays
     s = received_powers(gains, p)
     g = gains[i_idx, j_idx]

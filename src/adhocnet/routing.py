@@ -19,9 +19,9 @@ interference, every link stays finite, and the route assignment is built on
 a sparse strongly-connected skeleton of locally strong links, merged
 without a graph search per round, and checked by ``powercontrol.pc_solve``
 to admit feasible matched power control; ``initial_routes`` returns that
-check beside the routes. A failed check runs a ``pc_iterate`` probe from
-the initial powers, which ranks the nodes for one of ``_REPAIR_ROUNDS``
-skeleton repairs when it diverges within ``_PROBE_ITERATIONS`` steps.
+check beside the routes. The check alone decides: after a failed one, a
+``pc_iterate`` probe from the initial powers only ranks the nodes for the
+next of ``_REPAIR_ROUNDS`` skeleton repairs.
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import ConfigError, UnreachableSessionError, check_powers
+from .errors import (ConfigError, UnreachableSessionError, check_gains,
+                     check_powers)
 from .netmodel import Scenario
 from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
-from .powercontrol import STATUS_INFEASIBLE, STATUS_MAX_ITER
 
-# Skeleton repairs after a diverging probe, and the probe's step budget.
+# Skeleton repairs after a failed check, and the ranking probe's step budget.
 _REPAIR_ROUNDS = 8
 _PROBE_ITERATIONS = 1500
 
@@ -52,14 +52,12 @@ def build_link_costs(p: np.ndarray, sir: np.ndarray,
 
     ``sir`` is the all-pairs SIR matrix of the receiver in use at ``p``:
     ``phy.matched_sir_matrix`` or ``phy.lmmse_sir_matrix``. ConfigError
-    names ``sir`` unless it is square, or ``p`` unless it fits ``sir``.
+    names ``sir`` unless it is square, or ``p`` as ``check_powers`` does.
     """
     if sir.ndim != 2 or sir.shape[0] != sir.shape[1]:
         raise ConfigError(f"sir must be square, got shape {sir.shape}")
-    if np.shape(p) != sir.shape[:1]:
-        raise ConfigError(f"p needs {len(sir)} powers, got {np.shape(p)}")
-    costs = np.where(sir >= target_sir, np.broadcast_to(p[:, None], sir.shape),
-                     np.inf)
+    p = check_powers("p", p, len(sir))
+    costs = np.where(sir >= target_sir, p[:, None], np.inf)
     np.fill_diagonal(costs, np.inf)
     return costs
 
@@ -254,15 +252,6 @@ def _initial_skeleton(sir: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     return allowed
 
 
-def _probe_diverging(result) -> bool:
-    """Did a short power-control probe show divergence: crossing the cap,
-    or a total still growing when the step budget ran out?"""
-    trace = result.trace
-    return result.status == STATUS_INFEASIBLE or (
-        result.status == STATUS_MAX_ITER and len(trace) > 60
-        and trace[-1] > trace[-51] * 1.001)
-
-
 def initial_routes(scenario: Scenario, gains: np.ndarray,
                    sessions: tuple[tuple[int, int], ...],
                    p_init: np.ndarray) -> tuple[RouteSet, PcResult]:
@@ -270,14 +259,15 @@ def initial_routes(scenario: Scenario, gains: np.ndarray,
 
     Sessions are routed over the skeleton digraph with the target-operated
     energy-per-bit costs, and a candidate is accepted when its ``pc_solve``
-    check passes or its ``pc_iterate`` probe from ``p_init`` does not
-    diverge. Otherwise the weakest link among the nodes of largest probe
-    power is banned, the skeleton rebuilt and the sessions rerouted, up to
-    ``_REPAIR_ROUNDS`` times. Returns the last candidate, even if no repair
-    succeeded, or the previous one when a repair strands a session, each
-    with its own ``pc_solve`` check. ``p_init`` must hold one finite,
-    nonnegative power per node, or ConfigError is raised.
+    check passes. Otherwise the weakest link among the nodes of largest
+    power in a ``pc_iterate`` probe from ``p_init`` is banned, the skeleton
+    rebuilt and the sessions rerouted, up to ``_REPAIR_ROUNDS`` times.
+    Returns the last candidate, even if no repair passed, or the previous
+    one when a repair strands a session, each with its own ``pc_solve``
+    check. ConfigError names ``gains`` unless they are a finite, nonnegative
+    square array, or ``p_init`` unless it holds one such power per node.
     """
+    check_gains(gains, len(gains))
     p_init = check_powers("p_init", p_init, len(gains))
     sir = matched_sir_matrix(p_init, gains, scenario.spreading_gain,
                              scenario.noise_power)
@@ -285,7 +275,7 @@ def initial_routes(scenario: Scenario, gains: np.ndarray,
 
     forbidden = np.zeros_like(sir, dtype=bool)
     found = None
-    for _ in range(_REPAIR_ROUNDS + 1):
+    for repairs in range(_REPAIR_ROUNDS + 1):
         costs = np.where(_initial_skeleton(sir, forbidden), base_costs, np.inf)
         try:
             routes = assign_routes(sessions, costs)
@@ -297,19 +287,15 @@ def initial_routes(scenario: Scenario, gains: np.ndarray,
                  scenario.noise_power, scenario.target_sir)
         check = pc_solve(*model, power_cap=scenario.power_cap)
         found = routes, check
-        if check.converged:
+        if check.converged or repairs == _REPAIR_ROUNDS:
             break
         probe = pc_iterate(p_init, *model, tol=scenario.pc_tol,
                            max_iter=_PROBE_ITERATIONS,
                            power_cap=scenario.power_cap)
-        if not _probe_diverging(probe):
-            break
-        # ban the weakest link among the fastest-growing transmitters, the
-        # first one found on ties
+        # ban the weakest link among the fastest-growing transmitters (the
+        # top one sends: only senders have power), the first on ties
         core = np.argsort(probe.powers)[::-1][:max(3, scenario.n_nodes // 12)]
         links = [(i, j) for i in core.tolist()
                  for j in routes.active_links.outgoing.get(i, ())]
-        if not links:
-            break
         forbidden[min(links, key=sir.__getitem__)] = True
     return found

@@ -9,10 +9,14 @@ The same calls are hashed as the benchmark hashes its first batch, and the
 six digests must equal ``bench_digests.json``, so a result that moves by a
 bit fails even inside the references' tolerances. A change meant to alter
 results records the values again from ``python3 bench/run.py --workload W
---seed S --seconds 1 --trace 1`` and says why in CHANGES.md. Digests
-depend on the numpy, scipy and OpenBLAS builds, which that file records: a
-digest that differs on another build is reported as an expected failure
-naming what differs, never skipped; on the recorded build it fails.
+--seed S --seconds 1 --trace 1`` and says why in CHANGES.md. The batches'
+operation counts (``count_operations``) must equal the file's ``counts``
+too, so work that grows without moving a result fails; a change meant to
+alter them records them again from ``count_operations`` and quotes them in
+CHANGES.md. Digests and counts depend on the numpy, scipy and OpenBLAS
+builds, which that file records: a value that differs on another build is
+reported as an expected failure naming what differs, never skipped; on the
+recorded build it fails.
 """
 
 import ctypes
@@ -25,6 +29,9 @@ import pytest
 import scipy
 
 import adhocnet
+from adhocnet import powercontrol, routing
+
+from helpers import count_factorizations
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 BENCH_DIR = os.path.join(os.path.dirname(TESTS_DIR), "bench")
@@ -64,13 +71,42 @@ def workloads():
     return workloads
 
 
-def check_reference_batch(workloads, name, seed, scratch):
+def count_operations(monkeypatch):
+    """From here on, count the operations ``bench_digests.json`` pins; the
+    returned function reads the counts. LMMSE factorizations (``dpotrf``
+    and ``dgetrf`` from an empty factor memo), policy solves (``dgesv``),
+    ``csgraph.dijkstra`` calls, ``initial_routes`` probes and matched
+    ``_fixed_point`` rounds (``_affine_steps`` advances)."""
+    factored = count_factorizations(monkeypatch)
+    counts = dict.fromkeys(("dgesv", "dijkstra", "probes", "matched_rounds"),
+                           0)
+
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    steps = powercontrol._affine_steps
+    monkeypatch.setattr(powercontrol, "dgesv",
+                        counting("dgesv", powercontrol.dgesv))
+    monkeypatch.setattr(routing.csgraph, "dijkstra",
+                        counting("dijkstra", routing.csgraph.dijkstra))
+    monkeypatch.setattr(routing, "pc_iterate",
+                        counting("probes", routing.pc_iterate))
+    monkeypatch.setattr(powercontrol, "_affine_steps",
+                        lambda form: counting("matched_rounds", steps(form)))
+    return lambda: {"factorizations": len(factored), **counts}
+
+
+def check_reference_batch(workloads, name, seed, scratch, monkeypatch):
     workload = workloads.WORKLOADS[name]()
     with open(os.path.join(BENCH_DIR, "reference.json")) as f:
         refs = json.load(f)[name][str(seed)]
     items = workload.make_inputs(adhocnet, seed, scratch)
     assert len(refs) == workload.batch
     chunks = []
+    counted = count_operations(monkeypatch)
     for item, ref in zip(items[:workload.batch], refs):
         with workload.capture(adhocnet):
             result = workload.call(adhocnet, item)
@@ -78,22 +114,29 @@ def check_reference_batch(workloads, name, seed, scratch):
         assert workload.compare(item, result, ref) == (0, [])
         chunks.append(workload.digest_bytes(item, result))
         workload.cleanup(item)
+    counts = counted()
     got, want = workloads.digest(chunks), RECORDED["digests"][name][str(seed)]
+    want_counts = RECORDED["counts"][name][str(seed)]
     build = blas_build()
     moved = {k: (v, build[k]) for k, v in RECORDED["build"].items()
              if build[k] != v}
-    if got != want and moved:
-        pytest.xfail(f"{name} seed {seed} digest {got} differs on another "
-                     f"build than the recorded one, (recorded, here): {moved}")
+    if (got != want or counts != want_counts) and moved:
+        pytest.xfail(f"{name} seed {seed} digest {got} or counts {counts} "
+                     f"differ on another build than the recorded one, "
+                     f"(recorded, here): {moved}")
     assert got == want, f"{name} seed {seed}: digest {got} != {want}"
+    assert counts == want_counts, f"{name} seed {seed}: operation counts"
 
 
 @pytest.mark.parametrize("seed", [11, 12])
-def test_joint_lmmse_reference_batch_is_correct(workloads, seed, tmp_path):
-    check_reference_batch(workloads, "joint_lmmse", seed, str(tmp_path))
+def test_joint_lmmse_reference_batch_is_correct(workloads, seed, tmp_path,
+                                                monkeypatch):
+    check_reference_batch(workloads, "joint_lmmse", seed, str(tmp_path),
+                          monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 @pytest.mark.parametrize("name", ["capacity_matched", "multistart_matched"])
-def test_matched_reference_batch_is_correct(workloads, name, seed, tmp_path):
-    check_reference_batch(workloads, name, seed, str(tmp_path))
+def test_matched_reference_batch_is_correct(workloads, name, seed, tmp_path,
+                                            monkeypatch):
+    check_reference_batch(workloads, name, seed, str(tmp_path), monkeypatch)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,68 @@ def test_bad_initial_powers_raise_a_named_config_error(receiver, entry,
     with pytest.raises(ConfigError, match="p_init"):
         joint_optimize(scenario, net.topology, net.gains, net.sessions,
                        net.codebook, p_init=p_init)
+
+
+def test_a_nan_gain_raises_a_named_config_error():
+    # before, the NaN was judged an unreachable session
+    scenario = Scenario(n_nodes=6, spreading_gain=8, master_seed=3)
+    net = build_network(scenario)
+    gains = np.array(net.gains)
+    gains[0, 1] = np.nan
+    with pytest.raises(ConfigError, match="^gains must be"):
+        initial_routes(scenario, gains, net.sessions,
+                       initial_powers(scenario))
+    with pytest.raises(ConfigError, match="^gains must be"):
+        joint_optimize(scenario, net.topology, gains, net.sessions,
+                       net.codebook)
+
+
+@pytest.mark.parametrize("receiver", ["matched", "lmmse"])
+@pytest.mark.parametrize("case", ["nan", "negative", "short", "small_gains"])
+def test_network_energy_names_bad_powers_and_gains(receiver, case):
+    # before, a NaN power gave an energy of nan, a power of -1e-6 an energy
+    # of about 1e110, and gains for too few nodes an error naming p
+    scenario = Scenario(n_nodes=6, spreading_gain=8, receiver=receiver,
+                        master_seed=3)
+    net = build_network(scenario)
+    routes = RouteSet(paths=net.sessions, n_nodes=6)
+    p, gains = np.full(6, 1e-6), net.gains
+    assert np.isfinite(network_energy_per_bit(routes, p, scenario, gains,
+                                              net.codebook))
+    if case == "small_gains":
+        gains, name = gains[:5, :5], "gains"
+    else:
+        p = p[:5] if case == "short" else p.copy()
+        p[2] = {"nan": np.nan, "negative": -1e-6}.get(case, p[2])
+        name = "p"
+    with pytest.raises(ConfigError, match=f"^{name} "):
+        network_energy_per_bit(routes, p, scenario, gains, net.codebook)
+
+
+def test_a_rerouting_step_that_raises_the_total_by_1e_9_is_rejected(
+        monkeypatch):
+    # the acceptance slack is 1e-12 of the total: a re-optimization that
+    # lands at the previous powers times 1 + 1e-9 regresses, so the loop
+    # records no routing phase and keeps its routes
+    scenario = Scenario(n_nodes=12, spreading_gain=64, master_seed=8)
+    net, natural = run_joint(scenario)
+    assert [r.phase for r in natural.trace[:2]] == ["power_control",
+                                                    "routing"]
+    runs, real = [], crosslayer.run_power_control
+
+    def run(scenario, p, routes, gains, codebook):
+        runs.append(routes)
+        result = real(scenario, p, routes, gains, codebook)
+        if len(runs) == 1:
+            return result
+        return replace(result, status="converged", powers=p * (1.0 + 1e-9))
+
+    monkeypatch.setattr(crosslayer, "run_power_control", run)
+    solution = joint_optimize(scenario, net.topology, net.gains,
+                              net.sessions, net.codebook)
+    assert len(runs) == 2 and runs[1].paths != runs[0].paths
+    assert [r.phase for r in solution.trace] == ["power_control"]
+    assert solution.routes.paths == runs[0].paths
 
 
 @pytest.mark.parametrize("budget", [0, -3, 2.5])
@@ -341,7 +404,8 @@ def test_lmmse_energy_of_silent_transmitter_is_zero():
 def test_initial_routes_return_the_check_of_the_returned_routes(
         monkeypatch, n_nodes, spreading_gain, seed, unreachable):
     # the routes come back beside the pc_solve check made on them, and a
-    # pc_iterate probe runs after every failed check and never otherwise
+    # pc_iterate probe runs after every failed check but a last round's and
+    # never otherwise
     scenario = Scenario(n_nodes=n_nodes, spreading_gain=spreading_gain,
                         master_seed=seed)
     net = build_network(scenario)

@@ -1112,6 +1112,19 @@ def test_power_control_rejects_bad_initial_powers(solver, p0):
         run(p0)
 
 
+@pytest.mark.parametrize("p", [[1e-9, np.nan, 1e-9], [1e-9, -1e-9, 1e-9],
+                               [1e-9, 1e-9]], ids=["nan", "negative", "short"])
+def test_power_targets_name_bad_powers(p):
+    # before, a NaN power warned and gave NaN targets
+    gains = compute_link_gains(
+        topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0]]), 2.0)
+    active = ActiveLinkSet(3, [(0, 1), (2, 1)])
+    assert np.isfinite(power_targets(np.full(3, 1e-9), active, gains, 8,
+                                     NOISE, GAMMA)).all()
+    with pytest.raises(ConfigError, match=r"^p needs 3 finite"):
+        power_targets(np.array(p), active, gains, 8, NOISE, GAMMA)
+
+
 def test_solvers_on_a_link_set_without_links():
     gains = compute_link_gains(
         topology_from_positions([[0.0, 0.0], [30.0, 0.0], [60.0, 5.0]]), 2.0)

@@ -1,12 +1,13 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adhocnet import phy
+from adhocnet import phy, routing
 from adhocnet.errors import ConfigError, UnreachableSessionError
 from adhocnet.netmodel import (
     Scenario,
@@ -21,7 +22,7 @@ from adhocnet.phy import (
     matched_sir_matrix,
     sir_matched,
 )
-from adhocnet.powercontrol import ActiveLinkSet
+from adhocnet.powercontrol import ActiveLinkSet, pc_iterate, pc_solve
 from adhocnet.routing import (
     RouteSet,
     _heap_lex_path,
@@ -370,6 +371,53 @@ def test_initial_routes_smoke_at_full_scale():
     result = pc_iterate(p0, routes.active_links, net.gains, 128,
                         scenario.noise_power, scenario.target_sir)
     assert result.status in ("converged", "infeasible", "max_iter")
+
+
+@pytest.mark.parametrize("case, spreading_gain", [
+    ("probe_converges", 128),  # the first check is made to fail
+    ("rounds_run_out", 16),    # every check is made to fail
+])
+def test_the_check_alone_decides_and_the_probe_only_ranks_the_ban(
+        monkeypatch, case, spreading_gain):
+    # a failed pc_solve check is always followed by a ban, whatever the
+    # probe's status, and the last round's check is followed by no probe
+    scenario = Scenario(n_nodes=10, spreading_gain=spreading_gain,
+                        master_seed=0)
+    net = build_network(scenario)
+    p0 = np.full(10, scenario.initial_power)
+    checked, probes, bans = [], [], []
+
+    def check(active, *args, **kwargs):
+        checked.append(active.links)
+        result = pc_solve(active, *args, **kwargs)
+        fail = case == "rounds_run_out" or len(checked) == 1
+        return replace(result, status="infeasible") if fail else result
+
+    def probe(*args, **kwargs):
+        result = pc_iterate(*args, **kwargs)
+        probes.append(replace(result, status="converged")
+                      if case == "probe_converges" else result)
+        return probes[-1]
+
+    def skeleton(sir, forbidden):
+        bans.append({tuple(link) for link in np.argwhere(forbidden).tolist()})
+        return _initial_skeleton(sir, forbidden)
+
+    monkeypatch.setattr(routing, "pc_solve", check)
+    monkeypatch.setattr(routing, "pc_iterate", probe)
+    monkeypatch.setattr(routing, "_initial_skeleton", skeleton)
+    routes, got = initial_routes(scenario, net.gains, net.sessions, p0)
+    rounds = len(checked)
+    assert len(bans) == rounds and len(probes) == rounds - 1
+    for k in range(1, rounds):
+        # one more banned link per round, taken from the last candidate
+        (added,) = bans[k] - bans[k - 1]
+        assert bans[k - 1] < bans[k] and added in checked[k - 1]
+    assert routes.active_links.links == checked[-1]
+    if case == "rounds_run_out":
+        assert rounds == routing._REPAIR_ROUNDS + 1 and not got.converged
+    else:
+        assert rounds == 2 and got.converged
 
 
 def test_route_invariance_of_estimated_sir():
