@@ -95,6 +95,26 @@ def check_gains(gains, n_nodes: int) -> None:
                           f"{n_nodes} array")
 
 
+def check_links(what: str, links, n_nodes: int) -> tuple:
+    """The int64 senders and receivers of ``links``, node pairs or an (m, 2)
+    array. ConfigError names the first bad pair in sorted order, as ``what``,
+    unless each joins two distinct nodes in 0..n_nodes-1 of an integer type
+    (1.5, and also 1.0, is not a node)."""
+    links = links if isinstance(links, np.ndarray) else list(links)
+    pairs = np.asarray(links).reshape(len(links), 2)
+    if pairs.dtype.kind in "iu" or not pairs.size:
+        i, j = pairs.astype(np.int64, copy=False).T
+        if not ((i == j) | (np.minimum(i, j) < 0)
+                | (np.maximum(i, j) >= n_nodes)).any():
+            return i, j
+    # only the pairs themselves tell an integer node from 1.0 in a float array
+    i, j = min(pair for pair in map(tuple, links) if not (
+        all(isinstance(v, numbers.Integral) for v in pair)
+        and pair[0] != pair[1] and 0 <= min(pair) and max(pair) < n_nodes))
+    raise ConfigError(f"{what} ({i}, {j}) needs two distinct integer nodes "
+                      f"in 0..{n_nodes - 1}")
+
+
 def check_fields(config) -> None:
     """Apply ``check_value`` to every field of the dataclass ``config`` made
     by ``checked``, so the first that breaks its rule is named."""

@@ -65,7 +65,7 @@ import warnings
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
-from .errors import ConfigError
+from .errors import ConfigError, check_links
 from .netmodel import SpreadingCodebook
 
 # Condition bound above which an LMMSE covariance solve is flagged.
@@ -95,26 +95,14 @@ def received_powers(gains: np.ndarray, p: np.ndarray) -> np.ndarray:
     return gains.T @ p
 
 
-def _link_ends(link, n_nodes: int) -> tuple[int, int]:
-    """The ends (i, j) of ``link``; a ValueError names the link unless they
-    are distinct integer node ids in 0..n_nodes-1, as in ``ActiveLinkSet``."""
-    i, j = ends = np.asarray(link)
-    if ends.dtype.kind not in "iu" or min(i, j) < 0 or max(i, j) >= n_nodes:
-        raise ValueError(f"link ({i}, {j}) needs nodes in 0..{n_nodes - 1}")
-    if i == j:
-        raise ValueError(f"link endpoints must differ: ({i}, {j})")
-    return int(i), int(j)
-
-
 def sir_matched(link, p: np.ndarray, gains: np.ndarray, spreading_gain: int,
                 noise: float) -> float:
     """Matched-filter SIR of a link under the 1/L interference model.
 
     SIR = h(i,j) P_i / ( (1/L) * sum_{k != i,j} h(k,j) P_k + noise ).
     """
-    i, j = _link_ends(link, p.shape[0])
-    return float(matched_link_sir(np.array([i]), np.array([j]), p, gains,
-                                  spreading_gain, noise)[0])
+    i, j = check_links("link", [link], p.shape[0])
+    return float(matched_link_sir(i, j, p, gains, spreading_gain, noise)[0])
 
 
 def matched_link_sir(i_idx: np.ndarray, j_idx: np.ndarray, p: np.ndarray,
@@ -169,7 +157,8 @@ def lmmse_filter(i: int, p: np.ndarray, gains: np.ndarray,
     in floating point, and the solve then raises ``numpy.linalg.LinAlgError``.
     A very large condition bound is reported as a warning.
     """
-    i, receiver_node = _link_ends((i, receiver_node), p.shape[0])
+    (i,), (receiver_node,) = check_links("link", [(i, receiver_node)],
+                                         p.shape[0])
     codebook.check_nodes(p.shape[0])
     cov = _interference_covariance(i, p, gains, codebook, noise, receiver_node)
     # lambda_max <= noise + total interference weight since sequences are unit norm
@@ -194,7 +183,7 @@ def sir_lmmse(link, p: np.ndarray, filters: FilterBank, gains: np.ndarray,
     SIR = h(i,j) P_i (c's_i)^2 /
           ( sum_{k != i,j} P_k h(k,j) (c's_k)^2 + noise * c'c ).
     """
-    i, j = _link_ends(link, p.shape[0])
+    (i,), (j,) = check_links("link", [link], p.shape[0])
     codebook.check_nodes(p.shape[0])
     c = filters[link]
     x = codebook.sequences @ c
@@ -327,9 +316,12 @@ def efficiency(sir, packet_bits: int):
 
     The underlying bit error model is noncoherent FSK; retransmission until
     success makes 1/f the expected number of packet transmissions. Accepts
-    scalars or arrays.
+    scalars or arrays, and takes the M-th power in scalar float arithmetic,
+    so no SIR's f depends on how many are evaluated at once.
     """
-    return (1.0 - np.exp(-0.5 * np.asarray(sir, dtype=float))) ** packet_bits
+    base = 1.0 - np.exp(-0.5 * np.asarray(sir, dtype=float))
+    f = np.array([b ** packet_bits for b in base.ravel().tolist()], float)
+    return f.reshape(base.shape)[()]
 
 
 def energy_per_bit_link(link, p: np.ndarray, sir: float, bit_rate: float,
@@ -339,24 +331,18 @@ def energy_per_bit_link(link, p: np.ndarray, sir: float, bit_rate: float,
     E_b = P_i / (bit_rate * f(sir)); infinite when the success probability
     is zero (the link cannot deliver).
     """
-    i, _ = _link_ends(link, len(p))
-    return float(link_energies(np.array([p[i]], dtype=float),
+    i, _ = check_links("link", [link], len(p))
+    return float(link_energies(np.asarray(p, dtype=float)[i],
                                np.array([sir], dtype=float), bit_rate,
                                packet_bits)[0])
 
 
 def link_energies(p_tx: np.ndarray, sir: np.ndarray, bit_rate: float,
                   packet_bits: int) -> np.ndarray:
-    """``energy_per_bit_link`` for arrays of transmit powers and SIRs.
-
-    The M-th power of the success probability is taken in scalar float
-    arithmetic: numpy's vectorised power can differ from it in the last
-    digit, and the result must not depend on how many links are evaluated.
-    """
+    """``energy_per_bit_link`` for arrays of transmit powers and SIRs."""
     if not bit_rate > 0:  # NaN too
         raise ValueError("bit_rate must be positive")
-    base = 1.0 - np.exp(-0.5 * sir)
-    f = np.array([b ** packet_bits for b in base.tolist()], dtype=float)
+    f = efficiency(sir, packet_bits)
     with np.errstate(divide="ignore", invalid="ignore"):
         energy = p_tx / (bit_rate * f)
     energy[f == 0.0] = np.inf

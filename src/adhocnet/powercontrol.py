@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .errors import check_gains, check_powers
+from .errors import check_gains, check_links, check_powers
 from .netmodel import SpreadingCodebook
 from .phy import lmmse_link_sir, lmmse_solve, received_powers
 
@@ -73,10 +73,10 @@ class ActiveLinkSet:
     ``links`` may be any iterable of (i, j) node pairs or an (m, 2) array.
     The set keeps them sorted by (i, j) and free of duplicates, and
     ``link_arrays`` holds their senders and receivers as read-only int64
-    arrays, as ``sender_groups`` holds its own. A ValueError at construction
-    names the first bad link in sorted order: a self loop, or a node outside
-    0..n_nodes-1. Node ids must have an integer type; any other (1.5, and
-    also 1.0) is a ValueError.
+    arrays, as ``sender_groups`` holds its own. A ConfigError at
+    construction names the first bad link in sorted order, as
+    ``errors.check_links`` does: a self loop, a node outside
+    0..n_nodes-1, or a node id without an integer type (1.5, and also 1.0).
     """
 
     n_nodes: int
@@ -85,21 +85,8 @@ class ActiveLinkSet:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, links = self.n_nodes, self.links
-        links = links if isinstance(links, np.ndarray) else list(links)
-        pairs = np.asarray(links).reshape(len(links), 2)
-        if pairs.size and pairs.dtype.kind not in "iu":
-            raise ValueError(f"active link nodes must be integers, got "
-                             f"{pairs.dtype} values")
-        i, j = pairs.astype(np.int64, copy=False).T
-        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
-        if bad.any():
-            # report the first offending link in sorted order
-            first = np.lexsort((j[bad], i[bad]))[0]
-            i, j = int(i[bad][first]), int(j[bad][first])
-            if i == j:
-                raise ValueError(f"self loop ({i}, {j}) in active link set")
-            raise ValueError(f"link ({i}, {j}) outside node range")
+        n = self.n_nodes
+        i, j = check_links("link", self.links, n)
         codes = np.sort(i * n + j)  # np.unique costs more on few links
         codes = codes[np.diff(codes, prepend=-1) > 0]
         i, j = codes // n, codes % n

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import (ConfigError, UnreachableSessionError, check_gains,
-                     check_powers)
+                     check_links, check_powers)
 from .netmodel import Scenario
 from .phy import efficiency, matched_sir_matrix
 from .powercontrol import ActiveLinkSet, PcResult, pc_iterate, pc_solve
@@ -100,14 +100,17 @@ class RouteSet:
         for path in self.paths:
             if len(path) < 2:
                 raise ValueError("a route needs at least two nodes")
-            if len(set(path)) != len(path):
-                raise ValueError(f"route {path} repeats a node")
             senders.extend(path[:-1])
             receivers.extend(path[1:])
         pairs = np.array((senders, receivers))  # the nodes' dtype, path order
         object.__setattr__(self, "_pairs", pairs)
-        links = ActiveLinkSet(self.n_nodes, pairs.T)  # rejects non-integers
+        # a bad link (a self loop too) is named first, by its own nodes
+        links = ActiveLinkSet(self.n_nodes, pairs.T if pairs.dtype.kind in "iu"
+                              else zip(senders, receivers))
         object.__setattr__(self, "active_links", links)
+        for path in self.paths:
+            if len(set(path)) != len(path):
+                raise ValueError(f"route {path} repeats a node")
 
     @cached_property
     def path_links(self) -> np.ndarray:
@@ -182,15 +185,11 @@ def _lex_paths(costs: np.ndarray,
 
 def assign_routes(sessions: tuple[tuple[int, int], ...],
                   costs: np.ndarray) -> RouteSet:
-    """Minimum-cost route per session; ConfigError if an endpoint is not a
-    node of ``costs``, UnreachableSessionError if a session is unreachable."""
+    """Minimum-cost route per session; ConfigError names the first bad session
+    (``errors.check_links``), UnreachableSessionError the first unreachable."""
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
-    for k, (i, j) in enumerate(sessions):
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < n
-                and isinstance(j, (int, np.integer)) and 0 <= j < n):
-            raise ConfigError(f"session {k} ({i}, {j}) needs nodes in "
-                              f"0..{n - 1}")
+    check_links("session", sessions, n)
     paths = _lex_paths(costs, sessions)
     for k, path in enumerate(paths):
         if path is None:

@@ -499,30 +499,30 @@ def route_energy_loop(routes, p, link_sir, scenario) -> float:
 def link_set_loop(n_nodes: int, links) -> tuple[tuple[int, int], ...]:
     """Per-link form of the ``ActiveLinkSet`` constructor, kept as its
     reference: the sorted unique links, or the ValueError of the first bad
-    one."""
-    unique = sorted(set((int(i), int(j)) for i, j in links))
-    for i, j in unique:
-        if i == j:
-            raise ValueError(f"self loop ({i}, {j}) in active link set")
-        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-            raise ValueError(f"link ({i}, {j}) outside node range")
-    return tuple(unique)
+    one in sorted order (a non-integer node, a self loop or a node outside
+    0..n_nodes-1)."""
+    for i, j in sorted(set(map(tuple, links))):
+        if not (isinstance(i, (int, np.integer))
+                and isinstance(j, (int, np.integer))
+                and i != j and 0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise ValueError(f"link ({i}, {j}) needs two distinct integer "
+                             f"nodes in 0..{n_nodes - 1}")
+    return tuple(sorted(set((int(i), int(j)) for i, j in links)))
 
 
 def route_set_loop(n_nodes: int, paths) -> tuple[tuple[int, int], ...]:
     """Per-path form of the ``RouteSet`` constructor, kept as its reference:
-    every path's own checks first (two nodes at least, none repeated), then
-    the node type, then ``link_set_loop`` over the consecutive pairs."""
+    every path's length (two nodes at least) first, then ``link_set_loop``
+    over the consecutive pairs, then that no path repeats a node."""
     for path in paths:
         if len(path) < 2:
             raise ValueError("a route needs at least two nodes")
+    links = link_set_loop(n_nodes, [link for path in paths
+                                    for link in zip(path[:-1], path[1:])])
+    for path in paths:
         if len(set(path)) != len(path):
             raise ValueError(f"route {path} repeats a node")
-    links = [link for path in paths for link in zip(path[:-1], path[1:])]
-    if not all(isinstance(v, (int, np.integer)) for link in links
-               for v in link):
-        raise ValueError("active link nodes must be integers")
-    return link_set_loop(n_nodes, links)
+    return links
 
 
 def all_pairs(n: int):

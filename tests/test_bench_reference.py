@@ -21,15 +21,17 @@ recorded build it fails.
 
 import ctypes
 import glob
+import inspect
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
 import adhocnet
-from adhocnet import powercontrol, routing
+from adhocnet import crosslayer, phy, powercontrol, routing
 
 from helpers import count_factorizations
 
@@ -74,12 +76,16 @@ def workloads():
 def count_operations(monkeypatch):
     """From here on, count the operations ``bench_digests.json`` pins; the
     returned function reads the counts. LMMSE factorizations (``dpotrf``
-    and ``dgetrf`` from an empty factor memo), policy solves (``dgesv``),
-    ``csgraph.dijkstra`` calls, ``initial_routes`` probes and matched
-    ``_fixed_point`` rounds (``_affine_steps`` advances)."""
+    and ``dgetrf`` from an empty factor memo), ``lmmse_solve`` calls and
+    the links they solve, policy solves (``dgesv``), ``csgraph.dijkstra``
+    calls, ``initial_routes`` probes, matched ``_fixed_point`` rounds
+    (``_affine_steps`` advances), matched and LMMSE ``_fixed_point``
+    iterations, and ``_initial_skeleton`` merge rounds."""
     factored = count_factorizations(monkeypatch)
-    counts = dict.fromkeys(("dgesv", "dijkstra", "probes", "matched_rounds"),
-                           0)
+    counts = dict.fromkeys((
+        "dgesv", "dijkstra", "probes", "matched_rounds", "lmmse_solves",
+        "lmmse_links", "matched_iterations", "lmmse_iterations",
+        "skeleton_rounds"), 0)
 
     def counting(key, function):
         def counted(*args, **kwargs):
@@ -96,6 +102,47 @@ def count_operations(monkeypatch):
                         counting("probes", routing.pc_iterate))
     monkeypatch.setattr(powercontrol, "_affine_steps",
                         lambda form: counting("matched_rounds", steps(form)))
+
+    solve = phy.lmmse_solve
+
+    def solved(p, gains, codebook, noise, i_idx, j_idx, *args, **kwargs):
+        counts["lmmse_solves"] += 1
+        counts["lmmse_links"] += len(i_idx)
+        return solve(p, gains, codebook, noise, i_idx, j_idx, *args, **kwargs)
+
+    for module in (phy, powercontrol, crosslayer):  # each holds the kernel
+        monkeypatch.setattr(module, "lmmse_solve", solved)
+    fixed_point = powercontrol._fixed_point
+
+    def iterated(*args, leap=None, **kwargs):  # only LMMSE runs leap
+        result = fixed_point(*args, leap=leap, **kwargs)
+        counts["matched_iterations" if leap is None
+               else "lmmse_iterations"] += result.iterations
+        return result
+
+    monkeypatch.setattr(powercontrol, "_fixed_point", iterated)
+    # a merge round begins at this line; only the skeleton's own frame is
+    # traced, and only while it runs
+    skeleton = routing._initial_skeleton
+    lines, first = inspect.getsourcelines(skeleton)
+    (merge,) = [first + k for k, line in enumerate(lines)
+                if line.strip() == "same = reach & reach.T"]
+
+    def lines_of_skeleton(frame, event, arg):
+        if event == "line" and frame.f_lineno == merge:
+            counts["skeleton_rounds"] += 1
+        return lines_of_skeleton
+
+    def traced(*args):
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: lines_of_skeleton
+                     if frame.f_code is skeleton.__code__ else None)
+        try:
+            return skeleton(*args)
+        finally:
+            sys.settrace(previous)
+
+    monkeypatch.setattr(routing, "_initial_skeleton", traced)
     return lambda: {"factorizations": len(factored), **counts}
 
 

@@ -171,6 +171,15 @@ def test_network_energy_names_bad_powers_and_gains(receiver, case):
         network_energy_per_bit(routes, p, scenario, gains, net.codebook)
 
 
+def test_lmmse_energy_without_a_codebook_is_named():
+    scenario = Scenario(n_nodes=6, spreading_gain=8, receiver="lmmse",
+                        master_seed=3)
+    net = build_network(scenario)
+    routes = RouteSet(paths=net.sessions, n_nodes=6)
+    with pytest.raises(ValueError, match="needs the spreading codebook"):
+        network_energy_per_bit(routes, np.full(6, 1e-6), scenario, net.gains)
+
+
 def test_a_rerouting_step_that_raises_the_total_by_1e_9_is_rejected(
         monkeypatch):
     # the acceptance slack is 1e-12 of the total: a re-optimization that
@@ -195,6 +204,27 @@ def test_a_rerouting_step_that_raises_the_total_by_1e_9_is_rejected(
     assert len(runs) == 2 and runs[1].paths != runs[0].paths
     assert [r.phase for r in solution.trace] == ["power_control"]
     assert solution.routes.paths == runs[0].paths
+
+
+def test_a_gate_that_strands_a_session_ends_the_loop_on_its_routes(
+        monkeypatch):
+    # gate jitter can leave a session without a link at the target: no
+    # improving move exists, so the loop repeats its last record and stops
+    scenario = Scenario(n_nodes=12, spreading_gain=64, master_seed=8)
+    net = build_network(scenario)
+    first, _ = initial_routes(scenario, net.gains, net.sessions,
+                              initial_powers(scenario))
+
+    def stranded(sessions, costs):
+        raise UnreachableSessionError(0, *sessions[0])
+
+    monkeypatch.setattr(crosslayer, "assign_routes", stranded)
+    solution = joint_optimize(scenario, net.topology, net.gains,
+                              net.sessions, net.codebook)
+    assert solution.status == "local_min"
+    assert [r.phase for r in solution.trace] == ["power_control", "routing"]
+    assert solution.trace[1] == replace(solution.trace[0], phase="routing")
+    assert solution.routes.paths == first.paths
 
 
 @pytest.mark.parametrize("budget", [0, -3, 2.5])
@@ -313,6 +343,17 @@ def test_initial_powers_modes():
     assert np.array_equal(random_draw, initial_powers(scenario))
     # log-uniform: median near the geometric center
     assert np.median(random_draw) == pytest.approx(1e-6, rel=0.5)
+
+
+def test_an_explicit_power_range_bounds_the_random_draw():
+    scenario = Scenario(n_nodes=200, spreading_gain=8,
+                        initial_power_mode="random",
+                        initial_power_range=(2e-7, 3e-7), master_seed=11)
+    assert scenario.power_init_range() == (2e-7, 3e-7)
+    draw = initial_powers(scenario)
+    # exp(log(hi)) may round one ulp above hi
+    assert draw.min() >= 2e-7 and draw.max() <= 3e-7 * (1 + 1e-12)
+    assert np.median(draw) == pytest.approx(np.sqrt(6e-14), rel=0.05)
 
 
 def test_network_metrics_degenerate_zero_powers():

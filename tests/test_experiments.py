@@ -558,3 +558,22 @@ def test_infeasible_scenario_reported_in_manifest(tmp_path):
     assert result.status == "infeasible"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "infeasible"
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("multistart", {}), ("fairness", {}),
+    ("capacity", {"n_min": 4, "n_max": 8, "n_step": 4}),
+])
+def test_an_experiment_without_a_feasible_trial_reports_infeasible(
+        tmp_path, kind, changes):
+    # spreading gain 1 supports no trial here, nor any size of the scan
+    hard = Scenario(n_nodes=12, spreading_gain=1, master_seed=2,
+                    pc_max_iter=1500)
+    config = ExperimentConfig(scenario=hard, kind=kind, out_dir=str(tmp_path),
+                              trials=2, **changes)
+    result = run_experiment(config)
+    assert result.status == "infeasible"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "infeasible"
+    if kind == "capacity":
+        assert result.extras["n_star"] is None

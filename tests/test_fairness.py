@@ -60,6 +60,15 @@ def test_select_rejects_a_bad_threshold(threshold):
         select_candidates(trials, threshold=threshold)
 
 
+def test_no_candidates_are_named_before_any_solve():
+    # before, min() or numpy would fail on the empty sequence
+    with pytest.raises(ValueError, match="no converged trials"):
+        select_candidates([solution([1e-6, 1e-6], status="infeasible_init")])
+    with pytest.raises(ValueError, match="need at least one candidate"):
+        optimize_mixture(RouteCandidateSet(candidates=(), trials=(),
+                                           power_target=1e-6))
+
+
 def test_select_threshold_band_and_skips_infeasible():
     trials = [solution([1.0, 1.0]), solution([1.05, 1.0]),
               solution([1.3, 1.0]),

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adhocnet import (
@@ -94,8 +94,9 @@ CORRUPTIONS = [
     ("gains", "more nodes"), ("gains", "not square"), ("gains", "nan"),
     ("gains", "inf"), ("gains", "negative"),
     ("p", "more nodes"), ("p", "nan"), ("p", "negative"),
-    ("link", -1), ("link", "n"), ("link", 1.5),
+    ("link", -1), ("link", "n"), ("link", 1.5), ("link", "self loop"),
     ("sessions", -1), ("sessions", "n"), ("sessions", 1.5),
+    ("sessions", "self loop"),
     ("codebook", "more nodes"), ("codebook", "fewer nodes"),
 ]
 
@@ -119,7 +120,7 @@ def corrupt(args, argument, case, n, seed):
             n + 1 if case == "more nodes" else n - 1,
             args["codebook"].length, seed)
     else:
-        node = n if case == "n" else case
+        node = {"n": n, "self loop": 1}.get(case, case)
         bad["link"] = (node, 1)
         bad["sessions"] = ((node, 1),) + args["sessions"][1:]
     return bad
@@ -139,6 +140,11 @@ def expected_name(entry, argument, case):
 @given(n=st.integers(3, 6), spreading_gain=st.sampled_from([4, 16]),
        receiver=st.sampled_from(["matched", "lmmse"]),
        seed=st.integers(0, 2**16), corruption=st.sampled_from(CORRUPTIONS))
+# a link or session from a node to itself, on every run
+@example(n=4, spreading_gain=4, receiver="lmmse", seed=1,
+         corruption=("link", "self loop"))
+@example(n=4, spreading_gain=4, receiver="matched", seed=1,
+         corruption=("sessions", "self loop"))
 def test_every_public_entry_names_a_corrupted_argument(n, spreading_gain,
                                                        receiver, seed,
                                                        corruption):

@@ -179,6 +179,34 @@ def test_build_network_deterministic():
     assert np.array_equal(a.codebook.sequences, b.codebook.sequences)
 
 
+def test_build_network_redraws_a_topology_with_coincident_nodes(monkeypatch):
+    # attempt k draws from derive_seed(master, TOPOLOGY_STREAM, k); a draw
+    # that places two nodes at one point is redrawn from the next attempt
+    scenario = Scenario(n_nodes=6, spreading_gain=8, master_seed=4)
+    seeds, real = [], generate_topology
+
+    def draw(n, side, seed):
+        seeds.append(seed)
+        topology = np.array(real(n, side, seed))
+        if len(seeds) < 3:
+            topology[1] = topology[0]
+        return topology
+
+    monkeypatch.setattr(netmodel, "generate_topology", draw)
+    net = build_network(scenario)
+    assert seeds == [derive_seed(4, netmodel.TOPOLOGY_STREAM, k)
+                     for k in range(3)]
+    np.testing.assert_array_equal(net.topology, real(6, scenario.area_side,
+                                                     seeds[2]))
+    np.testing.assert_array_equal(
+        net.gains, compute_link_gains(net.topology, scenario.path_loss_exp))
+    monkeypatch.setattr(netmodel, "_MAX_ATTEMPTS", 2)
+    seeds.clear()
+    with pytest.raises(CoincidentNodesError, match="in 2 attempts"):
+        build_network(scenario)
+    assert len(seeds) == 2
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         Scenario(n_nodes=1)

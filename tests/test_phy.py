@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -116,7 +117,8 @@ def test_lmmse_filter_rejects_equal_endpoints():
     _, gains = random_network(rng, 3)
     book = generate_spreading_codebook(3, 4, seed=5)
     p = np.full(3, 1e-7)
-    with pytest.raises(ValueError, match="link endpoints must differ"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "link (1, 1) needs two distinct integer nodes in 0..2")):
         lmmse_filter(1, p, gains, book, 1e-13, receiver_node=1)
 
 
@@ -262,6 +264,18 @@ def test_efficiency_limits_and_monotonicity():
     values = efficiency(grid, 80)
     assert np.all(np.diff(values) >= 0.0)
     assert np.all((values >= 0.0) & (values < 1.0))
+
+
+def test_efficiency_of_an_array_is_each_sirs_own_and_the_energies():
+    # one SIR's f does not depend on how many come at once, and the energies
+    # divide by the same f; numpy's vectorised power differs in the last bit
+    sir = np.random.default_rng(8).uniform(0.5, 40.0, 20000)
+    f = efficiency(sir, 80)
+    assert f.shape == sir.shape
+    assert f.tolist() == [float(efficiency(s, 80)) for s in sir.tolist()]
+    assert efficiency(sir.reshape(100, 200), 80).ravel().tolist() == f.tolist()
+    energies = link_energies(np.ones_like(sir), sir, 1.0, 80)
+    assert energies.tolist() == (1.0 / f).tolist()
 
 
 def test_efficiency_energy_optimum_near_twelve_and_a_half():
@@ -826,8 +840,7 @@ def test_per_link_functions_reject_links_outside_the_network(link):
     book = generate_spreading_codebook(4, 8, seed=5)
     p = np.full(4, 1e-7)
     filters = {link: book.sequences[0]}
-    i, j = np.asarray(link)  # as the message prints it
-    message = rf"link \({i}, {j}\) needs nodes in 0\.\.3"
+    message = re.escape(f"link {link} needs two distinct integer nodes in 0..3")
     calls = [
         lambda: sir_matched(link, p, gains, 8, 1e-13),
         lambda: energy_per_bit_link(link, p, 10.0, 1e4, 80),
@@ -835,5 +848,5 @@ def test_per_link_functions_reject_links_outside_the_network(link):
         lambda: sir_lmmse(link, p, filters, gains, book, 1e-13),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError, match=message):
             call()

@@ -190,11 +190,19 @@ def ring_costs(n):
 
 @pytest.mark.parametrize("sessions, costs, message", [
     # numpy would read node -1 as node 3 of the ring
-    (((-1, 2),), ring_costs(4), "session 0 (-1, 2) needs nodes in 0..3"),
+    (((-1, 2),), ring_costs(4), "session (-1, 2) needs two distinct integer "
+     "nodes in 0..3"),
     (((0, 1), (0, -1)), ring_costs(4),
-     "session 1 (0, -1) needs nodes in 0..3"),
-    (((0, 10),), np.ones((10, 10)), "session 0 (0, 10) needs nodes in 0..9"),
-    (((0, 1.0),), ring_costs(4), "session 0 (0, 1.0) needs nodes in 0..3"),
+     "session (0, -1) needs two distinct integer nodes in 0..3"),
+    (((0, 10),), np.ones((10, 10)),
+     "session (0, 10) needs two distinct integer nodes in 0..9"),
+    (((0, 1.0),), ring_costs(4),
+     "session (0, 1.0) needs two distinct integer nodes in 0..3"),
+    # a node does not route to itself; the first bad session in sorted order
+    (((2, 2),), ring_costs(4),
+     "session (2, 2) needs two distinct integer nodes in 0..3"),
+    (((3, 0), (2, 2), (1, 5)), ring_costs(4),
+     "session (1, 5) needs two distinct integer nodes in 0..3"),
 ])
 def test_assign_routes_rejects_endpoints_that_are_not_nodes(sessions, costs,
                                                            message):
@@ -290,8 +298,10 @@ def test_active_links_equal_the_link_set_of_consecutive_pairs(case):
 
 
 @pytest.mark.parametrize("paths, message", [
-    (((0, 1), (2, 5, 1)), "link (2, 5) outside node range"),
-    (((3, 0, -1), (1, 2)), "link (0, -1) outside node range"),
+    (((0, 1), (2, 5, 1)), "link (2, 5) needs two distinct integer nodes "
+     "in 0..3"),
+    (((3, 0, -1), (1, 2)), "link (0, -1) needs two distinct integer nodes "
+     "in 0..3"),
 ])
 def test_active_links_name_an_out_of_range_node_as_a_link_set(paths,
                                                                message):
@@ -305,7 +315,7 @@ def test_active_links_name_an_out_of_range_node_as_a_link_set(paths,
 
 @pytest.mark.parametrize("paths", [((0, 1.5),), ((0, 1), (2, 1.0, 0))])
 def test_active_links_reject_non_integer_nodes(paths):
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ConfigError, match="needs two distinct integer nodes"):
         RouteSet(paths=paths, n_nodes=3)
 
 
@@ -313,11 +323,15 @@ def test_route_set_rejects_degenerate_paths():
     for paths, message in [
         (((0,),), "a route needs at least two nodes"),
         (((0, 1, 0),), "route (0, 1, 0) repeats a node"),
-        (((np.int64(1), np.int64(1)),), "repeats a node"),
-        (((0, 1.5),), "active link nodes must be integers"),
-        # the path checks come before the link-set checks
+        # a node repeated at once is a self loop, which the link set names
+        (((np.int64(1), np.int64(1)),),
+         "link (1, 1) needs two distinct integer nodes in 0..2"),
+        (((0, 1.5),), "link (0, 1.5) needs two distinct integer nodes"),
+        # the length check comes before the link-set checks, the repeat
+        # check after them
         (((0,), (1, 7)), "a route needs at least two nodes"),
-        (((0, 1), (2, 7), (1, 0, 1)), "route (1, 0, 1) repeats a node"),
+        (((0, 1), (2, 7), (1, 0, 1)), "link (2, 7) needs two distinct"),
+        (((0, 1), (1, 0, 1)), "route (1, 0, 1) repeats a node"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             RouteSet(paths=paths, n_nodes=3)
@@ -325,6 +339,22 @@ def test_route_set_rejects_degenerate_paths():
     assert RouteSet(paths=(), n_nodes=3).active_links.links == ()
     routes = RouteSet(paths=((np.int64(0), np.int32(2)),), n_nodes=3)
     assert routes.active_links.links == ((0, 2),)
+
+
+def test_initial_routes_raise_when_the_first_candidate_strands_a_session():
+    # a node with no gain to or from any other has no link in the skeleton,
+    # so no candidate routes its sessions and none can be returned
+    scenario = Scenario(n_nodes=6, spreading_gain=16, master_seed=3)
+    net = build_network(scenario)
+    gains = np.array(net.gains)
+    k = net.sessions[2][0]
+    gains[k, :] = gains[:, k] = 0.0
+    with pytest.raises(UnreachableSessionError) as err:
+        initial_routes(scenario, gains, net.sessions,
+                       np.full(6, scenario.initial_power))
+    first = min(s for s, (i, j) in enumerate(net.sessions) if k in (i, j))
+    assert (err.value.session, err.value.source, err.value.destination) == (
+        first, *net.sessions[first])
 
 
 def test_initial_routes_two_nodes_direct():
