@@ -48,6 +48,9 @@ STATUS_INFEASIBLE_INIT = "infeasible_init"
 # Stream index offset for per-trial power initializations in multi_start.
 TRIAL_STREAM_BASE = 16
 
+# joint_optimize without a phase_budget records at most this many phases.
+_PHASE_CAP = 100
+
 
 @dataclass(frozen=True)
 class PhaseRecord:
@@ -85,8 +88,8 @@ class MultiStartResult:
 def initial_powers(scenario: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
     """Initial transmit powers per the scenario's initialization mode.
 
-    Random mode draws log-uniformly over the configured range; the stream
-    defaults to the master seed's dedicated initialization stream.
+    Random mode draws log-uniformly over 0.1 to 10 times ``initial_power``;
+    the stream defaults to the master seed's dedicated initialization stream.
     """
     n = scenario.n_nodes
     if scenario.initial_power_mode == "equal":
@@ -95,7 +98,7 @@ def initial_powers(scenario: Scenario, rng: np.random.Generator | None = None) -
         rng = np.random.default_rng(
             derive_seed(scenario.master_seed, INIT_POWER_STREAM)
         )
-    lo, hi = scenario.power_init_range()
+    lo, hi = 0.1 * scenario.initial_power, 10.0 * scenario.initial_power
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
 
 
@@ -167,12 +170,12 @@ def joint_optimize(scenario: Scenario, topology: np.ndarray | None,
     only when the re-optimized powers do not regress the total, so the
     recorded trace is non-increasing by construction. Natural termination:
     routes unchanged, no non-regressing step available, or relative
-    improvement below the scenario threshold; a phase cap bounds
-    pathological cases. With ``phase_budget`` set, the improvement
-    threshold is ignored and the budget is the cap; once the loop stops,
-    repeats of its last record, alternating phase kinds, pad the trace to
-    exactly that many phases, which reproduces fixed-length published
-    traces.
+    improvement below the scenario threshold; a cap of ``_PHASE_CAP`` (100)
+    phases bounds pathological cases. With ``phase_budget`` set, the
+    improvement threshold is ignored and the budget is the cap; once the
+    loop stops, repeats of its last record, alternating phase kinds, pad the
+    trace to exactly that many phases, which reproduces fixed-length
+    published traces.
 
     An initial power-control failure yields status "infeasible_init" with
     the failing PcResult attached: with the matched receiver, a failed
@@ -192,7 +195,7 @@ def joint_optimize(scenario: Scenario, topology: np.ndarray | None,
     init_energy = network_energy_per_bit(routes, p_init, scenario, gains,
                                          codebook)
 
-    cap = phase_budget if phase_budget is not None else scenario.phase_cap
+    cap = phase_budget if phase_budget is not None else _PHASE_CAP
     # converged links sit at the target within the solver tolerance, so the
     # gate must not reject them over that jitter
     gate_sir = scenario.target_sir * (1.0 - 10.0 * scenario.pc_tol)

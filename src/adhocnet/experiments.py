@@ -86,9 +86,7 @@ class ExperimentConfig:
         check_value("n_max", self.n_max, Integral, low=self.n_min)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["scenario"] = self.scenario.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

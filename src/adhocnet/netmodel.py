@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -58,10 +57,9 @@ class Scenario:
     path_loss_exp : exponent of the distance power law.
     receiver : "matched" or "lmmse".
     initial_power_mode : "equal" (all nodes at ``initial_power``) or
-        "random" (log-uniform over ``initial_power_range``).
-    initial_power : common transmit power for equal mode, watts.
-    initial_power_range : (low, high) watts for random mode; defaults to
-        (0.1, 10) times ``initial_power`` when omitted.
+        "random" (log-uniform over 0.1 to 10 times ``initial_power``).
+    initial_power : transmit power in watts: every node's in equal mode,
+        the geometric centre of the draw in random mode.
     packet_bits : packet length used by the retransmission model.
     chip_bandwidth : chip-rate bandwidth in Hz; bit rate is
         ``chip_bandwidth / spreading_gain``.
@@ -70,7 +68,6 @@ class Scenario:
     pc_tol, pc_max_iter : power-control stopping rule.
     improvement_tol : relative total-power improvement below which the joint
         loop stops.
-    phase_cap : hard bound on recorded joint-loop phases.
     master_seed : root of every random stream, in [0, 2^64).
     """
 
@@ -83,50 +80,27 @@ class Scenario:
     receiver: str = checked(str, "matched", choices=RECEIVERS)
     initial_power_mode: str = checked(str, "equal", choices=POWER_MODES)
     initial_power: float = checked(Real, 1e-6, above=0)
-    # checked and normalised to a tuple of floats in __post_init__
-    initial_power_range: tuple[float, float] | None = None
     packet_bits: int = checked(Integral, 80, low=1)
     chip_bandwidth: float = checked(Real, 1e6, above=0)
     power_cap: float = checked(Real, 1.0, above=0)
     pc_tol: float = checked(Real, 1e-6, above=0)
     pc_max_iter: int = checked(Integral, 10_000, low=1)
     improvement_tol: float = checked(Real, 1e-4, low=0)
-    phase_cap: int = checked(Integral, 100, low=1)
     master_seed: int = checked(Integral, 1, low=0, high=2**64 - 1)
 
     def __post_init__(self):
         check_fields(self)
-        rng = self.initial_power_range
-        if rng is None:
-            return
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2
-                and all(isinstance(v, Real) and not isinstance(v, bool)
-                        for v in rng)
-                and 0 < rng[0] <= rng[1] < math.inf):
-            raise ConfigError("initial_power_range must be two numbers low, "
-                              f"high with 0 < low <= high < inf, got {rng!r}")
-        object.__setattr__(self, "initial_power_range",
-                           (float(rng[0]), float(rng[1])))
 
     @property
     def bit_rate(self) -> float:
         """Link bit rate in bits/s (chip bandwidth divided by spreading gain)."""
         return self.chip_bandwidth / self.spreading_gain
 
-    def power_init_range(self) -> tuple[float, float]:
-        """Range for random power initialization, in watts."""
-        if self.initial_power_range is not None:
-            return self.initial_power_range
-        return (0.1 * self.initial_power, 10.0 * self.initial_power)
-
     def replace(self, **changes) -> "Scenario":
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if d["initial_power_range"] is not None:
-            d["initial_power_range"] = list(d["initial_power_range"])
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

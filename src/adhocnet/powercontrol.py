@@ -47,14 +47,14 @@ solver builds filters; ``phy.lmmse_filter`` gives any link's on demand.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .errors import check_gains, check_links, check_powers
-from .netmodel import SpreadingCodebook
+from .errors import check_gains, check_links, check_powers, check_value
+from .netmodel import Scenario, SpreadingCodebook
 from .phy import lmmse_link_sir, lmmse_solve, received_powers
 
 STATUS_CONVERGED = "converged"
@@ -137,6 +137,19 @@ class PcResult:
         return self.status == STATUS_CONVERGED
 
 
+def _check_args(args: dict) -> None:
+    """ConfigError naming ``gains`` unless they fit ``active``, or else the
+    first scalar in ``args`` (an entry's locals()) that breaks its Scenario
+    field's rule; a tol of 0 and a power_cap of inf (no cap) pass too."""
+    check_gains(args["gains"], args["active"].n_nodes)
+    rules = {f.name: f.metadata for f in fields(Scenario)}
+    rules.update(noise=rules["noise_power"],
+                 tol={**rules["pc_tol"], "above": None, "low": 0})
+    for name, value in args.items():
+        if name in rules and not (name == "power_cap" and value == np.inf):
+            check_value(name, value, **rules[name])
+
+
 def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                   spreading_gain: int, noise: float,
                   target_sir: float) -> np.ndarray:
@@ -146,7 +159,7 @@ def power_targets(p: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
     target_sir * ( (1/L) sum_{k != i,j} h(k,j) P_k + noise ) / h(i,j).
     ConfigError names ``gains`` or ``p`` unless they fit ``active``.
     """
-    check_gains(gains, active.n_nodes)
+    _check_args(locals())
     p = check_powers("p", p, active.n_nodes)
     i_idx, j_idx = active.link_arrays
     s = received_powers(gains, p)
@@ -292,7 +305,7 @@ def pc_iterate(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
     iterate, in blocks of steps on which no node changes its worst link
     (``_affine_steps``).
     """
-    check_gains(gains, active.n_nodes)
+    _check_args(locals())
     form = _affine_form(active, gains, noise, target_sir,
                         target_sir / spreading_gain)
     return _fixed_point(p0, active, _affine_steps(form), tol=tol,
@@ -309,7 +322,7 @@ def pc_solve(active: ActiveLinkSet, gains: np.ndarray,
     linear solves and ``trace`` holds each accepted solution's total power;
     a set without links converges at zero powers with no solve.
     """
-    check_gains(gains, active.n_nodes)
+    _check_args(locals())
     senders, starts, owner, a, coupling = _affine_form(
         active, gains, noise, target_sir, target_sir / spreading_gain)
     # first policy: the worst links two synchronous steps up from zero
@@ -341,7 +354,7 @@ def pc_mud_iterate(p0: np.ndarray, active: ActiveLinkSet,
     second item is None: it keeps the place of the filter bank this function
     once returned, for callers that unpack two values.
     """
-    check_gains(gains, active.n_nodes)
+    _check_args(locals())
     codebook.check_nodes(active.n_nodes)
     return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
                               False, tol=tol, max_iter=max_iter,
@@ -354,7 +367,7 @@ def pc_mud_solve(p0: np.ndarray, active: ActiveLinkSet, gains: np.ndarray,
                  power_cap: float = 1.0) -> PcResult:
     """``pc_mud_iterate``'s LMMSE fixed point by Newton steps (module
     docstring), with its statuses, ``iterations`` and ``link_sir``."""
-    check_gains(gains, active.n_nodes)
+    _check_args(locals())
     return _lmmse_fixed_point(p0, active, gains, codebook, noise, target_sir,
                               True, tol=tol, max_iter=max_iter,
                               power_cap=power_cap)

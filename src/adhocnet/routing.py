@@ -185,9 +185,13 @@ def _lex_paths(costs: np.ndarray,
 
 def assign_routes(sessions: tuple[tuple[int, int], ...],
                   costs: np.ndarray) -> RouteSet:
-    """Minimum-cost route per session; ConfigError names the first bad session
-    (``errors.check_links``), UnreachableSessionError the first unreachable."""
+    """Minimum-cost route per session. ConfigError names ``costs`` unless
+    square with entries >= 0 or +inf (no link), else the first bad session
+    (``errors.check_links``); UnreachableSessionError the first unreachable."""
     costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 2 or costs.shape[0] != costs.shape[1] \
+            or not (costs >= 0).all():
+        raise ConfigError("costs must be square with entries >= 0 or +inf")
     n = costs.shape[0]
     check_links("session", sessions, n)
     paths = _lex_paths(costs, sessions)

@@ -5,7 +5,8 @@ a verbose run doubles as the acceptance report."""
 import numpy as np
 import pytest
 
-from adhocnet.crosslayer import multi_start, network_energy_per_bit
+from adhocnet.crosslayer import (_PHASE_CAP, multi_start,
+                                  network_energy_per_bit)
 from adhocnet.experiments import capacity_search, throughput_gain
 from adhocnet.fairness import (
     MixtureWeights,
@@ -134,7 +135,7 @@ def test_criterion_05_joint_loop_descends_at_forty_nodes():
 
         solution = joint_optimize(scenario, net.topology, net.gains,
                                   net.sessions, net.codebook)
-        assert len(solution.trace) <= scenario.phase_cap
+        assert len(solution.trace) <= _PHASE_CAP
         max_phases = max(max_phases, len(solution.trace))
         if not solution.converged:
             continue

@@ -165,6 +165,7 @@ def test_infeasible_scenario_exits_3(tmp_path):
     ('{"pc_tol": -1}', "pc_tol"),
     ('{"n_nodes": 8, "noise_power": Infinity}', "noise_power"),
     ('{"n_nodes": 8, "initial_power_range": 5}', "initial_power_range"),
+    ('{"n_nodes": 8, "phase_cap": 50}', "phase_cap"),
 ])
 def test_bad_scenario_value_exits_2_without_traceback(tmp_path, capsys, body,
                                                       field):

@@ -271,7 +271,7 @@ def test_multi_start_single_trial_equals_joint_run():
                         area_side=120.0)
     result = multi_start(scenario, trials=1, seed=77)
     net = build_network(scenario)
-    lo, hi = scenario.power_init_range()
+    lo, hi = 0.1 * scenario.initial_power, 10.0 * scenario.initial_power
     rng = np.random.default_rng(derive_seed(77, 16, 0))
     p_init = np.exp(rng.uniform(np.log(lo), np.log(hi), 8))
     direct = joint_optimize(scenario, net.topology, net.gains, net.sessions,
@@ -345,15 +345,13 @@ def test_initial_powers_modes():
     assert np.median(random_draw) == pytest.approx(1e-6, rel=0.5)
 
 
-def test_an_explicit_power_range_bounds_the_random_draw():
-    scenario = Scenario(n_nodes=200, spreading_gain=8,
-                        initial_power_mode="random",
-                        initial_power_range=(2e-7, 3e-7), master_seed=11)
-    assert scenario.power_init_range() == (2e-7, 3e-7)
+def test_a_random_draw_spans_a_tenth_to_ten_times_the_initial_power():
+    scenario = Scenario(n_nodes=200, spreading_gain=8, initial_power=3e-7,
+                        initial_power_mode="random", master_seed=11)
     draw = initial_powers(scenario)
     # exp(log(hi)) may round one ulp above hi
-    assert draw.min() >= 2e-7 and draw.max() <= 3e-7 * (1 + 1e-12)
-    assert np.median(draw) == pytest.approx(np.sqrt(6e-14), rel=0.05)
+    assert draw.min() >= 3e-8 and draw.max() <= 3e-6 * (1 + 1e-12)
+    assert np.median(draw) == pytest.approx(3e-7, rel=0.5)
 
 
 def test_network_metrics_degenerate_zero_powers():

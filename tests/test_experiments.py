@@ -433,6 +433,15 @@ def test_experiment_config_validation():
                                     "bad_key": 1})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("initial_power_range", [1e-7, 1e-5]), ("phase_cap", 100)])
+def test_a_manifest_naming_a_removed_scenario_key_is_refused(key, value):
+    scenario = {**FEASIBLE.to_dict(), key: value}
+    with pytest.raises(ConfigError, match=f"unknown scenario key: '{key}'"):
+        ExperimentConfig.from_dict({"scenario": scenario, "kind": "run",
+                                    "out_dir": "x"})
+
+
 @pytest.mark.parametrize("changes, field", [
     ({"n_min": 1}, "n_min"),
     ({"n_min": 6.0}, "n_min"),

@@ -10,6 +10,7 @@ not entries here.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ ENTRIES = {
         s.target_sir)),
     "initial_routes": (("p", "gains", "sessions"), lambda s, a: initial_routes(
         s, a["gains"], a["sessions"], a["p"])),
-    "assign_routes": (("sessions",), lambda s, a: assign_routes(
+    "assign_routes": (("sessions", "costs"), lambda s, a: assign_routes(
         a["sessions"], a["costs"])),
     "build_link_costs": (("p",), lambda s, a: build_link_costs(
         a["p"], a["sir"], s.target_sir)),
@@ -95,10 +96,15 @@ CORRUPTIONS = [
     ("gains", "inf"), ("gains", "negative"),
     ("p", "more nodes"), ("p", "nan"), ("p", "negative"),
     ("link", -1), ("link", "n"), ("link", 1.5), ("link", "self loop"),
+    ("link", "not a pair"),
     ("sessions", -1), ("sessions", "n"), ("sessions", 1.5),
-    ("sessions", "self loop"),
+    ("sessions", "self loop"), ("sessions", "not a pair"),
     ("codebook", "more nodes"), ("codebook", "fewer nodes"),
+    ("costs", "negative"), ("costs", "nan"), ("costs", "not square"),
 ]
+
+# entries that take a link's two nodes one by one, or a path, not a link
+NODES_NOT_LINKS = {"lmmse_filter", "RouteSet"}
 
 
 def corrupt(args, argument, case, n, seed):
@@ -119,10 +125,15 @@ def corrupt(args, argument, case, n, seed):
         bad["codebook"] = generate_spreading_codebook(
             n + 1 if case == "more nodes" else n - 1,
             args["codebook"].length, seed)
+    elif argument == "costs":
+        c = np.array(args["costs"])
+        c[0, 1] = {"negative": -1.0, "nan": np.nan}.get(case, c[0, 1])
+        bad["costs"] = c[:-1] if case == "not square" else c
     else:
         node = {"n": n, "self loop": 1}.get(case, case)
-        bad["link"] = (node, 1)
-        bad["sessions"] = ((node, 1),) + args["sessions"][1:]
+        link = (0, 1, 2) if case == "not a pair" else (node, 1)
+        bad["link"] = link
+        bad["sessions"] = (link,) + args["sessions"][1:]
     return bad
 
 
@@ -140,11 +151,15 @@ def expected_name(entry, argument, case):
 @given(n=st.integers(3, 6), spreading_gain=st.sampled_from([4, 16]),
        receiver=st.sampled_from(["matched", "lmmse"]),
        seed=st.integers(0, 2**16), corruption=st.sampled_from(CORRUPTIONS))
-# a link or session from a node to itself, on every run
+# a link or session from a node to itself, or not a pair, on every run
 @example(n=4, spreading_gain=4, receiver="lmmse", seed=1,
          corruption=("link", "self loop"))
 @example(n=4, spreading_gain=4, receiver="matched", seed=1,
          corruption=("sessions", "self loop"))
+@example(n=4, spreading_gain=4, receiver="lmmse", seed=1,
+         corruption=("link", "not a pair"))
+@example(n=4, spreading_gain=4, receiver="matched", seed=1,
+         corruption=("sessions", "not a pair"))
 def test_every_public_entry_names_a_corrupted_argument(n, spreading_gain,
                                                        receiver, seed,
                                                        corruption):
@@ -165,9 +180,15 @@ def test_every_public_entry_names_a_corrupted_argument(n, spreading_gain,
             "costs": np.where(np.eye(n, dtype=bool), np.inf, 1.0)}
     bad = corrupt(args, argument, case, n, seed)
     for entry, (takes, call) in ENTRIES.items():
-        if argument not in takes:
+        if argument not in takes or (case == "not a pair"
+                                     and entry in NODES_NOT_LINKS):
             continue
-        call(scenario, args)  # the valid instance passes
+        with warnings.catch_warnings():
+            # an infeasible LMMSE run may end at powers whose covariance
+            # bound lmmse_solve reports; the valid instance need only pass
+            warnings.filterwarnings("ignore", "LMMSE covariance condition",
+                                    RuntimeWarning)
+            call(scenario, args)
         name = expected_name(entry, argument, case)
         with pytest.raises((AdhocnetError, ValueError)) as raised:
             result = call(scenario, bad)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import warnings
@@ -1048,6 +1049,58 @@ def test_a_link_set_is_checked_sorted_and_deduplicated_when_built():
 def test_a_link_set_rejects_non_integer_nodes(links):
     with pytest.raises(ConfigError, match="needs two distinct integer nodes"):
         ActiveLinkSet(3, links)
+
+
+@pytest.mark.parametrize("links, named", [
+    ([(0, 1, 2)], "(0, 1, 2)"), ([(0,)], "(0)"), ([(0, 1), (2,)], "(2)"),
+    (np.array([[0, 1, 2]]), "(0, 1, 2)"), ([("0", "1")], "('0', '1')"),
+    # string ids sort after numbers
+    ([("0", "1"), (0, 5)], "(0, 5)"),
+])
+def test_a_link_set_names_an_entry_that_is_not_a_pair_as_given(links, named):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"link {named} needs two distinct integer nodes in 0..2")):
+        ActiveLinkSet(3, links)
+
+
+# each solver entry's scalar parameters; the check follows Scenario's rule
+# for the field (noise: noise_power, tol: pc_tol), a tol of 0 and a
+# power_cap of inf aside
+SCALAR_PARAMETERS = {
+    power_targets: ("spreading_gain", "noise", "target_sir"),
+    pc_iterate: ("spreading_gain", "noise", "target_sir", "tol", "power_cap"),
+    pc_solve: ("spreading_gain", "noise", "target_sir", "power_cap"),
+    pc_mud_iterate: ("noise", "target_sir", "tol", "power_cap"),
+    pc_mud_solve: ("noise", "target_sir", "tol", "power_cap"),
+}
+BAD_SCALARS = {"spreading_gain": (0, 2.5, "8"),
+               "noise": (-1e-13, 0.0, np.nan),
+               "target_sir": (-1.0, 0, np.nan),
+               "tol": (-1e-6, np.nan, np.inf),
+               "power_cap": (0, -1.0, np.nan, -np.inf)}
+
+
+@pytest.mark.parametrize("entry, name, value", [
+    (entry, name, value) for entry, names in SCALAR_PARAMETERS.items()
+    for name in names for value in BAD_SCALARS[name]],
+    ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_a_solver_names_a_bad_scalar_argument(entry, name, value):
+    # these once gave pc_solve an "infeasible" verdict, pc_iterate a
+    # "converged" one, or a ZeroDivisionError
+    topo = topology_from_positions([[0.0, 0.0], [50.0, 0.0], [0.0, 60.0],
+                                    [70.0, 80.0]])
+    args = {"p": np.full(4, 1e-7), "p0": np.full(4, 1e-7),
+            "active": ActiveLinkSet(4, [(0, 1), (2, 3)]),
+            "gains": compute_link_gains(topo, 2.0),
+            "codebook": generate_spreading_codebook(4, 8, seed=3),
+            "spreading_gain": 8, "noise": NOISE, "target_sir": GAMMA,
+            "tol": 1e-6, "power_cap": 1.0}
+    taken = inspect.signature(entry).parameters
+    assert name in taken
+    args = {key: value for key, value in args.items() if key in taken}
+    entry(**args)  # the valid call passes
+    with pytest.raises(ConfigError, match=rf"^{name} must be "):
+        entry(**{**args, name: value})
 
 
 def test_a_link_sets_arrays_are_read_only():

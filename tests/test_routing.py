@@ -1,6 +1,11 @@
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,11 +208,53 @@ def ring_costs(n):
      "session (2, 2) needs two distinct integer nodes in 0..3"),
     (((3, 0), (2, 2), (1, 5)), ring_costs(4),
      "session (1, 5) needs two distinct integer nodes in 0..3"),
+    # an entry that is not a pair is named as given, and string ids quoted
+    (((0, 1), (0, 1, 2)), ring_costs(4),
+     "session (0, 1, 2) needs two distinct integer nodes in 0..3"),
+    ((("0", "2"),), ring_costs(4),
+     "session ('0', '2') needs two distinct integer nodes in 0..3"),
 ])
 def test_assign_routes_rejects_endpoints_that_are_not_nodes(sessions, costs,
                                                            message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         assign_routes(sessions, costs)
+
+
+@pytest.mark.parametrize("costs", [
+    np.where(np.eye(3, dtype=bool), np.inf, np.nan), ring_costs(3)[:2],
+    np.ones(3), np.full((3, 3), -np.inf)])
+def test_assign_routes_names_costs_that_are_not_a_cost_matrix(costs):
+    with pytest.raises(ConfigError, match="^costs must be square with "
+                                          r"entries >= 0 or \+inf$"):
+        assign_routes(((0, 2),), costs)
+
+
+_NEGATIVE_COSTS = """
+import numpy as np
+from adhocnet import assign_routes
+from adhocnet.errors import ConfigError
+try:
+    assign_routes(((0, 2),), -np.ones((3, 3)))
+except ConfigError as exc:
+    print(exc)
+"""
+
+
+def test_negative_costs_raise_instead_of_aborting_the_interpreter():
+    # scipy's dijkstra once aborted the process on negative weights
+    # (std::bad_alloc, exit 134), so the call runs in a child process, under
+    # a 2 GiB address-space limit, that a relapse cannot take the suite with
+    src = str(Path(routing.__file__).resolve().parents[1])
+    limit = 2 << 30
+    run = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_COSTS], capture_output=True,
+        text=True, timeout=120, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (limit, limit)),
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                 PYTHONPATH=os.pathsep.join(
+                     [src, os.environ.get("PYTHONPATH", "")])))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("costs must be square"), run.stdout
 
 
 def test_assign_routes_total_cost_matches_brute_force():
